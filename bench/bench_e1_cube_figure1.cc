@@ -86,13 +86,10 @@ BENCHMARK(BM_CubeMdJoinGuarded)
     ->ArgsProduct({{10000, 50000, 200000}, {1, 2, 3}})
     ->Unit(benchmark::kMillisecond);
 
-void BM_CubeExecutionMode(benchmark::State& state) {
-  // The vectorization A/B at cube scale: identical query, scan style toggled
-  // via MdJoinOptions::execution_mode. arg1 = 0 → tuple-at-a-time baseline,
-  // 1 → block-at-a-time with flat aggregate state. The acceptance target for
-  // the vectorized path is ≥2× over the row path at 1M detail rows.
+void BM_CubeBlockScan(benchmark::State& state) {
+  // The 2-D cube with five aggregates: block-at-a-time scan, flat aggregate
+  // state, default options.
   const int64_t rows = state.range(0);
-  const bool vectorized = state.range(1) != 0;
   const Table& sales = CachedSales(rows, 100, 50, 12);
   std::vector<std::string> dims = {"prod", "month"};
   Table base = *CubeByBase(sales, dims);
@@ -101,20 +98,16 @@ void BM_CubeExecutionMode(benchmark::State& state) {
                                Min(dsl::RCol("sale"), "lo"),
                                Max(dsl::RCol("sale"), "hi"),
                                Avg(dsl::RCol("sale"), "mean")};
-  MdJoinOptions options;
-  options.execution_mode = vectorized ? ExecutionMode::kVectorized : ExecutionMode::kRow;
   MdJoinStats stats;
   for (auto _ : state) {
-    Table cube = *MdJoin(base, sales, aggs, theta, options, &stats);
+    Table cube = *MdJoin(base, sales, aggs, theta, {}, &stats);
     benchmark::DoNotOptimize(cube.num_rows());
   }
   state.counters["base_rows"] = static_cast<double>(base.num_rows());
   state.counters["blocks"] = static_cast<double>(stats.blocks);
   state.counters["detail_rows"] = static_cast<double>(rows);
 }
-BENCHMARK(BM_CubeExecutionMode)
-    ->ArgsProduct({{200000, 1000000}, {0, 1}})
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_CubeBlockScan)->Arg(200000)->Arg(1000000)->Unit(benchmark::kMillisecond);
 
 /// The raw-speed ladder on the 2-D cube. arg1 picks the arm:
 ///   0 baseline_pr2 — the vectorized scan as PR 2 shipped it: no SIMD
@@ -125,8 +118,8 @@ BENCHMARK(BM_CubeExecutionMode)
 ///     acceptance bar is ≥1.5× over arm 0 at 1M rows.
 ///   3 auto_pred    — auto_full plus detail-only predicates (a
 ///     dictionary-coded string test and a sale range), so the compare
-///     kernels, dense-block path, and fused predicate+aggregate path all
-///     fire; fused_blocks/dense_blocks counters make that visible.
+///     kernels and the dense-block path fire; the kernel_invocations and
+///     dense_blocks counters make that visible.
 ///   4 baseline_pred — arm 3's θ under arm 0's configuration: the paired
 ///     baseline for the predicated A/B (same query, closure-tree string
 ///     compares and Value-cell updates instead of code compares + kernels).
@@ -147,7 +140,6 @@ void BM_CubeRawSpeed(benchmark::State& state) {
                                Max(dsl::RCol("sale"), "hi"),
                                Avg(dsl::RCol("sale"), "mean")};
   MdJoinOptions options;
-  options.execution_mode = ExecutionMode::kVectorized;
   if (arm == 0 || arm == 4) {
     options.simd = simd::Backend::kScalar;
     options.use_flat_columns = false;
@@ -164,7 +156,6 @@ void BM_CubeRawSpeed(benchmark::State& state) {
   state.counters["base_rows"] = static_cast<double>(base.num_rows());
   state.counters["detail_rows"] = static_cast<double>(rows);
   state.counters["dense_blocks"] = static_cast<double>(stats.dense_blocks);
-  state.counters["fused_blocks"] = static_cast<double>(stats.fused_blocks);
   state.counters["kernel_invocations"] =
       static_cast<double>(stats.kernel_invocations);
   state.counters["probe_memo_hits"] =

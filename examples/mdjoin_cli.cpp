@@ -310,7 +310,6 @@ int main(int argc, char** argv) {
   bool use_emf = false, explain = false, optimize = false, explain_analyze = false;
   QueryGuardOptions guard_options;
   int num_threads = 1;
-  int64_t morsel_size = 0;
   simd::Backend simd_backend = simd::Backend::kAuto;
   int server_sim = 0, sim_queries = 4;
   bool analyze_tables = false, stats_dump = false;
@@ -440,13 +439,6 @@ int main(int argc, char** argv) {
     } else if (eq_value(argv[i], "--spill-dir", &spill_dir)) {
     } else if (std::strcmp(argv[i], "--spill-dir") == 0 && i + 1 < argc) {
       spill_dir = argv[++i];
-    } else if (std::strcmp(argv[i], "--morsel-size") == 0 && i + 1 < argc) {
-      morsel_size = std::strtoll(argv[++i], nullptr, 10);
-      if (morsel_size < 0) {
-        std::fprintf(stderr, "error: --morsel-size wants a non-negative integer "
-                             "(0 = align to block size)\n");
-        return 2;
-      }
     } else if (argv[i][0] == '-') {
       std::fprintf(stderr, "unknown flag %s\n", argv[i]);
       return 2;
@@ -460,7 +452,7 @@ int main(int argc, char** argv) {
                  "[--optimize] [--explain-analyze] [--trace-out=FILE] "
                  "[--metrics-out=FILE] "
                  "[--timeout-ms N] [--memory-limit BYTES[k|m|g]] "
-                 "[--threads N] [--morsel-size ROWS] [--simd auto|scalar|avx2|neon] "
+                 "[--threads N] [--simd auto|scalar|avx2|neon] "
                  "[--storage memory|paged] [--block-cache-bytes BYTES[k|m|g]] "
                  "[--block-size-rows N] [--spill-dir DIR] "
                  "[--server-sim N] [--sim-queries M] "
@@ -613,7 +605,6 @@ int main(int argc, char** argv) {
   MdJoinOptions md_options;
   if (guarded) md_options.guard = &guard;
   md_options.num_threads = num_threads;
-  md_options.morsel_size = morsel_size;
   // Pinning an unavailable backend fails query compilation with a clear
   // error, never a silent fallback.
   md_options.simd = simd_backend;

@@ -225,18 +225,6 @@ class AggStateColumn {
     }
   }
 
-  /// kCount only: adds a precomputed per-block non-null count (or, for
-  /// count(*), the block's row count) to each group. This is the fused-path
-  /// shape — the block reduces once, then one add per group — and is exact
-  /// because integer addition reassociates freely. Callers must check
-  /// kind() == kCount; other kinds have no block-reducible accumulator.
-  void AddCountMany(const int64_t* groups, int64_t n, int64_t add) {
-    MDJ_DCHECK(kind_ == FlatAggKind::kCount);
-    for (int64_t k = 0; k < n; ++k) i64_[static_cast<size_t>(groups[k])] += add;
-  }
-
-  FlatAggKind kind() const { return kind_; }
-
   /// UpdateCountStar over a candidate list; one branch, then a tight loop.
   void UpdateCountStarMany(const int64_t* groups, int64_t n) {
     if (kind_ == FlatAggKind::kCount) {

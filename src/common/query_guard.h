@@ -26,8 +26,8 @@ struct QueryGuardOptions {
   /// deadline arithmetic cannot overflow steady_clock's nanosecond range.
   int64_t timeout_ms = 0;
 
-  /// Soft memory budget in bytes; 0 = off. The classic MD-join path reacts
-  /// to pressure against this budget by *degrading to multi-pass* (Theorem
+  /// Soft memory budget in bytes; 0 = off. Every MD-join route reacts to
+  /// pressure against this budget by *degrading to multi-pass* (Theorem
   /// 4.1: lower base_rows_per_pass, pay extra scans of R) instead of
   /// failing. When both budgets are set, must be <= memory_hard_limit_bytes.
   int64_t memory_budget_bytes = 0;

@@ -128,6 +128,9 @@ BaseIndex::ProbeResult BaseIndex::ProbeSpan(const Table& detail, int64_t detail_
               static_cast<uint32_t>(fc.codes[r]));
         }
       }
+      // θ-equality: a NULL detail key matches no base value, an ALL one
+      // included, so the relative set is empty before any lookup.
+      if (null_tag != 0) return ProbeResult{nullptr, 0};
       scratch->code_key[nkeys] = null_tag;
       if (++scratch->memo_lookups == kProbeMemoWarmup &&
           scratch->memo_hits * 4 < kProbeMemoWarmup) {
@@ -167,6 +170,7 @@ BaseIndex::ProbeResult BaseIndex::ProbeSpan(const Table& detail, int64_t detail_
       scratch->computed[i] = detail_keys_[i].Eval(ctx);
       v = &scratch->computed[i];
     }
+    if (v->is_null()) return ProbeResult{nullptr, 0};  // matches no base value
     if (v->is_all()) any_all = true;
     scratch->key.push_back(v);
   }
@@ -200,21 +204,15 @@ BaseIndex::ProbeResult BaseIndex::ProbeSpan(const Table& detail, int64_t detail_
   for (const MaskBucket& bucket : buckets_) {
     // Gather the probe key for this bucket's non-ALL positions.
     scratch->probe.clear();
-    bool skip = false;
     bool wildcard = false;
     for (int pos : bucket.probe_positions) {
       const Value* v = scratch->key[static_cast<size_t>(pos)];
-      if (v->is_null()) {
-        skip = true;  // NULL matches no base value
-        break;
-      }
       if (v->is_all()) {
         wildcard = true;  // detail-side ALL matches every base value
         break;
       }
       scratch->probe.push_back(v);
     }
-    if (skip) continue;
     if (any_all && wildcard) {
       // Rare path (detail relation containing ALL): the probe key cannot
       // discriminate, walk the whole bucket.
@@ -271,22 +269,6 @@ BaseIndex::ProbeResult BaseIndex::ProbeSpan(const Table& detail, int64_t detail_
     return ProbeResult{it->second.data(), static_cast<int64_t>(it->second.size())};
   }
   return result;
-}
-
-void BaseIndex::Probe(const Table& detail, int64_t detail_row, ProbeScratch* scratch,
-                      std::vector<int64_t>* out) const {
-  // ProbeSpan needs a gather buffer that outlives the span; out may already
-  // hold rows the caller wants kept, so gather separately then append.
-  thread_local std::vector<int64_t> gather;
-  ProbeResult r = ProbeSpan(detail, detail_row, scratch, &gather);
-  out->insert(out->end(), r.rows, r.rows + r.count);
-}
-
-void BaseIndex::Probe(const RowCtx& detail_ctx, std::vector<int64_t>* out) const {
-  ProbeScratch scratch;
-  // A single-probe scratch can never see a repeat; don't pay for the memo.
-  scratch.memo_enabled = false;
-  Probe(*detail_ctx.detail, detail_ctx.detail_row, &scratch, out);
 }
 
 }  // namespace mdjoin

@@ -59,7 +59,7 @@ struct CodeKeyEqual {
 };
 
 /// Hash index over the base-values relation B for the equi part of a
-/// θ-condition (paper §4.5): given a detail tuple t, Probe() returns a
+/// θ-condition (paper §4.5): given a detail tuple t, ProbeSpan() returns a
 /// superset of the *relative set* Rel(t) — the B rows that can possibly be
 /// updated for t — pruned from |B| to the rows agreeing on the equi keys.
 ///
@@ -70,7 +70,9 @@ struct CodeKeyEqual {
 /// full d-dimensional cube costs 2^d map lookups per detail tuple, matching
 /// the per-tuple update cost of the classical cube algorithms the paper
 /// generalizes. For a plain (ALL-free) base table there is exactly one
-/// bucket and a probe is a single lookup.
+/// bucket and a probe is a single lookup. A detail tuple with a NULL key
+/// probes to the empty set: θ-equality never matches NULL, not even against
+/// an ALL base key (the same verdict θ reaches when evaluated in full).
 class BaseIndex {
  public:
   /// Builds an index over `rows` of `base` using the equi pairs of θ.
@@ -133,15 +135,6 @@ class BaseIndex {
   /// heterogeneous lookup, so the per-tuple cost is hashing alone.
   ProbeResult ProbeSpan(const Table& detail, int64_t detail_row,
                         ProbeScratch* scratch, std::vector<int64_t>* gather) const;
-
-  /// Appends the ProbeSpan result to `out` (copying wrapper for callers that
-  /// want to own the list).
-  void Probe(const Table& detail, int64_t detail_row, ProbeScratch* scratch,
-             std::vector<int64_t>* out) const;
-
-  /// Convenience overload allocating its own scratch; prefer the scratch
-  /// overload in scan loops.
-  void Probe(const RowCtx& detail_ctx, std::vector<int64_t>* out) const;
 
   /// Number of distinct ALL-masks (== hash maps) in the index.
   int64_t num_masks() const { return static_cast<int64_t>(buckets_.size()); }

@@ -1,8 +1,9 @@
 #ifndef MDJOIN_CORE_DETAIL_SCAN_H_
 #define MDJOIN_CORE_DETAIL_SCAN_H_
 
+#include <algorithm>
 #include <cstdint>
-#include <memory>
+#include <functional>
 #include <vector>
 
 #include "agg/agg_spec.h"
@@ -10,171 +11,123 @@
 #include "common/query_guard.h"
 #include "core/base_index.h"
 #include "core/mdjoin.h"
-#include "expr/compile.h"
-#include "expr/conjuncts.h"
-#include "expr/kernels.h"
 #include "table/table.h"
 
 namespace mdjoin {
 
-/// θ compiled once per query and shared by every pass, fragment, and worker
-/// (compilation used to be repeated per pass, which dominated multi-pass runs
-/// on small partitions). Read-only after CompileTheta, so one instance can be
-/// probed from many threads.
-struct CompiledTheta {
-  CompiledExpr base_pred;    // B-only conjuncts; invalid when there are none
-  CompiledExpr detail_pred;  // pushed-down R-only conjuncts (row path)
-  PredicateKernels kernels;  // pushed-down R-only kernels (vectorized path)
-  bool has_kernels = false;
-  CompiledExpr residual;     // conjuncts evaluated per candidate pair
-  bool indexed = false;      // equi part served by a BaseIndex
+/// Rows per morsel of an in-memory detail relation, and per vectorized block
+/// (a guarded scan clamps its blocks to the guard's check stride, so a cancel
+/// is seen within one stride). A paged relation's morsel is one storage block.
+constexpr int64_t kMorselRows = 1024;
 
-  // Raw-speed plumbing, resolved once per query from MdJoinOptions: the
-  // detail table's typed columnar mirror (null when the table has none or
-  // use_flat_columns is off), the SIMD level the kernels were compiled for,
-  // and whether flat machinery (typed agg updates, code-key probe memos) may
-  // engage at all.
-  std::shared_ptr<const TableAccel> accel;
-  simd::Level level = simd::Level::kScalar;
-  bool use_flat = false;
+/// The detail relation R as the MD-join driver reads it: a fixed sequence of
+/// morsels that every pass walks in the same order, each handed to the scan
+/// as rows [lo, hi) of a table with R's schema. Read() is called concurrently
+/// by the driver's workers; implementations keep no mutable shared state.
+class DetailSource {
+ public:
+  using ScanFn = std::function<Status(const Table& chunk, int64_t lo, int64_t hi)>;
+
+  DetailSource() = default;
+  DetailSource(const DetailSource&) = delete;
+  DetailSource& operator=(const DetailSource&) = delete;
+  virtual ~DetailSource() = default;
+
+  /// The table θ compiles and scans prepare against. When a chunk IS this
+  /// table, the scan engages the machinery bound to its storage (typed
+  /// mirror, hoisted argument columns, code-key probe memos).
+  virtual const Table& prepared() const = 0;
+
+  /// Morsels one pass reads.
+  virtual int64_t num_morsels() const = 0;
+
+  /// Morsels of R each pass skips unread (zone-map pruned blocks).
+  virtual int64_t pruned_per_pass() const { return 0; }
+
+  /// Reads morsel `m` and calls `scan` on it. Storage counters (blocks read,
+  /// faulted, cache hits) go into `stats`, which is the calling worker's own.
+  virtual Status Read(int64_t m, QueryGuard* guard, MdJoinStats* stats,
+                      const ScanFn& scan) const = 0;
 };
 
-/// Compiles the classified θ-conjuncts for one (base, detail) pair under the
-/// given options. Disabled optimizations (pushdown, index) fold their
-/// conjuncts back into the residual so results are identical either way.
-/// Errors if options.simd pins a backend this build/machine cannot run.
-Result<CompiledTheta> CompileTheta(const ThetaParts& parts, const Schema& base_schema,
-                                   const Table& detail, const MdJoinOptions& options,
-                                   bool vectorized);
+/// An in-memory detail relation cut into kMorselRows-row morsels.
+class TableSource final : public DetailSource {
+ public:
+  explicit TableSource(const Table& table) : table_(&table) {}
+
+  const Table& prepared() const override { return *table_; }
+  int64_t num_morsels() const override {
+    return (table_->num_rows() + kMorselRows - 1) / kMorselRows;
+  }
+  Status Read(int64_t m, QueryGuard*, MdJoinStats*, const ScanFn& scan) const override {
+    const int64_t lo = m * kMorselRows;
+    return scan(*table_, lo, std::min(lo + kMorselRows, table_->num_rows()));
+  }
+
+ private:
+  const Table* table_;
+};
 
 /// Thread-local mutable side of a detail scan: partial aggregate accumulators
-/// over *all* base rows (global row ids), reusable probe/selection buffers,
-/// and a GuardTicket that batches guard accounting so concurrent workers
-/// never contend on a shared hot atomic between stride checks.
-///
-/// The sequential evaluator uses exactly one worker whose partials are the
-/// final states; the morsel-driven parallel engine gives each thread its own
-/// worker and merges them with MergeWorkerPartials when the cursor drains.
+/// over *all* base rows (global row ids) for every component's aggregates,
+/// reusable probe/selection buffers, and a GuardTicket that batches guard
+/// accounting so concurrent workers never contend on a shared hot atomic
+/// between stride checks. One worker's partials are the final states at one
+/// thread; with more, MergeWorkerPartials folds them together.
 struct DetailScanWorker {
-  DetailScanWorker(const Table& base, const std::vector<BoundAgg>& bound_aggs,
-                   bool vectorized_mode, QueryGuard* guard);
+  DetailScanWorker(int64_t base_rows, const std::vector<BoundAgg>& aggs,
+                   size_t num_components, QueryGuard* guard);
 
   DetailScanWorker(const DetailScanWorker&) = delete;
   DetailScanWorker& operator=(const DetailScanWorker&) = delete;
 
-  /// Resets per-index state (the probe memo caches one index's candidate
-  /// lists). Must be called whenever the worker switches to a different
-  /// DetailScan job; cheap enough to call unconditionally before the first.
+  /// Resets per-index state (each probe memo caches one index's candidate
+  /// lists). Called whenever the worker switches to a different scan job.
   void BeginJob();
 
   /// Flushes the ticket's pending row/pair counts into the guard and performs
-  /// a final check, keeping budgets exact. Call once per pass (sequential) or
-  /// once per worker when the morsel cursor drains (parallel).
+  /// a final check, keeping budgets exact. Called once per worker per pass.
   Status FinishScan();
 
-  /// Finalized value of aggregate `agg` for base row `base_row`.
-  Value FinalizeCell(size_t agg, int64_t base_row) const;
-
-  const std::vector<BoundAgg>* aggs = nullptr;
-  bool vectorized = true;
-
-  // Partial accumulators, indexed by global base-row id: flat columns on the
-  // vectorized path, one heap AggregateState per (agg, row) on the row path.
-  std::vector<AggStateColumn> cols;
-  std::vector<std::vector<std::unique_ptr<AggregateState>>> heap;
+  std::vector<AggStateColumn> cols;               // one per aggregate, all components
+  std::vector<BaseIndex::ProbeScratch> scratch;   // one per component index
 
   // Reusable scan buffers (owned per worker: Probe and the selection loop do
   // zero steady-state allocation, and nothing here is shared across threads).
-  BaseIndex::ProbeScratch scratch;
   std::vector<uint32_t> sel;
   std::vector<uint64_t> mask;  // kernel bitmask scratch, 2 * MaskWords(block)
+  std::vector<uint8_t> qual;   // rows of the block any component selected
   std::vector<int64_t> candidates;
   std::vector<int64_t> matched_buf;
 
   GuardTicket ticket;
-  MdJoinStats stats;  // local work counters; fold with AccumulateScanStats
-};
-
-/// One prepared scan job: the read-only machinery for aggregating a set of
-/// base rows (`pass_rows`) against ranges of the detail relation — active-row
-/// filter, base index (with its memory reservation held for the job's
-/// lifetime), and hoisted aggregate-argument column pointers. Safe to call
-/// ScanRange concurrently from many workers; all mutation happens through the
-/// caller's DetailScanWorker.
-class DetailScan {
- public:
-  DetailScan() = default;
-  DetailScan(DetailScan&&) = default;
-  DetailScan& operator=(DetailScan&&) = default;
-
-  /// `theta` is borrowed and must outlive the scan; `pass_rows` are the base
-  /// rows this job aggregates (Theorem 4.1 fragment or multi-pass partition).
-  static Result<DetailScan> Prepare(const Table& base, const Table& detail,
-                                    const std::vector<BoundAgg>& aggs,
-                                    const ThetaParts& parts, const CompiledTheta* theta,
-                                    std::vector<int64_t> pass_rows,
-                                    const MdJoinOptions& options);
-
-  /// Scans detail rows [lo, hi), folding matches into `worker`'s partials.
-  /// Vectorized mode consumes the range block-at-a-time (blocks clamped to
-  /// the guard's check stride); row mode is the tuple-at-a-time baseline.
-  /// Work counters flush into worker->stats before returning — including on
-  /// a guard trip, so cancelled queries report how far they got.
-  Status ScanRange(int64_t lo, int64_t hi, DetailScanWorker* worker) const {
-    return ScanChunk(*detail_, lo, hi, worker);
-  }
-
-  /// The out-of-core seam: scans rows [lo, hi) of `chunk`, a table with the
-  /// detail schema that need not be the table given to Prepare — the paged
-  /// driver passes each decoded block here, so zone-map pruning, faulting,
-  /// and eviction stay outside while every scan optimization (kernels, fused
-  /// blocks, index probes) runs unchanged. Row-position machinery bound to
-  /// the *prepared* table (its typed accel mirror, hoisted argument columns,
-  /// code-key probe memos) engages only when `chunk` IS that table; foreign
-  /// chunks resolve arguments per call and probe by value.
-  Status ScanChunk(const Table& chunk, int64_t lo, int64_t hi,
-                   DetailScanWorker* worker) const;
-
-  int64_t index_masks() const { return index_masks_; }
-  int64_t active_rows() const { return static_cast<int64_t>(active_.size()); }
-
- private:
-  const Table* base_ = nullptr;
-  const Table* detail_ = nullptr;
-  const std::vector<BoundAgg>* aggs_ = nullptr;
-  const CompiledTheta* theta_ = nullptr;
-  std::vector<int64_t> active_;
-  BaseIndex index_;
-  ScopedReservation index_bytes_;
-  int64_t index_masks_ = 0;
-  int64_t block_ = 1024;
-  std::vector<const Value*> arg_cols_;  // plain detail-column agg arguments
-  bool vectorized_ = true;
+  MdJoinStats stats;  // local work counters, folded into the driver's
 };
 
 /// Combines `from`'s partial accumulators group-wise into `into` (Theorem 4.1
-/// union / detail-split parallelism). Checks the guard every stride of merged
+/// union of detail-split partials). Checks the guard every stride of merged
 /// cells — even inside one wide column — so cancellation is honored during
 /// the merge tail, not only during scans.
 Status MergeWorkerPartials(DetailScanWorker* into, const DetailScanWorker& from,
                            QueryGuard* guard);
 
-/// Adds `from`'s scan-loop counters (rows, pairs, blocks, kernels) into `to`,
-/// leaving the pass/index/degradation fields — which belong to the driver —
-/// untouched.
-inline void AccumulateScanStats(const MdJoinStats& from, MdJoinStats* to) {
-  to->detail_rows_scanned += from.detail_rows_scanned;
-  to->detail_rows_qualified += from.detail_rows_qualified;
-  to->candidate_pairs += from.candidate_pairs;
-  to->matched_pairs += from.matched_pairs;
-  to->blocks += from.blocks;
-  to->kernel_invocations += from.kernel_invocations;
-  to->kernel_fallback_rows += from.kernel_fallback_rows;
-  to->dense_blocks += from.dense_blocks;
-  to->fused_blocks += from.fused_blocks;
-  to->index_probe_lookups += from.index_probe_lookups;
-  to->index_probe_memo_hits += from.index_probe_memo_hits;
-}
+/// The one MD-join driver: the generalized MD-join MD(B, R, (l1..lk),
+/// (θ1..θk)) of Theorem 4.3 over k >= 1 components, evaluated against
+/// `detail`. Every MD-join route (MdJoin, GeneralizedMdJoin, ParallelMdJoin,
+/// PagedMdJoin, the spill partition joins) is a call into this function.
+///
+/// It binds the aggregates and compiles each θ once; sizes Theorem 4.1
+/// passes from options.base_rows_per_pass and the guard's soft budget; splits
+/// each pass into `base_fragments` contiguous fragments of B (ParallelMdJoin's
+/// base split, each fragment a scan job over all of R); runs
+/// options.num_threads workers over one MorselScheduler per pass — inline on
+/// the caller with one thread; and merges the partials pairwise before
+/// finalizing column by column. Output: base columns, then every component's
+/// aggregates in order; one row per base row, in base order.
+Result<Table> RunMdJoin(const Table& base, const DetailSource& detail,
+                        const std::vector<MdJoinComponent>& components,
+                        const MdJoinOptions& options, MdJoinStats* stats,
+                        int base_fragments = 1);
 
 }  // namespace mdjoin
 

@@ -1,293 +1,13 @@
 #include "core/generalized.h"
 
-#include <algorithm>
-#include <numeric>
-#include <unordered_set>
-
-#include "agg/flat_state.h"
-#include "core/base_index.h"
 #include "core/detail_scan.h"
-#include "expr/compile.h"
-#include "expr/conjuncts.h"
-#include "expr/kernels.h"
-#include "obs/trace.h"
 
 namespace mdjoin {
-
-namespace {
-
-/// Per-component compiled machinery for the shared scan. θ compilation is
-/// the same CompileTheta the single-component evaluator and the morsel
-/// engine use (core/detail_scan.h); only the interleaved multi-component
-/// tuple loop is specific to this operator.
-struct CompiledComponent {
-  std::vector<BoundAgg> aggs;
-  ThetaParts parts;
-  CompiledTheta theta;
-  std::vector<int64_t> active;  // base rows passing the B-only conjuncts
-  BaseIndex index;
-  // Per-component: the scratch memoizes THIS index's candidate lists, so it
-  // must never be shared across components.
-  BaseIndex::ProbeScratch scratch;
-  // Row path: states[agg][base_row]. Vectorized path: cols[agg].
-  std::vector<std::vector<std::unique_ptr<AggregateState>>> states;
-  std::vector<AggStateColumn> cols;
-};
-
-}  // namespace
 
 Result<Table> GeneralizedMdJoin(const Table& base, const Table& detail,
                                 const std::vector<MdJoinComponent>& components,
                                 const MdJoinOptions& options, MdJoinStats* stats) {
-  MdJoinStats local_stats;
-  if (stats == nullptr) stats = &local_stats;
-  *stats = MdJoinStats{};
-  stats->base_rows = base.num_rows();
-  stats->passes_over_detail = 1;
-
-  if (components.empty()) {
-    return Status::InvalidArgument("GeneralizedMdJoin: no components");
-  }
-  QueryGuard* guard = options.guard;
-  if (guard != nullptr) MDJ_RETURN_NOT_OK(guard->Check());
-  const bool vectorized = options.execution_mode != ExecutionMode::kRow;
-
-  std::vector<int64_t> all_rows(static_cast<size_t>(base.num_rows()));
-  std::iota(all_rows.begin(), all_rows.end(), 0);
-
-  std::unordered_set<std::string> seen_outputs;
-  std::vector<CompiledComponent> compiled;
-  compiled.reserve(components.size());
-  // Index and state reservations held until the scan completes.
-  std::vector<ScopedReservation> reservations;
-  for (const MdJoinComponent& comp : components) {
-    if (comp.theta == nullptr) {
-      return Status::InvalidArgument("GeneralizedMdJoin: null θ in component");
-    }
-    CompiledComponent cc;
-    MDJ_ASSIGN_OR_RETURN(cc.aggs, BindAggs(comp.aggs, &base.schema(), &detail.schema()));
-    for (const BoundAgg& a : cc.aggs) {
-      if (!seen_outputs.insert(a.output_field.name).second) {
-        return Status::InvalidArgument("GeneralizedMdJoin: duplicate output column '",
-                                       a.output_field.name, "' across components");
-      }
-    }
-    cc.parts = AnalyzeTheta(comp.theta);
-    MDJ_ASSIGN_OR_RETURN(cc.theta,
-                         CompileTheta(cc.parts, base.schema(), detail, options, vectorized));
-    cc.scratch.allow_code_keys = cc.theta.use_flat;
-
-    if (!cc.theta.base_pred.valid()) {
-      cc.active = all_rows;
-    } else {
-      RowCtx bctx;
-      bctx.base = &base;
-      for (int64_t row : all_rows) {
-        bctx.base_row = row;
-        if (cc.theta.base_pred.EvalBool(bctx)) cc.active.push_back(row);
-      }
-    }
-
-    if (cc.theta.indexed) {
-      ScopedReservation res;
-      MDJ_RETURN_NOT_OK(res.Reserve(
-          guard, static_cast<int64_t>(cc.active.size()) * kGuardBytesPerIndexedBaseRow,
-          "generalized base index"));
-      reservations.push_back(std::move(res));
-      MDJ_ASSIGN_OR_RETURN(
-          cc.index, BaseIndex::Build(base, cc.active, cc.parts.equi, detail.schema()));
-      stats->index_masks += cc.index.num_masks();
-    }
-
-    ScopedReservation state_res;
-    MDJ_RETURN_NOT_OK(state_res.Reserve(
-        guard,
-        static_cast<int64_t>(cc.aggs.size()) * base.num_rows() * kGuardBytesPerAggState,
-        "generalized aggregate states"));
-    reservations.push_back(std::move(state_res));
-    if (vectorized) {
-      cc.cols.reserve(cc.aggs.size());
-      for (const BoundAgg& a : cc.aggs) {
-        cc.cols.push_back(AggStateColumn::Make(a.fn, base.num_rows()));
-      }
-    } else {
-      cc.states.resize(cc.aggs.size());
-      for (size_t i = 0; i < cc.aggs.size(); ++i) {
-        cc.states[i].reserve(static_cast<size_t>(base.num_rows()));
-        for (int64_t r = 0; r < base.num_rows(); ++r) {
-          cc.states[i].push_back(cc.aggs[i].fn->MakeState());
-        }
-      }
-    }
-    compiled.push_back(std::move(cc));
-  }
-
-  // The single shared scan of R. Work counters accumulate in locals and
-  // flush into *stats after the scan — including when a guard trip ends the
-  // scan early, so cancelled queries report how far they got.
-  RowCtx ctx;
-  ctx.base = &base;
-  ctx.detail = &detail;
-  std::vector<int64_t> candidates;
-  GuardTicket ticket(guard);
-  int64_t scanned = 0, qualified = 0, cand_pairs = 0, matched = 0;
-  int64_t blocks = 0;
-  KernelStats kstats;
-  Status scan_status = [&]() -> Status {
-  Span scan_span("generalized.shared_scan", "mdjoin");
-  scan_span.SetArg("components", static_cast<int64_t>(compiled.size()));
-  scan_span.SetArg("detail_rows", detail.num_rows());
-  if (vectorized) {
-    // Block-at-a-time: each component filters the block with its own kernels
-    // over a fresh selection vector; a row counts as qualified when it
-    // survives at least one component's pushed-down selection (same
-    // semantics as the row path's any_qualified flag). A guarded scan clamps
-    // the block to the check stride: trip latency outranks block shape.
-    int64_t block = options.block_size > 0 ? options.block_size : 1024;
-    if (guard != nullptr) block = std::min<int64_t>(block, guard->check_stride());
-    std::vector<uint32_t> sel(static_cast<size_t>(block));
-    std::vector<uint64_t> mask(
-        2 * static_cast<size_t>(simd::MaskWords(static_cast<int>(block))));
-    std::vector<uint8_t> qual(static_cast<size_t>(block));
-    std::vector<int64_t> matched_buf;
-    const int64_t num_rows = detail.num_rows();
-    for (int64_t start = 0; start < num_rows; start += block) {
-      const int n = static_cast<int>(std::min<int64_t>(block, num_rows - start));
-      std::fill(qual.begin(), qual.begin() + n, uint8_t{0});
-      ++blocks;
-      scanned += n;
-      int64_t pairs_this_block = 0;
-      for (CompiledComponent& cc : compiled) {
-        BlockFilter filt;
-        if (cc.theta.has_kernels) {
-          filt = cc.theta.kernels.FilterBlock(detail, start, n, sel.data(), mask.data(),
-                                              &kstats);
-        } else {
-          filt.count = n;
-          filt.dense = true;
-        }
-        const int count = filt.count;
-        for (int i = 0; i < count; ++i) {
-          const uint32_t off =
-              filt.dense ? static_cast<uint32_t>(i) : sel[static_cast<size_t>(i)];
-          qual[off] = 1;
-          const int64_t t = start + off;
-          const int64_t* cand;
-          int64_t ncand;
-          if (cc.theta.indexed) {
-            const BaseIndex::ProbeResult pr =
-                cc.index.ProbeSpan(detail, t, &cc.scratch, &candidates);
-            cand = pr.rows;
-            ncand = pr.count;
-          } else {
-            cand = cc.active.data();
-            ncand = static_cast<int64_t>(cc.active.size());
-          }
-          pairs_this_block += ncand;
-          if (ncand == 0) continue;
-          ctx.detail_row = t;
-          // Residual resolves to a match list first; aggregates then fold the
-          // row column-at-a-time (one dispatch per (row, aggregate)).
-          const int64_t* match_rows = cand;
-          int64_t nmatch = ncand;
-          if (cc.theta.residual.valid()) {
-            matched_buf.clear();
-            for (int64_t k = 0; k < ncand; ++k) {
-              ctx.base_row = cand[k];
-              if (cc.theta.residual.EvalBool(ctx)) matched_buf.push_back(cand[k]);
-            }
-            match_rows = matched_buf.data();
-            nmatch = static_cast<int64_t>(matched_buf.size());
-          }
-          if (nmatch == 0) continue;
-          matched += nmatch;
-          for (size_t i2 = 0; i2 < cc.aggs.size(); ++i2) {
-            const BoundAgg& agg = cc.aggs[i2];
-            if (agg.detail_arg_col >= 0) {
-              cc.cols[i2].UpdateMany(match_rows, nmatch,
-                                     detail.column(agg.detail_arg_col)[t]);
-            } else if (!agg.has_arg) {
-              cc.cols[i2].UpdateCountStarMany(match_rows, nmatch);
-            } else {
-              for (int64_t k = 0; k < nmatch; ++k) {
-                ctx.base_row = match_rows[k];
-                agg.UpdateColumnFromRow(&cc.cols[i2], match_rows[k], ctx);
-              }
-            }
-          }
-        }
-      }
-      for (int i = 0; i < n; ++i) qualified += qual[static_cast<size_t>(i)];
-      cand_pairs += pairs_this_block;
-      MDJ_RETURN_NOT_OK(ticket.TickBlock(n, pairs_this_block));
-    }
-  } else {
-    for (int64_t t = 0; t < detail.num_rows(); ++t) {
-      ctx.detail_row = t;
-      ++scanned;
-      bool any_qualified = false;
-      int64_t pairs_this_row = 0;
-      for (CompiledComponent& cc : compiled) {
-        if (cc.theta.detail_pred.valid() && !cc.theta.detail_pred.EvalBool(ctx)) continue;
-        any_qualified = true;
-        const std::vector<int64_t>* probe_rows;
-        if (cc.theta.indexed) {
-          candidates.clear();
-          cc.index.Probe(ctx, &candidates);
-          probe_rows = &candidates;
-        } else {
-          probe_rows = &cc.active;
-        }
-        pairs_this_row += static_cast<int64_t>(probe_rows->size());
-        for (int64_t b : *probe_rows) {
-          ctx.base_row = b;
-          if (cc.theta.residual.valid() && !cc.theta.residual.EvalBool(ctx)) continue;
-          ++matched;
-          for (size_t i = 0; i < cc.aggs.size(); ++i) {
-            cc.aggs[i].UpdateFromRow(cc.states[i][static_cast<size_t>(b)].get(), ctx);
-          }
-        }
-      }
-      if (any_qualified) ++qualified;
-      cand_pairs += pairs_this_row;
-      MDJ_RETURN_NOT_OK(ticket.Tick(pairs_this_row));
-    }
-  }
-  return ticket.Finish();
-  }();
-  stats->detail_rows_scanned = scanned;
-  stats->detail_rows_qualified = qualified;
-  stats->candidate_pairs = cand_pairs;
-  stats->matched_pairs = matched;
-  stats->blocks = blocks;
-  stats->kernel_invocations = kstats.kernel_invocations;
-  stats->kernel_fallback_rows = kstats.fallback_rows;
-  stats->dense_blocks = kstats.dense_blocks;
-  for (const CompiledComponent& cc : compiled) {
-    stats->index_probe_lookups += cc.scratch.memo_lookups;
-    stats->index_probe_memo_hits += cc.scratch.memo_hits;
-  }
-  MDJ_RETURN_NOT_OK(scan_status);
-
-  // Output: base columns then every component's aggregates in order.
-  std::vector<Field> fields = base.schema().fields();
-  for (const CompiledComponent& cc : compiled) {
-    for (const BoundAgg& a : cc.aggs) fields.push_back(a.output_field);
-  }
-  Table out{Schema(std::move(fields))};
-  out.Reserve(base.num_rows());
-  for (int64_t r = 0; r < base.num_rows(); ++r) {
-    std::vector<Value> row = base.GetRow(r);
-    for (const CompiledComponent& cc : compiled) {
-      for (size_t i = 0; i < cc.aggs.size(); ++i) {
-        row.push_back(vectorized
-                          ? cc.cols[i].Finalize(r)
-                          : cc.aggs[i].fn->Finalize(*cc.states[i][static_cast<size_t>(r)]));
-      }
-    }
-    out.AppendRowUnchecked(std::move(row));
-  }
-  return out;
+  return RunMdJoin(base, TableSource(detail), components, options, stats);
 }
 
 }  // namespace mdjoin

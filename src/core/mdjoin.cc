@@ -1,11 +1,6 @@
 #include "core/mdjoin.h"
 
-#include <numeric>
-
-#include "agg/flat_state.h"
 #include "core/detail_scan.h"
-#include "expr/conjuncts.h"
-#include "obs/trace.h"
 
 namespace mdjoin {
 
@@ -16,6 +11,7 @@ std::string MdJoinStats::ToString() const {
   out += " detail_qualified=" + std::to_string(detail_rows_qualified);
   out += " candidate_pairs=" + std::to_string(candidate_pairs);
   out += " matched_pairs=" + std::to_string(matched_pairs);
+  out += " agg_updates=" + std::to_string(agg_updates);
   out += " passes=" + std::to_string(passes_over_detail);
   out += " index_masks=" + std::to_string(index_masks);
   if (blocks > 0) {
@@ -23,11 +19,15 @@ std::string MdJoinStats::ToString() const {
     out += " kernel_invocations=" + std::to_string(kernel_invocations);
     out += " kernel_fallback_rows=" + std::to_string(kernel_fallback_rows);
     out += " dense_blocks=" + std::to_string(dense_blocks);
-    out += " fused_blocks=" + std::to_string(fused_blocks);
   }
   if (index_probe_lookups > 0) {
     out += " probe_lookups=" + std::to_string(index_probe_lookups);
     out += " probe_memo_hits=" + std::to_string(index_probe_memo_hits);
+  }
+  if (threads > 1) {
+    out += " threads=" + std::to_string(threads);
+    out += " morsels=" + std::to_string(morsels);
+    out += " steal_waits=" + std::to_string(steal_waits);
   }
   if (memory_degraded) {
     out += " degraded_rows_per_pass=" + std::to_string(base_rows_per_pass_effective);
@@ -45,119 +45,48 @@ std::string MdJoinStats::ToString() const {
   return out;
 }
 
+void MdJoinStats::Accumulate(const MdJoinStats& other) {
+  detail_rows_scanned += other.detail_rows_scanned;
+  detail_rows_qualified += other.detail_rows_qualified;
+  candidate_pairs += other.candidate_pairs;
+  matched_pairs += other.matched_pairs;
+  agg_updates += other.agg_updates;
+  passes_over_detail += other.passes_over_detail;
+  index_masks += other.index_masks;
+  memory_degraded = memory_degraded || other.memory_degraded;
+  blocks += other.blocks;
+  kernel_invocations += other.kernel_invocations;
+  kernel_fallback_rows += other.kernel_fallback_rows;
+  dense_blocks += other.dense_blocks;
+  index_probe_lookups += other.index_probe_lookups;
+  index_probe_memo_hits += other.index_probe_memo_hits;
+  morsels += other.morsels;
+  steal_waits += other.steal_waits;
+  blocks_read += other.blocks_read;
+  blocks_pruned += other.blocks_pruned;
+  blocks_faulted += other.blocks_faulted;
+  block_cache_hits += other.block_cache_hits;
+  spill_partitions += other.spill_partitions;
+  spill_bytes_written += other.spill_bytes_written;
+}
+
 Result<Table> MdJoin(const Table& base, const Table& detail,
                      const std::vector<AggSpec>& aggs, const ExprPtr& theta,
                      const MdJoinOptions& options, MdJoinStats* stats) {
-  if (theta == nullptr) {
-    return Status::InvalidArgument("MdJoin: θ-condition must not be null");
+  return RunMdJoin(base, TableSource(detail), {{aggs, theta}}, options, stats);
+}
+
+Result<Table> ParallelMdJoin(const Table& base, const Table& detail,
+                             const std::vector<AggSpec>& aggs, const ExprPtr& theta,
+                             int num_partitions, int num_threads,
+                             const MdJoinOptions& options, MdJoinStats* stats) {
+  if (num_partitions < 1 || num_threads < 1) {
+    return Status::InvalidArgument("ParallelMdJoin: partitions and threads must be >= 1");
   }
-  MdJoinStats local_stats;
-  if (stats == nullptr) stats = &local_stats;
-  *stats = MdJoinStats{};
-  stats->base_rows = base.num_rows();
-
-  QueryGuard* guard = options.guard;
-  // Observe a pre-issued cancel / expired deadline before doing any work.
-  if (guard != nullptr) MDJ_RETURN_NOT_OK(guard->Check());
-
-  MDJ_ASSIGN_OR_RETURN(std::vector<BoundAgg> bound,
-                       BindAggs(aggs, &base.schema(), &detail.schema()));
-
-  ThetaParts parts = AnalyzeTheta(theta);
-
-  const bool vectorized = options.execution_mode != ExecutionMode::kRow;
-  MDJ_ASSIGN_OR_RETURN(
-      CompiledTheta ct, CompileTheta(parts, base.schema(), detail, options, vectorized));
-
-  // Aggregate states live for the whole query (every pass updates them), so
-  // their footprint is reserved up front and cannot be degraded away. Both
-  // representations are charged the same estimate so guard-driven
-  // degradation is mode-independent (the A/B tests rely on that).
-  ScopedReservation state_bytes;
-  MDJ_RETURN_NOT_OK(state_bytes.Reserve(
-      guard,
-      static_cast<int64_t>(bound.size()) * base.num_rows() * kGuardBytesPerAggState,
-      "aggregate states"));
-
-  // One worker whose partials are the final states: the sequential evaluator
-  // is the single-threaded instance of the same scan machinery the morsel
-  // engine schedules (core/detail_scan.h).
-  DetailScanWorker worker(base, bound, vectorized, guard);
-
-  // Theorem 4.1 memory staging: ceil(|B| / budget) passes over R. Under a
-  // guard soft memory budget the per-pass base partition is additionally
-  // capped so the per-pass index fits the remaining budget — graceful
-  // degradation to multi-pass, trading scans of R for memory, before the
-  // hard limit ever has to fail the query.
-  std::vector<int64_t> all_rows(static_cast<size_t>(base.num_rows()));
-  std::iota(all_rows.begin(), all_rows.end(), 0);
-  int64_t budget =
-      options.base_rows_per_pass > 0 ? options.base_rows_per_pass : base.num_rows();
-  if (guard != nullptr && guard->has_memory_budget() && ct.indexed &&
-      base.num_rows() > 0) {
-    const int64_t fit = guard->remaining_soft_bytes() / kGuardBytesPerIndexedBaseRow;
-    if (fit < budget) {
-      budget = std::max<int64_t>(1, fit);
-      stats->memory_degraded = true;
-    }
-  }
-  stats->base_rows_per_pass_effective = budget;
-
-  // Empty-multiset short-circuit: when the detail relation is empty or θ
-  // constant-folds to a non-truthy literal, no (b, t) pair can qualify — the
-  // outer semantics still emit every base row, with each aggregate finalized
-  // over zero matches (the worker pre-allocated all states above), so the
-  // pass loop can be skipped without touching R.
-  ExprPtr folded_theta = FoldConstants(theta);
-  const bool provably_empty =
-      detail.num_rows() == 0 ||
-      (folded_theta != nullptr && folded_theta->kind() == ExprKind::kLiteral &&
-       !folded_theta->literal().IsTruthy());
-
-  // Scan counters accumulate in the worker and fold into *stats at the single
-  // exit below — including when a guard trip or reservation failure ends a
-  // later pass early, so cancelled queries report how far they got.
-  Status run = [&]() -> Status {
-    if (provably_empty) return Status::OK();
-    for (int64_t start = 0; start < base.num_rows(); start += budget) {
-      Span pass_span("mdjoin.pass", "mdjoin");
-      pass_span.SetArg("pass", stats->passes_over_detail);
-      int64_t end = std::min(start + budget, base.num_rows());
-      std::vector<int64_t> pass_rows(all_rows.begin() + start, all_rows.begin() + end);
-      ++stats->passes_over_detail;
-      MDJ_ASSIGN_OR_RETURN(
-          DetailScan scan,
-          DetailScan::Prepare(base, detail, bound, parts, &ct, std::move(pass_rows),
-                              options));
-      stats->index_masks += scan.index_masks();
-      pass_span.SetArg("base_rows", end - start);
-      worker.BeginJob();
-      MDJ_RETURN_NOT_OK(scan.ScanRange(0, detail.num_rows(), &worker));
-      MDJ_RETURN_NOT_OK(worker.FinishScan());
-    }
-    return Status::OK();
-  }();
-  AccumulateScanStats(worker.stats, stats);
-  MDJ_RETURN_NOT_OK(run);
-
-  // Assemble output: base columns then one column per aggregate.
-  std::vector<Field> fields = base.schema().fields();
-  for (const BoundAgg& b : bound) fields.push_back(b.output_field);
-  ScopedReservation output_bytes;
-  MDJ_RETURN_NOT_OK(output_bytes.Reserve(
-      guard,
-      base.num_rows() * static_cast<int64_t>(fields.size()) * kGuardBytesPerOutputCell,
-      "materialized output"));
-  Table out{Schema(std::move(fields))};
-  out.Reserve(base.num_rows());
-  for (int64_t r = 0; r < base.num_rows(); ++r) {
-    std::vector<Value> row = base.GetRow(r);
-    for (size_t i = 0; i < bound.size(); ++i) {
-      row.push_back(worker.FinalizeCell(i, r));
-    }
-    out.AppendRowUnchecked(std::move(row));
-  }
-  return out;
+  MdJoinOptions eff = options;
+  eff.num_threads = num_threads;
+  return RunMdJoin(base, TableSource(detail), {{aggs, theta}}, eff, stats,
+                   num_partitions);
 }
 
 }  // namespace mdjoin

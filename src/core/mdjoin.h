@@ -14,26 +14,6 @@
 
 namespace mdjoin {
 
-/// How the scan of R is executed. Both modes produce identical results; the
-/// vectorized path is an execution-level rewrite, not a semantic one.
-enum class ExecutionMode {
-  /// Pick automatically. Currently always the vectorized path: its per-row
-  /// fallbacks (holistic aggregates, UDAFs, residual θ-conjuncts) keep
-  /// results identical, so there is no semantic reason to prefer row mode.
-  kAuto,
-
-  /// Block-at-a-time: detail rows are processed in fixed-size blocks,
-  /// detail-only θ-conjuncts run as columnar predicate kernels producing a
-  /// selection vector, and builtin distributive/algebraic aggregates update
-  /// flat typed state columns with non-virtual kernels.
-  kVectorized,
-
-  /// Tuple-at-a-time Algorithm 3.1 as literally stated: one compiled-closure
-  /// predicate evaluation and one heap aggregate-state update per row. Kept
-  /// as the ablation baseline for the vectorization experiments.
-  kRow,
-};
-
 /// Evaluation knobs for MdJoin(). The defaults give the fully-optimized
 /// single-operator plan; benches flip individual flags to ablate each
 /// optimization from the paper.
@@ -54,34 +34,16 @@ struct MdJoinOptions {
   /// "a well-defined increase in the number of scans of R".
   int64_t base_rows_per_pass = 0;
 
-  /// Scan style for R; see ExecutionMode. Results are identical across modes
-  /// (enforced by the A/B property tests).
-  ExecutionMode execution_mode = ExecutionMode::kAuto;
-
-  /// Detail rows per block in the vectorized path. Sized so a block's column
-  /// slices and selection vector stay cache-resident; the default follows
-  /// the conventional 1K-row vector size. Values < 1 fall back to 1024.
-  int block_size = 1024;
-
-  /// Detail rows per morsel in the morsel-driven parallel engine
-  /// (parallel/parallel_mdjoin.cc): the unit of work a thread claims from the
-  /// shared cursor. 0 (default) aligns morsels to `block_size` so every
-  /// morsel runs whole vectorized blocks. Setting it to detail.num_rows()
-  /// degenerates to the legacy static fragment split (one unit per job) —
-  /// the ablation baseline in bench E10.
-  int64_t morsel_size = 0;
-
-  /// Worker threads for plan execution (optimizer/executor.cc): 1 (default)
-  /// evaluates MD-join nodes sequentially; > 1 routes them through the
-  /// morsel-driven parallel engine with this many threads. The low-level
-  /// MdJoin() entry point ignores this knob — callers pick parallelism
-  /// explicitly via ParallelMdJoin*.
+  /// Worker threads for every MD-join route (core/detail_scan.h): 1
+  /// (default) scans inline on the calling thread; N > 1 runs N workers that
+  /// pull detail morsels from one shared cursor into thread-local partial
+  /// states, merged pairwise once the cursor drains. Values < 1 mean 1.
   int num_threads = 1;
 
   /// Optional per-query resource governor (cancellation, deadline, memory
-  /// accounting, work budgets), shared by every operator/pass/fragment of
-  /// one query. Not owned; must outlive the call. When the guard carries a
-  /// soft memory budget, the classic path degrades to multi-pass evaluation
+  /// accounting, work budgets), shared by every operator/pass/worker of one
+  /// query. Not owned; must outlive the call. When the guard carries a soft
+  /// memory budget, every MD-join route degrades to multi-pass evaluation
   /// (Theorem 4.1) under pressure instead of failing.
   QueryGuard* guard = nullptr;
 
@@ -147,31 +109,37 @@ constexpr int64_t kGuardBytesPerAggState = 64;        // one AggregateState
 constexpr int64_t kGuardBytesPerIndexedBaseRow = 128; // BaseIndex entry
 constexpr int64_t kGuardBytesPerOutputCell = 48;      // one materialized Value
 
-/// Work counters exposed for the experiment harness; incremented across all
+/// Work counters of one MD-join evaluation, the same fields on every route
+/// (in-memory, paged, spill; any thread count); incremented across all
 /// passes.
 struct MdJoinStats {
   int64_t base_rows = 0;
-  int64_t detail_rows_scanned = 0;   // tuples read from R (all passes)
-  int64_t detail_rows_qualified = 0; // tuples surviving pushed-down selection
+  int64_t detail_rows_scanned = 0;   // tuples read from R, per pass and fragment
+  int64_t detail_rows_qualified = 0; // tuples kept by any component's pushdown
   int64_t candidate_pairs = 0;       // (b, t) pairs tested after index pruning
   int64_t matched_pairs = 0;         // pairs satisfying θ
+  int64_t agg_updates = 0;           // matched pairs × their component's aggregates
   int64_t passes_over_detail = 0;    // 1 unless base_rows_per_pass forces more
   int64_t index_masks = 0;           // ALL-mask buckets in the base index
   int64_t base_rows_per_pass_effective = 0;  // after guard memory degradation
   bool memory_degraded = false;      // guard budget forced extra passes
 
-  // Vectorized-path counters; all zero when the row path ran.
   int64_t blocks = 0;                // detail blocks processed (all passes)
   int64_t kernel_invocations = 0;    // columnar predicate kernel runs
   int64_t kernel_fallback_rows = 0;  // rows filtered per-row inside blocks
   int64_t dense_blocks = 0;          // blocks whose selection stayed all-rows
-  int64_t fused_blocks = 0;          // blocks aggregated without per-row probes
 
   // Cube-index probe-memo counters (BaseIndex::ProbeScratch): lookups into
   // the full-key → candidate-list cache and the hits among them. Zero when
   // the memo never engaged (non-cube θ or a disabled index).
   int64_t index_probe_lookups = 0;
   int64_t index_probe_memo_hits = 0;
+
+  // Scheduling: workers that scanned, morsels they claimed, and the drained
+  // cursor polls that ended each worker's pull loop.
+  int threads = 0;
+  int64_t morsels = 0;
+  int64_t steal_waits = 0;
 
   // Out-of-core counters (storage/out_of_core.cc); zero on in-memory runs.
   // blocks_read = faulted + cache hits; pruned blocks were refuted by their
@@ -183,7 +151,20 @@ struct MdJoinStats {
   int64_t spill_partitions = 0; // partition pairs spilled and joined
   int64_t spill_bytes_written = 0;
 
+  /// Adds `other`'s counters into this one — a worker's share into its
+  /// driver, or a spill partition's join into the spill driver. base_rows,
+  /// base_rows_per_pass_effective and threads describe one evaluation and
+  /// are left alone.
+  void Accumulate(const MdJoinStats& other);
+
   std::string ToString() const;
+};
+
+/// One (aggregate list, θ) component of a generalized MD-join; the plain
+/// MD-join is the single-component case.
+struct MdJoinComponent {
+  std::vector<AggSpec> aggs;
+  ExprPtr theta;
 };
 
 /// The MD-join MD(B, R, l, θ) of Definition 3.1, evaluated with
@@ -201,6 +182,20 @@ struct MdJoinStats {
 Result<Table> MdJoin(const Table& base, const Table& detail,
                      const std::vector<AggSpec>& aggs, const ExprPtr& theta,
                      const MdJoinOptions& options = {}, MdJoinStats* stats = nullptr);
+
+/// Intra-operator parallel MD-join (§4.1.2): Theorem 4.1 splits the base
+/// relation into `num_partitions` fragments, all evaluated against the full
+/// detail relation in the same pass (unless base_rows_per_pass or the guard's
+/// budget stages them over more); the result is in base order. Total scan
+/// work is num_partitions × |R| — the theorem trades scan volume for
+/// parallelism. `num_threads` workers pull (fragment, morsel) units from one
+/// shared cursor, so fragment skew does not bind the critical path to the
+/// slowest fragment. Overrides options.num_threads.
+Result<Table> ParallelMdJoin(const Table& base, const Table& detail,
+                             const std::vector<AggSpec>& aggs, const ExprPtr& theta,
+                             int num_partitions, int num_threads,
+                             const MdJoinOptions& options = {},
+                             MdJoinStats* stats = nullptr);
 
 }  // namespace mdjoin
 

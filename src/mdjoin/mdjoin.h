@@ -4,16 +4,16 @@
 /// Umbrella header: the full public API of the mdjoin engine.
 ///
 /// Layers, bottom to top:
-///  - common/   Status, Result<T>, logging, random, timing
+///  - common/   Status, Result<T>, logging, random, timing, thread pool
 ///  - types/    Value (with the ALL roll-up marker), Schema
 ///  - table/    columnar Table, builder, structural ops, CSV
 ///  - expr/     θ-condition expression trees over (base, detail) row pairs
 ///  - agg/      aggregate functions (UDAF-style), specs, roll-up rewrites
 ///  - ra/       classical relational algebra (σ, π, joins, Σ) for baselines
 ///  - cube/     ALL-marker cube machinery, PIPESORT, partitioned cube
-///  - core/     the MD-join operator (Definition 3.1 / Algorithm 3.1)
+///  - core/     the MD-join operator (Definition 3.1 / Algorithm 3.1): one
+///             driver for every route, plain or generalized, any thread count
 ///  - optimizer plan IR + the §4 theorem rewrites + executor + cost model
-///  - parallel/ Theorem 4.1 intra-operator parallelism
 ///  - analyze/  the §5 ANALYZE BY query language
 ///  - stats/    table statistics, plan feedback, and the query-history log
 ///  - obs/      tracing, metrics, and EXPLAIN ANALYZE query profiles
@@ -32,6 +32,7 @@
 #include "common/random.h"
 #include "common/result.h"
 #include "common/status.h"
+#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "core/access_path.h"
 #include "core/generalized.h"
@@ -54,8 +55,6 @@
 #include "optimizer/optimize.h"
 #include "optimizer/plan.h"
 #include "optimizer/rules.h"
-#include "parallel/parallel_mdjoin.h"
-#include "parallel/thread_pool.h"
 #include "ra/filter.h"
 #include "ra/group_by.h"
 #include "ra/join.h"

@@ -34,8 +34,8 @@ struct OperatorProfile {
   int64_t kernel_invocations = 0;     // columnar predicate kernel runs
   int64_t index_probe_lookups = 0;    // probe-memo lookups (cube indexes)
   int64_t index_probe_memo_hits = 0;  // memo hits among those lookups
-  int64_t morsels = 0;                // parallel engine: morsels executed
-  int64_t steal_waits = 0;            // parallel engine: drained cursor polls
+  int64_t morsels = 0;                // detail morsels the workers claimed
+  int64_t steal_waits = 0;            // drained cursor polls ending worker loops
   int num_threads = 1;                // workers that executed this node
 
   // Out-of-core counters (storage/out_of_core); zero for in-memory nodes.

@@ -14,7 +14,6 @@
 
 #include "core/generalized.h"
 #include "cube/base_tables.h"
-#include "parallel/parallel_mdjoin.h"
 #include "ra/filter.h"
 #include "ra/group_by.h"
 #include "ra/join.h"
@@ -42,7 +41,7 @@ Status AccountMaterialization(const MdJoinOptions& md_options, const Table& t);
 
 /// CPU time of the calling thread, for OperatorProfile::cpu_ms. The executor
 /// recurses on one thread, so this is inclusive of children (like elapsed_ms)
-/// but excludes the parallel engine's worker threads — a node whose wall time
+/// but excludes the MD-join driver's worker threads — a node whose wall time
 /// far exceeds its cpu_ms is either parallel or blocked.
 double ThreadCpuMs() {
   timespec ts{};
@@ -117,22 +116,22 @@ Status AccountMaterialization(const MdJoinOptions& md_options, const Table& t) {
   return Status::OK();
 }
 
-/// Copies one MD-join evaluation's counters into an operator profile —
-/// shared by the sequential, paged, and spill arms of kMdJoin (the parallel
-/// arm reports through ParallelMdJoinStats instead).
-void FillMdJoinProfile(OperatorProfile* profile, const MdJoinStats& s,
-                       size_t num_aggs) {
+/// Copies one MD-join evaluation's counters into an operator profile.
+void FillMdJoinProfile(OperatorProfile* profile, const MdJoinStats& s) {
   profile->is_mdjoin = true;
   profile->detail_rows_scanned = s.detail_rows_scanned;
   profile->detail_rows_qualified = s.detail_rows_qualified;
   profile->candidate_pairs = s.candidate_pairs;
   profile->matched_pairs = s.matched_pairs;
-  profile->agg_updates = s.matched_pairs * static_cast<int64_t>(num_aggs);
+  profile->agg_updates = s.agg_updates;
   profile->passes = s.passes_over_detail;
   profile->blocks = s.blocks;
   profile->kernel_invocations = s.kernel_invocations;
   profile->index_probe_lookups = s.index_probe_lookups;
   profile->index_probe_memo_hits = s.index_probe_memo_hits;
+  profile->morsels = s.morsels;
+  profile->steal_waits = s.steal_waits;
+  profile->num_threads = std::max(1, s.threads);
   profile->blocks_read = s.blocks_read;
   profile->blocks_pruned = s.blocks_pruned;
   profile->blocks_faulted = s.blocks_faulted;
@@ -211,126 +210,40 @@ Result<Table> ExecNode(const PlanPtr& plan, const Catalog& catalog,
       stats->rows_materialized += out.num_rows();
       return out;
     }
-    case PlanKind::kMdJoin: {
+    case PlanKind::kMdJoin:
+    case PlanKind::kGeneralizedMdJoin: {
       MDJ_ASSIGN_OR_RETURN(Table base, Exec(plan->child(0), catalog, md_options, stats, cse, profile));
-      // Out-of-core fast path: a detail child that is directly a paged
-      // catalog reference is never materialized — the paged driver streams
-      // its blocks through zone-map pruning and the block cache, parallelizes
-      // internally when num_threads > 1, and spills when enable_spill is set.
+      const std::vector<MdJoinComponent> components =
+          plan->kind() == PlanKind::kMdJoin
+              ? std::vector<MdJoinComponent>{{plan->aggs, plan->theta}}
+              : plan->components;
+      // A detail child that is directly a paged catalog reference is never
+      // materialized: the driver streams its blocks through zone-map pruning
+      // and the block cache. Otherwise the partitioned-spill escape hatch
+      // takes a single-component join when enable_spill is set.
       const PagedTable* paged_detail =
           plan->child(1)->kind() == PlanKind::kTableRef
               ? catalog.FindPaged(plan->child(1)->table_name)
               : nullptr;
-      if (paged_detail != nullptr) {
-        ++stats->mdjoin_operators;
-        MdJoinStats md_stats;
-        Result<Table> out = PagedMdJoin(base, *paged_detail, plan->aggs,
-                                        plan->theta, md_options, &md_stats);
-        stats->detail_rows_scanned += md_stats.detail_rows_scanned;
-        stats->candidate_pairs += md_stats.candidate_pairs;
-        stats->matched_pairs += md_stats.matched_pairs;
-        if (profile != nullptr) {
-          FillMdJoinProfile(profile, md_stats, plan->aggs.size());
-          profile->num_threads = md_options.num_threads;
-        }
-        MDJ_RETURN_NOT_OK(out.status());
-        stats->rows_materialized += out->num_rows();
-        return out;
+      Table detail;
+      if (paged_detail == nullptr) {
+        MDJ_ASSIGN_OR_RETURN(detail, Exec(plan->child(1), catalog, md_options, stats, cse, profile));
       }
-      MDJ_ASSIGN_OR_RETURN(Table detail, Exec(plan->child(1), catalog, md_options, stats, cse, profile));
       ++stats->mdjoin_operators;
-      // The partitioned-spill escape hatch subsumes the threading choice: its
-      // per-partition joins run through the parallel engine themselves when
-      // num_threads > 1.
-      if (md_options.enable_spill) {
-        MdJoinStats md_stats;
-        Result<Table> out = SpillMdJoin(base, detail, plan->aggs, plan->theta,
-                                        md_options, &md_stats);
-        stats->detail_rows_scanned += md_stats.detail_rows_scanned;
-        stats->candidate_pairs += md_stats.candidate_pairs;
-        stats->matched_pairs += md_stats.matched_pairs;
-        if (profile != nullptr) {
-          FillMdJoinProfile(profile, md_stats, plan->aggs.size());
-          profile->num_threads = md_options.num_threads;
-        }
-        MDJ_RETURN_NOT_OK(out.status());
-        stats->rows_materialized += out->num_rows();
-        return out;
-      }
-      // num_threads > 1 routes the node through the morsel-driven parallel
-      // engine (detail split: one logical scan of R, per-thread partials).
-      // The sequential evaluator stays the default and the ablation baseline.
-      if (md_options.num_threads > 1) {
-        ParallelMdJoinStats pstats;
-        // On failure the stats still hold partial counts; copy them into the
-        // profile either way so a cancelled query's profile stays truthful.
-        Result<Table> out = ParallelMdJoinDetailSplit(
-            base, detail, plan->aggs, plan->theta, md_options.num_threads,
-            md_options.num_threads, md_options, &pstats);
-        stats->detail_rows_scanned += pstats.total_detail_rows_scanned;
-        stats->candidate_pairs += pstats.candidate_pairs;
-        stats->matched_pairs += pstats.matched_pairs;
-        if (profile != nullptr) {
-          profile->is_mdjoin = true;
-          profile->detail_rows_scanned = pstats.total_detail_rows_scanned;
-          profile->detail_rows_qualified = pstats.detail_rows_qualified;
-          profile->candidate_pairs = pstats.candidate_pairs;
-          profile->matched_pairs = pstats.matched_pairs;
-          profile->agg_updates =
-              pstats.matched_pairs * static_cast<int64_t>(plan->aggs.size());
-          profile->passes = 1;
-          profile->blocks = pstats.blocks;
-          profile->kernel_invocations = pstats.kernel_invocations;
-          profile->index_probe_lookups = pstats.index_probe_lookups;
-          profile->index_probe_memo_hits = pstats.index_probe_memo_hits;
-          profile->morsels = pstats.morsels_executed;
-          profile->steal_waits = pstats.steal_waits;
-          profile->num_threads = pstats.num_threads;
-        }
-        MDJ_RETURN_NOT_OK(out.status());
-        stats->rows_materialized += out->num_rows();
-        return out;
-      }
       MdJoinStats md_stats;
       Result<Table> out =
-          MdJoin(base, detail, plan->aggs, plan->theta, md_options, &md_stats);
+          paged_detail != nullptr
+              ? PagedMdJoin(base, *paged_detail, components, md_options, &md_stats)
+          : md_options.enable_spill && components.size() == 1
+              ? SpillMdJoin(base, detail, components[0].aggs, components[0].theta,
+                            md_options, &md_stats)
+              : GeneralizedMdJoin(base, detail, components, md_options, &md_stats);
       stats->detail_rows_scanned += md_stats.detail_rows_scanned;
       stats->candidate_pairs += md_stats.candidate_pairs;
       stats->matched_pairs += md_stats.matched_pairs;
-      if (profile != nullptr) {
-        FillMdJoinProfile(profile, md_stats, plan->aggs.size());
-      }
-      MDJ_RETURN_NOT_OK(out.status());
-      stats->rows_materialized += out->num_rows();
-      return out;
-    }
-    case PlanKind::kGeneralizedMdJoin: {
-      MDJ_ASSIGN_OR_RETURN(Table base, Exec(plan->child(0), catalog, md_options, stats, cse, profile));
-      MDJ_ASSIGN_OR_RETURN(Table detail, Exec(plan->child(1), catalog, md_options, stats, cse, profile));
-      MdJoinStats md_stats;
-      Result<Table> out =
-          GeneralizedMdJoin(base, detail, plan->components, md_options, &md_stats);
-      ++stats->mdjoin_operators;
-      stats->detail_rows_scanned += md_stats.detail_rows_scanned;
-      stats->candidate_pairs += md_stats.candidate_pairs;
-      stats->matched_pairs += md_stats.matched_pairs;
-      if (profile != nullptr) {
-        int64_t num_aggs = 0;
-        for (const MdJoinComponent& comp : plan->components) {
-          num_aggs += static_cast<int64_t>(comp.aggs.size());
-        }
-        profile->is_mdjoin = true;
-        profile->detail_rows_scanned = md_stats.detail_rows_scanned;
-        profile->detail_rows_qualified = md_stats.detail_rows_qualified;
-        profile->candidate_pairs = md_stats.candidate_pairs;
-        profile->matched_pairs = md_stats.matched_pairs;
-        profile->agg_updates = md_stats.matched_pairs * num_aggs;
-        profile->passes = md_stats.passes_over_detail;
-        profile->blocks = md_stats.blocks;
-        profile->kernel_invocations = md_stats.kernel_invocations;
-        profile->index_probe_lookups = md_stats.index_probe_lookups;
-        profile->index_probe_memo_hits = md_stats.index_probe_memo_hits;
-      }
+      // On failure the stats still hold partial counts; the profile takes
+      // them either way so a cancelled query's profile stays truthful.
+      if (profile != nullptr) FillMdJoinProfile(profile, md_stats);
       MDJ_RETURN_NOT_OK(out.status());
       stats->rows_materialized += out->num_rows();
       return out;

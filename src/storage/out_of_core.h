@@ -11,35 +11,38 @@
 namespace mdjoin {
 
 /// The out-of-core MD-join: MdJoin() semantics with the detail relation living
-/// in a block file (storage/block_format) instead of RAM. Bit-identical to the
-/// in-memory evaluator — same row order, same float accumulation order — in
-/// every mode combination (row/vectorized × sequential/parallel × spill
-/// on/off); the A/B tests in out_of_core_test.cc enforce exactly that.
+/// in a block file (storage/block_format) instead of RAM, run by the one
+/// MD-join driver (core/detail_scan.h) with one storage block as its morsel.
+/// Bit-identical to the in-memory evaluator — same row order, same float
+/// accumulation order — at one thread, with spill on or off; the A/B tests in
+/// out_of_core_test.cc enforce exactly that.
 ///
-/// Per pass the driver walks the file's blocks in order, but first refutes
-/// each block against its footer zone maps (ZoneCouldMatch over the
-/// AnalyzeRanges facts of θ): a refuted block provably holds no θ-matching
-/// row and is never faulted, let alone decoded (stats->blocks_pruned).
-/// Surviving blocks fault through options.block_cache when one is given
-/// (shared residency, LRU within its byte budget, singleflight dedup of
-/// concurrent faults) or decode into an ephemeral pin charged to the query's
-/// guard otherwise. Each decoded block is handed to the one scan seam,
-/// DetailScan::ScanChunk, so every scan optimization short of the prepared
-/// table's typed mirror runs unchanged.
-///
-/// options.num_threads > 1 runs the block loop morsel-style: workers pull
-/// (block) work units from a shared cursor into thread-local partials, merged
-/// pairwise when the cursor drains — block decode and scan overlap across
-/// threads, and the cache's singleflight keeps duplicate faults to one load.
+/// Before any pass the driver's detail source refutes each block against its
+/// footer zone maps (ZoneCouldMatch over the AnalyzeRanges facts of θ): a
+/// refuted block provably holds no θ-matching row and is never faulted, let
+/// alone decoded (stats->blocks_pruned). Surviving blocks fault through
+/// options.block_cache when one is given (shared residency, LRU within its
+/// byte budget, singleflight dedup of concurrent faults) or decode into an
+/// ephemeral pin charged to the query's guard otherwise. Each decoded block is
+/// scanned like an in-memory morsel, so every scan optimization short of the
+/// prepared table's typed mirror runs unchanged. options.num_threads workers
+/// pull blocks from the driver's shared cursor.
 ///
 /// options.enable_spill engages the partitioned-spill escape hatch
 /// (storage/spill.h) when θ carries an equi conjunct: B and the *streamed*
-/// blocks of R hash-partition to spill files (zone-pruned blocks skipped —
-/// they contain no matching rows), then per-partition in-memory joins merge
-/// back in base order. Peak residency is one decoded block plus one partition
-/// pair, never the whole detail relation.
+/// surviving blocks of R hash-partition to spill files, then per-partition
+/// in-memory joins merge back in base order. Peak residency is one decoded
+/// block plus one partition pair, never the whole detail relation.
 Result<Table> PagedMdJoin(const Table& base, const PagedTable& detail,
                           const std::vector<AggSpec>& aggs, const ExprPtr& theta,
+                          const MdJoinOptions& options = {},
+                          MdJoinStats* stats = nullptr);
+
+/// The generalized MD-join (core/generalized.h) over a paged detail relation:
+/// a block survives zone-map pruning when any component's θ could match a row
+/// of it. Spill engages only for a single component.
+Result<Table> PagedMdJoin(const Table& base, const PagedTable& detail,
+                          const std::vector<MdJoinComponent>& components,
                           const MdJoinOptions& options = {},
                           MdJoinStats* stats = nullptr);
 

@@ -12,12 +12,10 @@
 #include "common/failpoint.h"
 #include "common/hash_util.h"
 #include "common/string_util.h"
-#include "core/detail_scan.h"
 #include "expr/compile.h"
 #include "expr/conjuncts.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "parallel/parallel_mdjoin.h"
 #include "storage/block_format.h"
 
 namespace mdjoin {
@@ -214,98 +212,43 @@ Result<Table> ReadSpillFile(const std::string& path, const Schema& schema,
 // SpillMdJoin
 // ---------------------------------------------------------------------------
 
-namespace {
-
-/// Fold a sequential partition join's counters into the spill driver's.
-void FoldStats(const MdJoinStats& from, MdJoinStats* to) {
-  AccumulateScanStats(from, to);
-  to->passes_over_detail += from.passes_over_detail;
-  to->index_masks += from.index_masks;
-  if (from.memory_degraded) to->memory_degraded = true;
-}
-
-void FoldParallelStats(const ParallelMdJoinStats& from, MdJoinStats* to) {
-  to->detail_rows_scanned += from.total_detail_rows_scanned;
-  to->detail_rows_qualified += from.detail_rows_qualified;
-  to->candidate_pairs += from.candidate_pairs;
-  to->matched_pairs += from.matched_pairs;
-  to->blocks += from.blocks;
-  to->kernel_invocations += from.kernel_invocations;
-  to->index_probe_lookups += from.index_probe_lookups;
-  to->index_probe_memo_hits += from.index_probe_memo_hits;
-  ++to->passes_over_detail;
-}
-
-Result<Table> JoinPartition(const Table& b, const Table& r,
-                            const std::vector<AggSpec>& aggs,
-                            const ExprPtr& theta, const MdJoinOptions& options,
-                            MdJoinStats* stats) {
-  if (options.num_threads > 1) {
-    ParallelMdJoinStats pstats;
-    MDJ_ASSIGN_OR_RETURN(
-        Table res, ParallelMdJoinDetailSplit(b, r, aggs, theta,
-                                             options.num_threads,
-                                             options.num_threads, options,
-                                             &pstats));
-    FoldParallelStats(pstats, stats);
-    return res;
-  }
-  MdJoinStats jstats;
-  MDJ_ASSIGN_OR_RETURN(Table res, MdJoin(b, r, aggs, theta, options, &jstats));
-  FoldStats(jstats, stats);
-  return res;
-}
-
-}  // namespace
-
 Result<Table> SpillMdJoin(const Table& base, const Table& detail,
                           const std::vector<AggSpec>& aggs, const ExprPtr& theta,
                           const MdJoinOptions& options, MdJoinStats* stats) {
-  MdJoinStats local_stats;
-  if (stats == nullptr) stats = &local_stats;
-
-  MdJoinOptions part_options = options;
-  part_options.enable_spill = false;
-  part_options.spill_partitions = 0;
-
-  ThetaParts parts = AnalyzeTheta(theta);
-  if (parts.equi.empty() || base.num_rows() == 0) {
-    // Nothing to partition on: Theorem-4.1 multi-pass (guard degradation
-    // inside MdJoin) is the only memory escape.
-    return JoinPartition(base, detail, aggs, theta, part_options, stats);
-  }
-
-  SpillDetailSource source;
-  source.schema = &detail.schema();
-  source.for_each_chunk =
-      [&detail](const std::function<Status(const Table&)>& fn) -> Status {
-    return fn(detail);
-  };
-  source.join_broadcast = [&](const Table& broadcast_base,
-                              MdJoinStats* s) -> Result<Table> {
-    return JoinPartition(broadcast_base, detail, aggs, theta, part_options, s);
-  };
-  return SpillMdJoinStream(base, source, aggs, theta, options, stats);
+  return SpillMdJoin(base, TableSource(detail), aggs, theta, options, stats);
 }
 
-Result<Table> SpillMdJoinStream(const Table& base, const SpillDetailSource& source,
-                                const std::vector<AggSpec>& aggs,
-                                const ExprPtr& theta, const MdJoinOptions& options,
-                                MdJoinStats* stats) {
+Result<Table> SpillMdJoin(const Table& base, const DetailSource& detail,
+                          const std::vector<AggSpec>& aggs, const ExprPtr& theta,
+                          const MdJoinOptions& options, MdJoinStats* stats) {
   Span span("spill_mdjoin", "storage");
   MdJoinStats local_stats;
   if (stats == nullptr) stats = &local_stats;
+  *stats = MdJoinStats{};
   QueryGuard* guard = options.guard;
 
-  MdJoinOptions part_options = options;
-  part_options.enable_spill = false;
-  part_options.spill_partitions = 0;
+  // Every join below is one call into the MD-join driver; their counters
+  // fold into the spill driver's.
+  auto join = [&](const Table& b, const DetailSource& r) -> Result<Table> {
+    MdJoinStats s;
+    Result<Table> res = RunMdJoin(b, r, {{aggs, theta}}, options, &s);
+    stats->Accumulate(s);
+    stats->threads = std::max(stats->threads, s.threads);
+    return res;
+  };
 
-  ThetaParts parts = AnalyzeTheta(theta);
-  if (parts.equi.empty()) {
-    return Status::InvalidArgument(
-        "SpillMdJoinStream: θ carries no equi conjunct to partition on");
+  if (theta == nullptr) {
+    return Status::InvalidArgument("SpillMdJoin: θ-condition must not be null");
   }
+  ThetaParts parts = AnalyzeTheta(theta);
+  if (parts.equi.empty() || base.num_rows() == 0) {
+    // Nothing to partition on: Theorem-4.1 multi-pass (guard degradation
+    // inside the driver) is the only memory escape.
+    MDJ_ASSIGN_OR_RETURN(Table out, join(base, detail));
+    stats->base_rows = base.num_rows();
+    return out;
+  }
+  const Schema& detail_schema = detail.prepared().schema();
 
   // Compile each equi key's side expression standalone: by construction the
   // base_expr reads only B columns, the detail_expr only R columns.
@@ -314,7 +257,7 @@ Result<Table> SpillMdJoinStream(const Table& base, const SpillDetailSource& sour
     MDJ_ASSIGN_OR_RETURN(CompiledExpr bk,
                          CompileExpr(pair.base_expr, &base.schema(), nullptr));
     MDJ_ASSIGN_OR_RETURN(CompiledExpr dk,
-                         CompileExpr(pair.detail_expr, nullptr, source.schema));
+                         CompileExpr(pair.detail_expr, nullptr, &detail_schema));
     base_keys.push_back(std::move(bk));
     detail_keys.push_back(std::move(dk));
   }
@@ -376,7 +319,7 @@ Result<Table> SpillMdJoinStream(const Table& base, const SpillDetailSource& sour
                                                writer_buf));
       MDJ_ASSIGN_OR_RETURN(std::unique_ptr<SpillWriter> rw,
                            SpillWriter::Create(r_paths[static_cast<size_t>(i)],
-                                               source.schema->num_fields(), guard,
+                                               detail_schema.num_fields(), guard,
                                                writer_buf));
       b_writers.push_back(std::move(bw));
       r_writers.push_back(std::move(rw));
@@ -388,11 +331,12 @@ Result<Table> SpillMdJoinStream(const Table& base, const SpillDetailSource& sour
       }
     }
 
-    MDJ_RETURN_NOT_OK(source.for_each_chunk([&](const Table& chunk) -> Status {
-      RowCtx ctx;
+    // R streams one morsel at a time, in row order.
+    GuardTicket ticket(guard, /*count_rows=*/false);
+    RowCtx ctx;
+    auto route = [&](const Table& chunk, int64_t lo, int64_t hi) -> Status {
       ctx.detail = &chunk;
-      GuardTicket ticket(guard, /*count_rows=*/false);
-      for (int64_t t = 0; t < chunk.num_rows(); ++t) {
+      for (int64_t t = lo; t < hi; ++t) {
         ctx.detail_row = t;
         size_t h = 0;
         bool has_null = false, has_all = false;
@@ -406,17 +350,20 @@ Result<Table> SpillMdJoinStream(const Table& base, const SpillDetailSource& sour
           // θ-equality: NULL matches nothing — drop the row here and now.
         } else if (has_all) {
           for (int i = 0; i < P; ++i) {
-            MDJ_RETURN_NOT_OK(
-                r_writers[static_cast<size_t>(i)]->AppendRow(chunk, t));
+            MDJ_RETURN_NOT_OK(r_writers[static_cast<size_t>(i)]->AppendRow(chunk, t));
           }
         } else {
-          MDJ_RETURN_NOT_OK(
-              r_writers[h % static_cast<size_t>(P)]->AppendRow(chunk, t));
+          MDJ_RETURN_NOT_OK(r_writers[h % static_cast<size_t>(P)]->AppendRow(chunk, t));
         }
         MDJ_RETURN_NOT_OK(ticket.Tick());
       }
-      return ticket.Finish();
-    }));
+      return Status::OK();
+    };
+    stats->blocks_pruned += detail.pruned_per_pass();
+    for (int64_t m = 0; m < detail.num_morsels(); ++m) {
+      MDJ_RETURN_NOT_OK(detail.Read(m, guard, stats, route));
+    }
+    MDJ_RETURN_NOT_OK(ticket.Finish());
 
     for (int i = 0; i < P; ++i) {
       MDJ_RETURN_NOT_OK(b_writers[static_cast<size_t>(i)]->Finish());
@@ -456,13 +403,11 @@ Result<Table> SpillMdJoinStream(const Table& base, const SpillDetailSource& sour
         Table b_i, ReadSpillFile(b_paths[static_cast<size_t>(i)], base.schema(),
                                  guard));
     MDJ_ASSIGN_OR_RETURN(
-        Table r_i, ReadSpillFile(r_paths[static_cast<size_t>(i)],
-                                 *source.schema, guard));
+        Table r_i, ReadSpillFile(r_paths[static_cast<size_t>(i)], detail_schema, guard));
     ScopedReservation resident;
     MDJ_RETURN_NOT_OK(resident.Reserve(guard, b_i.ApproxBytes() + r_i.ApproxBytes(),
                                        "spill partition tables"));
-    MDJ_ASSIGN_OR_RETURN(Table res,
-                         JoinPartition(b_i, r_i, aggs, theta, part_options, stats));
+    MDJ_ASSIGN_OR_RETURN(Table res, join(b_i, TableSource(r_i)));
     MDJ_RETURN_NOT_OK(scatter(res, groups[static_cast<size_t>(i)]));
   }
 
@@ -474,7 +419,7 @@ Result<Table> SpillMdJoinStream(const Table& base, const SpillDetailSource& sour
     ScopedReservation resident;
     MDJ_RETURN_NOT_OK(
         resident.Reserve(guard, b_all.ApproxBytes(), "spill broadcast group"));
-    MDJ_ASSIGN_OR_RETURN(Table res, source.join_broadcast(b_all, stats));
+    MDJ_ASSIGN_OR_RETURN(Table res, join(b_all, detail));
     MDJ_RETURN_NOT_OK(scatter(res, broadcast));
   }
 

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <fstream>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -11,6 +10,7 @@
 #include "agg/agg_spec.h"
 #include "common/query_guard.h"
 #include "common/result.h"
+#include "core/detail_scan.h"
 #include "core/mdjoin.h"
 #include "table/table.h"
 
@@ -75,48 +75,29 @@ class SpillWriter {
 Result<Table> ReadSpillFile(const std::string& path, const Schema& schema,
                             QueryGuard* guard);
 
-/// The partitioned-spill MD-join driver. Bit-identical to MdJoin(). Requires
-/// θ to carry at least one equi conjunct to partition on; without one it
-/// falls back to MdJoin (whose guard degradation multi-passes instead).
-/// Partition joins run through the morsel-parallel engine when
-/// options.num_threads > 1. Spill files land in options.spill_dir (or the
-/// system temp directory) and are removed before returning, success or not.
+/// The partitioned-spill MD-join driver. Bit-identical to MdJoin(). B routes
+/// as above; R streams into the partition writers one morsel of `detail` at
+/// a time (for a paged relation: one decoded block, zone-pruned blocks never
+/// read — they hold no θ-matching row), so peak residency is one morsel plus
+/// one partition pair. Each partition pair, and the ALL-key broadcast group
+/// against the full `detail`, is joined by the one MD-join driver
+/// (core/detail_scan.h) with options.num_threads workers. Requires θ to carry
+/// at least one equi conjunct to partition on; without one it runs the driver
+/// directly (whose guard degradation multi-passes instead). Spill files land
+/// in options.spill_dir (or the system temp directory) and are removed before
+/// returning, success or not.
+Result<Table> SpillMdJoin(const Table& base, const DetailSource& detail,
+                          const std::vector<AggSpec>& aggs, const ExprPtr& theta,
+                          const MdJoinOptions& options, MdJoinStats* stats);
+
+/// SpillMdJoin over an in-memory detail relation.
 Result<Table> SpillMdJoin(const Table& base, const Table& detail,
                           const std::vector<AggSpec>& aggs, const ExprPtr& theta,
                           const MdJoinOptions& options, MdJoinStats* stats);
 
-/// Detail-relation abstraction for SpillMdJoinStream: the spill router only
-/// needs the detail rows as a stream of schema-identical chunks (the whole
-/// table for the in-memory driver, one decoded block at a time for the paged
-/// one — which is what keeps the paged spill truly out-of-core), plus a way
-/// to join the ALL-key broadcast base group against the *full* detail
-/// relation, which the router cannot do chunk-wise.
-struct SpillDetailSource {
-  const Schema* schema = nullptr;
-
-  /// Invokes the callback once per detail chunk, in detail-row order (chunk
-  /// order × row order within each chunk is the relation's row order — the
-  /// spill files inherit it, which is what makes float accumulation
-  /// bit-identical to the in-memory scan).
-  std::function<Status(const std::function<Status(const Table&)>&)>
-      for_each_chunk;
-
-  /// Joins `broadcast_base` (base rows whose equi key contains ALL) against
-  /// the full detail relation, folding scan counters into the MdJoinStats.
-  std::function<Result<Table>(const Table& broadcast_base, MdJoinStats*)>
-      join_broadcast;
-};
-
-/// The routing/partition/scatter core behind SpillMdJoin, detail-agnostic.
-/// θ must carry at least one equi conjunct (callers handle the fallback).
-Result<Table> SpillMdJoinStream(const Table& base, const SpillDetailSource& source,
-                                const std::vector<AggSpec>& aggs,
-                                const ExprPtr& theta, const MdJoinOptions& options,
-                                MdJoinStats* stats);
-
 /// Fan-out used by SpillMdJoin: options.spill_partitions if set, else sized
 /// so one partition's aggregate state fits the guard's soft headroom, clamped
-/// to [2, 64]. Exposed for tests and the paged driver's spill arm.
+/// to [2, 64]. Exposed for tests.
 int ChooseSpillPartitions(const MdJoinOptions& options, int64_t base_rows,
                           int64_t num_aggs);
 

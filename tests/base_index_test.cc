@@ -43,11 +43,11 @@ std::vector<int64_t> AllRows(const Table& t) {
 }
 
 std::vector<int64_t> Probe(const BaseIndex& index, const Table& detail, int64_t row) {
-  RowCtx ctx;
-  ctx.detail = &detail;
-  ctx.detail_row = row;
-  std::vector<int64_t> out;
-  index.Probe(ctx, &out);
+  BaseIndex::ProbeScratch scratch;
+  scratch.memo_enabled = false;  // one probe can never hit the memo
+  std::vector<int64_t> gather;
+  const BaseIndex::ProbeResult r = index.ProbeSpan(detail, row, &scratch, &gather);
+  std::vector<int64_t> out(r.rows, r.rows + r.count);
   std::sort(out.begin(), out.end());
   return out;
 }
@@ -92,10 +92,11 @@ TEST(BaseIndexTest, NullDetailKeyMatchesNothing) {
   Result<BaseIndex> index = BaseIndex::Build(base, AllRows(base), DimEqui(),
                                              detail.schema());
   ASSERT_TRUE(index.ok());
-  // The (1,2) row needs prod which is NULL -> no match. The (ALL,ALL) bucket
-  // has no probe positions at all -> matches (NULL never reaches a
-  // comparison there).
-  EXPECT_EQ(Probe(*index, detail, 0), (std::vector<int64_t>{1}));
+  // The (1,2) row needs prod which is NULL -> no match. The (ALL,ALL) row
+  // does not match either: θ-equality never matches NULL, ALL included, so
+  // the index agrees with θ evaluated in full (MdJoinReference, use_index
+  // off).
+  EXPECT_EQ(Probe(*index, detail, 0), (std::vector<int64_t>{}));
 }
 
 TEST(BaseIndexTest, DetailSideAllTriggersWildcardWalk) {

@@ -15,9 +15,9 @@
 #include "common/logging.h"
 #include "common/query_guard.h"
 #include "common/result.h"
+#include "common/thread_pool.h"
 #include "core/mdjoin.h"
 #include "cube/base_tables.h"
-#include "parallel/thread_pool.h"
 #include "table/table_builder.h"
 #include "tests/test_util.h"
 #include "types/value.h"

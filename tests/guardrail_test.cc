@@ -14,6 +14,7 @@
 
 #include "common/failpoint.h"
 #include "common/query_guard.h"
+#include "common/thread_pool.h"
 #include "obs/metrics.h"
 #include "obs/query_profile.h"
 #include "obs/trace.h"
@@ -23,8 +24,6 @@
 #include "cube/base_tables.h"
 #include "optimizer/executor.h"
 #include "optimizer/plan.h"
-#include "parallel/parallel_mdjoin.h"
-#include "parallel/thread_pool.h"
 #include "table/table_ops.h"
 #include "tests/test_util.h"
 
@@ -62,8 +61,9 @@ TEST_F(GuardrailTest, CancelBeforeScanAllPaths) {
   ASSERT_FALSE(parallel.ok());
   EXPECT_EQ(parallel.status().code(), StatusCode::kCancelled);
 
-  Result<Table> split =
-      ParallelMdJoinDetailSplit(base, sales, aggs, CustTheta(), 4, 2, options);
+  MdJoinOptions threaded = options;
+  threaded.num_threads = 2;
+  Result<Table> split = MdJoin(base, sales, aggs, CustTheta(), threaded);
   ASSERT_FALSE(split.ok());
   EXPECT_EQ(split.status().code(), StatusCode::kCancelled);
 
@@ -115,10 +115,10 @@ TEST_F(GuardrailTest, CancelMidScanParallelPaths) {
     QueryGuard guard(guard_options);
     MdJoinOptions options;
     options.guard = &guard;
+    options.num_threads = 2;
     Result<Table> result =
-        variant == 0
-            ? ParallelMdJoin(base, sales, aggs, CustTheta(), 4, 2, options)
-            : ParallelMdJoinDetailSplit(base, sales, aggs, CustTheta(), 4, 2, options);
+        variant == 0 ? ParallelMdJoin(base, sales, aggs, CustTheta(), 4, 2, options)
+                     : MdJoin(base, sales, aggs, CustTheta(), options);
     ASSERT_FALSE(result.ok()) << "variant=" << variant;
     EXPECT_EQ(result.status().code(), StatusCode::kCancelled) << "variant=" << variant;
   }
@@ -258,6 +258,73 @@ TEST_F(GuardrailTest, MemoryHardLimitFails) {
   EXPECT_NE(result.status().message().find("hard limit"), std::string::npos);
 }
 
+/// Memory-budget parity across thread counts and component counts. The soft
+/// budget equals the hard limit, as the CLI's --memory-limit and QueryService
+/// admission set it. Wherever the 1-thread MdJoin succeeds, every route —
+/// MdJoin and a one-component GeneralizedMdJoin with the same aggregates, and
+/// a three-component GeneralizedMdJoin splitting them one per component — at
+/// every thread count must succeed with the same table: extra workers and
+/// extra component indexes cost passes, never the query.
+TEST_F(GuardrailTest, MemoryBudgetParityAcrossThreadsAndComponents) {
+  Table sales = testutil::RandomSales(1, 5000, /*num_cust=*/1000);
+  Table base = *GroupByBase(sales, {"cust"});
+  const int64_t n = base.num_rows();
+  // Budgets in bytes per base row: one sum needs 64 of aggregate state plus
+  // 96 of output and 128 per indexed row of a pass; three aggregates 192 +
+  // 192 + 128. The smaller budgets force the 1-thread MdJoin into several
+  // passes (or fail it outright).
+  struct AggSet {
+    std::vector<AggSpec> aggs;
+    std::vector<int64_t> bytes_per_row;
+  };
+  const std::vector<AggSet> agg_sets = {
+      {{Sum(RCol("sale"), "total")}, {150, 170, 200, 260, 400}},
+      {{Sum(RCol("sale"), "total"), Count("cnt"), Max(RCol("sale"), "hi")},
+       {380, 400, 450, 520, 700, 1000}}};
+  int64_t multi_pass_cells = 0;
+  for (const AggSet& set : agg_sets) {
+    const std::vector<AggSpec>& aggs = set.aggs;
+    std::vector<MdJoinComponent> one = {{aggs, CustTheta()}};
+    std::vector<MdJoinComponent> split;
+    split.reserve(aggs.size());
+    for (const AggSpec& a : aggs) split.push_back({{a}, CustTheta()});
+    for (int64_t per_row : set.bytes_per_row) {
+      QueryGuardOptions guard_options;
+      guard_options.memory_budget_bytes = per_row * n;
+      guard_options.memory_hard_limit_bytes = per_row * n;
+      QueryGuard seq_guard(guard_options);
+      MdJoinOptions seq_options;
+      seq_options.guard = &seq_guard;
+      Result<Table> want = MdJoin(base, sales, aggs, CustTheta(), seq_options);
+      if (!want.ok()) continue;
+      for (int threads : {1, 2, 4}) {
+        for (int route = 0; route < 3; ++route) {
+          if (aggs.size() == 1 && route == 2) continue;  // same as route 1
+          SCOPED_TRACE(::testing::Message()
+                       << "aggs=" << aggs.size() << " bytes/row=" << per_row
+                       << " threads=" << threads << " route=" << route);
+          QueryGuard guard(guard_options);
+          MdJoinOptions options;
+          options.guard = &guard;
+          options.num_threads = threads;
+          MdJoinStats stats;
+          Result<Table> got =
+              route == 0   ? MdJoin(base, sales, aggs, CustTheta(), options, &stats)
+              : route == 1 ? GeneralizedMdJoin(base, sales, one, options, &stats)
+                           : GeneralizedMdJoin(base, sales, split, options, &stats);
+          ASSERT_TRUE(got.ok()) << got.status().ToString();
+          EXPECT_TRUE(TablesEqualOrdered(*want, *got));
+          EXPECT_EQ(guard.bytes_reserved(), 0);
+          if (stats.passes_over_detail > 1) ++multi_pass_cells;
+        }
+      }
+    }
+  }
+  // The grid reaches the budgets where the 1-thread MdJoin itself needs
+  // several passes, so the parity is not vacuous.
+  EXPECT_GT(multi_pass_cells, 0);
+}
+
 TEST_F(GuardrailTest, DetailRowAndPairBudgets) {
   Table sales = testutil::RandomSales(53, 500);
   Table base = *GroupByBase(sales, {"cust"});
@@ -325,7 +392,9 @@ TEST_F(GuardrailTest, ParallelFragmentErrorFirstErrorWins) {
 
   FailpointRegistry::Global()->Reset();
   FailpointRegistry::Global()->Enable("parallel:fragment_error", /*count=*/1);
-  result = ParallelMdJoinDetailSplit(base, sales, aggs, CustTheta(), 4, 2);
+  MdJoinOptions threaded;
+  threaded.num_threads = 2;
+  result = MdJoin(base, sales, aggs, CustTheta(), threaded);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInternal);
   EXPECT_NE(result.status().message().find("parallel:fragment_error"),
@@ -335,11 +404,13 @@ TEST_F(GuardrailTest, ParallelFragmentErrorFirstErrorWins) {
 TEST_F(GuardrailTest, ParallelNullThetaSymmetry) {
   Table sales = testutil::SmallSales();
   Table base = *GroupByBase(sales, {"cust"});
-  // Both entry points reject a null θ the same way (this was asymmetric).
+  // Both splits reject a null θ the same way (this was asymmetric).
   Result<Table> a = ParallelMdJoin(base, sales, {Count("n")}, nullptr, 2, 2);
   ASSERT_FALSE(a.ok());
   EXPECT_TRUE(a.status().IsInvalidArgument());
-  Result<Table> b = ParallelMdJoinDetailSplit(base, sales, {Count("n")}, nullptr, 2, 2);
+  MdJoinOptions threaded;
+  threaded.num_threads = 2;
+  Result<Table> b = MdJoin(base, sales, {Count("n")}, nullptr, threaded);
   ASSERT_FALSE(b.ok());
   EXPECT_TRUE(b.status().IsInvalidArgument());
 }
@@ -353,42 +424,37 @@ TEST_F(GuardrailTest, ParallelStatsAggregateAcrossFragments) {
   ASSERT_TRUE(MdJoin(base, sales, aggs, CustTheta(), {}, &seq).ok());
 
   const int partitions = 4;
-  ParallelMdJoinStats base_split;
+  MdJoinStats base_split;
   ASSERT_TRUE(ParallelMdJoin(base, sales, aggs, CustTheta(), partitions, 2, {},
                              &base_split)
                   .ok());
   // Theorem 4.1 split: every fragment scans all of R; base rows (and thus
   // candidate/matched pairs) partition across fragments.
-  EXPECT_EQ(base_split.total_detail_rows_scanned, partitions * sales.num_rows());
+  EXPECT_EQ(base_split.detail_rows_scanned, partitions * sales.num_rows());
   EXPECT_EQ(base_split.detail_rows_qualified, partitions * seq.detail_rows_qualified);
   EXPECT_EQ(base_split.candidate_pairs, seq.candidate_pairs);
   EXPECT_EQ(base_split.matched_pairs, seq.matched_pairs);
-  // Morsel scheduling: with the default morsel size (1024 ≥ 400 rows) each
-  // fragment is one morsel, all four dispatched. How the two workers split
-  // them is a race, so the per-worker extremes only admit loose bounds —
-  // pigeonhole guarantees the busiest worker at least half the total.
-  EXPECT_EQ(base_split.morsels_executed, partitions);
-  EXPECT_GE(base_split.steal_waits, 2);  // each worker's drain probe
-  EXPECT_LE(base_split.min_worker_detail_rows, base_split.max_worker_detail_rows);
-  EXPECT_GE(base_split.max_worker_detail_rows,
-            (base_split.total_detail_rows_scanned + 1) / 2);
-  EXPECT_LE(base_split.max_worker_detail_rows, base_split.total_detail_rows_scanned);
+  EXPECT_EQ(base_split.agg_updates, seq.agg_updates);
+  // Morsel scheduling: 400 rows fit one 1024-row morsel, so each fragment
+  // is one unit, all four dispatched; each worker's pull loop ends on a
+  // drained poll.
+  EXPECT_EQ(base_split.threads, 2);
+  EXPECT_EQ(base_split.morsels, partitions);
+  EXPECT_GE(base_split.steal_waits, 2);
 
-  ParallelMdJoinStats detail_split;
-  ASSERT_TRUE(ParallelMdJoinDetailSplit(base, sales, aggs, CustTheta(), partitions, 2,
-                                        {}, &detail_split)
-                  .ok());
+  MdJoinOptions threaded;
+  threaded.num_threads = 2;
+  MdJoinStats detail_split;
+  ASSERT_TRUE(MdJoin(base, sales, aggs, CustTheta(), threaded, &detail_split).ok());
   // Detail split: R is scanned exactly once in total; every pair is tested
   // exactly once across workers.
-  EXPECT_EQ(detail_split.total_detail_rows_scanned, sales.num_rows());
+  EXPECT_EQ(detail_split.detail_rows_scanned, sales.num_rows());
   EXPECT_EQ(detail_split.detail_rows_qualified, seq.detail_rows_qualified);
   EXPECT_EQ(detail_split.candidate_pairs, seq.candidate_pairs);
   EXPECT_EQ(detail_split.matched_pairs, seq.matched_pairs);
-  // 400 detail rows fit in one default-size morsel, so exactly one worker
-  // runs and scans everything.
-  EXPECT_EQ(detail_split.morsels_executed, 1);
-  EXPECT_EQ(detail_split.min_worker_detail_rows, sales.num_rows());
-  EXPECT_EQ(detail_split.max_worker_detail_rows, sales.num_rows());
+  // 400 detail rows fit in one morsel, so exactly one worker runs.
+  EXPECT_EQ(detail_split.morsels, 1);
+  EXPECT_EQ(detail_split.threads, 1);
 }
 
 TEST_F(GuardrailTest, ExecutorObservesGuard) {

@@ -1,12 +1,14 @@
 /// Morsel-driven parallel MD-join coverage: scheduler unit behavior
 /// (complete, disjoint coverage of the unit space under concurrent pulls),
-/// bit-identical results across thread counts, morsel sizes, and θ shapes
-/// for both public entry points, executor routing via
-/// MdJoinOptions::num_threads, failpoint-driven cancellation landing
-/// mid-morsel, and the guard short-circuit inside the partial-state merge.
+/// bit-identical results across thread counts and θ shapes for the base
+/// split (ParallelMdJoin) and the detail split (MdJoin with num_threads),
+/// executor routing via MdJoinOptions::num_threads, failpoint-driven
+/// cancellation landing mid-morsel, and the guard short-circuit inside the
+/// partial-state merge.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <set>
 #include <thread>
@@ -14,14 +16,13 @@
 #include <vector>
 
 #include "common/failpoint.h"
+#include "common/morsel_scheduler.h"
 #include "common/query_guard.h"
 #include "core/detail_scan.h"
 #include "core/mdjoin.h"
 #include "cube/base_tables.h"
 #include "optimizer/executor.h"
 #include "optimizer/plan.h"
-#include "parallel/morsel_scheduler.h"
-#include "parallel/parallel_mdjoin.h"
 #include "ra/group_by.h"
 #include "table/table_ops.h"
 #include "tests/test_util.h"
@@ -38,54 +39,48 @@ class MorselTest : public ::testing::Test {
 };
 
 TEST_F(MorselTest, SchedulerCoversUnitSpaceExactlyOnce) {
-  MorselScheduler sched(/*num_jobs=*/3, /*rows_per_job=*/10, /*morsel_size=*/4);
-  // 10 rows at morsel 4 → 3 morsels per job, 9 units total.
+  MorselScheduler sched(/*num_jobs=*/3, /*morsels_per_job=*/3);
   EXPECT_EQ(sched.total_morsels(), 9);
-  std::set<std::pair<int64_t, int64_t>> seen;  // (job, lo)
+  std::set<std::pair<int64_t, int64_t>> seen;  // (job, morsel)
   MorselScheduler::Morsel m;
+  int64_t last = -1;
   while (sched.Next(&m)) {
     EXPECT_GE(m.job, 0);
     EXPECT_LT(m.job, 3);
-    EXPECT_LT(m.lo, m.hi);
-    EXPECT_LE(m.hi, 10);
-    EXPECT_LE(m.hi - m.lo, 4);
-    EXPECT_TRUE(seen.emplace(m.job, m.lo).second) << "unit dispatched twice";
+    EXPECT_GE(m.morsel, 0);
+    EXPECT_LT(m.morsel, 3);
+    // Job-major order: one worker walks each job's morsels in sequence.
+    EXPECT_EQ(m.job * 3 + m.morsel, last + 1);
+    last = m.job * 3 + m.morsel;
+    EXPECT_TRUE(seen.emplace(m.job, m.morsel).second) << "unit dispatched twice";
   }
   EXPECT_EQ(seen.size(), 9u);
   EXPECT_EQ(sched.dispatched(), 9);
   // One drained poll: the while-loop's terminating Next().
   EXPECT_EQ(sched.steal_waits(), 1);
-  // Each job's morsels tile [0, 10) with no gaps.
-  for (int64_t job = 0; job < 3; ++job) {
-    EXPECT_TRUE(seen.count({job, 0}) && seen.count({job, 4}) && seen.count({job, 8}));
-  }
 }
 
 TEST_F(MorselTest, SchedulerDegenerateInputs) {
-  MorselScheduler empty(/*num_jobs=*/4, /*rows_per_job=*/0, /*morsel_size=*/16);
   MorselScheduler::Morsel m;
-  EXPECT_EQ(empty.total_morsels(), 0);
-  EXPECT_FALSE(empty.Next(&m));
-  EXPECT_EQ(empty.dispatched(), 0);
+  MorselScheduler no_morsels(/*num_jobs=*/4, /*morsels_per_job=*/0);
+  EXPECT_EQ(no_morsels.total_morsels(), 0);
+  EXPECT_FALSE(no_morsels.Next(&m));
+  EXPECT_EQ(no_morsels.dispatched(), 0);
 
-  // morsel_size < 1 is treated as 1 row per unit.
-  MorselScheduler tiny(/*num_jobs=*/1, /*rows_per_job=*/3, /*morsel_size=*/0);
-  EXPECT_EQ(tiny.total_morsels(), 3);
-  EXPECT_EQ(tiny.morsel_size(), 1);
+  MorselScheduler no_jobs(/*num_jobs=*/0, /*morsels_per_job=*/5);
+  EXPECT_EQ(no_jobs.total_morsels(), 0);
+  EXPECT_FALSE(no_jobs.Next(&m));
 
-  // Oversized morsel: one unit spanning the whole relation (the legacy
-  // static-split degenerate case).
-  MorselScheduler one(/*num_jobs=*/2, /*rows_per_job=*/5, /*morsel_size=*/1000);
-  EXPECT_EQ(one.total_morsels(), 2);
+  MorselScheduler one(/*num_jobs=*/1, /*morsels_per_job=*/1);
   ASSERT_TRUE(one.Next(&m));
-  EXPECT_EQ(m.lo, 0);
-  EXPECT_EQ(m.hi, 5);
+  EXPECT_EQ(m.job, 0);
+  EXPECT_EQ(m.morsel, 0);
+  EXPECT_FALSE(one.Next(&m));
 }
 
 TEST_F(MorselTest, SchedulerConcurrentPullsAreDisjointAndComplete) {
-  const int64_t jobs = 5, rows = 1000, morsel = 7;
-  MorselScheduler sched(jobs, rows, morsel);
-  const int64_t per_job = (rows + morsel - 1) / morsel;
+  const int64_t jobs = 5, per_job = 143;
+  MorselScheduler sched(jobs, per_job);
   constexpr int kThreads = 8;
   std::vector<std::vector<MorselScheduler::Morsel>> pulled(kThreads);
   std::vector<std::thread> threads;
@@ -99,28 +94,25 @@ TEST_F(MorselTest, SchedulerConcurrentPullsAreDisjointAndComplete) {
   for (std::thread& th : threads) th.join();
 
   std::set<std::pair<int64_t, int64_t>> seen;
-  int64_t covered_rows = 0;
   for (const auto& list : pulled) {
     for (const MorselScheduler::Morsel& m : list) {
-      EXPECT_TRUE(seen.emplace(m.job, m.lo).second) << "unit dispatched twice";
-      covered_rows += m.hi - m.lo;
+      EXPECT_TRUE(seen.emplace(m.job, m.morsel).second) << "unit dispatched twice";
     }
   }
   EXPECT_EQ(static_cast<int64_t>(seen.size()), jobs * per_job);
-  EXPECT_EQ(covered_rows, jobs * rows);
   EXPECT_EQ(sched.dispatched(), sched.total_morsels());
   // Every worker's pull loop ends on a failed poll.
   EXPECT_GE(sched.steal_waits(), kThreads);
 }
 
-/// The determinism matrix of the acceptance criteria: for every θ shape,
-/// thread count, and morsel size — including morsel 1 (maximum interleaving)
-/// and morsel |R| (the legacy static split) — both entry points must produce
-/// exactly the sequential evaluator's table. TablesEqualOrdered compares
-/// cells with Value::Equals, i.e. doubles bit-for-bit; the sales amounts are
-/// integer-valued so float sums are exact under any merge order.
-TEST_F(MorselTest, BitIdenticalAcrossThreadsMorselsAndThetaShapes) {
-  Table sales = testutil::RandomSales(71, 400);
+/// The determinism matrix: for every θ shape and thread count, the base
+/// split and the detail split must produce exactly the sequential
+/// evaluator's table. TablesEqualOrdered compares cells with Value::Equals,
+/// i.e. doubles bit-for-bit; the sales amounts are integer-valued so float
+/// sums are exact under any merge order. 2500 detail rows make three
+/// 1024-row morsels per job.
+TEST_F(MorselTest, BitIdenticalAcrossThreadsAndThetaShapes) {
+  Table sales = testutil::RandomSales(71, 2500);
   Table flat_base = *GroupByBase(sales, {"cust", "month"});
   Table cube_base = *CubeByBase(sales, {"prod", "month"});
 
@@ -146,59 +138,32 @@ TEST_F(MorselTest, BitIdenticalAcrossThreadsMorselsAndThetaShapes) {
     Result<Table> sequential = MdJoin(*shape.base, sales, aggs, shape.theta);
     ASSERT_TRUE(sequential.ok()) << shape.name;
     for (int threads : {1, 2, 8}) {
-      for (int64_t morsel : {int64_t{1}, int64_t{1024}, sales.num_rows()}) {
-        MdJoinOptions options;
-        options.morsel_size = morsel;
-        ParallelMdJoinStats stats;
-        Result<Table> split = ParallelMdJoin(*shape.base, sales, aggs, shape.theta,
-                                             /*num_partitions=*/4, threads, options,
-                                             &stats);
-        ASSERT_TRUE(split.ok()) << shape.name << " threads=" << threads
-                                << " morsel=" << morsel << ": "
-                                << split.status().ToString();
-        EXPECT_TRUE(TablesEqualOrdered(*sequential, *split))
-            << "base split: " << shape.name << " threads=" << threads
-            << " morsel=" << morsel;
-        EXPECT_EQ(stats.total_detail_rows_scanned, 4 * sales.num_rows());
+      MdJoinStats stats;
+      Result<Table> split = ParallelMdJoin(*shape.base, sales, aggs, shape.theta,
+                                           /*num_partitions=*/4, threads, {}, &stats);
+      ASSERT_TRUE(split.ok()) << shape.name << " threads=" << threads << ": "
+                              << split.status().ToString();
+      EXPECT_TRUE(TablesEqualOrdered(*sequential, *split))
+          << "base split: " << shape.name << " threads=" << threads;
+      EXPECT_EQ(stats.detail_rows_scanned, 4 * sales.num_rows());
+      EXPECT_EQ(stats.morsels, 4 * 3);
 
-        Result<Table> detail = ParallelMdJoinDetailSplit(
-            *shape.base, sales, aggs, shape.theta, /*num_partitions=*/threads, threads,
-            options, &stats);
-        ASSERT_TRUE(detail.ok()) << shape.name << " threads=" << threads
-                                 << " morsel=" << morsel << ": "
-                                 << detail.status().ToString();
-        EXPECT_TRUE(TablesEqualOrdered(*sequential, *detail))
-            << "detail split: " << shape.name << " threads=" << threads
-            << " morsel=" << morsel;
-        EXPECT_EQ(stats.total_detail_rows_scanned, sales.num_rows());
-      }
+      MdJoinOptions options;
+      options.num_threads = threads;
+      Result<Table> detail =
+          MdJoin(*shape.base, sales, aggs, shape.theta, options, &stats);
+      ASSERT_TRUE(detail.ok()) << shape.name << " threads=" << threads << ": "
+                               << detail.status().ToString();
+      EXPECT_TRUE(TablesEqualOrdered(*sequential, *detail))
+          << "detail split: " << shape.name << " threads=" << threads;
+      EXPECT_EQ(stats.detail_rows_scanned, sales.num_rows());
+      EXPECT_EQ(stats.threads, std::min(threads, 3));
     }
   }
 }
 
-/// Same matrix, row execution mode: covers the heap-state scan path and the
-/// per-cell virtual Merge inside MergeWorkerPartials.
-TEST_F(MorselTest, RowModeMatchesSequentialUnderMorsels) {
-  Table sales = testutil::RandomSales(73, 300);
-  Table base = *GroupByBase(sales, {"cust"});
-  ExprPtr theta = Eq(RCol("cust"), BCol("cust"));
-  std::vector<AggSpec> aggs = {Count("n"), Sum(RCol("sale"), "total"),
-                               CountDistinct(RCol("prod"), "dp")};
-  MdJoinOptions options;
-  options.execution_mode = ExecutionMode::kRow;
-  Result<Table> sequential = MdJoin(base, sales, aggs, theta, options);
-  ASSERT_TRUE(sequential.ok());
-  for (int64_t morsel : {int64_t{1}, int64_t{37}, sales.num_rows()}) {
-    options.morsel_size = morsel;
-    Result<Table> parallel =
-        ParallelMdJoinDetailSplit(base, sales, aggs, theta, 8, 8, options);
-    ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-    EXPECT_TRUE(TablesEqualOrdered(*sequential, *parallel)) << "morsel=" << morsel;
-  }
-}
-
 TEST_F(MorselTest, ExecutorRoutesThroughMorselEngine) {
-  Table sales = testutil::RandomSales(79, 350);
+  Table sales = testutil::RandomSales(79, 2500);
   Table base = *GroupByBase(sales, {"cust"});
   Catalog catalog;
   ASSERT_TRUE(catalog.Register("Sales", &sales).ok());
@@ -238,18 +203,15 @@ TEST_F(MorselTest, CancelLandsMidMorselWithinStride) {
     QueryGuard guard(guard_options);
     MdJoinOptions options;
     options.guard = &guard;
-    options.morsel_size = 64;  // many small morsels in flight
-    ParallelMdJoinStats stats;
+    options.num_threads = 4;
+    MdJoinStats stats;
     Result<Table> result =
-        variant == 0
-            ? ParallelMdJoin(base, sales, aggs, theta, 4, 4, options, &stats)
-            : ParallelMdJoinDetailSplit(base, sales, aggs, theta, 4, 4, options,
-                                        &stats);
+        variant == 0 ? ParallelMdJoin(base, sales, aggs, theta, 4, 4, options, &stats)
+                     : MdJoin(base, sales, aggs, theta, options, &stats);
     ASSERT_FALSE(result.ok()) << "variant=" << variant;
     EXPECT_EQ(result.status().code(), StatusCode::kCancelled) << "variant=" << variant;
     // The cursor stopped being drained once the trip propagated.
-    EXPECT_LT(stats.total_detail_rows_scanned,
-              (variant == 0 ? 4 : 1) * sales.num_rows())
+    EXPECT_LT(stats.detail_rows_scanned, (variant == 0 ? 4 : 1) * sales.num_rows())
         << "variant=" << variant;
   }
 }
@@ -258,10 +220,8 @@ TEST_F(MorselTest, WorkerFailpointPropagatesFirstError) {
   Table sales = testutil::RandomSales(89, 500);
   Table base = *GroupByBase(sales, {"cust"});
   FailpointRegistry::Global()->Enable("parallel:fragment_error", /*count=*/1);
-  MdJoinOptions options;
-  options.morsel_size = 32;
   Result<Table> result = ParallelMdJoin(base, sales, {Count("n")},
-                                        Eq(RCol("cust"), BCol("cust")), 4, 4, options);
+                                        Eq(RCol("cust"), BCol("cust")), 4, 4);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInternal);
   EXPECT_NE(result.status().message().find("parallel:fragment_error"),
@@ -269,9 +229,9 @@ TEST_F(MorselTest, WorkerFailpointPropagatesFirstError) {
 }
 
 /// Regression for the merge-tail guard gap: cancellation must be honored
-/// inside the per-cell Merge loop (heap states) and the column MergeRange
-/// chunks, not only during scans. A pre-cancelled stride-1 guard has to stop
-/// the merge at its first tick.
+/// inside the column MergeRange chunks (flat and heap-fallback states), not
+/// only during scans. A pre-cancelled stride-1 guard has to stop the merge at
+/// its first tick.
 TEST_F(MorselTest, MergeShortCircuitsOnCancelledGuard) {
   Table sales = testutil::RandomSales(97, 50);
   Table base = *GroupByBase(sales, {"cust"});
@@ -280,17 +240,15 @@ TEST_F(MorselTest, MergeShortCircuitsOnCancelledGuard) {
                &sales.schema());
   ASSERT_TRUE(bound.ok());
 
-  for (bool vectorized : {false, true}) {
-    QueryGuardOptions guard_options;
-    guard_options.check_stride = 1;
-    QueryGuard guard(guard_options);
-    DetailScanWorker into(base, *bound, vectorized, &guard);
-    DetailScanWorker from(base, *bound, vectorized, &guard);
-    guard.Cancel();
-    Status st = MergeWorkerPartials(&into, from, &guard);
-    ASSERT_FALSE(st.ok()) << "vectorized=" << vectorized;
-    EXPECT_EQ(st.code(), StatusCode::kCancelled) << "vectorized=" << vectorized;
-  }
+  QueryGuardOptions guard_options;
+  guard_options.check_stride = 1;
+  QueryGuard guard(guard_options);
+  DetailScanWorker into(base.num_rows(), *bound, /*num_components=*/1, &guard);
+  DetailScanWorker from(base.num_rows(), *bound, /*num_components=*/1, &guard);
+  guard.Cancel();
+  Status st = MergeWorkerPartials(&into, from, &guard);
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.code(), StatusCode::kCancelled);
 }
 
 }  // namespace

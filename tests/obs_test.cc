@@ -8,15 +8,18 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <functional>
 #include <new>
 #include <set>
 #include <thread>
 #include <vector>
 
+#include "analyze/binder.h"
 #include "obs/metrics.h"
 #include "obs/query_profile.h"
 #include "obs/trace.h"
 #include "optimizer/executor.h"
+#include "optimizer/optimize.h"
 #include "optimizer/plan.h"
 #include "table/table_ops.h"
 #include "tests/test_util.h"
@@ -38,6 +41,18 @@ void* operator new(std::size_t size) {
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t size) { return ::operator new(size); }
+// The nothrow forms too (std::stable_sort's temporary buffer uses them):
+// replacing only the throwing ones would pair a sanitizer-owned new with the
+// free() below.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  if (g_count_allocs.load(std::memory_order_relaxed)) {
+    g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  }
+  return std::malloc(size ? size : 1);
+}
+void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
+  return ::operator new(size, tag);
+}
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
@@ -336,7 +351,6 @@ TEST_F(ObsTest, ExplainAnalyzeEmitsWorkerTracks) {
 
   MdJoinOptions options;
   options.num_threads = 2;
-  options.morsel_size = 256;
   QueryProfile profile;
   Tracing::Start();
   Result<Table> result = ExplainAnalyze(plan, catalog, options, &profile);
@@ -357,6 +371,46 @@ TEST_F(ObsTest, ExplainAnalyzeEmitsWorkerTracks) {
   EXPECT_TRUE(saw_morsel);
   EXPECT_TRUE(saw_steal);
   EXPECT_GE(morsel_tids.size(), 1u);
+}
+
+/// Each matched pair updates only its own component's aggregates: the
+/// Example 2.2 pivot (three components of one aggregate each) and the
+/// Example 2.5 chain's fused node (two of one each) must report exactly one
+/// aggregate update per matched pair, not one per aggregate of every
+/// component.
+TEST_F(ObsTest, GeneralizedNodeCountsUpdatesPerComponent) {
+  Table sales = testutil::RandomSales(13, 1500, /*num_cust=*/20);
+  Catalog catalog;
+  ASSERT_TRUE(catalog.Register("Sales", &sales).ok());
+  const char* texts[] = {
+      "select cust, avg(X.sale) as avg_ny, avg(Y.sale) as avg_nj, avg(Z.sale) as avg_ct "
+      "from Sales analyze by group(cust) "
+      "such that X: X.cust = cust and X.state = 'NY', "
+      "Y: Y.cust = cust and Y.state = 'NJ', "
+      "Z: Z.cust = cust and Z.state = 'CT'",
+      "select prod, month, count(Z.sale) as between_count "
+      "from Sales where year = 1997 analyze by group(prod, month) "
+      "such that X: X.prod = prod and X.month = month - 1, "
+      "Y: Y.prod = prod and Y.month = month + 1, "
+      "Z: Z.prod = prod and Z.month = month "
+      "and Z.sale > avg(X.sale) and Z.sale < avg(Y.sale)"};
+  for (const char* text : texts) {
+    Result<analyze::BoundQuery> bound = analyze::BindQueryString(text, catalog);
+    ASSERT_TRUE(bound.ok()) << bound.status().ToString();
+    Result<PlanPtr> plan = OptimizePlan(bound->plan, catalog);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    QueryProfile profile;
+    ASSERT_TRUE(ExplainAnalyze(*plan, catalog, {}, &profile).ok());
+    const OperatorProfile* gmd = nullptr;
+    std::function<void(const OperatorProfile&)> find = [&](const OperatorProfile& n) {
+      if (n.label.rfind("GeneralizedMdJoin", 0) == 0) gmd = &n;
+      for (const auto& child : n.children) find(*child);
+    };
+    find(*profile.root);
+    ASSERT_NE(gmd, nullptr) << profile.ToText();
+    EXPECT_GT(gmd->matched_pairs, 0) << profile.ToText();
+    EXPECT_EQ(gmd->agg_updates, gmd->matched_pairs) << profile.ToText();
+  }
 }
 
 }  // namespace

@@ -1,15 +1,18 @@
 // A/B tests for the out-of-core MD-join (storage/out_of_core): PagedMdJoin
-// must be bit-identical to the in-memory MdJoin across the full mode matrix
-// — {1, 2, 8} threads × {vectorized, row} × {spill on, spill off} — plus
-// zone-map pruning effectiveness, ALL/NULL equi-key spill routing, the
-// catalog/executor paged path, and block-cache accounting under a query
-// guard.
+// must be bit-identical to the Definition 3.1 reference across {1, 2, 8}
+// threads × {spill on, spill off}; the route matrix runs every MD-join route
+// (in-memory and paged, one and three components, any thread count, single
+// and forced multi-pass) over NULL, ALL and NaN keys against the reference;
+// plus zone-map pruning effectiveness, ALL/NULL equi-key spill routing, the
+// catalog/executor paged path (a fused pivot included), and block-cache
+// accounting under a query guard.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
 #include <filesystem>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <string>
@@ -17,10 +20,14 @@
 
 #include "analyze/binder.h"
 #include "common/query_guard.h"
+#include "common/random.h"
+#include "core/generalized.h"
 #include "core/mdjoin.h"
+#include "core/reference.h"
 #include "cube/base_tables.h"
 #include "obs/query_profile.h"
 #include "optimizer/executor.h"
+#include "optimizer/optimize.h"
 #include "optimizer/plan.h"
 #include "storage/block_cache.h"
 #include "storage/block_format.h"
@@ -112,9 +119,9 @@ ExprPtr SelectiveTheta(double threshold) {
 }
 
 // ---------------------------------------------------------------------------
-// The acceptance matrix: {1,2,8} threads × {vectorized,row} × {spill on,off}
+// Threads × spill against the Definition 3.1 reference
 
-TEST(OutOfCoreTest, BitIdenticalAcrossModeMatrix) {
+TEST(OutOfCoreTest, BitIdenticalAcrossThreadsAndSpill) {
   Table sales = testutil::RandomSales(3, 500);
   Result<Table> base = GroupByBase(sales, {"cust"});
   ASSERT_TRUE(base.ok());
@@ -122,33 +129,138 @@ TEST(OutOfCoreTest, BitIdenticalAcrossModeMatrix) {
                                Avg(RCol("sale"), "mean"), Min(RCol("sale"), "lo"),
                                Max(RCol("sale"), "hi")};
   const ExprPtr theta = SelectiveTheta(120);
+  Result<Table> expect = MdJoinReference(*base, sales, aggs, theta);
+  ASSERT_TRUE(expect.ok()) << expect.status().ToString();
   PagedFixture paged(sales, 64, "matrix");
   BlockCache cache(BlockCache::Options{});
 
   for (int threads : {1, 2, 8}) {
-    for (ExecutionMode mode : {ExecutionMode::kVectorized, ExecutionMode::kRow}) {
-      MdJoinOptions reference_options;
-      reference_options.execution_mode = mode;
-      Result<Table> expect = MdJoin(*base, sales, aggs, theta, reference_options);
-      ASSERT_TRUE(expect.ok()) << expect.status().ToString();
-      for (bool spill : {false, true}) {
+    for (bool spill : {false, true}) {
+      MdJoinOptions md;
+      md.num_threads = threads;
+      md.block_cache = &cache;
+      md.enable_spill = spill;
+      md.spill_partitions = spill ? 3 : 0;
+      MdJoinStats stats;
+      Result<Table> got = PagedMdJoin(*base, paged.table(), aggs, theta, md, &stats);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_TRUE(TablesBitIdentical(*expect, *got))
+          << "threads=" << threads << " spill=" << spill;
+      EXPECT_GT(stats.blocks_read, 0) << "paged run decoded no blocks";
+      if (spill) {
+        EXPECT_EQ(stats.spill_partitions, 3);
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The route matrix: in-memory and paged (tiny blocks, tiny cache) × one and
+// three components × {1, 2, 8} threads × single and forced multi-pass, every
+// cell bit-identical to MdJoinReference applied component by component. Key
+// columns carry NULL, ALL and NaN; the aggregated values are integer-valued,
+// so float sums are exact under any merge order of worker partials.
+
+Table EdgeDetail(uint64_t seed, int64_t rows) {
+  Random rng(seed);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  TableBuilder b({{"k", DataType::kInt64},
+                  {"f", DataType::kFloat64},
+                  {"g", DataType::kString},
+                  {"v", DataType::kFloat64}});
+  for (int64_t i = 0; i < rows; ++i) {
+    Value k = i % 29 == 0 ? NUL() : (i % 31 == 0 ? ALL() : I(rng.UniformInt(1, 8)));
+    const double half_steps = 0.5 * static_cast<double>(rng.UniformInt(1, 5));
+    Value f = i % 23 == 0 ? F(nan) : (i % 37 == 0 ? NUL() : F(half_steps));
+    Value v = i % 43 == 0 ? NUL() : F(static_cast<double>(rng.UniformInt(1, 100)));
+    b.AppendRowOrDie({k, f, S(i % 3 == 0 ? "x" : "y"), v});
+  }
+  return std::move(b).Finish();
+}
+
+Table EdgeBase() {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  TableBuilder b({{"k", DataType::kInt64}, {"f", DataType::kFloat64}});
+  for (int64_t k = 0; k <= 9; ++k) {
+    b.AppendRowOrDie({I(k), F(0.5 * static_cast<double>(k % 6))});
+  }
+  b.AppendRowOrDie({NUL(), F(1.0)});
+  b.AppendRowOrDie({ALL(), F(nan)});
+  b.AppendRowOrDie({I(3), ALL()});
+  b.AppendRowOrDie({I(4), NUL()});
+  b.AppendRowOrDie({ALL(), ALL()});
+  return std::move(b).Finish();
+}
+
+/// An equi key with a pushed-down kernel, a float equi key over NaN with a
+/// string kernel, and an equi key with a residual comparing NaN-bearing floats.
+std::vector<MdJoinComponent> EdgeComponents() {
+  return {
+      {{Count("n1"), Sum(RCol("v"), "s1"), Min(RCol("v"), "lo1")},
+       And(Eq(RCol("k"), BCol("k")), Gt(RCol("v"), Lit(20.0)))},
+      {{Count("n2"), Max(RCol("v"), "hi2")},
+       And(Eq(RCol("f"), BCol("f")), Eq(RCol("g"), Lit("x")))},
+      {{Sum(RCol("v"), "s3"), Avg(RCol("v"), "a3")},
+       And(Eq(RCol("k"), BCol("k")), Lt(RCol("f"), BCol("f")))},
+  };
+}
+
+TEST(RouteMatrixTest, EveryRouteMatchesReferencePerComponent) {
+  const Table detail = EdgeDetail(17, 2000);
+  const Table base = EdgeBase();
+  PagedFixture paged(detail, 16, "routes");
+  BlockCache::Options cache_options;
+  cache_options.capacity_bytes = 2 * paged.table().ApproxBlockBytes(0);
+  BlockCache cache(cache_options);
+
+  const std::vector<MdJoinComponent> edge = EdgeComponents();
+  std::vector<std::vector<MdJoinComponent>> configs;
+  configs.reserve(edge.size() + 1);
+  for (const MdJoinComponent& c : edge) configs.push_back({c});  // k = 1
+  configs.push_back(edge);                                        // k = 3
+
+  for (const std::vector<MdJoinComponent>& comps : configs) {
+    const Table expect = testutil::ReferencePerComponent(base, detail, comps);
+    for (int threads : {1, 2, 8}) {
+      for (int64_t rows_per_pass : {int64_t{0}, int64_t{4}}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "k=" << comps.size() << " θ1=" << comps[0].theta->ToString()
+                     << " threads=" << threads << " rows_per_pass=" << rows_per_pass);
         MdJoinOptions md;
-        md.execution_mode = mode;
         md.num_threads = threads;
+        md.base_rows_per_pass = rows_per_pass;
         md.block_cache = &cache;
-        md.enable_spill = spill;
-        md.spill_partitions = spill ? 3 : 0;
-        MdJoinStats stats;
-        Result<Table> got = PagedMdJoin(*base, paged.table(), aggs, theta, md,
-                                        &stats);
-        ASSERT_TRUE(got.ok()) << got.status().ToString();
-        EXPECT_TRUE(TablesBitIdentical(*expect, *got))
-            << "threads=" << threads << " vectorized="
-            << (mode == ExecutionMode::kVectorized) << " spill=" << spill;
-        EXPECT_GT(stats.blocks_read, 0) << "paged run decoded no blocks";
-        if (spill) {
-          EXPECT_EQ(stats.spill_partitions, 3);
+        for (bool on_disk : {false, true}) {
+          MdJoinStats stats;
+          Result<Table> got = on_disk
+                                  ? PagedMdJoin(base, paged.table(), comps, md, &stats)
+                                  : GeneralizedMdJoin(base, detail, comps, md, &stats);
+          ASSERT_TRUE(got.ok()) << got.status().ToString();
+          EXPECT_TRUE(TablesBitIdentical(expect, *got)) << "paged=" << on_disk;
+          EXPECT_EQ(stats.passes_over_detail, rows_per_pass > 0 ? 4 : 1);
+          if (on_disk) {
+            EXPECT_GT(stats.blocks_read, 0);
+          }
         }
+        if (comps.size() > 1) continue;
+        // The single-component routes beside the generalized entry point.
+        const std::vector<AggSpec>& aggs = comps[0].aggs;
+        const ExprPtr& theta = comps[0].theta;
+        Result<Table> plain = MdJoin(base, detail, aggs, theta, md);
+        ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+        EXPECT_TRUE(TablesBitIdentical(expect, *plain)) << "MdJoin";
+        Result<Table> split = ParallelMdJoin(base, detail, aggs, theta, 3, threads, md);
+        ASSERT_TRUE(split.ok()) << split.status().ToString();
+        EXPECT_TRUE(TablesBitIdentical(expect, *split)) << "ParallelMdJoin";
+        MdJoinOptions spill = md;
+        spill.enable_spill = true;
+        spill.spill_partitions = 3;
+        Result<Table> spilled = SpillMdJoin(base, detail, aggs, theta, spill, nullptr);
+        ASSERT_TRUE(spilled.ok()) << spilled.status().ToString();
+        EXPECT_TRUE(TablesBitIdentical(expect, *spilled)) << "SpillMdJoin";
+        Result<Table> paged_spill = PagedMdJoin(base, paged.table(), aggs, theta, spill);
+        ASSERT_TRUE(paged_spill.ok()) << paged_spill.status().ToString();
+        EXPECT_TRUE(TablesBitIdentical(expect, *paged_spill)) << "paged spill";
       }
     }
   }
@@ -309,8 +421,11 @@ TEST(OutOfCoreTest, SpillRoutesAllAndNullKeys) {
 
   std::vector<AggSpec> aggs = {Count("n"), Sum(RCol("sale"), "total")};
   const ExprPtr theta = Eq(RCol("cust"), BCol("cust"));
-  Result<Table> expect = MdJoin(base, detail, aggs, theta);
+  Result<Table> expect = MdJoinReference(base, detail, aggs, theta);
   ASSERT_TRUE(expect.ok());
+  Result<Table> in_memory = MdJoin(base, detail, aggs, theta);
+  ASSERT_TRUE(in_memory.ok());
+  EXPECT_TRUE(TablesBitIdentical(*expect, *in_memory));
 
   // In-memory spill and paged spill must both reproduce it exactly.
   MdJoinOptions md;
@@ -329,14 +444,13 @@ TEST(OutOfCoreTest, SpillRoutesAllAndNullKeys) {
   EXPECT_TRUE(TablesBitIdentical(*expect, *paged_spilled));
 
   // Spot-check the semantics this encodes: NULL-key base row matched nothing
-  // (count 0); ALL-key base row is unconstrained on the equi attribute — the
-  // conjunct drops away entirely, so it matches every detail row including
-  // the NULL-key one (all 5 here). The in-memory base index encodes base-side
-  // ALL as a bucket with no probe positions, and the spill router must
-  // reproduce that by broadcasting ALL-key base rows against the full detail.
+  // (count 0); ALL-key base row matches every detail row whose key is not
+  // NULL (4 of the 5 here) — θ-equality never matches NULL, ALL included.
+  // The spill router reproduces that by broadcasting ALL-key base rows
+  // against the full detail.
   EXPECT_EQ(spilled->Get(2, 1).int64(), 0);
   EXPECT_TRUE(spilled->Get(2, 2).is_null());
-  EXPECT_EQ(spilled->Get(3, 1).int64(), 5);
+  EXPECT_EQ(spilled->Get(3, 1).int64(), 4);
 }
 
 TEST(OutOfCoreTest, SpillUnderGuardLeavesNoReservations) {
@@ -493,6 +607,52 @@ TEST(OutOfCoreTest, ExplainAnalyzeReportsBlockCounters) {
   EXPECT_GT(md->blocks_pruned, 0);
   const std::string text = profile.ToText();
   EXPECT_NE(text.find("blocks_read="), std::string::npos) << text;
+}
+
+TEST(OutOfCoreTest, PagedPivotRunsGeneralizedInParallelFromBlocks) {
+  // The Example 2.2 tri-state pivot fuses into one generalized MD-join; over
+  // paged Sales it must stream the detail's blocks on two workers instead of
+  // materializing the relation through a TableRef.
+  Table sales = testutil::RandomSales(37, 2000, /*num_cust=*/20);
+  PagedFixture paged(sales, 64, "pivot");
+  Catalog catalog;
+  ASSERT_TRUE(RegisterPagedTable(&catalog, "Sales", paged.table()).ok());
+  Catalog in_memory;
+  ASSERT_TRUE(in_memory.Register("Sales", &sales).ok());
+  const char* sql =
+      "select cust, avg(X.sale) as avg_ny, avg(Y.sale) as avg_nj, avg(Z.sale) as avg_ct "
+      "from Sales analyze by group(cust) "
+      "such that X: X.cust = cust and X.state = 'NY', "
+      "Y: Y.cust = cust and Y.state = 'NJ', "
+      "Z: Z.cust = cust and Z.state = 'CT'";
+  Result<analyze::BoundQuery> bound = analyze::BindQueryString(sql, catalog);
+  ASSERT_TRUE(bound.ok()) << bound.status().ToString();
+  Result<PlanPtr> plan = OptimizePlan(bound->plan, catalog);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+
+  MdJoinOptions md;
+  md.num_threads = 2;
+  QueryProfile profile;
+  Result<Table> got = ExplainAnalyze(*plan, catalog, md, &profile);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  const OperatorProfile* gmd = nullptr;
+  std::function<void(const OperatorProfile&)> find = [&](const OperatorProfile& n) {
+    if (n.label.rfind("GeneralizedMdJoin", 0) == 0) gmd = &n;
+    for (const auto& child : n.children) find(*child);
+  };
+  ASSERT_NE(profile.root, nullptr);
+  find(*profile.root);
+  ASSERT_NE(gmd, nullptr) << profile.ToText();
+  EXPECT_EQ(gmd->num_threads, 2) << profile.ToText();
+  EXPECT_GT(gmd->morsels, 0);
+  EXPECT_GT(gmd->blocks_read, 0);
+  // Only the base child executed: the detail never went through ReadAll.
+  EXPECT_EQ(gmd->children.size(), 1u) << profile.ToText();
+  EXPECT_NE(profile.ToText().find("threads=2"), std::string::npos);
+
+  Result<Table> expect = ExecutePlan(*plan, in_memory);
+  ASSERT_TRUE(expect.ok()) << expect.status().ToString();
+  EXPECT_TRUE(TablesBitIdentical(*expect, *got));
 }
 
 TEST(OutOfCoreTest, CatalogRejectsDuplicateNamesAcrossKinds) {

@@ -1,10 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 
+#include "common/thread_pool.h"
 #include "core/mdjoin.h"
-#include "parallel/parallel_mdjoin.h"
-#include "parallel/thread_pool.h"
 #include "ra/group_by.h"
 #include "cube/base_tables.h"
 #include "table/table_ops.h"
@@ -55,40 +55,43 @@ TEST(ParallelMdJoinTest, MatchesSequential) {
   ASSERT_TRUE(sequential.ok());
   for (int partitions : {1, 2, 3, 8}) {
     for (int threads : {1, 2, 4}) {
-      ParallelMdJoinStats stats;
+      MdJoinStats stats;
       Result<Table> parallel =
           ParallelMdJoin(*base, sales, aggs, theta, partitions, threads, {}, &stats);
       ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
       EXPECT_TRUE(TablesEqualOrdered(*sequential, *parallel))
           << "partitions=" << partitions << " threads=" << threads;
-      EXPECT_EQ(stats.num_partitions, partitions);
-      // Theorem 4.1 price: every fragment scans all of R.
-      EXPECT_EQ(stats.total_detail_rows_scanned, partitions * sales.num_rows());
+      // Theorem 4.1 price: every fragment scans all of R, within one pass.
+      EXPECT_EQ(stats.detail_rows_scanned, partitions * sales.num_rows());
+      EXPECT_EQ(stats.passes_over_detail, 1);
     }
   }
 }
 
-TEST(ParallelMdJoinTest, DetailSplitMatchesSequential) {
-  Table sales = testutil::RandomSales(33, 400);
+TEST(ParallelMdJoinTest, ThreadedMdJoinMatchesSequential) {
+  // Three 1024-row morsels, so up to three workers get a share.
+  Table sales = testutil::RandomSales(33, 2500);
   Result<Table> base = GroupByBase(sales, {"cust"});
-  // Include a holistic aggregate: Merge-based detail split must still be
+  // Include a holistic aggregate: merging worker partials must still be
   // exact (this is what the merge callbacks buy over rollup re-aggregation).
   std::vector<AggSpec> aggs = {Count("n"), Avg(RCol("sale"), "a"),
                                CountDistinct(RCol("prod"), "dp")};
   Result<Table> sequential = MdJoin(*base, sales, aggs, CustTheta());
   ASSERT_TRUE(sequential.ok());
-  for (int partitions : {1, 2, 5}) {
-    ParallelMdJoinStats stats;
-    Result<Table> parallel = ParallelMdJoinDetailSplit(*base, sales, aggs, CustTheta(),
-                                                       partitions, 3, {}, &stats);
+  for (int threads : {1, 2, 5}) {
+    MdJoinOptions options;
+    options.num_threads = threads;
+    MdJoinStats stats;
+    Result<Table> parallel = MdJoin(*base, sales, aggs, CustTheta(), options, &stats);
     ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-    EXPECT_TRUE(TablesEqualOrdered(*sequential, *parallel)) << "p=" << partitions;
-    // Detail split scans R exactly once in total.
-    EXPECT_EQ(stats.total_detail_rows_scanned, sales.num_rows());
+    EXPECT_TRUE(TablesEqualOrdered(*sequential, *parallel)) << "threads=" << threads;
+    // Workers split R's morsels: R is scanned exactly once in total.
+    EXPECT_EQ(stats.detail_rows_scanned, sales.num_rows());
+    EXPECT_EQ(stats.threads, std::min(threads, 3));
   }
 }
 
-TEST(ParallelMdJoinTest, DetailSplitHandlesResidualTheta) {
+TEST(ParallelMdJoinTest, ThreadedMdJoinHandlesResidualTheta) {
   Table sales = testutil::RandomSales(35, 300);
   Result<Table> base = GroupByBase(sales, {"cust"});
   Result<Table> with_avg = MdJoin(*base, sales, {Avg(RCol("sale"), "avg_sale")},
@@ -98,8 +101,9 @@ TEST(ParallelMdJoinTest, DetailSplitHandlesResidualTheta) {
                       Eq(RCol("year"), Lit(1997)));
   std::vector<AggSpec> aggs = {Count("above")};
   Result<Table> sequential = MdJoin(*with_avg, sales, aggs, theta);
-  Result<Table> parallel =
-      ParallelMdJoinDetailSplit(*with_avg, sales, aggs, theta, 4, 2);
+  MdJoinOptions options;
+  options.num_threads = 2;
+  Result<Table> parallel = MdJoin(*with_avg, sales, aggs, theta, options);
   ASSERT_TRUE(sequential.ok() && parallel.ok());
   EXPECT_TRUE(TablesEqualOrdered(*sequential, *parallel));
 }
@@ -120,8 +124,9 @@ TEST(ParallelMdJoinTest, InvalidArguments) {
   Result<Table> base = GroupByBase(sales, {"cust"});
   EXPECT_FALSE(ParallelMdJoin(*base, sales, {Count("n")}, CustTheta(), 0, 1).ok());
   EXPECT_FALSE(ParallelMdJoin(*base, sales, {Count("n")}, CustTheta(), 1, 0).ok());
-  EXPECT_FALSE(
-      ParallelMdJoinDetailSplit(*base, sales, {Count("n")}, nullptr, 2, 2).ok());
+  MdJoinOptions options;
+  options.num_threads = 2;
+  EXPECT_FALSE(MdJoin(*base, sales, {Count("n")}, nullptr, options).ok());
 }
 
 }  // namespace

@@ -4,7 +4,10 @@
 #include <string>
 #include <vector>
 
+#include "common/logging.h"
 #include "common/random.h"
+#include "core/mdjoin.h"
+#include "core/reference.h"
 #include "table/table_builder.h"
 
 namespace mdjoin {
@@ -66,6 +69,22 @@ inline Table RandomSales(uint64_t seed, int64_t rows, int64_t num_cust = 6,
                       F(static_cast<double>(rng.UniformInt(1, 500)))});
   }
   return std::move(b).Finish();
+}
+
+/// The oracle for a generalized MD-join: base columns, then each component's
+/// aggregates as MdJoinReference (Definition 3.1) computes them on its own.
+inline Table ReferencePerComponent(const Table& base, const Table& detail,
+                                   const std::vector<MdJoinComponent>& components) {
+  Table out = base.Clone();
+  for (const MdJoinComponent& comp : components) {
+    Result<Table> ref = MdJoinReference(base, detail, comp.aggs, comp.theta);
+    MDJ_CHECK(ref.ok()) << ref.status().ToString();
+    for (int c = base.num_columns(); c < ref->num_columns(); ++c) {
+      Status st = out.AddColumn(ref->schema().field(c), ref->column(c));
+      MDJ_CHECK(st.ok()) << st.ToString();
+    }
+  }
+  return out;
 }
 
 }  // namespace testutil

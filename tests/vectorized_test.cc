@@ -1,20 +1,23 @@
-/// A/B property tests for the vectorized execution path: for every θ shape
-/// the kernel grammar distinguishes (typed compares, string equality, IN
-/// lists, flipped literals, residuals, computed keys) and every option the
-/// evaluator exposes (index on/off, pushdown on/off, multi-pass staging,
-/// guard budgets, odd block sizes), ExecutionMode::kVectorized must produce
-/// the same table AND the same work counters as ExecutionMode::kRow. The
-/// aggregate list deliberately mixes flat-kernel builtins (count, sum, min,
-/// max, avg) with heap-fallback functions (count_distinct, var_pop) and a
-/// computed argument, so both state representations run side by side.
+/// Property tests for the block-at-a-time scan: for every θ shape the kernel
+/// grammar distinguishes (typed compares, string equality, IN lists, flipped
+/// literals, residuals, computed keys) and every option the evaluator exposes
+/// (index on/off, pushdown on/off, multi-pass staging, guard budgets, odd
+/// guard strides that cut partial blocks), the MD-join must produce exactly
+/// the Definition 3.1 reference's table (MdJoinReference, per component for
+/// a generalized MD-join). The aggregate list deliberately mixes flat-kernel
+/// builtins (count, sum, min, max, avg) with heap-fallback functions
+/// (count_distinct, var_pop) and a computed argument, so both state
+/// representations run side by side.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/generalized.h"
 #include "core/mdjoin.h"
+#include "core/reference.h"
 #include "cube/base_tables.h"
 #include "expr/conjuncts.h"
-#include "parallel/parallel_mdjoin.h"
 #include "table/table_ops.h"
 #include "tests/test_util.h"
 
@@ -84,36 +87,22 @@ std::vector<ExprPtr> ThetaVariants() {
   return thetas;
 }
 
-MdJoinOptions WithMode(MdJoinOptions base, ExecutionMode mode) {
-  base.execution_mode = mode;
-  return base;
-}
-
-/// Runs both modes and asserts identical tables and identical work counters.
-void ExpectModesAgree(const Table& base, const Table& detail,
-                      const std::vector<AggSpec>& aggs, const ExprPtr& theta,
-                      const MdJoinOptions& options) {
-  MdJoinStats row_stats, vec_stats;
-  Result<Table> row =
-      MdJoin(base, detail, aggs, theta, WithMode(options, ExecutionMode::kRow),
-             &row_stats);
-  Result<Table> vec =
-      MdJoin(base, detail, aggs, theta, WithMode(options, ExecutionMode::kVectorized),
-             &vec_stats);
-  ASSERT_TRUE(row.ok()) << row.status().ToString() << " θ=" << theta->ToString();
-  ASSERT_TRUE(vec.ok()) << vec.status().ToString() << " θ=" << theta->ToString();
-  EXPECT_TRUE(TablesEqualOrdered(*row, *vec)) << "θ=" << theta->ToString();
-  // The vectorized path is an execution rewrite: every work counter the two
-  // paths share must agree exactly.
-  EXPECT_EQ(row_stats.detail_rows_scanned, vec_stats.detail_rows_scanned);
-  EXPECT_EQ(row_stats.detail_rows_qualified, vec_stats.detail_rows_qualified);
-  EXPECT_EQ(row_stats.candidate_pairs, vec_stats.candidate_pairs);
-  EXPECT_EQ(row_stats.matched_pairs, vec_stats.matched_pairs);
-  EXPECT_EQ(row_stats.passes_over_detail, vec_stats.passes_over_detail);
-  EXPECT_EQ(row_stats.index_masks, vec_stats.index_masks);
-  // Mode markers: blocks only on the vectorized path.
-  EXPECT_EQ(row_stats.blocks, 0);
-  EXPECT_GT(vec_stats.blocks, 0);
+/// Runs the MD-join and asserts the reference's table plus the work
+/// counters every route shares.
+void ExpectMatchesReference(const Table& base, const Table& detail,
+                            const std::vector<AggSpec>& aggs, const ExprPtr& theta,
+                            const MdJoinOptions& options) {
+  Result<Table> want = MdJoinReference(base, detail, aggs, theta);
+  MdJoinStats stats;
+  Result<Table> got = MdJoin(base, detail, aggs, theta, options, &stats);
+  ASSERT_TRUE(want.ok()) << want.status().ToString() << " θ=" << theta->ToString();
+  ASSERT_TRUE(got.ok()) << got.status().ToString() << " θ=" << theta->ToString();
+  EXPECT_TRUE(TablesEqualOrdered(*want, *got)) << "θ=" << theta->ToString();
+  EXPECT_EQ(stats.detail_rows_scanned, stats.passes_over_detail * detail.num_rows());
+  EXPECT_LE(stats.detail_rows_qualified, stats.detail_rows_scanned);
+  EXPECT_LE(stats.matched_pairs, stats.candidate_pairs);
+  EXPECT_EQ(stats.agg_updates, stats.matched_pairs * static_cast<int64_t>(aggs.size()));
+  EXPECT_GT(stats.blocks, 0);
 }
 
 class VectorizedAB : public ::testing::TestWithParam<uint64_t> {
@@ -136,19 +125,24 @@ TEST_P(VectorizedAB, OptionsMatrix) {
           options.use_index = use_index;
           options.push_detail_selection = pushdown;
           options.base_rows_per_pass = rows_per_pass;
-          ExpectModesAgree(base_, sales_, MixedAggs(), theta, options);
+          ExpectMatchesReference(base_, sales_, MixedAggs(), theta, options);
         }
       }
     }
   }
 }
 
-TEST_P(VectorizedAB, OddBlockSizesCoverPartialBlocks) {
+TEST_P(VectorizedAB, OddGuardStridesCoverPartialBlocks) {
+  // A guard's check stride clamps the scan block, so odd strides cut the
+  // detail relation into partial blocks at every morsel boundary.
   ExprPtr theta = And(Eq(RCol("cust"), BCol("cust")), Gt(RCol("sale"), Lit(50.0)));
-  for (int block_size : {1, 7, 64, 100000}) {
+  for (int64_t stride : {1, 7, 64}) {
+    QueryGuardOptions guard_options;
+    guard_options.check_stride = stride;
+    QueryGuard guard(guard_options);
     MdJoinOptions options;
-    options.block_size = block_size;
-    ExpectModesAgree(base_, sales_, MixedAggs(), theta, options);
+    options.guard = &guard;
+    ExpectMatchesReference(base_, sales_, MixedAggs(), theta, options);
   }
 }
 
@@ -160,49 +154,41 @@ TEST_P(VectorizedAB, CubeBaseWithAllMarkers) {
   for (bool use_index : {true, false}) {
     MdJoinOptions options;
     options.use_index = use_index;
-    ExpectModesAgree(cube, sales_, MixedAggs(), theta, options);
+    ExpectMatchesReference(cube, sales_, MixedAggs(), theta, options);
   }
 }
 
 TEST_P(VectorizedAB, EmptyRngGroupsKeepIdentityValues) {
   // A base built from different data: many groups have empty RNG(b, R, θ)
-  // and must finalize to the aggregate identities in both modes.
+  // and must finalize to the aggregate identities.
   Table other = SalesWithNulls(GetParam() + 7777, 40);
   Table disjoint_base = *GroupByBase(other, {"cust", "month"});
   ExprPtr theta = And(Eq(RCol("cust"), BCol("cust")),
                       Eq(RCol("month"), BCol("month")), Eq(RCol("state"), Lit("IL")));
-  ExpectModesAgree(disjoint_base, sales_, MixedAggs(), theta, MdJoinOptions{});
+  ExpectMatchesReference(disjoint_base, sales_, MixedAggs(), theta, MdJoinOptions{});
 }
 
-TEST_P(VectorizedAB, GuardBudgetDegradesBothModesAlike) {
-  // A soft memory budget forces multi-pass degradation; both modes must
-  // degrade identically (same effective partition size, same result).
+TEST_P(VectorizedAB, GuardBudgetDegradesToTheSameResult) {
+  // A soft memory budget forces multi-pass degradation; the degraded run is
+  // result-identical to the reference.
   ExprPtr theta = And(Eq(RCol("cust"), BCol("cust")), Gt(RCol("sale"), Lit(20.0)));
   QueryGuardOptions gopt;
   gopt.memory_budget_bytes =
       MixedAggs().size() * base_.num_rows() * kGuardBytesPerAggState +
       3 * kGuardBytesPerIndexedBaseRow;
-  QueryGuard row_guard(gopt), vec_guard(gopt);
+  QueryGuard guard(gopt);
+  MdJoinOptions options;
+  options.guard = &guard;
 
-  MdJoinOptions row_options;
-  row_options.execution_mode = ExecutionMode::kRow;
-  row_options.guard = &row_guard;
-  MdJoinOptions vec_options;
-  vec_options.execution_mode = ExecutionMode::kVectorized;
-  vec_options.guard = &vec_guard;
-
-  MdJoinStats row_stats, vec_stats;
-  Result<Table> row = MdJoin(base_, sales_, MixedAggs(), theta, row_options, &row_stats);
-  Result<Table> vec = MdJoin(base_, sales_, MixedAggs(), theta, vec_options, &vec_stats);
-  ASSERT_TRUE(row.ok()) << row.status().ToString();
-  ASSERT_TRUE(vec.ok()) << vec.status().ToString();
-  EXPECT_TRUE(TablesEqualOrdered(*row, *vec));
-  EXPECT_TRUE(row_stats.memory_degraded);
-  EXPECT_TRUE(vec_stats.memory_degraded);
-  EXPECT_EQ(row_stats.base_rows_per_pass_effective,
-            vec_stats.base_rows_per_pass_effective);
-  EXPECT_EQ(row_stats.passes_over_detail, vec_stats.passes_over_detail);
-  EXPECT_GT(row_stats.passes_over_detail, 1);
+  MdJoinStats stats;
+  Result<Table> got = MdJoin(base_, sales_, MixedAggs(), theta, options, &stats);
+  Result<Table> want = MdJoinReference(base_, sales_, MixedAggs(), theta);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  EXPECT_TRUE(TablesEqualOrdered(*want, *got));
+  EXPECT_TRUE(stats.memory_degraded);
+  EXPECT_EQ(stats.base_rows_per_pass_effective, 3);
+  EXPECT_GT(stats.passes_over_detail, 1);
 }
 
 TEST_P(VectorizedAB, GeneralizedCubeComponentsKeepIndexesSeparate) {
@@ -220,18 +206,10 @@ TEST_P(VectorizedAB, GeneralizedCubeComponentsKeepIndexesSeparate) {
        And(Eq(RCol("prod"), BCol("prod")), Eq(RCol("month"), BCol("month")),
            Gt(BCol("month"), Lit(2)))});
 
-  MdJoinOptions options;
-  MdJoinStats row_stats, vec_stats;
-  Result<Table> row = GeneralizedMdJoin(cube, sales_, components,
-                                        WithMode(options, ExecutionMode::kRow),
-                                        &row_stats);
-  Result<Table> vec = GeneralizedMdJoin(cube, sales_, components,
-                                        WithMode(options, ExecutionMode::kVectorized),
-                                        &vec_stats);
-  ASSERT_TRUE(row.ok()) << row.status().ToString();
-  ASSERT_TRUE(vec.ok()) << vec.status().ToString();
-  EXPECT_TRUE(TablesEqualOrdered(*row, *vec));
-  EXPECT_EQ(row_stats.matched_pairs, vec_stats.matched_pairs);
+  Result<Table> got = GeneralizedMdJoin(cube, sales_, components);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_TRUE(TablesEqualOrdered(
+      testutil::ReferencePerComponent(cube, sales_, components), *got));
 }
 
 TEST_P(VectorizedAB, GeneralizedSharedScanAgrees) {
@@ -243,58 +221,55 @@ TEST_P(VectorizedAB, GeneralizedSharedScanAgrees) {
       {{Sum(RCol("sale"), "big_total"), Min(RCol("sale"), "big_lo"),
         CountDistinct(RCol("prod"), "big_prods")},
        And(Eq(RCol("cust"), BCol("cust")), Gt(RCol("sale"), Lit(100.0)))});
+  const Table want = testutil::ReferencePerComponent(base_, sales_, components);
 
   for (bool pushdown : {true, false}) {
     MdJoinOptions options;
     options.push_detail_selection = pushdown;
-    MdJoinStats row_stats, vec_stats;
-    Result<Table> row = GeneralizedMdJoin(base_, sales_, components,
-                                          WithMode(options, ExecutionMode::kRow),
-                                          &row_stats);
-    Result<Table> vec = GeneralizedMdJoin(base_, sales_, components,
-                                          WithMode(options, ExecutionMode::kVectorized),
-                                          &vec_stats);
-    ASSERT_TRUE(row.ok()) << row.status().ToString();
-    ASSERT_TRUE(vec.ok()) << vec.status().ToString();
-    EXPECT_TRUE(TablesEqualOrdered(*row, *vec));
-    EXPECT_EQ(row_stats.detail_rows_scanned, vec_stats.detail_rows_scanned);
-    EXPECT_EQ(row_stats.detail_rows_qualified, vec_stats.detail_rows_qualified);
-    EXPECT_EQ(row_stats.candidate_pairs, vec_stats.candidate_pairs);
-    EXPECT_EQ(row_stats.matched_pairs, vec_stats.matched_pairs);
-    EXPECT_GT(vec_stats.blocks, 0);
+    MdJoinStats stats;
+    Result<Table> got = GeneralizedMdJoin(base_, sales_, components, options, &stats);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_TRUE(TablesEqualOrdered(want, *got));
+    // One shared scan does each component's work: pairs and aggregate
+    // updates add up component by component.
+    int64_t pairs = 0, matched = 0, updates = 0, qualified_max = 0;
+    for (const MdJoinComponent& comp : components) {
+      MdJoinStats one;
+      ASSERT_TRUE(MdJoin(base_, sales_, comp.aggs, comp.theta, options, &one).ok());
+      pairs += one.candidate_pairs;
+      matched += one.matched_pairs;
+      updates += one.matched_pairs * static_cast<int64_t>(comp.aggs.size());
+      qualified_max = std::max(qualified_max, one.detail_rows_qualified);
+    }
+    EXPECT_EQ(stats.detail_rows_scanned, sales_.num_rows());
+    EXPECT_EQ(stats.candidate_pairs, pairs);
+    EXPECT_EQ(stats.matched_pairs, matched);
+    EXPECT_EQ(stats.agg_updates, updates);
+    // A row qualifies once if any component's selection keeps it.
+    EXPECT_GE(stats.detail_rows_qualified, qualified_max);
+    EXPECT_LE(stats.detail_rows_qualified, sales_.num_rows());
+    EXPECT_GT(stats.blocks, 0);
   }
 }
 
 TEST_P(VectorizedAB, ParallelVariantsAgree) {
   ExprPtr theta = And(Eq(RCol("cust"), BCol("cust")), Gt(RCol("sale"), Lit(60.0)));
-  MdJoinOptions options;  // kAuto
-  Result<Table> want =
-      MdJoin(base_, sales_, MixedAggs(), theta, WithMode(options, ExecutionMode::kRow));
+  Result<Table> want = MdJoinReference(base_, sales_, MixedAggs(), theta);
   ASSERT_TRUE(want.ok());
-  for (ExecutionMode mode : {ExecutionMode::kRow, ExecutionMode::kVectorized}) {
-    ParallelMdJoinStats base_split_stats, detail_split_stats;
-    Result<Table> base_split =
-        ParallelMdJoin(base_, sales_, MixedAggs(), theta, /*num_partitions=*/3,
-                       /*num_threads=*/2, WithMode(options, mode), &base_split_stats);
-    Result<Table> detail_split = ParallelMdJoinDetailSplit(
-        base_, sales_, MixedAggs(), theta, /*num_partitions=*/3,
-        /*num_threads=*/2, WithMode(options, mode), &detail_split_stats);
-    ASSERT_TRUE(base_split.ok()) << base_split.status().ToString();
-    ASSERT_TRUE(detail_split.ok()) << detail_split.status().ToString();
-    EXPECT_TRUE(TablesEqualUnordered(*want, *base_split));
-    EXPECT_TRUE(TablesEqualOrdered(*want, *detail_split));
-    const bool vec = mode == ExecutionMode::kVectorized;
-    EXPECT_EQ(base_split_stats.blocks > 0, vec);
-    EXPECT_EQ(detail_split_stats.blocks > 0, vec);
-  }
-}
-
-TEST_P(VectorizedAB, AutoModeResolvesToVectorized) {
-  ExprPtr theta = Eq(RCol("cust"), BCol("cust"));
-  MdJoinStats stats;
-  Result<Table> out = MdJoin(base_, sales_, MixedAggs(), theta, MdJoinOptions{}, &stats);
-  ASSERT_TRUE(out.ok());
-  EXPECT_GT(stats.blocks, 0);
+  MdJoinStats base_split_stats, detail_split_stats;
+  Result<Table> base_split =
+      ParallelMdJoin(base_, sales_, MixedAggs(), theta, /*num_partitions=*/3,
+                     /*num_threads=*/2, {}, &base_split_stats);
+  MdJoinOptions options;
+  options.num_threads = 2;
+  Result<Table> detail_split =
+      MdJoin(base_, sales_, MixedAggs(), theta, options, &detail_split_stats);
+  ASSERT_TRUE(base_split.ok()) << base_split.status().ToString();
+  ASSERT_TRUE(detail_split.ok()) << detail_split.status().ToString();
+  EXPECT_TRUE(TablesEqualOrdered(*want, *base_split));
+  EXPECT_TRUE(TablesEqualOrdered(*want, *detail_split));
+  EXPECT_GT(base_split_stats.blocks, 0);
+  EXPECT_GT(detail_split_stats.blocks, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, VectorizedAB, ::testing::Values(1, 2, 3, 4, 5),
