@@ -1,5 +1,7 @@
 #include "common/query_guard.h"
 
+#include <algorithm>
+
 #include "common/failpoint.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -194,6 +196,13 @@ int64_t QueryGuard::remaining_soft_bytes() const {
   if (!has_memory_budget()) return std::numeric_limits<int64_t>::max();
   const int64_t remaining = options_.memory_budget_bytes - bytes_reserved();
   return remaining > 0 ? remaining : 0;
+}
+
+int64_t QueryGuard::headroom_bytes() const {
+  int64_t headroom = remaining_soft_bytes();
+  const int64_t hard = options_.memory_hard_limit_bytes;
+  if (hard > 0) headroom = std::min(headroom, std::max<int64_t>(hard - bytes_reserved(), 0));
+  return headroom;
 }
 
 Status ScopedReservation::Reserve(QueryGuard* guard, int64_t bytes, const char* what) {

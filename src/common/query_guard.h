@@ -123,6 +123,12 @@ class QueryGuard {
   /// per-pass base partition to fit this.
   int64_t remaining_soft_bytes() const;
 
+  /// Bytes a reservation can take now without crossing the soft budget or
+  /// the hard limit: the smaller of the two headrooms, clamped at 0; int64
+  /// max when neither is configured. Optional memory (extra worker partials,
+  /// index ancestor rows) is taken only from here.
+  int64_t headroom_bytes() const;
+
   int64_t detail_rows_seen() const { return rows_.load(std::memory_order_relaxed); }
   int64_t candidate_pairs_seen() const {
     return pairs_.load(std::memory_order_relaxed);

@@ -67,9 +67,55 @@ Result<BaseIndex> BaseIndex::Build(const Table& base, const std::vector<int64_t>
       }
       index.buckets_.push_back(std::move(bucket));
     }
-    index.buckets_[it->second].map[std::move(key)].push_back(row);
+    MaskBucket& bucket = index.buckets_[it->second];
+    bucket.map[std::move(key)].rows.push_back(row);
+    ++bucket.rows;
+  }
+  if (auto it = bucket_of.find(0); it != bucket_of.end()) {
+    index.finest_ = static_cast<int>(it->second);
   }
   return index;
+}
+
+int64_t BaseIndex::link_rows() const {
+  if (finest_ < 0 || buckets_.size() < 2) return 0;
+  for (const MaskBucket& bucket : buckets_) {
+    if (bucket.rows != static_cast<int64_t>(bucket.map.size())) return 0;
+  }
+  return static_cast<int64_t>(buckets_[static_cast<size_t>(finest_)].map.size()) *
+         static_cast<int64_t>(buckets_.size());
+}
+
+void BaseIndex::LinkAncestors() {
+  const int64_t bound = link_rows();
+  if (linked_ || bound == 0) return;
+  links_.reserve(static_cast<size_t>(bound));
+  const size_t nkeys = detail_keys_.size();
+  std::vector<size_t> hashes(nkeys);
+  std::vector<const Value*> probe;
+  probe.reserve(nkeys);
+  for (auto& [key, entry] : buckets_[static_cast<size_t>(finest_)].map) {
+    // Every key holds one row (link_rows() > 0): one id per bucket at most.
+    entry.link_begin = static_cast<int64_t>(links_.size());
+    links_.push_back(entry.rows.front());
+    // A finest key holds every position: hash each Value once, and combine
+    // the hashes of each coarser bucket's positions into its RowKeyHash.
+    for (size_t i = 0; i < nkeys; ++i) hashes[i] = key[i].Hash();
+    for (size_t b = 0; b < buckets_.size(); ++b) {
+      if (static_cast<int>(b) == finest_) continue;
+      const MaskBucket& bucket = buckets_[b];
+      probe.clear();
+      size_t hash = bucket.probe_positions.size();
+      for (int pos : bucket.probe_positions) {
+        probe.push_back(&key[static_cast<size_t>(pos)]);
+        HashCombine(&hash, hashes[static_cast<size_t>(pos)]);
+      }
+      auto it = bucket.map.find(HashedKeyView{probe.data(), probe.size(), hash});
+      if (it != bucket.map.end()) links_.push_back(it->second.rows.front());
+    }
+    entry.link_count = static_cast<int64_t>(links_.size()) - entry.link_begin;
+  }
+  linked_ = true;
 }
 
 namespace {
@@ -134,6 +180,7 @@ BaseIndex::ProbeResult BaseIndex::ProbeSpan(const Table& detail, int64_t detail_
       scratch->code_key[nkeys] = null_tag;
       if (++scratch->memo_lookups == kProbeMemoWarmup &&
           scratch->memo_hits * 4 < kProbeMemoWarmup) {
+        // High-cardinality keys: the memo misses its way to the cap. Stop.
         scratch->memo_enabled = false;
         scratch->code_memo.clear();
       } else {
@@ -141,6 +188,8 @@ BaseIndex::ProbeResult BaseIndex::ProbeSpan(const Table& detail, int64_t detail_
             CodeKeyView{scratch->code_key.data(), scratch->code_key.size()});
         if (it != scratch->code_memo.end()) {
           ++scratch->memo_hits;
+          ++scratch->probe_lookups;
+          ++scratch->probe_hits;
           return ProbeResult{it->second.data(),
                              static_cast<int64_t>(it->second.size())};
         }
@@ -174,33 +223,38 @@ BaseIndex::ProbeResult BaseIndex::ProbeSpan(const Table& detail, int64_t detail_
     if (v->is_all()) any_all = true;
     scratch->key.push_back(v);
   }
+  if (multi) ++scratch->probe_lookups;
 
-  // Multi-bucket (cube) indexes pay 2^d map lookups per tuple; when the
-  // detail key stream repeats — the cube benchmarks have a few hundred
-  // distinct (dims) combinations over millions of rows — one memo lookup on
-  // the full key replaces all of them. Single-bucket probes are already one
-  // lookup, so the memo would be pure overhead there. Value-keyed memo only
-  // when the code keying above was unavailable.
-  bool value_memoize = false;
-  if (multi && scratch->memo_enabled && scratch->codeable != 1) {
-    if (++scratch->memo_lookups == kProbeMemoWarmup &&
-        scratch->memo_hits * 4 < kProbeMemoWarmup) {
-      // High-cardinality keys: the memo misses its way to the cap. Stop.
-      scratch->memo_enabled = false;
-      scratch->memo.clear();
-    } else {
-      auto it = scratch->memo.find(RowKeyView{scratch->key.data(), nkeys});
-      if (it != scratch->memo.end()) {
-        ++scratch->memo_hits;
-        return ProbeResult{it->second.data(),
-                           static_cast<int64_t>(it->second.size())};
-      }
-      value_memoize = scratch->memo.size() < kProbeMemoCap;
-    }
+  // A key found in the finest bucket carries its ancestor rows: all of
+  // Rel(t) in one lookup, spanned in place.
+  const Entry* hit = nullptr;
+  if (linked_ && !any_all) {
+    const Bucket& finest = buckets_[static_cast<size_t>(finest_)].map;
+    auto it = finest.find(RowKeyView{scratch->key.data(), nkeys});
+    if (it != finest.end()) hit = &it->second;
+  }
+  ProbeResult result;
+  if (hit != nullptr) {
+    ++scratch->probe_hits;
+    result = ProbeResult{links_.data() + hit->link_begin, hit->link_count};
+  } else {
+    result = Walk(scratch, any_all, gather);
   }
 
+  // A memo insert stores an owned copy and returns a span of the stored
+  // vector (node-based map: mapped vectors stay put across rehash).
+  if (code_memoize) {
+    auto [it, inserted] = scratch->code_memo.emplace(
+        scratch->code_key, std::vector<int64_t>(result.rows, result.rows + result.count));
+    return ProbeResult{it->second.data(), static_cast<int64_t>(it->second.size())};
+  }
+  return result;
+}
+
+BaseIndex::ProbeResult BaseIndex::Walk(ProbeScratch* scratch, bool any_all,
+                                       std::vector<int64_t>* gather) const {
   gather->clear();
-  const std::vector<int64_t>* single = nullptr;  // span-able single source
+  const Entry* single = nullptr;  // span-able single source
   for (const MaskBucket& bucket : buckets_) {
     // Gather the probe key for this bucket's non-ALL positions.
     scratch->probe.clear();
@@ -217,10 +271,10 @@ BaseIndex::ProbeResult BaseIndex::ProbeSpan(const Table& detail, int64_t detail_
       // Rare path (detail relation containing ALL): the probe key cannot
       // discriminate, walk the whole bucket.
       if (single != nullptr) {
-        gather->insert(gather->end(), single->begin(), single->end());
+        gather->insert(gather->end(), single->rows.begin(), single->rows.end());
         single = nullptr;
       }
-      for (const auto& [key, row_list] : bucket.map) {
+      for (const auto& [key, entry] : bucket.map) {
         bool match = true;
         size_t ki = 0;
         for (int pos : bucket.probe_positions) {
@@ -229,7 +283,9 @@ BaseIndex::ProbeResult BaseIndex::ProbeSpan(const Table& detail, int64_t detail_
             break;
           }
         }
-        if (match) gather->insert(gather->end(), row_list.begin(), row_list.end());
+        if (match) {
+          gather->insert(gather->end(), entry.rows.begin(), entry.rows.end());
+        }
       }
       continue;
     }
@@ -241,34 +297,15 @@ BaseIndex::ProbeResult BaseIndex::ProbeSpan(const Table& detail, int64_t detail_
       single = &it->second;
     } else {
       if (single != nullptr) {
-        gather->insert(gather->end(), single->begin(), single->end());
+        gather->insert(gather->end(), single->rows.begin(), single->rows.end());
         single = nullptr;
       }
-      gather->insert(gather->end(), it->second.begin(), it->second.end());
+      gather->insert(gather->end(), it->second.rows.begin(), it->second.rows.end());
     }
   }
-
-  ProbeResult result =
-      single != nullptr
-          ? ProbeResult{single->data(), static_cast<int64_t>(single->size())}
-          : ProbeResult{gather->data(), static_cast<int64_t>(gather->size())};
-
-  // Memo inserts store an owned copy and return a span of the stored vector
-  // (node-based map: mapped vectors stay put across rehash).
-  if (code_memoize) {
-    auto [it, inserted] = scratch->code_memo.emplace(
-        scratch->code_key, std::vector<int64_t>(result.rows, result.rows + result.count));
-    return ProbeResult{it->second.data(), static_cast<int64_t>(it->second.size())};
-  }
-  if (value_memoize) {
-    RowKey owned;
-    owned.reserve(nkeys);
-    for (size_t i = 0; i < nkeys; ++i) owned.push_back(*scratch->key[i]);
-    auto [it, inserted] = scratch->memo.emplace(
-        std::move(owned), std::vector<int64_t>(result.rows, result.rows + result.count));
-    return ProbeResult{it->second.data(), static_cast<int64_t>(it->second.size())};
-  }
-  return result;
+  return single != nullptr
+             ? ProbeResult{single->rows.data(), static_cast<int64_t>(single->rows.size())}
+             : ProbeResult{gather->data(), static_cast<int64_t>(gather->size())};
 }
 
 }  // namespace mdjoin

@@ -156,6 +156,27 @@ class DetailScan {
     return scan;
   }
 
+  /// Links each index's ancestor rows (BaseIndex::LinkAncestors) when the
+  /// guard can take them — kGuardBytesPerAncestorRow per row id, added to
+  /// the job's index reservation — and still leave `keep_free` bytes, what
+  /// the detail source reserves for the morsels the workers hold during the
+  /// scan. RunMdJoin calls this once every job of the pass holds its index
+  /// reservation, so the lists only take headroom the pass does not need.
+  /// An index whose lists do not fit probes per bucket, with the same rows.
+  Status LinkAncestors(QueryGuard* guard, int64_t keep_free) {
+    for (Part& part : parts_) {
+      const int64_t bytes = part.index.link_rows() * kGuardBytesPerAncestorRow;
+      if (bytes == 0 ||
+          (guard != nullptr && bytes > guard->headroom_bytes() - keep_free)) {
+        continue;
+      }
+      MDJ_RETURN_NOT_OK(part.index_bytes.Reserve(guard, part.index_bytes.bytes() + bytes,
+                                                 "base index ancestor rows"));
+      part.index.LinkAncestors();
+    }
+    return Status::OK();
+  }
+
   /// Scans rows [lo, hi) of `chunk`, a table with the detail schema, folding
   /// matches into `worker`'s partials. Machinery bound to the prepared table
   /// (typed mirror, hoisted argument columns, code-key probe memos) engages
@@ -505,20 +526,20 @@ DetailScanWorker::DetailScanWorker(int64_t base_rows, const std::vector<BoundAgg
 void DetailScanWorker::BeginJob() {
   // The probe memo caches full-key → candidates for one specific index;
   // serving those lists against a different job's index would be wrong. Its
-  // hit counters are fleet-wide, though: fold them before the reset.
+  // probe counters are fleet-wide, though: fold them before the reset.
   for (BaseIndex::ProbeScratch& s : scratch) {
-    stats.index_probe_lookups += s.memo_lookups;
-    stats.index_probe_memo_hits += s.memo_hits;
+    stats.index_probe_lookups += s.probe_lookups;
+    stats.index_probe_memo_hits += s.probe_hits;
     s = BaseIndex::ProbeScratch{};
   }
 }
 
 Status DetailScanWorker::FinishScan() {
   for (BaseIndex::ProbeScratch& s : scratch) {
-    stats.index_probe_lookups += s.memo_lookups;
-    stats.index_probe_memo_hits += s.memo_hits;
-    s.memo_lookups = 0;  // folded; the next BeginJob must not double-count
-    s.memo_hits = 0;
+    stats.index_probe_lookups += s.probe_lookups;
+    stats.index_probe_memo_hits += s.probe_hits;
+    s.probe_lookups = 0;  // folded; the next BeginJob must not double-count
+    s.probe_hits = 0;
   }
   return ticket.Finish();
 }
@@ -597,11 +618,7 @@ Result<Table> RunMdJoin(const Table& base, const DetailSource& detail,
         detail.num_morsels() * fragments, 1, std::max(1, options.num_threads)));
   }
   if (workers > 1 && guard != nullptr && state_bytes_per_worker > 0) {
-    int64_t headroom = guard->remaining_soft_bytes();
-    const int64_t hard = guard->options().memory_hard_limit_bytes;
-    if (hard > 0) {
-      headroom = std::min(headroom, std::max<int64_t>(hard - guard->bytes_reserved(), 0));
-    }
+    const int64_t headroom = guard->headroom_bytes();
     if (headroom != std::numeric_limits<int64_t>::max()) {
       const int64_t floor_rows =
           guard->has_memory_budget() ? 1 : std::min(rows_per_pass, nbase);
@@ -678,6 +695,9 @@ Result<Table> RunMdJoin(const Table& base, const DetailSource& detail,
         MDJ_ASSIGN_OR_RETURN(DetailScan job, DetailScan::Prepare(q, lo, hi, guard));
         stats->index_masks += job.index_masks();
         jobs.push_back(std::move(job));
+      }
+      for (DetailScan& job : jobs) {
+        MDJ_RETURN_NOT_OK(job.LinkAncestors(guard, workers * detail.morsel_bytes()));
       }
       MorselScheduler scheduler(static_cast<int64_t>(jobs.size()), detail.num_morsels());
       Status st = RunTasks(pool.get(), workers, guard, [&](int w) -> Status {

@@ -44,6 +44,11 @@ class DetailSource {
   /// Morsels of R each pass skips unread (zone-map pruned blocks).
   virtual int64_t pruned_per_pass() const { return 0; }
 
+  /// Most bytes Read() holds reserved on the guard for one morsel while its
+  /// scan runs (an uncached decoded block). Optional memory leaves this much
+  /// headroom free per worker.
+  virtual int64_t morsel_bytes() const { return 0; }
+
   /// Reads morsel `m` and calls `scan` on it. Storage counters (blocks read,
   /// faulted, cache hits) go into `stats`, which is the calling worker's own.
   virtual Status Read(int64_t m, QueryGuard* guard, MdJoinStats* stats,

@@ -107,6 +107,7 @@ struct MdJoinOptions {
 /// exists to bound blow-ups and trigger degradation, not to audit malloc.
 constexpr int64_t kGuardBytesPerAggState = 64;        // one AggregateState
 constexpr int64_t kGuardBytesPerIndexedBaseRow = 128; // BaseIndex entry
+constexpr int64_t kGuardBytesPerAncestorRow = 8;      // one ancestor row id
 constexpr int64_t kGuardBytesPerOutputCell = 48;      // one materialized Value
 
 /// Work counters of one MD-join evaluation, the same fields on every route
@@ -129,9 +130,10 @@ struct MdJoinStats {
   int64_t kernel_fallback_rows = 0;  // rows filtered per-row inside blocks
   int64_t dense_blocks = 0;          // blocks whose selection stayed all-rows
 
-  // Cube-index probe-memo counters (BaseIndex::ProbeScratch): lookups into
-  // the full-key → candidate-list cache and the hits among them. Zero when
-  // the memo never engaged (non-cube θ or a disabled index).
+  // Cube-index probe counters (BaseIndex::ProbeScratch): probes of a
+  // multi-bucket index with a non-NULL key, and those answered without the
+  // per-bucket walk — by a code-key memo hit or a finest-bucket hit. Zero
+  // for single-bucket indexes (non-cube θ) and unindexed joins.
   int64_t index_probe_lookups = 0;
   int64_t index_probe_memo_hits = 0;
 

@@ -1,9 +1,7 @@
 #include "cube/base_tables.h"
 
 #include <map>
-#include <unordered_set>
 
-#include "table/key.h"
 #include "table/table_ops.h"
 
 namespace mdjoin {
@@ -21,29 +19,50 @@ Result<Schema> BaseSchema(const Table& t, const std::vector<std::string>& dims) 
   return Schema(std::move(fields));
 }
 
-/// Appends the `mask` cuboid of `t` to `out` (schema over `dims`).
-Status AppendCuboid(const Table& t, const std::vector<std::string>& dims,
-                    CuboidMask mask, Table* out) {
-  std::vector<int> cols;
-  std::vector<int> positions;
-  for (size_t i = 0; i < dims.size(); ++i) {
-    if (mask & (CuboidMask{1} << i)) {
-      MDJ_ASSIGN_OR_RETURN(int idx, t.schema().GetFieldIndex(dims[i]));
-      cols.push_back(idx);
-      positions.push_back(static_cast<int>(i));
-    }
-  }
-  std::unordered_set<RowKey, RowKeyHash, RowKeyEqual> seen;
-  for (int64_t r = 0; r < t.num_rows(); ++r) {
-    RowKey key = t.GetRowKey(r, cols);
-    if (!seen.insert(key).second) continue;
-    std::vector<Value> row(dims.size(), Value::All());
-    for (size_t i = 0; i < positions.size(); ++i) {
-      row[static_cast<size_t>(positions[i])] = key[i];
+/// Appends to `out` (schema over `dims`, whose columns in `t` are `cols`)
+/// one row per row of `t` in `rows`: the grouped dims of `mask` from `t`, ALL
+/// in the rolled-up positions.
+void AppendCuboidRows(const Table& t, const std::vector<int>& cols, CuboidMask mask,
+                      const std::vector<int64_t>& rows, Table* out) {
+  for (int64_t r : rows) {
+    std::vector<Value> row(cols.size(), Value::All());
+    for (size_t i = 0; i < cols.size(); ++i) {
+      if (mask & (CuboidMask{1} << i)) row[i] = t.Get(r, cols[i]);
     }
     out->AppendRowUnchecked(std::move(row));
   }
-  return Status::OK();
+}
+
+/// The columns of `cols` (one per dim) that `mask` groups.
+std::vector<int> GroupedColumns(const std::vector<int>& cols, CuboidMask mask) {
+  std::vector<int> grouped;
+  for (size_t i = 0; i < cols.size(); ++i) {
+    if (mask & (CuboidMask{1} << i)) grouped.push_back(cols[i]);
+  }
+  return grouped;
+}
+
+/// The cuboids `masks` of `t` over `dims`, in that order, from one pass over
+/// `t`: the pass finds the first-occurrence rows of the finest cuboid (every
+/// dim grouped), and each cuboid then deduplicates only those rows. The first
+/// row of `t` with a coarse key is also the first occurrence of its finest
+/// key, so every cuboid keeps the rows, in the order, that its own scan of
+/// `t` would (Theorem 4.5 applied to the keys alone). Only row indices are
+/// held; no intermediate table is built.
+Result<Table> CuboidsFromFinest(const Table& t, const std::vector<std::string>& dims,
+                                const std::vector<CuboidMask>& masks) {
+  MDJ_ASSIGN_OR_RETURN(Schema schema, BaseSchema(t, dims));
+  MDJ_ASSIGN_OR_RETURN(std::vector<int> cols, ResolveColumns(t.schema(), dims));
+  Table out{std::move(schema)};
+  const std::vector<int64_t> finest = FirstOccurrenceRows(t, cols);
+  for (CuboidMask mask : masks) {
+    const std::vector<int> grouped = GroupedColumns(cols, mask);
+    AppendCuboidRows(t, cols, mask,
+                     grouped.size() == cols.size() ? finest
+                                                   : FirstOccurrenceRows(t, grouped, &finest),
+                     &out);
+  }
+  return out;
 }
 
 }  // namespace
@@ -54,40 +73,36 @@ Result<Table> GroupByBase(const Table& t, const std::vector<std::string>& dims) 
 
 Result<Table> CuboidBase(const Table& t, const CubeLattice& lattice, CuboidMask mask) {
   MDJ_ASSIGN_OR_RETURN(Schema schema, BaseSchema(t, lattice.dims()));
+  MDJ_ASSIGN_OR_RETURN(std::vector<int> cols, ResolveColumns(t.schema(), lattice.dims()));
   Table out{std::move(schema)};
-  MDJ_RETURN_NOT_OK(AppendCuboid(t, lattice.dims(), mask, &out));
+  AppendCuboidRows(t, cols, mask, FirstOccurrenceRows(t, GroupedColumns(cols, mask)), &out);
   return out;
 }
 
 Result<Table> CubeByBase(const Table& t, const std::vector<std::string>& dims) {
   MDJ_ASSIGN_OR_RETURN(CubeLattice lattice, CubeLattice::Make(dims));
-  MDJ_ASSIGN_OR_RETURN(Schema schema, BaseSchema(t, dims));
-  Table out{std::move(schema)};
   // Full cuboid first, then coarser ones, grand total last — the natural
   // reading order of Figure 1(a).
+  std::vector<CuboidMask> masks;
   for (int level = lattice.num_dims(); level >= 0; --level) {
-    for (CuboidMask mask : lattice.CuboidsAtLevel(level)) {
-      MDJ_RETURN_NOT_OK(AppendCuboid(t, dims, mask, &out));
-    }
+    for (CuboidMask mask : lattice.CuboidsAtLevel(level)) masks.push_back(mask);
   }
-  return out;
+  return CuboidsFromFinest(t, dims, masks);
 }
 
 Result<Table> RollupBase(const Table& t, const std::vector<std::string>& dims) {
-  MDJ_ASSIGN_OR_RETURN(Schema schema, BaseSchema(t, dims));
-  Table out{std::move(schema)};
   // Prefix masks: full, drop last dim, ..., grand total.
+  std::vector<CuboidMask> masks;
   for (int k = static_cast<int>(dims.size()); k >= 0; --k) {
-    CuboidMask mask = (CuboidMask{1} << k) - 1;
-    MDJ_RETURN_NOT_OK(AppendCuboid(t, dims, mask, &out));
+    masks.push_back((CuboidMask{1} << k) - 1);
   }
-  return out;
+  return CuboidsFromFinest(t, dims, masks);
 }
 
 Result<Table> GroupingSetsBase(const Table& t, const std::vector<std::string>& dims,
                                const std::vector<std::vector<std::string>>& sets) {
-  MDJ_ASSIGN_OR_RETURN(Schema schema, BaseSchema(t, dims));
-  Table out{std::move(schema)};
+  std::vector<CuboidMask> masks;
+  masks.reserve(sets.size());
   for (const std::vector<std::string>& set : sets) {
     CuboidMask mask = 0;
     for (const std::string& attr : set) {
@@ -104,9 +119,9 @@ Result<Table> GroupingSetsBase(const Table& t, const std::vector<std::string>& d
                                        "' is not among the declared dimensions");
       }
     }
-    MDJ_RETURN_NOT_OK(AppendCuboid(t, dims, mask, &out));
+    masks.push_back(mask);
   }
-  return out;
+  return CuboidsFromFinest(t, dims, masks);
 }
 
 Result<Table> UnpivotBase(const Table& t, const std::vector<std::string>& dims) {

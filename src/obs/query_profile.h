@@ -32,8 +32,8 @@ struct OperatorProfile {
   int64_t passes = 0;                 // Theorem 4.1 passes over R
   int64_t blocks = 0;                 // vectorized blocks
   int64_t kernel_invocations = 0;     // columnar predicate kernel runs
-  int64_t index_probe_lookups = 0;    // probe-memo lookups (cube indexes)
-  int64_t index_probe_memo_hits = 0;  // memo hits among those lookups
+  int64_t index_probe_lookups = 0;    // probes of multi-bucket (cube) indexes
+  int64_t index_probe_memo_hits = 0;  // of those, answered without the bucket walk
   int64_t morsels = 0;                // detail morsels the workers claimed
   int64_t steal_waits = 0;            // drained cursor polls ending worker loops
   int num_threads = 1;                // workers that executed this node
@@ -55,7 +55,8 @@ struct OperatorProfile {
                : -1.0;
   }
 
-  /// Memo hit rate of the cube-index probe cache; -1 with no lookups.
+  /// Share of cube-index probes answered by one lookup (code-key memo or
+  /// finest bucket) instead of the per-bucket walk; -1 with no lookups.
   double probe_hit_rate() const {
     return index_probe_lookups > 0
                ? static_cast<double>(index_probe_memo_hits) /

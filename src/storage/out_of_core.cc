@@ -1,5 +1,6 @@
 #include "storage/out_of_core.h"
 
+#include <algorithm>
 #include <optional>
 #include <utility>
 
@@ -77,7 +78,11 @@ class PagedSource final : public DetailSource {
       for (size_t b = 0; b < keep.size(); ++b) keep[b] = keep[b] || k[b];
     }
     for (int b = 0; b < table.num_blocks(); ++b) {
-      if (keep[static_cast<size_t>(b)]) kept_.push_back(b);
+      if (!keep[static_cast<size_t>(b)]) continue;
+      kept_.push_back(b);
+      if (cache_ == nullptr) {
+        morsel_bytes_ = std::max(morsel_bytes_, table.ApproxBlockBytes(b));
+      }
     }
   }
 
@@ -86,6 +91,7 @@ class PagedSource final : public DetailSource {
   int64_t pruned_per_pass() const override {
     return table_->num_blocks() - static_cast<int64_t>(kept_.size());
   }
+  int64_t morsel_bytes() const override { return morsel_bytes_; }
 
   Status Read(int64_t m, QueryGuard* guard, MdJoinStats* stats,
               const ScanFn& scan) const override {
@@ -115,6 +121,7 @@ class PagedSource final : public DetailSource {
   Table stub_;
   BlockCache* cache_;
   std::vector<int> kept_;
+  int64_t morsel_bytes_ = 0;  // largest kept block's decode, when uncached
 };
 
 }  // namespace

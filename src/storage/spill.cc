@@ -47,12 +47,7 @@ Counter* SpillPartitionsCounter() {
 /// the honest answer.
 int64_t SpillWriterBufBytes(const QueryGuard* guard, int num_partitions) {
   if (guard == nullptr) return static_cast<int64_t>(kSpillBufBytes);
-  int64_t headroom = guard->remaining_soft_bytes();
-  const int64_t hard = guard->options().memory_hard_limit_bytes;
-  if (hard > 0) {
-    headroom =
-        std::min(headroom, std::max<int64_t>(hard - guard->bytes_reserved(), 0));
-  }
+  const int64_t headroom = guard->headroom_bytes();
   if (headroom == std::numeric_limits<int64_t>::max()) {
     return static_cast<int64_t>(kSpillBufBytes);
   }

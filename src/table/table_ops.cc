@@ -6,6 +6,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "common/hash_util.h"
 #include "common/logging.h"
 
 namespace mdjoin {
@@ -35,13 +36,39 @@ Result<Table> SortTableBy(const Table& t, const std::vector<std::string>& column
   return SortTable(t, keys);
 }
 
-Table Distinct(const Table& t) {
-  std::unordered_set<RowKey, RowKeyHash, RowKeyEqual> seen;
-  Table out(t.schema());
-  for (int64_t r = 0; r < t.num_rows(); ++r) {
-    if (seen.insert(t.GetRow(r)).second) out.AppendRowFrom(t, r);
+std::vector<int64_t> FirstOccurrenceRows(const Table& t, const std::vector<int>& cols,
+                                         const std::vector<int64_t>* rows) {
+  std::vector<const Value*> columns;
+  columns.reserve(cols.size());
+  for (int c : cols) columns.push_back(t.column(c).data());
+  // A set of row indices that hashes (as RowKeyHash would) and compares the
+  // projected cells in place.
+  auto hash = [&columns](int64_t r) {
+    size_t h = columns.size();
+    for (const Value* col : columns) HashCombine(&h, col[r].Hash());
+    return h;
+  };
+  auto equal = [&columns](int64_t a, int64_t b) {
+    for (const Value* col : columns) {
+      if (!col[a].Equals(col[b])) return false;
+    }
+    return true;
+  };
+  const int64_t n = rows != nullptr ? static_cast<int64_t>(rows->size()) : t.num_rows();
+  std::unordered_set<int64_t, decltype(hash), decltype(equal)> seen(
+      static_cast<size_t>(n), hash, equal);
+  std::vector<int64_t> out;
+  for (int64_t i = 0; i < n; ++i) {
+    const int64_t r = rows != nullptr ? (*rows)[static_cast<size_t>(i)] : i;
+    if (seen.insert(r).second) out.push_back(r);
   }
   return out;
+}
+
+Table Distinct(const Table& t) {
+  std::vector<int> cols(static_cast<size_t>(t.num_columns()));
+  std::iota(cols.begin(), cols.end(), 0);
+  return TakeRows(t, FirstOccurrenceRows(t, cols));
 }
 
 Result<Table> DistinctOn(const Table& t, const std::vector<std::string>& columns) {
@@ -50,11 +77,7 @@ Result<Table> DistinctOn(const Table& t, const std::vector<std::string>& columns
   fields.reserve(cols.size());
   for (int c : cols) fields.push_back(t.schema().field(c));
   Table out{Schema(std::move(fields))};
-  std::unordered_set<RowKey, RowKeyHash, RowKeyEqual> seen;
-  for (int64_t r = 0; r < t.num_rows(); ++r) {
-    RowKey key = t.GetRowKey(r, cols);
-    if (seen.insert(key).second) out.AppendRowUnchecked(std::move(key));
-  }
+  for (int64_t r : FirstOccurrenceRows(t, cols)) out.AppendRowUnchecked(t.GetRowKey(r, cols));
   return out;
 }
 

@@ -5,8 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 
+#include "common/random.h"
 #include "core/base_index.h"
+#include "cube/base_tables.h"
 #include "tests/test_util.h"
 
 namespace mdjoin {
@@ -42,11 +45,15 @@ std::vector<int64_t> AllRows(const Table& t) {
   return rows;
 }
 
-std::vector<int64_t> Probe(const BaseIndex& index, const Table& detail, int64_t row) {
-  BaseIndex::ProbeScratch scratch;
-  scratch.memo_enabled = false;  // one probe can never hit the memo
+/// One probe through `scratch`, sorted. With the default fresh scratch the
+/// code-key memo is off, so the finest lookup or the walk answers.
+std::vector<int64_t> Probe(const BaseIndex& index, const Table& detail, int64_t row,
+                           BaseIndex::ProbeScratch* scratch = nullptr) {
+  BaseIndex::ProbeScratch fresh;
+  fresh.memo_enabled = false;  // one probe can never hit the memo
+  if (scratch == nullptr) scratch = &fresh;
   std::vector<int64_t> gather;
-  const BaseIndex::ProbeResult r = index.ProbeSpan(detail, row, &scratch, &gather);
+  const BaseIndex::ProbeResult r = index.ProbeSpan(detail, row, scratch, &gather);
   std::vector<int64_t> out(r.rows, r.rows + r.count);
   std::sort(out.begin(), out.end());
   return out;
@@ -161,6 +168,194 @@ TEST(BaseIndexTest, EmptyBase) {
   ASSERT_TRUE(index.ok());
   EXPECT_EQ(index->num_masks(), 0);
   EXPECT_TRUE(Probe(*index, detail, 0).empty());
+}
+
+/// A random relation over k0 (int64), k1 (float64), k2 (int64), k3
+/// (float64) whose cells are drawn from {1, 2, 3} (or {1, 2, 3, 4} when
+/// `wide`, so some keys miss the base) plus NULL, ALL (unless `no_all`) and
+/// NaN.
+Table RandomKeys(Random* rng, int64_t rows, bool wide, bool no_all = false) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  TableBuilder b({{"k0", DataType::kInt64},
+                  {"k1", DataType::kFloat64},
+                  {"k2", DataType::kInt64},
+                  {"k3", DataType::kFloat64}});
+  for (int64_t r = 0; r < rows; ++r) {
+    std::vector<Value> row;
+    for (int c = 0; c < 4; ++c) {
+      const uint64_t pick = rng->Uniform(wide ? 14 : 13);
+      if (pick == 0) {
+        row.push_back(NUL());
+      } else if (pick == 1 && !no_all) {
+        row.push_back(ALL());
+      } else if (pick == 2 && c % 2 == 1) {
+        row.push_back(testutil::F(nan));
+      } else {
+        const int64_t v = 1 + static_cast<int64_t>(pick) % (wide ? 4 : 3);
+        row.push_back(c % 2 == 1 ? testutil::F(static_cast<double>(v)) : I(v));
+      }
+    }
+    b.AppendRowOrDie(std::move(row));
+  }
+  return std::move(b).Finish();
+}
+
+/// Definition 3.1 on the equi keys alone: every indexed row whose key
+/// MatchesEq the detail key position by position.
+std::vector<int64_t> BruteForce(const Table& base, const std::vector<int64_t>& rows,
+                                const Table& detail, int64_t t, int d) {
+  std::vector<int64_t> out;
+  for (int64_t r : rows) {
+    bool match = true;
+    for (int c = 0; c < d && match; ++c) match = base.Get(r, c).MatchesEq(detail.Get(t, c));
+    if (match) out.push_back(r);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// The finest-bucket lookup (one lookup carrying the ancestor rows) returns
+/// exactly the rows the per-bucket walk and a brute-force MatchesEq scan
+/// return, on random cube bases, for the whole base and for Theorem 4.1 row
+/// subsets, with detail keys inside and outside the finest cuboid, NULL, ALL
+/// and NaN keys on either side, and with or without the code-key memo. Every
+/// third cube is built over a relation that itself holds ALL, so some of its
+/// keys hold two rows and the index keeps no lists.
+TEST(BaseIndexTest, FinestLookupEqualsWalkAndBruteForce) {
+  const std::vector<std::string> names = {"k0", "k1", "k2", "k3"};
+  int64_t finest_hits = 0, linked_indexes = 0;
+  for (uint64_t seed = 1; seed <= 24; ++seed) {
+    Random rng(seed);
+    const int d = 1 + static_cast<int>(seed % 4);
+    const std::vector<std::string> dims(names.begin(), names.begin() + d);
+    SCOPED_TRACE(::testing::Message() << "seed=" << seed << " d=" << d);
+    Table base = *CubeByBase(
+        RandomKeys(&rng, 30, /*wide=*/false, /*no_all=*/seed % 3 != 0), dims);
+    Table detail = RandomKeys(&rng, 60, /*wide=*/true);
+    std::vector<EquiPair> equi;
+    for (const std::string& dim : dims) equi.push_back({BCol(dim), RCol(dim)});
+
+    // Row subsets: all rows; the finest rows without their ancestors and the
+    // reverse; a contiguous pass [lo, hi).
+    std::vector<int64_t> finest, coarser;
+    for (int64_t r = 0; r < base.num_rows(); ++r) {
+      bool any_all = false;
+      for (int c = 0; c < d; ++c) any_all = any_all || base.Get(r, c).is_all();
+      (any_all ? coarser : finest).push_back(r);
+    }
+    const int64_t lo = base.num_rows() / 3, hi = 2 * base.num_rows() / 3;
+    std::vector<int64_t> pass;
+    for (int64_t r = lo; r < hi; ++r) pass.push_back(r);
+    for (const std::vector<int64_t>& rows : {AllRows(base), finest, coarser, pass}) {
+      Result<BaseIndex> walk = BaseIndex::Build(base, rows, equi, detail.schema());
+      Result<BaseIndex> linked = BaseIndex::Build(base, rows, equi, detail.schema());
+      ASSERT_TRUE(walk.ok() && linked.ok());
+      linked->LinkAncestors();
+      if (linked->link_rows() > 0) ++linked_indexes;
+      BaseIndex::ProbeScratch memo;  // persistent, code-key memo on
+      BaseIndex::ProbeScratch no_memo;
+      no_memo.memo_enabled = false;
+      for (int64_t t = 0; t < detail.num_rows(); ++t) {
+        SCOPED_TRACE(::testing::Message() << "rows=" << rows.size() << " t=" << t);
+        const std::vector<int64_t> want = BruteForce(base, rows, detail, t, d);
+        EXPECT_EQ(Probe(*walk, detail, t), want);
+        EXPECT_EQ(Probe(*linked, detail, t, &no_memo), want);
+        EXPECT_EQ(Probe(*linked, detail, t, &memo), want);
+      }
+      finest_hits += no_memo.probe_hits;
+      EXPECT_LE(no_memo.probe_hits, no_memo.probe_lookups);
+      // The counters see the same probes with the memo on; a memo hit
+      // answers without the walk just as a finest hit does.
+      EXPECT_EQ(memo.probe_lookups, no_memo.probe_lookups);
+      EXPECT_GE(memo.probe_hits, no_memo.probe_hits);
+    }
+  }
+  // memo_enabled = false gates the code-key memo only: finest hits happen.
+  EXPECT_GT(finest_hits, 0);
+  EXPECT_GT(linked_indexes, 0);
+}
+
+/// The lists are kept only when every key holds one row. θ on part of a
+/// cube's dims, a duplicate base row or a repeated grouping set puts many
+/// rows under one key, and those would repeat in every finest descendant's
+/// list: link_rows() is then zero, LinkAncestors() keeps nothing and the
+/// index walks, with the same rows.
+TEST(BaseIndexTest, NoListsWhenAKeyHoldsManyRows) {
+  Table detail = MakeDetail({{I(1), I(3), testutil::F(5)}});
+  // The cube over (prod, month), indexed on prod alone: key 1 of the finest
+  // bucket holds rows 0, 1 and 3; the ALL bucket's one key holds 5, 6 and 7.
+  Table cube = MakeBase({{I(1), I(2)}, {I(1), I(3)}, {I(2), I(2)}, {I(1), ALL()},
+                         {I(2), ALL()}, {ALL(), I(2)}, {ALL(), I(3)}, {ALL(), ALL()}});
+  Result<BaseIndex> partial = BaseIndex::Build(cube, AllRows(cube),
+                                               {{BCol("prod"), RCol("prod")}},
+                                               detail.schema());
+  ASSERT_TRUE(partial.ok());
+  EXPECT_EQ(partial->link_rows(), 0);
+  partial->LinkAncestors();
+  BaseIndex::ProbeScratch scratch;
+  scratch.memo_enabled = false;
+  EXPECT_EQ(Probe(*partial, detail, 0, &scratch), (std::vector<int64_t>{0, 1, 3, 5, 6, 7}));
+  EXPECT_EQ(scratch.probe_lookups, 1);
+  EXPECT_EQ(scratch.probe_hits, 0);  // walked
+
+  // A duplicate finest row; a coarse row listed twice (a repeated grouping
+  // set). With each key holding one row, the bound is one id per bucket for
+  // each finest key.
+  Table dup = MakeBase({{I(1), I(3)}, {I(1), I(3)}, {ALL(), I(3)}});
+  Table twice = MakeBase({{I(1), I(3)}, {ALL(), I(3)}, {ALL(), I(3)}});
+  Table once = MakeBase({{I(1), I(3)}, {ALL(), I(3)}});
+  for (const Table* base : {&dup, &twice, &once}) {
+    Result<BaseIndex> index = BaseIndex::Build(*base, AllRows(*base), DimEqui(),
+                                               detail.schema());
+    ASSERT_TRUE(index.ok());
+    EXPECT_EQ(index->link_rows(), base == &once ? 2 : 0);
+    index->LinkAncestors();
+    BaseIndex::ProbeScratch s;
+    s.memo_enabled = false;
+    EXPECT_EQ(Probe(*index, detail, 0, &s), AllRows(*base));
+    EXPECT_EQ(s.probe_hits, base == &once ? 1 : 0);
+  }
+}
+
+TEST(BaseIndexTest, LinkRowsCountOneRowPerFinestKeyPerBucket) {
+  Table base = MakeBase({{I(1), I(2)}, {I(1), I(3)}, {I(1), ALL()}, {ALL(), I(2)},
+                         {ALL(), I(3)}, {ALL(), ALL()}});
+  Table detail = MakeDetail({{I(1), I(3), testutil::F(5)}});
+  Result<BaseIndex> index = BaseIndex::Build(base, AllRows(base), DimEqui(),
+                                             detail.schema());
+  ASSERT_TRUE(index.ok());
+  EXPECT_EQ(index->link_rows(), 2 * 4);  // two finest keys, four buckets
+  index->LinkAncestors();
+  BaseIndex::ProbeScratch scratch;
+  scratch.memo_enabled = false;
+  EXPECT_EQ(Probe(*index, detail, 0, &scratch), (std::vector<int64_t>{1, 2, 4, 5}));
+  EXPECT_EQ(scratch.probe_lookups, 1);
+  EXPECT_EQ(scratch.probe_hits, 1);
+  // A base with no finest bucket, or a single bucket, has nothing to link.
+  EXPECT_EQ(BaseIndex::Build(base, {2, 3, 4, 5}, DimEqui(), detail.schema())->link_rows(), 0);
+  EXPECT_EQ(BaseIndex::Build(base, {0, 1}, DimEqui(), detail.schema())->link_rows(), 0);
+}
+
+TEST(BaseIndexTest, ProbeCountersSeeMemoAndFinestHits) {
+  Table base = MakeBase({{I(1), I(2)}, {I(1), ALL()}, {ALL(), I(2)}, {ALL(), I(3)},
+                         {ALL(), ALL()}});
+  // A finest key, then a key outside the finest rows; each twice.
+  Table detail = MakeDetail({{I(1), I(2), testutil::F(1)}, {I(2), I(3), testutil::F(1)},
+                             {I(1), I(2), testutil::F(1)}, {I(2), I(3), testutil::F(1)}});
+  Result<BaseIndex> index = BaseIndex::Build(base, AllRows(base), DimEqui(),
+                                             detail.schema());
+  ASSERT_TRUE(index.ok());
+  index->LinkAncestors();
+  BaseIndex::ProbeScratch scratch;  // code-key memo on: the detail has a typed mirror
+  for (int64_t t : {0, 2}) {
+    EXPECT_EQ(Probe(*index, detail, t, &scratch), (std::vector<int64_t>{0, 1, 2, 4}));
+  }
+  for (int64_t t : {1, 3}) {
+    EXPECT_EQ(Probe(*index, detail, t, &scratch), (std::vector<int64_t>{3, 4}));
+  }
+  EXPECT_EQ(scratch.probe_lookups, 4);
+  EXPECT_EQ(scratch.memo_hits, 2);   // the repeats
+  EXPECT_EQ(scratch.probe_hits, 3);  // the repeats and the finest hit; one walk
 }
 
 TEST(BaseIndexTest, BuildRejectsUnboundColumns) {

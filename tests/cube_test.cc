@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <unordered_set>
+
+#include "common/random.h"
 #include "core/mdjoin.h"
 #include "core/reference.h"
 #include "cube/base_tables.h"
@@ -8,6 +13,7 @@
 #include "cube/pipesort.h"
 #include "expr/conjuncts.h"
 #include "ra/group_by.h"
+#include "table/key.h"
 #include "table/table_ops.h"
 #include "tests/test_util.h"
 
@@ -142,6 +148,148 @@ TEST(BaseTablesTest, RowCuboidAndPartition) {
     }
   }
   EXPECT_EQ(total, base->num_rows());
+}
+
+/// A small random relation over dims a (int64), b (float64), c (string) and
+/// d (float64), plus a payload column. Tiny domains make duplicate keys the
+/// rule; cells also take NULL, ALL, NaN, both zeros, and int64 values in the
+/// float64 columns (equal to their float64 twins under Value::Equals).
+Table RandomDimTable(uint64_t seed, int64_t rows) {
+  Random rng(seed);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<Value> floats = {testutil::F(0.0), testutil::F(-0.0), testutil::F(1.5),
+                                     testutil::F(nan), testutil::F(2.0), I(2)};
+  const std::vector<Value> strings = {testutil::S("x"), testutil::S("y"), testutil::S("")};
+  auto cell = [&rng](const std::vector<Value>& domain) {
+    switch (rng.Uniform(8)) {
+      case 0:
+        return Value::Null();
+      case 1:
+        return Value::All();
+      default:
+        return domain[rng.Uniform(domain.size())];
+    }
+  };
+  TableBuilder b({{"a", DataType::kInt64},
+                  {"b", DataType::kFloat64},
+                  {"c", DataType::kString},
+                  {"d", DataType::kFloat64},
+                  {"v", DataType::kInt64}});
+  for (int64_t r = 0; r < rows; ++r) {
+    b.AppendRowOrDie({cell({I(1), I(2), I(3)}), cell(floats), cell(strings), cell(floats),
+                      I(r)});
+  }
+  return std::move(b).Finish();
+}
+
+/// The generators' reference semantics: per cuboid, one scan of all of `t`
+/// keeping the first row of each distinct RowKey over the grouped dims, ALL
+/// in the rolled-up positions, cuboids in `masks` order.
+Table OracleCuboids(const Table& t, const std::vector<std::string>& dims,
+                    const std::vector<CuboidMask>& masks) {
+  std::vector<Field> fields;
+  for (const std::string& d : dims) fields.push_back(t.schema().field(*t.schema().FindField(d)));
+  Table out{Schema(std::move(fields))};
+  for (CuboidMask mask : masks) {
+    std::vector<int> cols;
+    std::vector<size_t> positions;
+    for (size_t i = 0; i < dims.size(); ++i) {
+      if (mask & (CuboidMask{1} << i)) {
+        cols.push_back(*t.schema().FindField(dims[i]));
+        positions.push_back(i);
+      }
+    }
+    std::unordered_set<RowKey, RowKeyHash, RowKeyEqual> seen;
+    for (int64_t r = 0; r < t.num_rows(); ++r) {
+      RowKey key = t.GetRowKey(r, cols);
+      if (!seen.insert(key).second) continue;
+      std::vector<Value> row(dims.size(), Value::All());
+      for (size_t i = 0; i < positions.size(); ++i) row[positions[i]] = key[i];
+      out.AppendRowUnchecked(std::move(row));
+    }
+  }
+  return out;
+}
+
+CuboidMask MaskOf(const std::vector<std::string>& dims, const std::vector<std::string>& set) {
+  CuboidMask mask = 0;
+  for (const std::string& a : set) {
+    mask |= CuboidMask{1} << (std::find(dims.begin(), dims.end(), a) - dims.begin());
+  }
+  return mask;
+}
+
+/// Every base generator keeps exactly the rows, and the row order, of a
+/// per-cuboid RowKey-set dedup over R.
+TEST(BaseTablesTest, GeneratorsMatchPerCuboidDedupRowForRow) {
+  const std::vector<std::string> names = {"a", "b", "c", "d"};
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "seed=" << seed);
+    Random rng(seed * 7919);
+    Table t = RandomDimTable(seed, static_cast<int64_t>(rng.UniformInt(0, 80)));
+    // 1 to 4 dims, in a random order.
+    std::vector<std::string> dims = names;
+    for (size_t i = dims.size(); i > 1; --i) std::swap(dims[i - 1], dims[rng.Uniform(i)]);
+    dims.resize(static_cast<size_t>(rng.UniformInt(1, 4)));
+    const int d = static_cast<int>(dims.size());
+    Result<CubeLattice> lattice = CubeLattice::Make(dims);
+    ASSERT_TRUE(lattice.ok());
+
+    std::vector<CuboidMask> cube_masks;
+    for (int level = d; level >= 0; --level) {
+      for (CuboidMask m : lattice->CuboidsAtLevel(level)) cube_masks.push_back(m);
+    }
+    Result<Table> cube = CubeByBase(t, dims);
+    ASSERT_TRUE(cube.ok());
+    EXPECT_TRUE(testutil::TablesBitIdentical(OracleCuboids(t, dims, cube_masks), *cube));
+
+    std::vector<CuboidMask> rollup_masks;
+    for (int k = d; k >= 0; --k) rollup_masks.push_back((CuboidMask{1} << k) - 1);
+    Result<Table> rollup = RollupBase(t, dims);
+    ASSERT_TRUE(rollup.ok());
+    EXPECT_TRUE(testutil::TablesBitIdentical(OracleCuboids(t, dims, rollup_masks), *rollup));
+
+    // Random grouping sets: any subsets, repeats and the empty set included.
+    std::vector<std::vector<std::string>> sets;
+    std::vector<CuboidMask> set_masks;
+    for (int s = static_cast<int>(rng.UniformInt(1, 4)); s > 0; --s) {
+      std::vector<std::string> set;
+      for (const std::string& dim : dims) {
+        if (rng.Bernoulli(0.5)) set.push_back(dim);
+      }
+      std::reverse(set.begin(), set.end());  // set order must not matter
+      set_masks.push_back(MaskOf(dims, set));
+      sets.push_back(std::move(set));
+    }
+    Result<Table> grouping = GroupingSetsBase(t, dims, sets);
+    ASSERT_TRUE(grouping.ok());
+    EXPECT_TRUE(testutil::TablesBitIdentical(OracleCuboids(t, dims, set_masks), *grouping));
+
+    std::vector<CuboidMask> unpivot_masks;
+    for (int i = 0; i < d; ++i) unpivot_masks.push_back(CuboidMask{1} << i);
+    Result<Table> unpivot = UnpivotBase(t, dims);
+    ASSERT_TRUE(unpivot.ok());
+    EXPECT_TRUE(testutil::TablesBitIdentical(OracleCuboids(t, dims, unpivot_masks), *unpivot));
+
+    for (CuboidMask mask : cube_masks) {
+      Result<Table> cuboid = CuboidBase(t, *lattice, mask);
+      ASSERT_TRUE(cuboid.ok());
+      EXPECT_TRUE(testutil::TablesBitIdentical(OracleCuboids(t, dims, {mask}), *cuboid))
+          << "mask=" << mask;
+    }
+
+    // Distinct over every column, and DistinctOn over the dims in their order.
+    Table want_distinct(t.schema());
+    std::unordered_set<RowKey, RowKeyHash, RowKeyEqual> seen;
+    for (int64_t r = 0; r < t.num_rows(); ++r) {
+      if (seen.insert(t.GetRow(r)).second) want_distinct.AppendRowFrom(t, r);
+    }
+    EXPECT_TRUE(testutil::TablesBitIdentical(want_distinct, Distinct(t)));
+    Result<Table> on = DistinctOn(t, dims);
+    ASSERT_TRUE(on.ok());
+    EXPECT_TRUE(testutil::TablesBitIdentical(
+        OracleCuboids(t, dims, {lattice->full_cuboid()}), *on));
+  }
 }
 
 TEST(CubeMdJoinTest, Example21CubeViaMdJoin) {

@@ -9,6 +9,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <filesystem>
 #include <mutex>
 #include <thread>
 
@@ -21,9 +22,13 @@
 #include "core/generalized.h"
 #include "core/incremental.h"
 #include "core/mdjoin.h"
+#include "core/reference.h"
 #include "cube/base_tables.h"
 #include "optimizer/executor.h"
 #include "optimizer/plan.h"
+#include "storage/block_format.h"
+#include "storage/out_of_core.h"
+#include "storage/paged_table.h"
 #include "table/table_ops.h"
 #include "tests/test_util.h"
 
@@ -256,6 +261,119 @@ TEST_F(GuardrailTest, MemoryHardLimitFails) {
   ASSERT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsResourceExhausted()) << result.status().ToString();
   EXPECT_NE(result.status().message().find("hard limit"), std::string::npos);
+}
+
+/// A cube index's ancestor lists are optional memory. Under a soft budget
+/// that fits the aggregate states and the 128 B-per-row index estimate but
+/// not the lists, the index is built without them and probes per bucket:
+/// still one pass, the reference result, and every byte released.
+TEST_F(GuardrailTest, CubeIndexSkipsAncestorListsThatDoNotFit) {
+  Table sales = testutil::RandomSales(57, 400);
+  const std::vector<std::string> dims = {"cust", "prod", "month", "state"};
+  Table base = *CubeByBase(sales, dims);
+  ExprPtr theta = Eq(RCol(dims[0]), BCol(dims[0]));
+  for (size_t i = 1; i < dims.size(); ++i) {
+    theta = And(theta, Eq(RCol(dims[i]), BCol(dims[i])));
+  }
+  std::vector<AggSpec> aggs = {Count("n"), Sum(RCol("sale"), "total")};
+  Result<Table> want = MdJoinReference(base, sales, aggs, theta);
+  ASSERT_TRUE(want.ok());
+
+  // Without the typed mirror no code-key memo runs, so every probe answered
+  // without the bucket walk is a finest hit.
+  MdJoinOptions options;
+  options.use_flat_columns = false;
+  MdJoinStats linked_stats;
+  ASSERT_TRUE(MdJoin(base, sales, aggs, theta, options, &linked_stats).ok());
+  ASSERT_EQ(linked_stats.index_probe_lookups, sales.num_rows());
+  EXPECT_EQ(linked_stats.index_probe_memo_hits, sales.num_rows());
+
+  const int64_t n = base.num_rows();
+  QueryGuardOptions guard_options;
+  guard_options.memory_budget_bytes =
+      static_cast<int64_t>(aggs.size()) * n * kGuardBytesPerAggState +
+      n * kGuardBytesPerIndexedBaseRow;
+  QueryGuard guard(guard_options);
+  options.guard = &guard;
+  MdJoinStats stats;
+  Result<Table> got = MdJoin(base, sales, aggs, theta, options, &stats);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_TRUE(testutil::TablesBitIdentical(*want, *got));
+  EXPECT_EQ(stats.passes_over_detail, 1);
+  EXPECT_FALSE(stats.memory_degraded);
+  EXPECT_EQ(stats.index_probe_lookups, sales.num_rows());
+  EXPECT_EQ(stats.index_probe_memo_hits, 0);  // no lists: every probe walked
+  EXPECT_EQ(guard.bytes_reserved(), 0);
+}
+
+/// The ancestor lists leave room for what the scan itself reserves: an
+/// uncached paged detail decodes each block into a guard-charged pin. Under
+/// a hard limit alone that holds the aggregate states, the index estimate and
+/// one decoded block, but not the lists as well, the query still runs and the
+/// index walks; with room for both, the lists are kept.
+TEST_F(GuardrailTest, CubeIndexLeavesRoomForUncachedDecodedBlocks) {
+  Table sales = testutil::RandomSales(59, 3000);
+  const std::vector<std::string> dims = {"cust", "prod", "month", "state"};
+  Table base = *CubeByBase(sales, dims);
+  ExprPtr theta = Eq(RCol(dims[0]), BCol(dims[0]));
+  for (size_t i = 1; i < dims.size(); ++i) {
+    theta = And(theta, Eq(RCol(dims[i]), BCol(dims[i])));
+  }
+  std::vector<AggSpec> aggs = {Sum(RCol("sale"), "total")};
+  Result<Table> want = MdJoinReference(base, sales, aggs, theta);
+  ASSERT_TRUE(want.ok());
+
+  const std::string path = (std::filesystem::temp_directory_path() /
+                            ("mdjoin_guardrail_blocks_" +
+                             std::to_string(reinterpret_cast<uintptr_t>(&sales))))
+                               .string();
+  BlockFileOptions file_options;
+  file_options.block_size_rows = 1024;
+  ASSERT_TRUE(WriteBlockFile(sales, path, file_options).ok());
+  Result<std::unique_ptr<PagedTable>> paged = PagedTable::Open(path);
+  ASSERT_TRUE(paged.ok());
+  int64_t block = 0;
+  for (int b = 0; b < (*paged)->num_blocks(); ++b) {
+    block = std::max(block, (*paged)->ApproxBlockBytes(b));
+  }
+
+  // What the scan holds (states, index, one decoded block), what the lists
+  // add (one row id per bucket for each finest key), and what the output
+  // phase holds after the index is released.
+  const int64_t n = base.num_rows();
+  int64_t finest = 0;
+  for (int64_t r = 0; r < n; ++r) {
+    bool any_all = false;
+    for (int c = 0; c < base.num_columns(); ++c) any_all = any_all || base.Get(r, c).is_all();
+    if (!any_all) ++finest;
+  }
+  const int64_t states = n * kGuardBytesPerAggState;
+  const int64_t scan = states + n * kGuardBytesPerIndexedBaseRow + block;
+  const int64_t lists = finest * (int64_t{1} << dims.size()) * kGuardBytesPerAncestorRow;
+  const int64_t output = states + n * (base.num_columns() + 1) * kGuardBytesPerOutputCell;
+  const int64_t tight = std::max(scan + lists / 2, output);
+  ASSERT_LT(tight, scan + lists);  // the lists and a decoded block do not both fit
+
+  for (const int64_t limit : {tight, scan + lists}) {
+    SCOPED_TRACE(::testing::Message() << "limit=" << limit);
+    QueryGuardOptions guard_options;
+    guard_options.memory_hard_limit_bytes = limit;
+    QueryGuard guard(guard_options);
+    MdJoinOptions options;
+    options.guard = &guard;
+    MdJoinStats stats;
+    Result<Table> got = PagedMdJoin(base, **paged, aggs, theta, options, &stats);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_TRUE(testutil::TablesBitIdentical(*want, *got));
+    EXPECT_EQ(stats.index_probe_lookups, sales.num_rows());
+    // Decoded blocks are foreign to the typed mirror, so no code-key memo
+    // runs: a probe answered without the walk is a finest hit.
+    EXPECT_EQ(stats.index_probe_memo_hits, limit == tight ? 0 : sales.num_rows());
+    EXPECT_EQ(guard.bytes_reserved(), 0);
+  }
+  paged->reset();
+  std::error_code ec;
+  std::filesystem::remove(path, ec);
 }
 
 /// Memory-budget parity across thread counts and component counts. The soft

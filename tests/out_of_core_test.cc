@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstring>
 #include <filesystem>
 #include <functional>
 #include <limits>
@@ -47,42 +46,7 @@ using testutil::F;
 using testutil::I;
 using testutil::NUL;
 using testutil::S;
-
-/// Bit-exact cell comparison (doubles by bit pattern).
-bool BitEq(const Value& a, const Value& b) {
-  if (a.is_null()) return b.is_null();
-  if (a.is_all()) return b.is_all();
-  if (a.is_int64()) return b.is_int64() && a.int64() == b.int64();
-  if (a.is_float64()) {
-    if (!b.is_float64()) return false;
-    uint64_t ba, bb;
-    const double da = a.float64(), db = b.float64();
-    std::memcpy(&ba, &da, sizeof(ba));
-    std::memcpy(&bb, &db, sizeof(bb));
-    return ba == bb;
-  }
-  return b.is_string() && a.string() == b.string();
-}
-
-::testing::AssertionResult TablesBitIdentical(const Table& a, const Table& b) {
-  if (a.num_rows() != b.num_rows()) {
-    return ::testing::AssertionFailure()
-           << "row counts differ: " << a.num_rows() << " vs " << b.num_rows();
-  }
-  if (a.num_columns() != b.num_columns()) {
-    return ::testing::AssertionFailure() << "column counts differ";
-  }
-  for (int64_t r = 0; r < a.num_rows(); ++r) {
-    for (int c = 0; c < a.num_columns(); ++c) {
-      if (!BitEq(a.Get(r, c), b.Get(r, c))) {
-        return ::testing::AssertionFailure()
-               << "cell (" << r << ", " << c << ") differs: "
-               << a.Get(r, c).ToString() << " vs " << b.Get(r, c).ToString();
-      }
-    }
-  }
-  return ::testing::AssertionSuccess();
-}
+using testutil::TablesBitIdentical;
 
 /// Writes `table` to a block file under the temp dir and opens it paged.
 class PagedFixture {

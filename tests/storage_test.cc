@@ -11,7 +11,6 @@
 
 #include <atomic>
 #include <cmath>
-#include <cstring>
 #include <filesystem>
 #include <limits>
 #include <thread>
@@ -38,7 +37,9 @@ using testutil::ALL;
 using testutil::F;
 using testutil::I;
 using testutil::NUL;
+using testutil::BitEq;
 using testutil::S;
+using testutil::TablesBitIdentical;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
@@ -59,35 +60,6 @@ class TempFile {
  private:
   std::string path_;
 };
-
-/// Bit-exact cell comparison: same variant, and doubles compared by bit
-/// pattern so NaN payloads and -0.0 vs 0.0 count as differences.
-bool BitEq(const Value& a, const Value& b) {
-  if (a.is_null()) return b.is_null();
-  if (a.is_all()) return b.is_all();
-  if (a.is_int64()) return b.is_int64() && a.int64() == b.int64();
-  if (a.is_float64()) {
-    if (!b.is_float64()) return false;
-    uint64_t ba, bb;
-    const double da = a.float64(), db = b.float64();
-    std::memcpy(&ba, &da, sizeof(ba));
-    std::memcpy(&bb, &db, sizeof(bb));
-    return ba == bb;
-  }
-  return b.is_string() && a.string() == b.string();
-}
-
-bool TablesBitIdentical(const Table& a, const Table& b) {
-  if (a.num_rows() != b.num_rows() || a.num_columns() != b.num_columns()) {
-    return false;
-  }
-  for (int64_t r = 0; r < a.num_rows(); ++r) {
-    for (int c = 0; c < a.num_columns(); ++c) {
-      if (!BitEq(a.Get(r, c), b.Get(r, c))) return false;
-    }
-  }
-  return true;
-}
 
 /// Round-trips `table` through a block file and asserts bit identity.
 void RoundTrip(const Table& table, int64_t block_size_rows,

@@ -1,6 +1,9 @@
 #ifndef MDJOIN_TESTS_TEST_UTIL_H_
 #define MDJOIN_TESTS_TEST_UTIL_H_
 
+#include <gtest/gtest.h>
+
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -18,6 +21,44 @@ inline Value F(double v) { return Value::Float64(v); }
 inline Value S(std::string v) { return Value::String(std::move(v)); }
 inline Value ALL() { return Value::All(); }
 inline Value NUL() { return Value::Null(); }
+
+/// Bit-exact cell comparison: same variant, and doubles compared by bit
+/// pattern so NaN payloads and -0.0 vs 0.0 count as differences.
+inline bool BitEq(const Value& a, const Value& b) {
+  if (a.is_null()) return b.is_null();
+  if (a.is_all()) return b.is_all();
+  if (a.is_int64()) return b.is_int64() && a.int64() == b.int64();
+  if (a.is_float64()) {
+    if (!b.is_float64()) return false;
+    uint64_t ba, bb;
+    const double da = a.float64(), db = b.float64();
+    std::memcpy(&ba, &da, sizeof(ba));
+    std::memcpy(&bb, &db, sizeof(bb));
+    return ba == bb;
+  }
+  return b.is_string() && a.string() == b.string();
+}
+
+/// Row-for-row, cell-for-cell BitEq; names the first differing cell.
+inline ::testing::AssertionResult TablesBitIdentical(const Table& a, const Table& b) {
+  if (a.num_rows() != b.num_rows()) {
+    return ::testing::AssertionFailure()
+           << "row counts differ: " << a.num_rows() << " vs " << b.num_rows();
+  }
+  if (a.num_columns() != b.num_columns()) {
+    return ::testing::AssertionFailure() << "column counts differ";
+  }
+  for (int64_t r = 0; r < a.num_rows(); ++r) {
+    for (int c = 0; c < a.num_columns(); ++c) {
+      if (!BitEq(a.Get(r, c), b.Get(r, c))) {
+        return ::testing::AssertionFailure()
+               << "cell (" << r << ", " << c << ") differs: "
+               << a.Get(r, c).ToString() << " vs " << b.Get(r, c).ToString();
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
 
 /// The paper's running-example Sales table:
 /// (cust, prod, day, month, year, state, sale).
