@@ -96,7 +96,7 @@ void BM_MorselSkew(benchmark::State& state) {
   state.counters["steal_waits"] = static_cast<double>(stats.steal_waits);
   state.counters["scan_work_multiplier"] =
       static_cast<double>(stats.detail_rows_scanned) / kSkewRows;
-  bench::TagConfig(state, options);
+  bench::TagConfig(state, sales);
 }
 BENCHMARK(BM_MorselSkew)->Arg(0)->Arg(8)->Arg(11)->Unit(benchmark::kMillisecond);
 

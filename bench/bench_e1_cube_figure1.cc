@@ -9,6 +9,7 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
+#include "common/logging.h"
 #include "core/mdjoin.h"
 #include "cube/base_tables.h"
 #include "ra/filter.h"
@@ -109,24 +110,38 @@ void BM_CubeBlockScan(benchmark::State& state) {
 }
 BENCHMARK(BM_CubeBlockScan)->Arg(200000)->Arg(1000000)->Unit(benchmark::kMillisecond);
 
-/// The raw-speed ladder on the 2-D cube. arg1 picks the arm:
-///   0 baseline_pr2 — the vectorized scan as PR 2 shipped it: no SIMD
-///     kernels, no dictionary/flat columns, θ through the closure tree.
-///   1 scalar_full  — all current machinery pinned to the scalar SIMD level
-///     (isolates the algorithmic wins from the instruction-set win).
-///   2 auto_full    — best available SIMD level; the headline arm. The
+/// `t` without its typed mirror: the same columns added one by one through
+/// AddColumn, which drops the mirror, so an MD-join over it takes the
+/// Value-cell path.
+Table WithoutMirror(const Table& t) {
+  Table out;
+  for (int c = 0; c < t.num_columns(); ++c) {
+    MDJ_CHECK(out.AddColumn(t.schema().field(c), t.column(c)).ok());
+  }
+  return out;
+}
+
+/// The raw-speed ladder on the 2-D cube. Every arm runs its kernels at the
+/// machine's SIMD level; arg1 picks the arm:
+///   0 value_path — the scan over a copy of Sales without its typed mirror:
+///     Value-cell θ tests and aggregate updates, no dictionary codes.
+///   2 auto_full  — Sales with its mirror; the headline arm. The
 ///     acceptance bar is ≥1.5× over arm 0 at 1M rows.
-///   3 auto_pred    — auto_full plus detail-only predicates (a
+///   3 auto_pred  — auto_full plus detail-only predicates (a
 ///     dictionary-coded string test and a sale range), so the compare
 ///     kernels and the dense-block path fire; the kernel_invocations and
 ///     dense_blocks counters make that visible.
-///   4 baseline_pred — arm 3's θ under arm 0's configuration: the paired
-///     baseline for the predicated A/B (same query, closure-tree string
-///     compares and Value-cell updates instead of code compares + kernels).
+///   4 value_pred — arm 3's θ over arm 0's mirror-less copy: the paired
+///     baseline for the predicated A/B (same query, Value-cell string
+///     compares and updates instead of code compares + kernels).
+/// There is no arm 1 (a scalar-level pin): the level comes from the machine,
+/// and a -DMDJOIN_SIMD=OFF build runs every arm at the scalar level.
 void BM_CubeRawSpeed(benchmark::State& state) {
   const int64_t rows = state.range(0);
   const int arm = static_cast<int>(state.range(1));
-  const Table& sales = CachedSales(rows, 100, 50, 12);
+  const Table& cached = CachedSales(rows, 100, 50, 12);
+  const Table plain = (arm == 0 || arm == 4) ? WithoutMirror(cached) : Table();
+  const Table& sales = (arm == 0 || arm == 4) ? plain : cached;
   std::vector<std::string> dims = {"prod", "month"};
   Table base = *CubeByBase(sales, dims);
   ExprPtr theta = DimsTheta(dims);
@@ -139,17 +154,9 @@ void BM_CubeRawSpeed(benchmark::State& state) {
                                Min(dsl::RCol("sale"), "lo"),
                                Max(dsl::RCol("sale"), "hi"),
                                Avg(dsl::RCol("sale"), "mean")};
-  MdJoinOptions options;
-  if (arm == 0 || arm == 4) {
-    options.simd = simd::Backend::kScalar;
-    options.use_flat_columns = false;
-    options.theta_bytecode = false;
-  } else if (arm == 1) {
-    options.simd = simd::Backend::kScalar;
-  }
   MdJoinStats stats;
   for (auto _ : state) {
-    Table cube = *MdJoin(base, sales, aggs, theta, options, &stats);
+    Table cube = *MdJoin(base, sales, aggs, theta, {}, &stats);
     benchmark::DoNotOptimize(cube.num_rows());
   }
   state.counters["arm"] = arm;
@@ -160,10 +167,10 @@ void BM_CubeRawSpeed(benchmark::State& state) {
       static_cast<double>(stats.kernel_invocations);
   state.counters["probe_memo_hits"] =
       static_cast<double>(stats.index_probe_memo_hits);
-  bench::TagConfig(state, options);
+  bench::TagConfig(state, sales);
 }
 BENCHMARK(BM_CubeRawSpeed)
-    ->ArgsProduct({{200000, 1000000}, {0, 1, 2, 3, 4}})
+    ->ArgsProduct({{200000, 1000000}, {0, 2, 3, 4}})
     ->Unit(benchmark::kMillisecond);
 
 void BM_GroupingSetsViaSameOperator(benchmark::State& state) {

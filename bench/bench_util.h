@@ -105,15 +105,13 @@ class JsonCollectingReporter : public ::benchmark::ConsoleReporter {
 
 /// Publishes an arm's raw-speed configuration as cfg_* counters;
 /// WriteBenchJson folds them into the record's "config" block instead of the
-/// flat counter list. Call once per benchmark, after the options are final —
-/// a record without cfg_* counters is reported at the library defaults
-/// (best available SIMD level, dictionary and bytecode on).
-inline void TagConfig(::benchmark::State& state, const MdJoinOptions& options) {
-  Result<simd::Level> level = simd::ResolveBackend(options.simd);
-  state.counters["cfg_simd_level"] =
-      level.ok() ? static_cast<double>(*level) : -1.0;
-  state.counters["cfg_dict"] = options.use_flat_columns ? 1.0 : 0.0;
-  state.counters["cfg_bytecode"] = options.theta_bytecode ? 1.0 : 0.0;
+/// flat counter list. The SIMD level is the machine's (simd::BestLevel) and
+/// the dictionary/flat-column path runs exactly when the scanned detail
+/// table carries its typed mirror, so the detail table is the whole
+/// configuration. A record without cfg_* counters is reported with the
+/// dictionary on.
+inline void TagConfig(::benchmark::State& state, const Table& detail) {
+  state.counters["cfg_dict"] = detail.accel() != nullptr ? 1.0 : 0.0;
 }
 
 /// The git revision the bench binary was built from, injected by
@@ -142,21 +140,12 @@ inline bool WriteBenchJson(const std::string& path,
       if (name.rfind("cfg_", 0) == 0) continue;  // folded into "config" below
       std::fprintf(f, ", \"%s\": %.3f", name.c_str(), value);
     }
-    // The arm's raw-speed configuration (TagConfig). Untagged records ran at
-    // the library defaults: kAuto resolves to the best level on this host.
-    double level_d = static_cast<double>(simd::BestLevel());
-    double dict_d = 1.0, bytecode_d = 1.0;
-    if (auto c = r.counters.find("cfg_simd_level"); c != r.counters.end())
-      level_d = c->second;
+    // The arm's raw-speed configuration (TagConfig): the SIMD level every
+    // kernel ran at on this host, and whether the detail carried its mirror.
+    double dict_d = 1.0;
     if (auto c = r.counters.find("cfg_dict"); c != r.counters.end()) dict_d = c->second;
-    if (auto c = r.counters.find("cfg_bytecode"); c != r.counters.end())
-      bytecode_d = c->second;
-    std::fprintf(f, ", \"config\": {\"simd\": \"%s\", \"dictionary\": %s, "
-                 "\"theta_bytecode\": %s}",
-                 level_d < 0 ? "unavailable"
-                             : simd::LevelName(static_cast<simd::Level>(
-                                   static_cast<int>(level_d))),
-                 dict_d != 0 ? "true" : "false", bytecode_d != 0 ? "true" : "false");
+    std::fprintf(f, ", \"config\": {\"simd\": \"%s\", \"dictionary\": %s}",
+                 simd::LevelName(simd::BestLevel()), dict_d != 0 ? "true" : "false");
     std::fprintf(f, ", \"git_sha\": \"%s\", \"timestamp\": \"%s\"}%s\n", MDJOIN_GIT_SHA,
                  timestamp.c_str(), i + 1 < records.size() ? "," : "");
   }

@@ -5,7 +5,6 @@
 ///                      [--emf] [--explain] [--optimize] [--explain-analyze]
 ///                      [--trace-out=FILE] [--metrics-out=FILE]
 ///                      [--timeout-ms N] [--memory-limit BYTES[k|m|g]]
-///                      [--simd auto|scalar|avx2|neon]
 ///                      [--storage memory|paged] [--block-cache-bytes BYTES[k|m|g]]
 ///                      [--block-size-rows N] [--spill-dir DIR]
 ///                      [--server-sim N] [--sim-queries M]
@@ -310,7 +309,6 @@ int main(int argc, char** argv) {
   bool use_emf = false, explain = false, optimize = false, explain_analyze = false;
   QueryGuardOptions guard_options;
   int num_threads = 1;
-  simd::Backend simd_backend = simd::Backend::kAuto;
   int server_sim = 0, sim_queries = 4;
   bool analyze_tables = false, stats_dump = false;
   int repeat = 1;
@@ -402,16 +400,6 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "error: --sim-queries wants a positive integer\n");
         return 2;
       }
-    } else if (std::string simd_spec;
-               eq_value(argv[i], "--simd", &simd_spec) ||
-               (std::strcmp(argv[i], "--simd") == 0 && i + 1 < argc &&
-                (simd_spec = argv[++i], true))) {
-      if (!simd::ParseBackend(simd_spec, &simd_backend)) {
-        std::fprintf(stderr,
-                     "error: --simd wants auto, scalar, avx2, or neon (got '%s')\n",
-                     simd_spec.c_str());
-        return 2;
-      }
     } else if (std::string storage_spec;
                eq_value(argv[i], "--storage", &storage_spec) ||
                (std::strcmp(argv[i], "--storage") == 0 && i + 1 < argc &&
@@ -452,7 +440,7 @@ int main(int argc, char** argv) {
                  "[--optimize] [--explain-analyze] [--trace-out=FILE] "
                  "[--metrics-out=FILE] "
                  "[--timeout-ms N] [--memory-limit BYTES[k|m|g]] "
-                 "[--threads N] [--simd auto|scalar|avx2|neon] "
+                 "[--threads N] "
                  "[--storage memory|paged] [--block-cache-bytes BYTES[k|m|g]] "
                  "[--block-size-rows N] [--spill-dir DIR] "
                  "[--server-sim N] [--sim-queries M] "
@@ -605,9 +593,6 @@ int main(int argc, char** argv) {
   MdJoinOptions md_options;
   if (guarded) md_options.guard = &guard;
   md_options.num_threads = num_threads;
-  // Pinning an unavailable backend fails query compilation with a clear
-  // error, never a silent fallback.
-  md_options.simd = simd_backend;
   md_options.block_cache = block_cache.get();
   if (!spill_dir.empty()) {
     md_options.enable_spill = true;

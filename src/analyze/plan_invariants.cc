@@ -41,8 +41,9 @@ void ReportTheta(const std::string& path, const ExprPtr& theta,
                  const Schema* base_schema, const Schema* detail_schema,
                  std::vector<std::string>* out) {
   if (theta == nullptr) return;
-  // Verifier verdict. θ may fail to lower (e.g. unsupported node kinds fall
-  // back to the closure tree) — that is a report line, not an error.
+  // Verifier verdict. θ may fail to lower (a child schema that could not be
+  // inferred, a CASE mixing string and numeric arms) — that is a report
+  // line, not an error.
   Result<BytecodeExpr> bc = BytecodeExpr::Compile(theta, base_schema, detail_schema);
   if (bc.ok()) {
     VerifierReport report = VerifyBytecode(*bc, base_schema, detail_schema);

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "common/logging.h"
-
 // Backend availability. The AVX2 bodies are compiled with a per-function
 // target attribute, so the rest of the binary stays baseline-x86 and the
 // choice is made per process at runtime (BestLevel's cpuid check). NEON is
@@ -186,59 +184,6 @@ __attribute__((target("avx2"))) void CmpI32Avx2(CmpOp op, const int32_t* x, int 
   }
 }
 
-__attribute__((target("avx2"))) int64_t SumI64Avx2(const int64_t* x, int n) {
-  __m256i acc = _mm256_setzero_si256();
-  int i = 0;
-  for (; i + 4 <= n; i += 4) {
-    acc = _mm256_add_epi64(acc,
-                           _mm256_loadu_si256(reinterpret_cast<const __m256i*>(x + i)));
-  }
-  alignas(32) int64_t lanes[4];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
-  int64_t sum = lanes[0] + lanes[1] + lanes[2] + lanes[3];
-  for (; i < n; ++i) sum += x[i];
-  return sum;
-}
-
-__attribute__((target("avx2"))) int64_t MinMaxI64Avx2(const int64_t* x, int n,
-                                                      bool want_min) {
-  __m256i best = _mm256_set1_epi64x(x[0]);
-  int i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i v = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(x + i));
-    // AVX2 has no 64-bit min/max: select through a signed compare.
-    const __m256i v_wins =
-        want_min ? _mm256_cmpgt_epi64(best, v) : _mm256_cmpgt_epi64(v, best);
-    best = _mm256_blendv_epi8(best, v, v_wins);
-  }
-  alignas(32) int64_t lanes[4];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), best);
-  int64_t out = lanes[0];
-  for (int k = 1; k < 4; ++k) {
-    out = want_min ? std::min(out, lanes[k]) : std::max(out, lanes[k]);
-  }
-  for (; i < n; ++i) out = want_min ? std::min(out, x[i]) : std::max(out, x[i]);
-  return out;
-}
-
-__attribute__((target("avx2"))) int64_t CountNotNullAvx2(const uint8_t* nulls, int n) {
-  // nulls holds 0/1 bytes; sum them 32 at a time via the unsigned byte-sum
-  // instruction, then subtract from n.
-  __m256i acc = _mm256_setzero_si256();
-  const __m256i zero = _mm256_setzero_si256();
-  int i = 0;
-  for (; i + 32 <= n; i += 32) {
-    const __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(nulls + i));
-    acc = _mm256_add_epi64(acc, _mm256_sad_epu8(v, zero));
-  }
-  alignas(32) int64_t lanes[4];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
-  int64_t null_count = lanes[0] + lanes[1] + lanes[2] + lanes[3];
-  for (; i < n; ++i) null_count += nulls[i];
-  return n - null_count;
-}
-
 bool CpuHasAvx2() {
   static const bool has = __builtin_cpu_supports("avx2");
   return has;
@@ -381,30 +326,6 @@ void CmpI32Neon(CmpOp op, const int32_t* x, int n, int32_t lit, uint64_t* mask) 
   }
 }
 
-int64_t SumI64Neon(const int64_t* x, int n) {
-  int64x2_t acc = vdupq_n_s64(0);
-  int i = 0;
-  for (; i + 2 <= n; i += 2) acc = vaddq_s64(acc, vld1q_s64(x + i));
-  int64_t sum = vgetq_lane_s64(acc, 0) + vgetq_lane_s64(acc, 1);
-  for (; i < n; ++i) sum += x[i];
-  return sum;
-}
-
-int64_t MinMaxI64Neon(const int64_t* x, int n, bool want_min) {
-  int64x2_t best = vdupq_n_s64(x[0]);
-  int i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const int64x2_t v = vld1q_s64(x + i);
-    const uint64x2_t v_wins = want_min ? vcltq_s64(v, best) : vcgtq_s64(v, best);
-    best = vbslq_s64(v_wins, v, best);
-  }
-  int64_t out = vgetq_lane_s64(best, 0);
-  const int64_t lane1 = vgetq_lane_s64(best, 1);
-  out = want_min ? std::min(out, lane1) : std::max(out, lane1);
-  for (; i < n; ++i) out = want_min ? std::min(out, x[i]) : std::max(out, x[i]);
-  return out;
-}
-
 #endif  // MDJOIN_SIMD_NEON
 
 }  // namespace
@@ -449,57 +370,6 @@ const char* LevelName(Level level) {
       return "avx2";
   }
   return "unknown";
-}
-
-const char* BackendName(Backend backend) {
-  switch (backend) {
-    case Backend::kAuto:
-      return "auto";
-    case Backend::kScalar:
-      return "scalar";
-    case Backend::kAvx2:
-      return "avx2";
-    case Backend::kNeon:
-      return "neon";
-  }
-  return "unknown";
-}
-
-bool ParseBackend(std::string_view name, Backend* out) {
-  if (name == "auto") {
-    *out = Backend::kAuto;
-  } else if (name == "scalar") {
-    *out = Backend::kScalar;
-  } else if (name == "avx2") {
-    *out = Backend::kAvx2;
-  } else if (name == "neon") {
-    *out = Backend::kNeon;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-Result<Level> ResolveBackend(Backend backend) {
-  switch (backend) {
-    case Backend::kAuto:
-      return BestLevel();
-    case Backend::kScalar:
-      return Level::kScalar;
-    case Backend::kAvx2:
-      if (!LevelAvailable(Level::kAvx2)) {
-        return Status::InvalidArgument(
-            "simd backend 'avx2' is not available on this build/machine");
-      }
-      return Level::kAvx2;
-    case Backend::kNeon:
-      if (!LevelAvailable(Level::kNeon)) {
-        return Status::InvalidArgument(
-            "simd backend 'neon' is not available on this build/machine");
-      }
-      return Level::kNeon;
-  }
-  return Status::InvalidArgument("unknown simd backend");
 }
 
 void CmpI64(Level level, CmpOp op, const int64_t* x, int n, int64_t lit,
@@ -590,12 +460,6 @@ bool MaskAllSet(const uint64_t* mask, int n) {
   return mask[words - 1] == tail;
 }
 
-int MaskCount(const uint64_t* mask, int n) {
-  int count = 0;
-  for (int w = 0; w < MaskWords(n); ++w) count += __builtin_popcountll(mask[w]);
-  return count;
-}
-
 int MaskCompress(const uint64_t* mask, int n, uint32_t* sel) {
   int out = 0;
   for (int w = 0; w < MaskWords(n); ++w) {
@@ -607,57 +471,6 @@ int MaskCompress(const uint64_t* mask, int n, uint32_t* sel) {
     }
   }
   return out;
-}
-
-int64_t SumI64(Level level, const int64_t* x, int n) {
-#if defined(MDJOIN_SIMD_X86)
-  if (level == Level::kAvx2 && CpuHasAvx2()) return SumI64Avx2(x, n);
-#endif
-#if defined(MDJOIN_SIMD_NEON)
-  if (level == Level::kNeon) return SumI64Neon(x, n);
-#endif
-  (void)level;
-  int64_t sum = 0;
-  for (int i = 0; i < n; ++i) sum += x[i];
-  return sum;
-}
-
-int64_t MinI64(Level level, const int64_t* x, int n) {
-  MDJ_DCHECK(n > 0);
-#if defined(MDJOIN_SIMD_X86)
-  if (level == Level::kAvx2 && CpuHasAvx2()) return MinMaxI64Avx2(x, n, true);
-#endif
-#if defined(MDJOIN_SIMD_NEON)
-  if (level == Level::kNeon) return MinMaxI64Neon(x, n, true);
-#endif
-  (void)level;
-  int64_t best = x[0];
-  for (int i = 1; i < n; ++i) best = std::min(best, x[i]);
-  return best;
-}
-
-int64_t MaxI64(Level level, const int64_t* x, int n) {
-  MDJ_DCHECK(n > 0);
-#if defined(MDJOIN_SIMD_X86)
-  if (level == Level::kAvx2 && CpuHasAvx2()) return MinMaxI64Avx2(x, n, false);
-#endif
-#if defined(MDJOIN_SIMD_NEON)
-  if (level == Level::kNeon) return MinMaxI64Neon(x, n, false);
-#endif
-  (void)level;
-  int64_t best = x[0];
-  for (int i = 1; i < n; ++i) best = std::max(best, x[i]);
-  return best;
-}
-
-int64_t CountNotNull(Level level, const uint8_t* nulls, int n) {
-#if defined(MDJOIN_SIMD_X86)
-  if (level == Level::kAvx2 && CpuHasAvx2()) return CountNotNullAvx2(nulls, n);
-#endif
-  (void)level;
-  int64_t null_count = 0;
-  for (int i = 0; i < n; ++i) null_count += nulls[i];
-  return n - null_count;
 }
 
 }  // namespace simd

@@ -2,9 +2,6 @@
 #define MDJOIN_COMMON_SIMD_H_
 
 #include <cstdint>
-#include <string_view>
-
-#include "common/result.h"
 
 namespace mdjoin {
 namespace simd {
@@ -22,35 +19,19 @@ enum class Level {
   kAvx2 = 2,
 };
 
-/// User-facing backend selection (MdJoinOptions::simd, the --simd CLI flag).
-/// kAuto resolves to the best level this build and machine supports.
-enum class Backend {
-  kAuto = 0,
-  kScalar = 1,
-  kAvx2 = 2,
-  kNeon = 3,
-};
-
 /// The widest Level usable here (compile-time support ∧ runtime cpu check).
+/// Every MD-join runs its kernels at this level; a build with the MDJOIN_SIMD
+/// CMake option OFF runs the scalar level.
 Level BestLevel();
 
 /// True when `level` can execute on this build + machine.
 bool LevelAvailable(Level level);
 
-const char* LevelName(Level level);    // "scalar" / "neon" / "avx2"
-const char* BackendName(Backend backend);  // adds "auto"
-
-/// Parses "auto" / "scalar" / "avx2" / "neon" (the --simd flag grammar).
-bool ParseBackend(std::string_view name, Backend* out);
-
-/// Resolves a requested backend to an executable level. Pinning a backend the
-/// build or machine cannot run is an error, not a silent fallback, so A/B
-/// arms and bug reports mean what they say.
-Result<Level> ResolveBackend(Backend backend);
+const char* LevelName(Level level);  // "scalar" / "neon" / "avx2"
 
 /// Comparison operator for the dense compare kernels. Semantics for kLe/kGe
 /// on float64 are !(x > lit) / !(x < lit) — i.e. true when x is NaN —
-/// matching EvalCompare in expr/compile.cc, which maps them through
+/// matching CompareHolds in expr/eval_ops.h, which maps them through
 /// Value::Compare (NaN compares "equal" there). kEq/kNe/kLt/kGt are plain
 /// IEEE and agree with both formulations.
 enum class CmpOp { kEq, kNe, kLt, kLe, kGt, kGe };
@@ -77,22 +58,10 @@ void MaskAndNotNull(const uint8_t* nulls, int n, uint64_t* mask);
 void MaskFromNotNull(const uint8_t* nulls, int n, uint64_t* mask);
 
 bool MaskAllSet(const uint64_t* mask, int n);
-int MaskCount(const uint64_t* mask, int n);
 
 /// Writes the set lane indices (ascending) into sel; returns how many. The
 /// bitmask → selection-vector boundary of the adaptive dense path.
 int MaskCompress(const uint64_t* mask, int n, uint32_t* sel);
-
-/// Dense reductions. Only exactly-associative operations are offered: int64
-/// sum/min/max and null counting reorder freely without changing results.
-/// float64 sum and float64 min/max are deliberately absent — reassociation
-/// changes f64 sums by ulps and Value::Compare's NaN handling makes float
-/// extremes order-dependent, which would break the bit-identity guarantee
-/// across backends (DESIGN.md §12).
-int64_t SumI64(Level level, const int64_t* x, int n);
-int64_t MinI64(Level level, const int64_t* x, int n);  // requires n > 0
-int64_t MaxI64(Level level, const int64_t* x, int n);  // requires n > 0
-int64_t CountNotNull(Level level, const uint8_t* nulls, int n);
 
 }  // namespace simd
 }  // namespace mdjoin

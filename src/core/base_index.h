@@ -121,7 +121,7 @@ class BaseIndex {
         code_memo;
     std::vector<uint64_t> code_key;  // reused encode buffer, nkeys + 1 words
     int codeable = -1;               // -1 undecided, 0 Value keys, 1 code keys
-    bool allow_code_keys = true;     // cleared by the use_flat_columns=false arm
+    bool allow_code_keys = true;     // cleared when probing a foreign chunk
     std::shared_ptr<const TableAccel> accel;  // pinned on first probe
     int64_t memo_lookups = 0;
     int64_t memo_hits = 0;
@@ -150,7 +150,7 @@ class BaseIndex {
   /// when a cuboid feeds another MD-join), the walk matches it as a wildcard.
   ///
   /// Plain-column detail keys are read straight from the column (no Value
-  /// copy, no closure call) and buckets are probed through RowKeyView
+  /// copy, no program run) and buckets are probed through RowKeyView
   /// heterogeneous lookup, so the per-tuple cost is hashing alone.
   ProbeResult ProbeSpan(const Table& detail, int64_t detail_row,
                         ProbeScratch* scratch, std::vector<int64_t>* gather) const;

@@ -28,17 +28,15 @@ struct CompiledTheta {
   bool has_kernels = false;
   CompiledExpr residual;     // conjuncts evaluated per candidate pair
   bool indexed = false;      // equi part served by a BaseIndex
-  bool use_flat = false;     // typed mirror and code-key probe memos may engage
 };
 
 /// Compiles the classified θ-conjuncts for one (base, detail) pair. Disabled
 /// optimizations (pushdown, index) fold their conjuncts back into the
-/// residual so results are identical either way.
+/// residual so results are identical either way. The pushed-down kernels
+/// plan over the detail table's typed mirror when it carries one.
 Result<CompiledTheta> CompileTheta(const ThetaParts& parts, const Schema& base_schema,
-                                   const Table& detail, const MdJoinOptions& options,
-                                   simd::Level level) {
+                                   const Table& detail, const MdJoinOptions& options) {
   CompiledTheta ct;
-  ct.use_flat = options.use_flat_columns;
   const Schema& detail_schema = detail.schema();
   if (!parts.base_only.empty()) {
     MDJ_ASSIGN_OR_RETURN(ct.base_pred,
@@ -51,8 +49,8 @@ Result<CompiledTheta> CompileTheta(const ThetaParts& parts, const Schema& base_s
     if (!parts.detail_only.empty()) {
       MDJ_ASSIGN_OR_RETURN(
           ct.kernels,
-          PredicateKernels::Compile(parts.detail_only, detail_schema,
-                                    ct.use_flat ? detail.accel() : nullptr, level));
+          PredicateKernels::Compile(parts.detail_only, detail_schema, detail.accel(),
+                                    simd::BestLevel()));
       ct.has_kernels = true;
     }
   } else {
@@ -73,11 +71,6 @@ Result<CompiledTheta> CompileTheta(const ThetaParts& parts, const Schema& base_s
     MDJ_ASSIGN_OR_RETURN(ct.residual,
                          CompileExpr(CombineConjuncts(std::move(residual_conjuncts)),
                                      &base_schema, &detail_schema));
-  }
-  if (!options.theta_bytecode) {
-    // Ablation arm: pin the closure-tree walker for this join's predicates.
-    ct.base_pred.DisableBytecode();
-    ct.residual.DisableBytecode();
   }
   return ct;
 }
@@ -236,10 +229,9 @@ Status DetailScan::ScanChunk(const Table& chunk, int64_t lo, int64_t hi,
 
   const size_t k = parts_.size();
   for (size_t c = 0; c < k; ++c) {
-    // The code-key probe memo reads the typed mirror; the use_flat_columns
-    // ablation arm must not, and neither may a foreign chunk, whose codes
-    // live in a different mirror.
-    worker->scratch[c].allow_code_keys = q.comps[c].theta.use_flat && home;
+    // The code-key probe memo reads the prepared table's typed mirror; a
+    // foreign chunk's codes, if it has any, live in a different mirror.
+    worker->scratch[c].allow_code_keys = home;
   }
   const int64_t block = q.block;
   if (static_cast<int64_t>(worker->sel.size()) < block) {
@@ -387,9 +379,6 @@ Result<BoundJoin> Bind(const Table& base, const Table& detail,
                        const std::vector<MdJoinComponent>& components,
                        const MdJoinOptions& options) {
   if (components.empty()) return Status::InvalidArgument("MD-join: no components");
-  // Resolve the SIMD backend up front so a pinned-but-unavailable backend is
-  // a query compile error, never a silent fallback mid-scan.
-  MDJ_ASSIGN_OR_RETURN(simd::Level level, simd::ResolveBackend(options.simd));
   BoundJoin q;
   q.base = &base;
   q.detail = &detail;
@@ -411,16 +400,14 @@ Result<BoundJoin> Bind(const Table& base, const Table& detail,
       q.aggs.push_back(std::move(b));
     }
     bc.parts = AnalyzeTheta(comp.theta);
-    MDJ_ASSIGN_OR_RETURN(bc.theta,
-                         CompileTheta(bc.parts, base.schema(), detail, options, level));
+    MDJ_ASSIGN_OR_RETURN(bc.theta, CompileTheta(bc.parts, base.schema(), detail, options));
     q.comps.push_back(std::move(bc));
   }
 
   // Plain detail-column arguments read straight from column storage, and
-  // typed plans over the prepared table's mirror; both hoisted out of the
-  // scan.
-  const std::shared_ptr<const TableAccel>& accel =
-      options.use_flat_columns ? detail.accel() : nullptr;
+  // typed plans over the prepared table's mirror when it has one; both
+  // hoisted out of the scan.
+  const std::shared_ptr<const TableAccel>& accel = detail.accel();
   q.arg_cols.assign(q.aggs.size(), nullptr);
   q.plans.resize(q.aggs.size());
   for (size_t a = 0; a < q.aggs.size(); ++a) {

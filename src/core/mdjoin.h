@@ -8,7 +8,6 @@
 #include "agg/agg_spec.h"
 #include "common/query_guard.h"
 #include "common/result.h"
-#include "common/simd.h"
 #include "expr/expr.h"
 #include "table/table.h"
 
@@ -46,26 +45,6 @@ struct MdJoinOptions {
   /// memory budget, every MD-join route degrades to multi-pass evaluation
   /// (Theorem 4.1) under pressure instead of failing.
   QueryGuard* guard = nullptr;
-
-  /// Instruction-set backend for the block predicate kernels (common/simd.h).
-  /// kAuto picks the widest level this build and machine support. Pinning a
-  /// backend the machine cannot run (e.g. kAvx2 on ARM, or any non-scalar
-  /// level in an MDJOIN_SIMD=OFF build) is a compile-time error from
-  /// MdJoin(), never a silent fallback — A/B arms mean what they say.
-  simd::Backend simd = simd::Backend::kAuto;
-
-  /// Use the detail table's typed columnar mirror (table/table_accel.h) when
-  /// it has one: flat predicate kernels over primitive payloads, dictionary
-  /// codes for string θ-tests, typed aggregate updates, and allocation-free
-  /// code-key probe memos. false restores the pure Value-at-a-time vectorized
-  /// path — the PR-2-era baseline arm of the raw-speed benches.
-  bool use_flat_columns = true;
-
-  /// Evaluate residual θ-conjuncts (and other compiled expressions inside
-  /// this join) through the flat bytecode interpreter (expr/bytecode.h).
-  /// false pins the closure-tree walker. The MDJOIN_THETA_BYTECODE=0
-  /// environment variable overrides both to the tree walker process-wide.
-  bool theta_bytecode = true;
 
   /// Debug invariant mode: the plan executor runs the full static analyzer
   /// (analyze/plan_analyzer.h) over the plan before executing it and fails

@@ -14,12 +14,11 @@
 namespace mdjoin {
 
 /// An expression lowered to a flat postfix program: one contiguous Instr
-/// array evaluated by a tight dispatch loop over a value stack. Semantically
-/// identical to the closure tree built by expr/compile.cc — both route the
-/// comparison and arithmetic operators through expr/eval_ops.h, and the fuzz
-/// suite cross-checks them — but without a virtual/indirect call and heap
-/// hop per node: the whole program is one cache-resident array walked with a
-/// program counter.
+/// array evaluated by a tight dispatch loop over a value stack, with no
+/// indirect call or heap hop per node: the whole program is one
+/// cache-resident array walked with a program counter. Every operator
+/// instruction calls its semantics in expr/eval_ops.h; the fuzz suites check
+/// the interpreter against the tree-walking oracle (core/reference.h).
 ///
 /// Instruction set (stack effect in brackets):
 ///
@@ -27,10 +26,10 @@ namespace mdjoin {
 ///   kPushNull           [ → v ]        push NULL (CASE without ELSE)
 ///   kLoadBase a         [ → v ]        push base cell, column a
 ///   kLoadDetail a       [ → v ]        push detail cell, column a
-///   kNot                [ v → b ]      NULL → false, else !truthy
-///   kNegate             [ v → v ]      -int / -float, else NULL
+///   kNot                [ v → b ]      EvalNot(v)
+///   kNegate             [ v → v ]      EvalNegate(v)
 ///   kIsNull             [ v → b ]      Bool(v is NULL)
-///   kIn a               [ v → b ]      v MatchesEq any of in_lists[a]
+///   kIn a               [ v → b ]      MatchesAny(v, in_lists[a])
 ///   kCompare u8         [ a b → v ]    EvalCompare(BinaryOp(u8), a, b)
 ///   kArith u8           [ a b → v ]    EvalArith(BinaryOp(u8), a, b)
 ///   kAndJump a          [ v → b? ]     top falsy: top := false, jump a;
@@ -70,13 +69,20 @@ class BytecodeExpr {
     int32_t a = 0;   // literal / list / column index, or jump target
   };
 
-  /// Lowers `expr` against the schemas. Binding errors mirror
-  /// CompileExpr's — in practice CompileExpr lowers only after the closure
-  /// tree compiled, so this cannot fail on a path users reach.
+  /// Lowers `expr` against the schemas and infers its static result type.
+  /// Errors: a column absent from its side's schema, a reference to a side
+  /// with no schema (BindError), and a CASE whose result arms mix the string
+  /// and numeric families (TypeError).
   static Result<BytecodeExpr> Compile(const ExprPtr& expr, const Schema* base_schema,
                                       const Schema* detail_schema);
 
   Value Eval(const RowCtx& ctx) const;
+
+  /// Static result type: comparisons and connectives are Int64 0/1;
+  /// int64 ∘ int64 arithmetic is Int64 except `/`, any other arithmetic is
+  /// Float64; negation keeps its operand's type; NULL and ALL literals are
+  /// Int64; CASE is String, Float64 or Int64 by its result arms.
+  DataType result_type() const { return result_type_; }
 
   int num_instrs() const { return static_cast<int>(code_.size()); }
 
@@ -99,6 +105,7 @@ class BytecodeExpr {
   std::vector<Instr> code_;
   std::vector<Value> literals_;
   std::vector<std::vector<Value>> in_lists_;
+  DataType result_type_ = DataType::kInt64;
 };
 
 }  // namespace mdjoin

@@ -3,37 +3,14 @@
 #include <algorithm>
 #include <cmath>
 
+#include "expr/eval_ops.h"
+
 namespace mdjoin {
 
 namespace {
 
-/// Reference semantics for one comparison, byte-for-byte the logic of
-/// EvalCompare in expr/compile.cc. The typed loops below are fast paths that
-/// must agree with this on every input; they defer here for mixed-type cells.
-bool KeepCompareSlow(BinaryOp op, const Value& v, const Value& lit) {
-  if (op == BinaryOp::kEq) return v.MatchesEq(lit);
-  if (op == BinaryOp::kNe) {
-    if (v.is_null() || lit.is_null()) return false;
-    return !v.MatchesEq(lit);
-  }
-  if (v.is_null() || lit.is_null() || v.is_all() || lit.is_all()) return false;
-  bool comparable =
-      (v.is_numeric() && lit.is_numeric()) || (v.is_string() && lit.is_string());
-  if (!comparable) return false;
-  int c = v.Compare(lit);
-  switch (op) {
-    case BinaryOp::kLt:
-      return c < 0;
-    case BinaryOp::kLe:
-      return c <= 0;
-    case BinaryOp::kGt:
-      return c > 0;
-    case BinaryOp::kGe:
-      return c >= 0;
-    default:
-      return false;
-  }
-}
+using expr_internal::CompareHolds;
+using expr_internal::MatchesAny;
 
 template <BinaryOp Op>
 inline bool CmpInt(int64_t x, int64_t y) {
@@ -47,9 +24,9 @@ inline bool CmpInt(int64_t x, int64_t y) {
 }
 
 /// kLe/kGe are !(x > y) / !(x < y) — true when either side is NaN — because
-/// EvalCompare maps ordered comparisons through Value::Compare, which orders
+/// CompareHolds maps ordered comparisons through Value::Compare, which orders
 /// NaN "equal" to every number (c == 0, so c <= 0 and c >= 0 both hold).
-/// Plain IEEE <= / >= would silently disagree with the row engine on NaN.
+/// Plain IEEE <= / >= would silently disagree with the bytecode on NaN.
 template <BinaryOp Op>
 inline bool CmpDouble(double x, double y) {
   if constexpr (Op == BinaryOp::kEq) return x == y;
@@ -101,7 +78,7 @@ inline bool ScalarCmpF64(simd::CmpOp op, double x, double y) {
 
 /// One selection-vector pass of `col[sel[i]] Op lit` with an int64 literal:
 /// int64 cells take the inline compare, anything else (NULL, ALL, float,
-/// string) the slow path.
+/// string) goes through CompareHolds (expr/eval_ops.h).
 template <BinaryOp Op>
 int FilterIntLit(const Value* col, int64_t lit, const Value& lit_v, uint32_t* sel,
                  int count) {
@@ -110,7 +87,7 @@ int FilterIntLit(const Value* col, int64_t lit, const Value& lit_v, uint32_t* se
     const uint32_t idx = sel[i];
     const Value& v = col[idx];
     const bool keep =
-        v.is_int64() ? CmpInt<Op>(v.int64(), lit) : KeepCompareSlow(Op, v, lit_v);
+        v.is_int64() ? CmpInt<Op>(v.int64(), lit) : CompareHolds(Op, v, lit_v);
     sel[out] = idx;
     out += static_cast<int>(keep);
   }
@@ -125,7 +102,7 @@ int FilterDoubleLit(const Value* col, double lit, const Value& lit_v, uint32_t* 
     const uint32_t idx = sel[i];
     const Value& v = col[idx];
     const bool keep = v.is_numeric() ? CmpDouble<Op>(v.AsDouble(), lit)
-                                     : KeepCompareSlow(Op, v, lit_v);
+                                     : CompareHolds(Op, v, lit_v);
     sel[out] = idx;
     out += static_cast<int>(keep);
   }
@@ -144,7 +121,7 @@ int FilterStringLit(const Value* col, const std::string& lit, const Value& lit_v
       const int c = v.string().compare(lit);
       keep = CmpInt<Op>(c, 0);
     } else {
-      keep = KeepCompareSlow(Op, v, lit_v);
+      keep = CompareHolds(Op, v, lit_v);
     }
     sel[out] = idx;
     out += static_cast<int>(keep);
@@ -162,7 +139,7 @@ int FilterCompare(const Value* col, const Value& lit, uint32_t* sel, int count) 
   for (int i = 0; i < count; ++i) {
     const uint32_t idx = sel[i];
     sel[out] = idx;
-    out += static_cast<int>(KeepCompareSlow(Op, col[idx], lit));
+    out += static_cast<int>(CompareHolds(Op, col[idx], lit));
   }
   return out;
 }
@@ -185,15 +162,6 @@ int DispatchCompare(BinaryOp op, const Value* col, const Value& lit, uint32_t* s
     default:
       return count;  // unreachable: Compile only admits comparison ops
   }
-}
-
-/// IN-list membership with MatchesEq semantics (ALL wildcard), as the
-/// compiled kIn closure evaluates it.
-inline bool MatchesAny(const Value& v, const std::vector<Value>& cands) {
-  for (const Value& c : cands) {
-    if (v.MatchesEq(c)) return true;
-  }
-  return false;
 }
 
 BinaryOp FlipComparison(BinaryOp op) {
@@ -289,7 +257,7 @@ inline bool InSet(const std::vector<T>& set, T x) {
 }  // namespace
 
 /// Decides the typed-payload plan for one kCompare / kInList predicate.
-/// Every translation here must be semantically exact against KeepCompareSlow
+/// Every translation here must be semantically exact against CompareHolds
 /// / MatchesAny — when a shape cannot be translated exactly (e.g. a float
 /// equality candidate at |c| >= 2^53), the plan stays kNone and the Value
 /// loops run instead.
@@ -324,7 +292,7 @@ void PredicateKernels::PlanFlat(Pred* p) const {
           p->cmp = ToCmpOp(p->op);
           p->i64_lit = lit.int64();
         } else if (lit.is_float64()) {
-          // EvalCompare compares mixed numerics as doubles, including the
+          // CompareHolds compares mixed numerics as doubles, including the
           // (lossy above 2^53) int→double conversion; replicate it per row
           // rather than translating the literal.
           p->flat = FlatOp::kCmpI64F64;

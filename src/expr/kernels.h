@@ -49,8 +49,9 @@ struct BlockFilter {
 /// Literals that cannot match a flat column's type compile to constant
 /// plans (never-true / true-for-non-null) instead of per-row work.
 ///
-/// Comparison semantics mirror expr/compile.cc exactly: `=` is θ-equality
-/// (ALL wildcard), `<>` is false on NULL, ordered comparisons are false for
+/// Comparison semantics are CompareHolds and MatchesAny (expr/eval_ops.h),
+/// which the per-cell fallbacks call directly: `=` is θ-equality (ALL
+/// wildcard), `<>` is false on NULL, ordered comparisons are false for
 /// NULL/ALL and for mixed string/numeric operands, and float `<=` / `>=`
 /// treat NaN as matching (Value::Compare orders NaN "equal" to everything) —
 /// see simd::CmpOp.

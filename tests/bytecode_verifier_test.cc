@@ -307,10 +307,10 @@ TEST(VerifierIntegration, MutatedCompiledProgramIsRejected) {
 }
 
 TEST(VerifierIntegration, HardGateRejectsAtCompileTime) {
-  // Under MDJOIN_VERIFY_PLANS=1, CompileExpr itself runs the verifier; a
-  // passing θ must still compile (the gate is transparent for valid
-  // programs). The failing direction requires injecting a broken emitter and
-  // is covered by the raw-parts corpus above.
+  // CompileExpr runs the verifier on every program it lowers; a passing θ
+  // must still compile (the gate is transparent for valid programs). The
+  // failing direction requires injecting a broken emitter and is covered by
+  // the raw-parts corpus above.
   Schema bs = BaseSchema(), ds = DetailSchema();
   Result<CompiledExpr> compiled =
       CompileExpr(And(Lt(RCol("d_int"), Lit(5)), Eq(BCol("b_int"), RCol("d_int"))),

@@ -145,6 +145,41 @@ TEST_F(EndToEndTest, HavingOrderAndVariablesCombined) {
   EXPECT_EQ(got->num_rows(), filtered->num_rows());
 }
 
+/// Computing INT64_MIN % -1 traps (SIGFPE) and would take the whole process,
+/// a query server included, down with it. From query text through the
+/// optimizer and executor, x % -1 is 0 for every x and arithmetic whose
+/// int64 result does not fit is NULL.
+TEST_F(EndToEndTest, Int64EdgeArithmeticFromQueryText) {
+  const Schema schema({{"cust", DataType::kInt64}, {"x", DataType::kInt64}});
+  Result<Table> t = TableFromCsv("cust,x\n1,-9223372036854775808\n2,5\n", schema);
+  ASSERT_TRUE(t.ok()) << t.status().ToString();
+  ASSERT_TRUE(catalog_.Register("T", &*t).ok());
+  auto run = [&](const std::string& sql) -> Result<Table> {
+    MDJ_ASSIGN_OR_RETURN(analyze::BoundQuery bound,
+                         analyze::BindQueryString(sql, catalog_));
+    MDJ_ASSIGN_OR_RETURN(PlanPtr plan, OptimizePlan(bound.plan, catalog_));
+    return ExecutePlan(plan, catalog_);
+  };
+  // The reported repro: both rows satisfy x % -1 = 0.
+  Result<Table> mod = run(
+      "select cust, count(*) from T where x % -1 = 0 analyze by group(cust) "
+      "order by cust");
+  ASSERT_TRUE(mod.ok()) << mod.status().ToString();
+  ASSERT_EQ(mod->num_rows(), 2);
+  for (int64_t r = 0; r < 2; ++r) {
+    EXPECT_EQ(mod->Get(r, 0).int64(), r + 1);
+    EXPECT_EQ(mod->Get(r, 1).int64(), 1);
+  }
+  // -x, x - 1 and x * 2 overflow only for cust 1's INT64_MIN.
+  Result<Table> overflow = run(
+      "select cust, count(*) as n from T where (-x) is null and (x - 1) is null "
+      "and (x * 2) is null analyze by group(cust)");
+  ASSERT_TRUE(overflow.ok()) << overflow.status().ToString();
+  ASSERT_EQ(overflow->num_rows(), 1);
+  EXPECT_EQ(overflow->Get(0, 0).int64(), 1);
+  EXPECT_EQ(overflow->Get(0, 1).int64(), 1);
+}
+
 TEST_F(EndToEndTest, TwoFactTablesThroughPlans) {
   PaymentsConfig pconfig;
   pconfig.num_rows = 800;

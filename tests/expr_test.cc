@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
+#include "core/reference.h"
 #include "expr/compile.h"
 #include "expr/conjuncts.h"
 #include "expr/expr.h"
@@ -60,6 +64,53 @@ TEST(ExprTest, DivisionByZeroIsNull) {
   Table t = OneRow({{"x", DataType::kInt64}}, {I(10)});
   EXPECT_TRUE(EvalSingle(Div(Col("x"), Lit(0)), t, 0).is_null());
   EXPECT_TRUE(EvalSingle(Mod(Col("x"), Lit(0)), t, 0).is_null());
+}
+
+/// int64 arithmetic never overflows into undefined behavior: a result outside
+/// int64 is NULL, as division by zero is, and x % -1 is 0 (computing
+/// INT64_MIN % -1 traps). The engine's bytecode and the reference evaluator
+/// agree on every edge.
+TEST(ExprTest, Int64OverflowIsNull) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  Table t = OneRow({{"lo", DataType::kInt64}, {"hi", DataType::kInt64}},
+                   {I(kMin), I(kMax)});
+  struct Case {
+    ExprPtr expr;
+    Value want;
+  };
+  const Case cases[] = {
+      {Add(Col("hi"), Lit(1)), NUL()},
+      {Add(Col("lo"), Lit(-1)), NUL()},
+      {Sub(Col("lo"), Lit(1)), NUL()},
+      {Sub(Lit(0), Col("lo")), NUL()},
+      {Mul(Col("hi"), Lit(2)), NUL()},
+      {Mul(Col("lo"), Lit(-1)), NUL()},
+      {Neg(Col("lo")), NUL()},
+      {Mod(Col("lo"), Lit(-1)), I(0)},
+      {Mod(Col("hi"), Lit(-1)), I(0)},
+      {Mod(Lit(7), Lit(-1)), I(0)},
+      // Results that land on or inside the edges still fit.
+      {Add(Col("lo"), Col("hi")), I(-1)},
+      {Sub(Col("hi"), Lit(0)), I(kMax)},
+      {Mul(Col("lo"), Lit(1)), I(kMin)},
+      {Neg(Col("hi")), I(kMin + 1)},
+      {Mod(Col("lo"), Lit(3)), I(-2)},
+      {Mod(Col("lo"), Col("lo")), I(0)},
+      {Neg(Neg(Col("hi"))), I(kMax)},
+      // `/` is float division and cannot overflow.
+      {Div(Col("lo"), Lit(-1)), F(-static_cast<double>(kMin))},
+  };
+  RowCtx ctx;
+  ctx.detail = &t;
+  for (const Case& c : cases) {
+    const Value got = EvalSingle(c.expr, t, 0);
+    EXPECT_TRUE(testutil::BitEq(got, c.want))
+        << c.expr->ToString() << " = " << got.ToString() << ", want " << c.want.ToString();
+    const Value ref = EvalReference(*c.expr, ctx);
+    EXPECT_TRUE(testutil::BitEq(ref, c.want))
+        << c.expr->ToString() << " reference = " << ref.ToString();
+  }
 }
 
 TEST(ExprTest, NullPropagatesThroughArithmetic) {
@@ -153,16 +204,89 @@ TEST(ExprTest, CaseConditionalAggregationIdiom) {
   EXPECT_TRUE(EvalSingle(pick_ny, nj, 0).is_null());  // skipped by SUM
 }
 
-TEST(ExprTest, CaseTypeInference) {
-  Table t = OneRow({{"x", DataType::kInt64}}, {I(1)});
-  Result<CompiledExpr> numeric = CompileExpr(
-      CaseWhen({{True(), Lit(1)}}, Lit(2.5)), t.schema());
-  ASSERT_TRUE(numeric.ok());
-  EXPECT_EQ(numeric->result_type(), DataType::kFloat64);  // mixed int/float
-  // Mixing string and numeric arms is rejected at compile time.
-  EXPECT_TRUE(CompileExpr(CaseWhen({{True(), Lit("a")}}, Lit(1)), t.schema())
-                  .status()
-                  .IsTypeError());
+/// Every static result-type rule CompileExpr applies, one row per rule. A
+/// soundness fuzz cannot tell a wrong but still sound type (Float64 where
+/// Int64 is exact) from the right one; this table can.
+TEST(ExprTest, ResultTypeInferenceRules) {
+  const Schema base({{"b_int", DataType::kInt64},
+                     {"b_flt", DataType::kFloat64},
+                     {"b_str", DataType::kString}});
+  const Schema detail({{"d_int", DataType::kInt64},
+                       {"d_flt", DataType::kFloat64},
+                       {"d_str", DataType::kString}});
+  const ExprPtr cond = Eq(RCol("d_int"), Lit(1));
+  struct Case {
+    const char* rule;
+    ExprPtr expr;
+    DataType type;
+  };
+  const Case cases[] = {
+      {"int literal", Lit(1), DataType::kInt64},
+      {"float literal", Lit(1.5), DataType::kFloat64},
+      {"string literal", Lit("NY"), DataType::kString},
+      {"NULL literal", Lit(NUL()), DataType::kInt64},
+      {"ALL literal", Lit(ALL()), DataType::kInt64},
+      {"base int column", BCol("b_int"), DataType::kInt64},
+      {"base float column", BCol("b_flt"), DataType::kFloat64},
+      {"detail string column", RCol("d_str"), DataType::kString},
+      {"NOT", Not(RCol("d_str")), DataType::kInt64},
+      {"IS NULL", IsNull(RCol("d_flt")), DataType::kInt64},
+      {"IN", In(RCol("d_flt"), {F(1.5), S("NY")}), DataType::kInt64},
+      {"=", Eq(RCol("d_flt"), Lit(1.5)), DataType::kInt64},
+      {"<>", Ne(RCol("d_str"), Lit("NY")), DataType::kInt64},
+      {"<", Lt(RCol("d_flt"), BCol("b_flt")), DataType::kInt64},
+      {"<=", Le(RCol("d_flt"), Lit(2)), DataType::kInt64},
+      {">", Gt(BCol("b_str"), Lit("a")), DataType::kInt64},
+      {">=", Ge(RCol("d_int"), Lit(2.5)), DataType::kInt64},
+      {"AND", And(RCol("d_flt"), RCol("d_str")), DataType::kInt64},
+      {"OR", Or(RCol("d_flt"), BCol("b_str")), DataType::kInt64},
+      {"negate int", Neg(RCol("d_int")), DataType::kInt64},
+      {"negate float", Neg(BCol("b_flt")), DataType::kFloat64},
+      {"negate string", Neg(RCol("d_str")), DataType::kString},
+      {"int + int", Add(RCol("d_int"), BCol("b_int")), DataType::kInt64},
+      {"int - int", Sub(RCol("d_int"), Lit(1)), DataType::kInt64},
+      {"int * int", Mul(BCol("b_int"), Lit(3)), DataType::kInt64},
+      {"int % int", Mod(RCol("d_int"), Lit(3)), DataType::kInt64},
+      {"int / int", Div(RCol("d_int"), BCol("b_int")), DataType::kFloat64},
+      {"int + float", Add(RCol("d_int"), Lit(0.5)), DataType::kFloat64},
+      {"float % int", Mod(RCol("d_flt"), Lit(2)), DataType::kFloat64},
+      {"float * float", Mul(RCol("d_flt"), BCol("b_flt")), DataType::kFloat64},
+      {"int + string", Add(RCol("d_int"), RCol("d_str")), DataType::kFloat64},
+      {"string - string", Sub(Lit("a"), BCol("b_str")), DataType::kFloat64},
+      {"NULL + int", Add(Lit(NUL()), Lit(1)), DataType::kInt64},
+      {"nested int", Add(Neg(RCol("d_int")), Mod(BCol("b_int"), Lit(2))),
+       DataType::kInt64},
+      {"comparison result in arithmetic", Add(cond, Lit(1)), DataType::kInt64},
+      {"CASE int arm, no ELSE", CaseWhen({{cond, Lit(1)}}), DataType::kInt64},
+      {"CASE int arm, float ELSE", CaseWhen({{cond, Lit(1)}}, Lit(2.5)),
+       DataType::kFloat64},
+      {"CASE float arm, int arm", CaseWhen({{cond, RCol("d_flt")}, {cond, Lit(2)}}),
+       DataType::kFloat64},
+      {"CASE string arm, string ELSE", CaseWhen({{cond, Lit("a")}}, RCol("d_str")),
+       DataType::kString},
+      {"CASE string arm, no ELSE", CaseWhen({{cond, BCol("b_str")}}),
+       DataType::kString},
+      {"CASE WHEN types do not count", CaseWhen({{Lit("x"), Lit(1)}}, Lit(2)),
+       DataType::kInt64},
+  };
+  for (const Case& c : cases) {
+    Result<CompiledExpr> compiled = CompileExpr(c.expr, &base, &detail);
+    ASSERT_TRUE(compiled.ok()) << c.rule << ": " << compiled.status().ToString();
+    EXPECT_EQ(compiled->result_type(), c.type)
+        << c.rule << ": " << c.expr->ToString() << " inferred "
+        << DataTypeToString(compiled->result_type());
+  }
+
+  // CASE results mixing the string and numeric families are a TypeError,
+  // whether the mix is between THEN arms or between an arm and ELSE.
+  const ExprPtr mixed[] = {
+      CaseWhen({{cond, Lit("a")}}, Lit(1)),
+      CaseWhen({{cond, RCol("d_flt")}, {cond, BCol("b_str")}}),
+      CaseWhen({{cond, RCol("d_str")}}, RCol("d_int")),
+  };
+  for (const ExprPtr& e : mixed) {
+    EXPECT_TRUE(CompileExpr(e, &base, &detail).status().IsTypeError()) << e->ToString();
+  }
 }
 
 TEST(ExprTest, CaseStructuralHelpers) {

@@ -281,8 +281,8 @@ TEST_F(GuardrailTest, CubeIndexSkipsAncestorListsThatDoNotFit) {
 
   // Without the typed mirror no code-key memo runs, so every probe answered
   // without the bucket walk is a finest hit.
+  sales = testutil::WithoutMirror(sales);
   MdJoinOptions options;
-  options.use_flat_columns = false;
   MdJoinStats linked_stats;
   ASSERT_TRUE(MdJoin(base, sales, aggs, theta, options, &linked_stats).ok());
   ASSERT_EQ(linked_stats.index_probe_lookups, sales.num_rows());

@@ -1,15 +1,16 @@
 /// Differential fuzz over the raw-speed machinery, each layer checked against
-/// the slower oracle it replaced:
+/// a slower oracle:
 ///
-///   - simd::Cmp* / reductions at every available level vs a scalar reference
-///     implementing the documented semantics (including NaN-true kLe/kGe)
+///   - simd::Cmp* and the mask helpers at every available level vs a scalar
+///     reference implementing the documented semantics (including NaN-true
+///     kLe/kGe)
 ///   - PredicateKernels::FilterBlock (flat plans, dictionary translation,
-///     dense bitmask path) vs per-row tree-walk evaluation
-///   - the bytecode interpreter vs the closure-tree walker on random
-///     expression trees (NULL/ALL/NaN-laden rows)
+///     dense bitmask path) at every level vs EvalReference per row
+///   - the bytecode interpreter vs EvalReference (core/reference.h) on random
+///     expression trees (NULL/ALL/NaN-laden rows, int64 overflow edges)
 ///   - typed AggStateColumn updates vs the Value-at-a-time Update
-///   - whole MD-joins across the {simd, use_flat_columns, theta_bytecode}
-///     option matrix, bit-identical to the Definition 3.1 reference
+///   - whole MD-joins over detail with and without its typed mirror,
+///     bit-identical to the Definition 3.1 reference
 ///
 /// Everything is seeded — failures reproduce.
 
@@ -127,17 +128,13 @@ TEST_P(SimdFuzz, CompareKernelsAgreeWithScalarReference) {
   }
 }
 
-TEST_P(SimdFuzz, MaskHelpersAndReductionsAgree) {
+TEST_P(SimdFuzz, MaskHelpersAgree) {
   Random rng(GetParam() + 17);
   for (int round = 0; round < 40; ++round) {
     const int n = static_cast<int>(rng.UniformInt(1, 300));
-    std::vector<int64_t> xi(static_cast<size_t>(n));
     std::vector<uint8_t> nulls(static_cast<size_t>(n));
     std::vector<uint64_t> mask(static_cast<size_t>(simd::MaskWords(n)));
-    for (int i = 0; i < n; ++i) {
-      xi[static_cast<size_t>(i)] = rng.UniformInt(-1000, 1000);
-      nulls[static_cast<size_t>(i)] = rng.Bernoulli(0.3) ? 1 : 0;
-    }
+    for (int i = 0; i < n; ++i) nulls[static_cast<size_t>(i)] = rng.Bernoulli(0.3) ? 1 : 0;
 
     // MaskFromNotNull / MaskAndNotNull / MaskCompress vs hand evaluation.
     simd::MaskSetAll(mask.data(), n);
@@ -153,23 +150,12 @@ TEST_P(SimdFuzz, MaskHelpersAndReductionsAgree) {
       }
     }
     EXPECT_EQ(count, expect_count);
-    EXPECT_EQ(simd::MaskCount(mask.data(), n), expect_count);
     EXPECT_EQ(simd::MaskAllSet(mask.data(), n), expect_count == n);
 
-    for (simd::Level level : AvailableLevels()) {
-      int64_t sum = 0, mn = xi[0], mx = xi[0], nn = 0;
-      for (int i = 0; i < n; ++i) {
-        const int64_t x = xi[static_cast<size_t>(i)];
-        sum += x;
-        mn = std::min(mn, x);
-        mx = std::max(mx, x);
-        nn += nulls[static_cast<size_t>(i)] == 0;
-      }
-      EXPECT_EQ(simd::SumI64(level, xi.data(), n), sum);
-      EXPECT_EQ(simd::MinI64(level, xi.data(), n), mn);
-      EXPECT_EQ(simd::MaxI64(level, xi.data(), n), mx);
-      EXPECT_EQ(simd::CountNotNull(level, nulls.data(), n), nn);
-    }
+    // MaskFromNotNull is MaskSetAll followed by MaskAndNotNull.
+    std::vector<uint64_t> from(mask.size());
+    simd::MaskFromNotNull(nulls.data(), n, from.data());
+    EXPECT_EQ(from, mask);
   }
 }
 
@@ -253,7 +239,7 @@ ExprPtr RandomConjunct(Random* rng) {
   }
 }
 
-TEST_P(SimdFuzz, FilterBlockMatchesTreeWalkOracle) {
+TEST_P(SimdFuzz, FilterBlockMatchesReference) {
   Random rng(GetParam() + 31);
   for (int with_all = 0; with_all < 2; ++with_all) {
     Table detail = RandomDetail(&rng, 700, with_all == 1);
@@ -263,15 +249,13 @@ TEST_P(SimdFuzz, FilterBlockMatchesTreeWalkOracle) {
       const int nc = static_cast<int>(rng.UniformInt(1, 4));
       for (int i = 0; i < nc; ++i) conjuncts.push_back(RandomConjunct(&rng));
 
-      Result<CompiledExpr> oracle =
-          CompileExpr(CombineConjuncts(conjuncts), nullptr, &detail.schema());
-      ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+      const ExprPtr theta = CombineConjuncts(conjuncts);
       std::vector<char> expect(static_cast<size_t>(detail.num_rows()));
       RowCtx ctx;
       ctx.detail = &detail;
       for (int64_t t = 0; t < detail.num_rows(); ++t) {
         ctx.detail_row = t;
-        expect[static_cast<size_t>(t)] = oracle->EvalTreeWalk(ctx).IsTruthy();
+        expect[static_cast<size_t>(t)] = EvalReference(*theta, ctx).IsTruthy();
       }
 
       for (simd::Level level : AvailableLevels()) {
@@ -297,8 +281,7 @@ TEST_P(SimdFuzz, FilterBlockMatchesTreeWalkOracle) {
               ASSERT_EQ(static_cast<bool>(got[static_cast<size_t>(i)]),
                         static_cast<bool>(expect[static_cast<size_t>(start + i)]))
                   << "level=" << simd::LevelName(level) << " flat=" << flat
-                  << " row=" << start + i << " theta="
-                  << CombineConjuncts(conjuncts)->ToString();
+                  << " row=" << start + i << " theta=" << theta->ToString();
             }
           }
         }
@@ -322,6 +305,14 @@ bool SameValue(const Value& a, const Value& b) {
   return a.Equals(b);
 }
 
+/// Integer values for the bytecode differential: small ones, plus the int64
+/// edges where +, -, *, % and negation overflow (INT64_MIN % -1 among them).
+int64_t RandomInt(Random* rng) {
+  const int64_t edges[] = {std::numeric_limits<int64_t>::min(),
+                           std::numeric_limits<int64_t>::max(), -1};
+  return rng->Bernoulli(0.3) ? edges[rng->Uniform(3)] : rng->UniformInt(-5, 5);
+}
+
 /// Random expression over both sides covering every bytecode op, including
 /// short-circuit AND/OR and multi-arm CASE. `numeric` restricts the result
 /// type to numeric — required for CASE then/else arms, where the compiler
@@ -333,7 +324,7 @@ ExprPtr RandomBytecodeExpr(Random* rng, int depth, bool numeric = false) {
       case 0: return BCol("b_int");
       case 1: return RCol("i");
       case 2: return RCol("f");
-      case 3: return Lit(rng->UniformInt(-5, 5));
+      case 3: return Lit(RandomInt(rng));
       case 4: return Lit(static_cast<double>(rng->UniformInt(-20, 20)) / 4);
       case 5: return BCol("b_str");
       case 6: return RCol("s");
@@ -377,7 +368,7 @@ ExprPtr RandomBytecodeExpr(Random* rng, int depth, bool numeric = false) {
   }
 }
 
-TEST_P(SimdFuzz, BytecodeMatchesTreeWalk) {
+TEST_P(SimdFuzz, BytecodeMatchesReference) {
   Random rng(GetParam() + 47);
   Schema base_schema({{"b_int", DataType::kInt64}, {"b_str", DataType::kString}});
   TableBuilder bb(base_schema);
@@ -385,18 +376,16 @@ TEST_P(SimdFuzz, BytecodeMatchesTreeWalk) {
   for (int r = 0; r < 10; ++r) {
     const double dice = rng.NextDouble();
     bb.AppendRowOrDie({dice < 0.15 ? NUL() : (dice < 0.3 ? testutil::ALL()
-                                                         : I(rng.UniformInt(-4, 4))),
+                                                         : I(RandomInt(&rng))),
                        rng.Bernoulli(0.2) ? NUL() : S(bstr[rng.Uniform(2)])});
   }
   Table base = std::move(bb).Finish();
   Table detail = RandomDetail(&rng, 10, /*with_all=*/true);
 
-  int bytecode_seen = 0;
   for (int round = 0; round < 80; ++round) {
     ExprPtr expr = RandomBytecodeExpr(&rng, 4);
     Result<CompiledExpr> compiled = CompileExpr(expr, &base_schema, &detail.schema());
     ASSERT_TRUE(compiled.ok()) << expr->ToString();
-    bytecode_seen += compiled->has_bytecode();
     RowCtx ctx;
     ctx.base = &base;
     ctx.detail = &detail;
@@ -404,19 +393,13 @@ TEST_P(SimdFuzz, BytecodeMatchesTreeWalk) {
       for (int64_t d = 0; d < detail.num_rows(); ++d) {
         ctx.base_row = b;
         ctx.detail_row = d;
-        const Value tree = compiled->EvalTreeWalk(ctx);
+        const Value want = EvalReference(*expr, ctx);
         const Value bc = compiled->Eval(ctx);
-        ASSERT_TRUE(SameValue(tree, bc))
-            << expr->ToString() << " tree=" << tree.ToString()
+        ASSERT_TRUE(SameValue(want, bc))
+            << expr->ToString() << " reference=" << want.ToString()
             << " bytecode=" << bc.ToString() << " b=" << b << " d=" << d;
       }
     }
-  }
-  // Unless the process-wide kill switch is set, every expression must have
-  // lowered (compiled->Eval would otherwise just re-test the tree walker).
-  const char* env = std::getenv("MDJOIN_THETA_BYTECODE");
-  if (env == nullptr || std::string(env) != "0") {
-    EXPECT_EQ(bytecode_seen, 80);
   }
 }
 
@@ -471,9 +454,12 @@ TEST_P(SimdFuzz, TypedAggUpdatesMatchValueUpdates) {
   }
 }
 
-TEST_P(SimdFuzz, MdJoinIdenticalAcrossBackends) {
+TEST_P(SimdFuzz, MdJoinIdenticalWithAndWithoutMirror) {
   Random rng(GetParam() + 93);
-  Table detail = testutil::RandomSales(GetParam(), 2500);
+  const Table detail = testutil::RandomSales(GetParam(), 2500);
+  const Table plain = testutil::WithoutMirror(detail);
+  ASSERT_NE(detail.accel(), nullptr);
+  ASSERT_EQ(plain.accel(), nullptr);
   // Cube-style base: (prod, month) at every granularity, exercising the
   // multi-bucket index and its code-key memo.
   TableBuilder bb({{"prod", DataType::kInt64}, {"month", DataType::kInt64}});
@@ -504,43 +490,12 @@ TEST_P(SimdFuzz, MdJoinIdenticalAcrossBackends) {
     Result<Table> oracle = MdJoinReference(base, detail, aggs, theta);
     ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
 
-    for (simd::Level level : AvailableLevels()) {
-      for (int flat = 0; flat < 2; ++flat) {
-        for (int bytecode = 0; bytecode < 2; ++bytecode) {
-          MdJoinOptions options;
-          options.simd = level == simd::Level::kScalar ? simd::Backend::kScalar
-                         : level == simd::Level::kAvx2 ? simd::Backend::kAvx2
-                                                       : simd::Backend::kNeon;
-          options.use_flat_columns = flat == 1;
-          options.theta_bytecode = bytecode == 1;
-          Result<Table> got = MdJoin(base, detail, aggs, theta, options);
-          ASSERT_TRUE(got.ok()) << got.status().ToString();
-          EXPECT_TRUE(TablesEqualOrdered(*oracle, *got))
-              << "level=" << simd::LevelName(level) << " flat=" << flat
-              << " bytecode=" << bytecode;
-        }
-      }
+    for (const Table* scanned : {&detail, &plain}) {
+      Result<Table> got = MdJoin(base, *scanned, aggs, theta);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_TRUE(TablesEqualOrdered(*oracle, *got))
+          << "mirror=" << (scanned->accel() != nullptr) << " theta=" << theta->ToString();
     }
-  }
-}
-
-TEST(SimdBackendTest, PinningUnavailableBackendFails) {
-  Table detail = testutil::SmallSales();
-  TableBuilder bb({{"cust", DataType::kInt64}});
-  bb.AppendRowOrDie({I(1)});
-  Table base = std::move(bb).Finish();
-  const ExprPtr theta = Eq(BCol("cust"), RCol("cust"));
-  const std::vector<AggSpec> aggs = {Count("cnt")};
-  const std::pair<simd::Backend, simd::Level> pins[] = {
-      {simd::Backend::kAvx2, simd::Level::kAvx2},
-      {simd::Backend::kNeon, simd::Level::kNeon}};
-  for (const auto& [backend, level] : pins) {
-    MdJoinOptions options;
-    options.simd = backend;
-    Result<Table> result = MdJoin(base, detail, aggs, theta, options);
-    EXPECT_EQ(result.ok(), simd::LevelAvailable(level))
-        << simd::BackendName(backend)
-        << (result.ok() ? "" : ": " + result.status().ToString());
   }
 }
 

@@ -112,6 +112,18 @@ inline Table RandomSales(uint64_t seed, int64_t rows, int64_t num_cust = 6,
   return std::move(b).Finish();
 }
 
+/// `t` without its typed mirror (table/table_accel.h): the same columns
+/// added one by one through AddColumn, which drops the mirror, so an MD-join
+/// over it takes the Value-cell path.
+inline Table WithoutMirror(const Table& t) {
+  Table out;
+  for (int c = 0; c < t.num_columns(); ++c) {
+    Status st = out.AddColumn(t.schema().field(c), t.column(c));
+    MDJ_CHECK(st.ok()) << st.ToString();
+  }
+  return out;
+}
+
 /// The oracle for a generalized MD-join: base columns, then each component's
 /// aggregates as MdJoinReference (Definition 3.1) computes them on its own.
 inline Table ReferencePerComponent(const Table& base, const Table& detail,
