@@ -1,8 +1,12 @@
 /// E1 — Figure 1(a): the CUBE BY query of Example 2.1 as one MD-join.
 /// Prints the figure's output-table shape on the running example, then
 /// measures cube computation via MD-join across data sizes and dimension
-/// counts. Counters report the multi-granularity index's ALL-mask buckets
-/// (2^d) and per-tuple candidate work.
+/// counts. Every cube arm builds B with its generator, which also hands out
+/// the group-id map of B over Sales; the last argument pairs the arms:
+/// 1 passes the map, the route a CUBE BY text takes, and 0 leaves it out, so
+/// the join walks its multi-granularity index (2^d ALL-mask buckets).
+/// Counters report the route, the index's buckets and per-tuple candidate
+/// work.
 
 #include <benchmark/benchmark.h>
 
@@ -39,27 +43,41 @@ void PrintFigure1a() {
   std::printf("last row (grand total):\n%s\n", last.ToString().c_str());
 }
 
+/// The map arm's relative sets: the generator's map when `use_map`, else
+/// none (the join walks its index).
+const GroupIdMap* MapArm(const GroupIdMap& groups, int64_t use_map) {
+  return use_map != 0 ? &groups : nullptr;
+}
+
+void TagRoute(benchmark::State& state, const MdJoinStats& stats) {
+  state.counters["group_ids"] = stats.route == RelativeSetRoute::kGroupIds ? 1.0 : 0.0;
+  state.counters["probe_memo_hits"] = static_cast<double>(stats.index_probe_memo_hits);
+}
+
 void BM_CubeMdJoin(benchmark::State& state) {
   const int64_t rows = state.range(0);
   const int ndims = static_cast<int>(state.range(1));
   const Table& sales = CachedSales(rows, 100, 50, 12);
   std::vector<std::string> all_dims = {"prod", "month", "state"};
   std::vector<std::string> dims(all_dims.begin(), all_dims.begin() + ndims);
-  Table base = *CubeByBase(sales, dims);
+  GroupIdMap groups;
+  Table base = *CubeByBase(sales, dims, &groups);
   ExprPtr theta = DimsTheta(dims);
   std::vector<AggSpec> aggs = {Sum(dsl::RCol("sale"), "total"), Count("n")};
   MdJoinStats stats;
   for (auto _ : state) {
-    Table cube = *MdJoin(base, sales, aggs, theta, {}, &stats);
+    Table cube = *MdJoin(base, sales, aggs, theta, {}, &stats,
+                         MapArm(groups, state.range(2)));
     benchmark::DoNotOptimize(cube.num_rows());
   }
   state.counters["base_rows"] = static_cast<double>(base.num_rows());
   state.counters["index_masks"] = static_cast<double>(stats.index_masks);
   state.counters["candidate_pairs"] = static_cast<double>(stats.candidate_pairs);
   state.counters["detail_rows"] = static_cast<double>(rows);
+  TagRoute(state, stats);
 }
 BENCHMARK(BM_CubeMdJoin)
-    ->ArgsProduct({{10000, 50000, 200000}, {1, 2, 3}})
+    ->ArgsProduct({{10000, 50000, 200000}, {1, 2, 3}, {1, 0}})
     ->Unit(benchmark::kMillisecond);
 
 void BM_CubeMdJoinGuarded(benchmark::State& state) {
@@ -71,20 +89,24 @@ void BM_CubeMdJoinGuarded(benchmark::State& state) {
   const Table& sales = CachedSales(rows, 100, 50, 12);
   std::vector<std::string> all_dims = {"prod", "month", "state"};
   std::vector<std::string> dims(all_dims.begin(), all_dims.begin() + ndims);
-  Table base = *CubeByBase(sales, dims);
+  GroupIdMap groups;
+  Table base = *CubeByBase(sales, dims, &groups);
   ExprPtr theta = DimsTheta(dims);
   std::vector<AggSpec> aggs = {Sum(dsl::RCol("sale"), "total"), Count("n")};
+  MdJoinStats stats;
   for (auto _ : state) {
     QueryGuard guard;
     MdJoinOptions options;
     options.guard = &guard;
-    Table cube = *MdJoin(base, sales, aggs, theta, options);
+    Table cube =
+        *MdJoin(base, sales, aggs, theta, options, &stats, MapArm(groups, state.range(2)));
     benchmark::DoNotOptimize(cube.num_rows());
   }
   state.counters["base_rows"] = static_cast<double>(base.num_rows());
+  TagRoute(state, stats);
 }
 BENCHMARK(BM_CubeMdJoinGuarded)
-    ->ArgsProduct({{10000, 50000, 200000}, {1, 2, 3}})
+    ->ArgsProduct({{10000, 50000, 200000}, {1, 2, 3}, {1, 0}})
     ->Unit(benchmark::kMillisecond);
 
 void BM_CubeBlockScan(benchmark::State& state) {
@@ -93,7 +115,8 @@ void BM_CubeBlockScan(benchmark::State& state) {
   const int64_t rows = state.range(0);
   const Table& sales = CachedSales(rows, 100, 50, 12);
   std::vector<std::string> dims = {"prod", "month"};
-  Table base = *CubeByBase(sales, dims);
+  GroupIdMap groups;
+  Table base = *CubeByBase(sales, dims, &groups);
   ExprPtr theta = DimsTheta(dims);
   std::vector<AggSpec> aggs = {Sum(dsl::RCol("sale"), "total"), Count("n"),
                                Min(dsl::RCol("sale"), "lo"),
@@ -101,14 +124,18 @@ void BM_CubeBlockScan(benchmark::State& state) {
                                Avg(dsl::RCol("sale"), "mean")};
   MdJoinStats stats;
   for (auto _ : state) {
-    Table cube = *MdJoin(base, sales, aggs, theta, {}, &stats);
+    Table cube = *MdJoin(base, sales, aggs, theta, {}, &stats,
+                         MapArm(groups, state.range(1)));
     benchmark::DoNotOptimize(cube.num_rows());
   }
   state.counters["base_rows"] = static_cast<double>(base.num_rows());
   state.counters["blocks"] = static_cast<double>(stats.blocks);
   state.counters["detail_rows"] = static_cast<double>(rows);
+  TagRoute(state, stats);
 }
-BENCHMARK(BM_CubeBlockScan)->Arg(200000)->Arg(1000000)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_CubeBlockScan)
+    ->ArgsProduct({{200000, 1000000}, {1, 0}})
+    ->Unit(benchmark::kMillisecond);
 
 /// `t` without its typed mirror: the same columns added one by one through
 /// AddColumn, which drops the mirror, so an MD-join over it takes the
@@ -135,7 +162,8 @@ Table WithoutMirror(const Table& t) {
 ///     baseline for the predicated A/B (same query, Value-cell string
 ///     compares and updates instead of code compares + kernels).
 /// There is no arm 1 (a scalar-level pin): the level comes from the machine,
-/// and a -DMDJOIN_SIMD=OFF build runs every arm at the scalar level.
+/// and a -DMDJOIN_SIMD=OFF build runs every arm at the scalar level. arg2 is
+/// the map arm: 1 passes the generator's group-id map, 0 walks the index.
 void BM_CubeRawSpeed(benchmark::State& state) {
   const int64_t rows = state.range(0);
   const int arm = static_cast<int>(state.range(1));
@@ -143,7 +171,8 @@ void BM_CubeRawSpeed(benchmark::State& state) {
   const Table plain = (arm == 0 || arm == 4) ? WithoutMirror(cached) : Table();
   const Table& sales = (arm == 0 || arm == 4) ? plain : cached;
   std::vector<std::string> dims = {"prod", "month"};
-  Table base = *CubeByBase(sales, dims);
+  GroupIdMap groups;
+  Table base = *CubeByBase(sales, dims, &groups);
   ExprPtr theta = DimsTheta(dims);
   if (arm == 3 || arm == 4) {
     theta = dsl::And(std::move(theta),
@@ -156,7 +185,8 @@ void BM_CubeRawSpeed(benchmark::State& state) {
                                Avg(dsl::RCol("sale"), "mean")};
   MdJoinStats stats;
   for (auto _ : state) {
-    Table cube = *MdJoin(base, sales, aggs, theta, {}, &stats);
+    Table cube = *MdJoin(base, sales, aggs, theta, {}, &stats,
+                         MapArm(groups, state.range(2)));
     benchmark::DoNotOptimize(cube.num_rows());
   }
   state.counters["arm"] = arm;
@@ -165,12 +195,11 @@ void BM_CubeRawSpeed(benchmark::State& state) {
   state.counters["dense_blocks"] = static_cast<double>(stats.dense_blocks);
   state.counters["kernel_invocations"] =
       static_cast<double>(stats.kernel_invocations);
-  state.counters["probe_memo_hits"] =
-      static_cast<double>(stats.index_probe_memo_hits);
+  TagRoute(state, stats);
   bench::TagConfig(state, sales);
 }
 BENCHMARK(BM_CubeRawSpeed)
-    ->ArgsProduct({{200000, 1000000}, {0, 2, 3, 4}})
+    ->ArgsProduct({{200000, 1000000}, {0, 2, 3, 4}, {1, 0}})
     ->Unit(benchmark::kMillisecond);
 
 void BM_GroupingSetsViaSameOperator(benchmark::State& state) {
@@ -179,19 +208,21 @@ void BM_GroupingSetsViaSameOperator(benchmark::State& state) {
   const int64_t rows = state.range(0);
   const Table& sales = CachedSales(rows, 100, 50, 12);
   std::vector<std::string> dims = {"prod", "month", "state"};
-  Table base = *UnpivotBase(sales, dims);
+  GroupIdMap groups;
+  Table base = *UnpivotBase(sales, dims, &groups);
   ExprPtr theta = DimsTheta(dims);
   std::vector<AggSpec> aggs = {Sum(dsl::RCol("sale"), "total"), Count("n")};
+  MdJoinStats stats;
   for (auto _ : state) {
-    Table marginals = *MdJoin(base, sales, aggs, theta);
+    Table marginals = *MdJoin(base, sales, aggs, theta, {}, &stats,
+                              MapArm(groups, state.range(1)));
     benchmark::DoNotOptimize(marginals.num_rows());
   }
   state.counters["base_rows"] = static_cast<double>(base.num_rows());
+  TagRoute(state, stats);
 }
 BENCHMARK(BM_GroupingSetsViaSameOperator)
-    ->Arg(10000)
-    ->Arg(50000)
-    ->Arg(200000)
+    ->ArgsProduct({{10000, 50000, 200000}, {1, 0}})
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

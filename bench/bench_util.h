@@ -2,7 +2,10 @@
 #define MDJOIN_BENCH_BENCH_UTIL_H_
 
 #include <benchmark/benchmark.h>
+#include <unistd.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <map>
@@ -63,18 +66,24 @@ inline ExprPtr DimsTheta(const std::vector<std::string>& dims) {
 }
 
 /// Console reporter that additionally collects one machine-readable record
-/// per benchmark run for the harness: name, rows (the "detail_rows" counter
-/// when the bench sets it), ns/op, detail-row throughput — plus every
-/// user counter the bench set (latency percentiles, shed fractions, QPS,
-/// cache hit counts, ...), so bench drivers can publish arbitrary
-/// experiment-specific measurements through the same BENCH_*.json pipeline.
+/// per benchmark for the harness: name, rows (the "detail_rows" counter when
+/// the bench sets it), ns/op, detail-row throughput — plus every user counter
+/// the bench set (latency percentiles, shed fractions, QPS, cache hit
+/// counts, ...), so bench drivers can publish arbitrary experiment-specific
+/// measurements through the same BENCH_*.json pipeline. Under
+/// --benchmark_repetitions=N the N runs of one benchmark fold into one
+/// record: ns_per_op is their mean, with their minimum and standard deviation
+/// beside it; counters are the last run's.
 class JsonCollectingReporter : public ::benchmark::ConsoleReporter {
  public:
   struct Record {
     std::string name;
     double rows = 0;
-    double ns_per_op = 0;
+    double ns_per_op = 0;  // mean over the repetitions
+    double ns_per_op_min = 0;
+    double ns_per_op_stddev = 0;  // sample standard deviation; 0 for one run
     double rows_per_sec = 0;
+    int repetitions = 0;
     /// All user counters of the run, verbatim (includes "detail_rows").
     std::map<std::string, double> counters;
   };
@@ -83,17 +92,33 @@ class JsonCollectingReporter : public ::benchmark::ConsoleReporter {
     ::benchmark::ConsoleReporter::ReportRuns(reports);
     for (const Run& run : reports) {
       if (run.error_occurred || run.run_type != Run::RT_Iteration) continue;
-      Record rec;
-      rec.name = run.benchmark_name();
-      auto it = run.counters.find("detail_rows");
-      if (it != run.counters.end()) rec.rows = it->second.value;
-      const double iters = run.iterations > 0 ? static_cast<double>(run.iterations) : 1;
-      rec.ns_per_op = run.real_accumulated_time / iters * 1e9;
-      rec.rows_per_sec = rec.ns_per_op > 0 ? rec.rows * 1e9 / rec.ns_per_op : 0;
-      for (const auto& [name, counter] : run.counters) {
-        rec.counters[name] = counter.value;
+      const std::string name = run.benchmark_name();
+      auto it = std::find_if(records_.begin(), records_.end(),
+                             [&name](const Record& r) { return r.name == name; });
+      if (it == records_.end()) {
+        records_.push_back(Record{});
+        it = records_.end() - 1;
+        it->name = name;
+        samples_.emplace_back();
       }
-      records_.push_back(std::move(rec));
+      std::vector<double>& samples = samples_[static_cast<size_t>(it - records_.begin())];
+      const double iters = run.iterations > 0 ? static_cast<double>(run.iterations) : 1;
+      samples.push_back(run.real_accumulated_time / iters * 1e9);
+      Record& rec = *it;
+      rec.counters.clear();
+      for (const auto& [counter, value] : run.counters) rec.counters[counter] = value.value;
+      auto rows = rec.counters.find("detail_rows");
+      rec.rows = rows != rec.counters.end() ? rows->second : 0;
+      rec.repetitions = static_cast<int>(samples.size());
+      double sum = 0;
+      for (double ns : samples) sum += ns;
+      rec.ns_per_op = sum / static_cast<double>(samples.size());
+      rec.ns_per_op_min = *std::min_element(samples.begin(), samples.end());
+      double sq = 0;
+      for (double ns : samples) sq += (ns - rec.ns_per_op) * (ns - rec.ns_per_op);
+      rec.ns_per_op_stddev =
+          samples.size() > 1 ? std::sqrt(sq / static_cast<double>(samples.size() - 1)) : 0;
+      rec.rows_per_sec = rec.ns_per_op > 0 ? rec.rows * 1e9 / rec.ns_per_op : 0;
     }
   }
 
@@ -101,6 +126,7 @@ class JsonCollectingReporter : public ::benchmark::ConsoleReporter {
 
  private:
   std::vector<Record> records_;
+  std::vector<std::vector<double>> samples_;  // ns/op of each run, per record
 };
 
 /// Publishes an arm's raw-speed configuration as cfg_* counters;
@@ -114,27 +140,36 @@ inline void TagConfig(::benchmark::State& state, const Table& detail) {
   state.counters["cfg_dict"] = detail.accel() != nullptr ? 1.0 : 0.0;
 }
 
-/// The git revision the bench binary was built from, injected by
-/// bench/CMakeLists.txt at configure time ("unknown" outside a git tree).
+/// The git revision and the tree's CMAKE_BUILD_TYPE the bench binary was
+/// built from, injected by bench/CMakeLists.txt at configure time ("unknown"
+/// outside a git tree or without a build type).
 #ifndef MDJOIN_GIT_SHA
 #define MDJOIN_GIT_SHA "unknown"
 #endif
+#ifndef MDJOIN_BUILD_TYPE
+#define MDJOIN_BUILD_TYPE "unknown"
+#endif
 
 /// Writes the collected records as a JSON array of flat objects. Every record
-/// carries the build's git SHA and the harness-supplied wall-clock timestamp
-/// so checked-in BENCH_*.json files stay attributable to a revision and run.
+/// carries its repetitions (count, mean, min, standard deviation), the host's
+/// online core count, the build type, the build's git SHA and the
+/// harness-supplied wall-clock timestamp, so checked-in BENCH_*.json files
+/// stay attributable to a revision, a build and a machine.
 inline bool WriteBenchJson(const std::string& path,
                            const std::vector<JsonCollectingReporter::Record>& records,
                            const std::string& timestamp) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) return false;
+  const long nproc = sysconf(_SC_NPROCESSORS_ONLN);
   std::fprintf(f, "[\n");
   for (size_t i = 0; i < records.size(); ++i) {
     const auto& r = records[i];
     std::fprintf(f,
                  "  {\"name\": \"%s\", \"rows\": %.0f, \"ns_per_op\": %.1f, "
-                 "\"rows_per_sec\": %.1f",
-                 r.name.c_str(), r.rows, r.ns_per_op, r.rows_per_sec);
+                 "\"ns_per_op_min\": %.1f, \"ns_per_op_stddev\": %.1f, "
+                 "\"repetitions\": %d, \"rows_per_sec\": %.1f",
+                 r.name.c_str(), r.rows, r.ns_per_op, r.ns_per_op_min, r.ns_per_op_stddev,
+                 r.repetitions, r.rows_per_sec);
     for (const auto& [name, value] : r.counters) {
       if (name == "detail_rows") continue;  // already published as "rows"
       if (name.rfind("cfg_", 0) == 0) continue;  // folded into "config" below
@@ -146,8 +181,11 @@ inline bool WriteBenchJson(const std::string& path,
     if (auto c = r.counters.find("cfg_dict"); c != r.counters.end()) dict_d = c->second;
     std::fprintf(f, ", \"config\": {\"simd\": \"%s\", \"dictionary\": %s}",
                  simd::LevelName(simd::BestLevel()), dict_d != 0 ? "true" : "false");
-    std::fprintf(f, ", \"git_sha\": \"%s\", \"timestamp\": \"%s\"}%s\n", MDJOIN_GIT_SHA,
-                 timestamp.c_str(), i + 1 < records.size() ? "," : "");
+    std::fprintf(f,
+                 ", \"nproc\": %ld, \"build_type\": \"%s\", \"git_sha\": \"%s\", "
+                 "\"timestamp\": \"%s\"}%s\n",
+                 nproc, MDJOIN_BUILD_TYPE, MDJOIN_GIT_SHA, timestamp.c_str(),
+                 i + 1 < records.size() ? "," : "");
   }
   std::fprintf(f, "]\n");
   std::fclose(f);

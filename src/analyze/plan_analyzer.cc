@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "agg/agg_spec.h"
+#include "cube/base_tables.h"
 #include "expr/compile.h"
 
 namespace mdjoin {
@@ -598,6 +599,17 @@ Status NotCertified(const char* rule, const std::string& path, std::string why) 
       .ToStatus();
 }
 
+/// θ's equi part is exactly the dimension-equality condition over `dims`:
+/// the condition under which a cuboid row matches a detail tuple iff they
+/// agree on the cuboid's grouped dims (CertifyRollup, CertifyGroupIds).
+Status CheckDimensionEquality(const ThetaParts& parts, const std::vector<std::string>& dims,
+                              const char* rule) {
+  if (const char* why = DimensionEqualityFailure(parts.equi, dims)) {
+    return NotCertified(rule, "root", why);
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 Result<PushdownCertificate> CertifyDetailPushdown(const PlanPtr& plan) {
@@ -814,22 +826,65 @@ Result<RollupCertificate> CertifyRollup(const PlanPtr& plan) {
                         "θ has non-equi conjuncts; roll-up requires the pure "
                         "dimension-equality condition");
   }
-  std::set<std::string> seen;
-  for (const EquiPair& p : cls.parts.equi) {
-    if (p.base_expr->kind() != ExprKind::kColumnRef ||
-        p.detail_expr->kind() != ExprKind::kColumnRef ||
-        p.base_expr->column_name() != p.detail_expr->column_name()) {
-      return NotCertified("Theorem 4.5", "root",
-                          "equi conjunct is not a plain B.d = R.d dimension pair");
-    }
-    seen.insert(p.base_expr->column_name());
-  }
-  std::set<std::string> want(base->cube_dims.begin(), base->cube_dims.end());
-  if (seen != want) {
-    return NotCertified("Theorem 4.5", "root",
-                        "θ's dimension set does not match the cuboid's dimensions");
-  }
+  MDJ_RETURN_NOT_OK(CheckDimensionEquality(cls.parts, base->cube_dims, "Theorem 4.5"));
   return RollupCertificate{base->cube_dims};
+}
+
+Result<GroupIdsCertificate> CertifyGroupIds(const PlanPtr& plan) {
+  constexpr const char* kRule = "group-id relative sets";
+  std::vector<ExprPtr> thetas;
+  if (plan->kind() == PlanKind::kMdJoin) {
+    thetas.push_back(plan->theta);
+  } else if (plan->kind() == PlanKind::kGeneralizedMdJoin) {
+    for (const MdJoinComponent& c : plan->components) thetas.push_back(c.theta);
+  } else {
+    return NotCertified(kRule, "root", "root is not an MD-join");
+  }
+  // The base: CubeBase(R′, dims), or a union of CuboidBase(R′, dims, m) over
+  // one R′ and one dims list.
+  const PlanPtr& base = plan->child(0);
+  std::vector<PlanPtr> pieces = {base};
+  if (base->kind() == PlanKind::kUnion) pieces = base->children();
+  GroupIdsCertificate cert;
+  for (const PlanPtr& piece : pieces) {
+    if (piece->kind() != PlanKind::kCuboidBase &&
+        !(piece == base && base->kind() == PlanKind::kCubeBase)) {
+      return NotCertified(kRule, "root/0",
+                          "base child is not a cube, rollup, grouping-sets or unpivot "
+                          "generator");
+    }
+    if (cert.detail == nullptr) {
+      cert.detail = piece->child(0);
+      cert.dims = piece->cube_dims;
+    } else if (piece->cube_dims != cert.dims ||
+               (piece->child(0) != cert.detail &&
+                ExplainPlan(piece->child(0)) != ExplainPlan(cert.detail))) {
+      return NotCertified(kRule, "root/0",
+                          "the union's cuboids differ in their input or dimensions");
+    }
+    if (piece->kind() == PlanKind::kCuboidBase) cert.masks.push_back(piece->cuboid_mask);
+  }
+  if (cert.detail == nullptr) return NotCertified(kRule, "root/0", "empty union");
+  if (base->kind() == PlanKind::kCubeBase) {
+    MDJ_ASSIGN_OR_RETURN(CubeLattice lattice, CubeLattice::Make(cert.dims));
+    cert.masks = CubeMasks(lattice);
+  }
+  const PlanPtr& detail = plan->child(1);
+  if (detail != cert.detail && ExplainPlan(detail) != ExplainPlan(cert.detail)) {
+    return NotCertified(kRule, "root/1",
+                        "the detail child is not the plan the base is generated from");
+  }
+  // Every θ: the dimension equality over dims, and no B-only conjunct (it
+  // would drop base rows the group's relative set lists). R-only and
+  // residual conjuncts run as they do over an index.
+  for (const ExprPtr& theta : thetas) {
+    ThetaClassification cls = ClassifyTheta(theta);
+    if (!cls.parts.base_only.empty()) {
+      return NotCertified(kRule, "root", "θ has a B-only conjunct");
+    }
+    MDJ_RETURN_NOT_OK(CheckDimensionEquality(cls.parts, cert.dims, kRule));
+  }
+  return cert;
 }
 
 }  // namespace mdjoin

@@ -262,6 +262,21 @@ struct RollupCertificate {
 };
 Result<RollupCertificate> CertifyRollup(const PlanPtr& plan);
 
+/// Group-id relative sets: an MD-join, plain or generalized, whose base is
+/// generated from its own detail relation R′ — CubeBase(R′, dims), or a
+/// Union of CuboidBase(R′, dims, m) over one R′ and one dims list (rollup,
+/// grouping sets, unpivot) — where every θ's equi part is exactly the
+/// dimension-equality condition over dims (CertifyRollup's check) and no θ
+/// has a B-only conjunct. The executor then runs the generator once over R′
+/// and hands the MD-join each detail row's relative set by group id
+/// (GroupIdMap, core/mdjoin.h) instead of an index over B.
+struct GroupIdsCertificate {
+  PlanPtr detail;                  // R′: the generator's input and the join's detail
+  std::vector<std::string> dims;   // the generator's dimensions
+  std::vector<CuboidMask> masks;   // the cuboids it generates, in output order
+};
+Result<GroupIdsCertificate> CertifyGroupIds(const PlanPtr& plan);
+
 }  // namespace mdjoin
 
 #endif  // MDJOIN_ANALYZE_PLAN_ANALYZER_H_

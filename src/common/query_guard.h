@@ -126,7 +126,7 @@ class QueryGuard {
   /// Bytes a reservation can take now without crossing the soft budget or
   /// the hard limit: the smaller of the two headrooms, clamped at 0; int64
   /// max when neither is configured. Optional memory (extra worker partials,
-  /// index ancestor rows) is taken only from here.
+  /// a group-id map) is taken only from here.
   int64_t headroom_bytes() const;
 
   int64_t detail_rows_seen() const { return rows_.load(std::memory_order_relaxed); }

@@ -67,55 +67,9 @@ Result<BaseIndex> BaseIndex::Build(const Table& base, const std::vector<int64_t>
       }
       index.buckets_.push_back(std::move(bucket));
     }
-    MaskBucket& bucket = index.buckets_[it->second];
-    bucket.map[std::move(key)].rows.push_back(row);
-    ++bucket.rows;
-  }
-  if (auto it = bucket_of.find(0); it != bucket_of.end()) {
-    index.finest_ = static_cast<int>(it->second);
+    index.buckets_[it->second].map[std::move(key)].push_back(row);
   }
   return index;
-}
-
-int64_t BaseIndex::link_rows() const {
-  if (finest_ < 0 || buckets_.size() < 2) return 0;
-  for (const MaskBucket& bucket : buckets_) {
-    if (bucket.rows != static_cast<int64_t>(bucket.map.size())) return 0;
-  }
-  return static_cast<int64_t>(buckets_[static_cast<size_t>(finest_)].map.size()) *
-         static_cast<int64_t>(buckets_.size());
-}
-
-void BaseIndex::LinkAncestors() {
-  const int64_t bound = link_rows();
-  if (linked_ || bound == 0) return;
-  links_.reserve(static_cast<size_t>(bound));
-  const size_t nkeys = detail_keys_.size();
-  std::vector<size_t> hashes(nkeys);
-  std::vector<const Value*> probe;
-  probe.reserve(nkeys);
-  for (auto& [key, entry] : buckets_[static_cast<size_t>(finest_)].map) {
-    // Every key holds one row (link_rows() > 0): one id per bucket at most.
-    entry.link_begin = static_cast<int64_t>(links_.size());
-    links_.push_back(entry.rows.front());
-    // A finest key holds every position: hash each Value once, and combine
-    // the hashes of each coarser bucket's positions into its RowKeyHash.
-    for (size_t i = 0; i < nkeys; ++i) hashes[i] = key[i].Hash();
-    for (size_t b = 0; b < buckets_.size(); ++b) {
-      if (static_cast<int>(b) == finest_) continue;
-      const MaskBucket& bucket = buckets_[b];
-      probe.clear();
-      size_t hash = bucket.probe_positions.size();
-      for (int pos : bucket.probe_positions) {
-        probe.push_back(&key[static_cast<size_t>(pos)]);
-        HashCombine(&hash, hashes[static_cast<size_t>(pos)]);
-      }
-      auto it = bucket.map.find(HashedKeyView{probe.data(), probe.size(), hash});
-      if (it != bucket.map.end()) links_.push_back(it->second.rows.front());
-    }
-    entry.link_count = static_cast<int64_t>(links_.size()) - entry.link_begin;
-  }
-  linked_ = true;
 }
 
 namespace {
@@ -224,22 +178,7 @@ BaseIndex::ProbeResult BaseIndex::ProbeSpan(const Table& detail, int64_t detail_
     scratch->key.push_back(v);
   }
   if (multi) ++scratch->probe_lookups;
-
-  // A key found in the finest bucket carries its ancestor rows: all of
-  // Rel(t) in one lookup, spanned in place.
-  const Entry* hit = nullptr;
-  if (linked_ && !any_all) {
-    const Bucket& finest = buckets_[static_cast<size_t>(finest_)].map;
-    auto it = finest.find(RowKeyView{scratch->key.data(), nkeys});
-    if (it != finest.end()) hit = &it->second;
-  }
-  ProbeResult result;
-  if (hit != nullptr) {
-    ++scratch->probe_hits;
-    result = ProbeResult{links_.data() + hit->link_begin, hit->link_count};
-  } else {
-    result = Walk(scratch, any_all, gather);
-  }
+  const ProbeResult result = Walk(scratch, any_all, gather);
 
   // A memo insert stores an owned copy and returns a span of the stored
   // vector (node-based map: mapped vectors stay put across rehash).
@@ -254,7 +193,7 @@ BaseIndex::ProbeResult BaseIndex::ProbeSpan(const Table& detail, int64_t detail_
 BaseIndex::ProbeResult BaseIndex::Walk(ProbeScratch* scratch, bool any_all,
                                        std::vector<int64_t>* gather) const {
   gather->clear();
-  const Entry* single = nullptr;  // span-able single source
+  const std::vector<int64_t>* single = nullptr;  // span-able single source
   for (const MaskBucket& bucket : buckets_) {
     // Gather the probe key for this bucket's non-ALL positions.
     scratch->probe.clear();
@@ -271,10 +210,10 @@ BaseIndex::ProbeResult BaseIndex::Walk(ProbeScratch* scratch, bool any_all,
       // Rare path (detail relation containing ALL): the probe key cannot
       // discriminate, walk the whole bucket.
       if (single != nullptr) {
-        gather->insert(gather->end(), single->rows.begin(), single->rows.end());
+        gather->insert(gather->end(), single->begin(), single->end());
         single = nullptr;
       }
-      for (const auto& [key, entry] : bucket.map) {
+      for (const auto& [key, rows] : bucket.map) {
         bool match = true;
         size_t ki = 0;
         for (int pos : bucket.probe_positions) {
@@ -283,9 +222,7 @@ BaseIndex::ProbeResult BaseIndex::Walk(ProbeScratch* scratch, bool any_all,
             break;
           }
         }
-        if (match) {
-          gather->insert(gather->end(), entry.rows.begin(), entry.rows.end());
-        }
+        if (match) gather->insert(gather->end(), rows.begin(), rows.end());
       }
       continue;
     }
@@ -297,14 +234,14 @@ BaseIndex::ProbeResult BaseIndex::Walk(ProbeScratch* scratch, bool any_all,
       single = &it->second;
     } else {
       if (single != nullptr) {
-        gather->insert(gather->end(), single->rows.begin(), single->rows.end());
+        gather->insert(gather->end(), single->begin(), single->end());
         single = nullptr;
       }
-      gather->insert(gather->end(), it->second.rows.begin(), it->second.rows.end());
+      gather->insert(gather->end(), it->second.begin(), it->second.end());
     }
   }
   return single != nullptr
-             ? ProbeResult{single->rows.data(), static_cast<int64_t>(single->rows.size())}
+             ? ProbeResult{single->data(), static_cast<int64_t>(single->size())}
              : ProbeResult{gather->data(), static_cast<int64_t>(gather->size())};
 }
 

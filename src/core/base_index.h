@@ -66,39 +66,21 @@ struct CodeKeyEqual {
 /// Cube-aware: base rows may hold ALL in key positions (multi-granularity
 /// base tables, Example 2.1/2.3). Rows are bucketed by their "ALL-mask" — the
 /// subset of key positions that are ALL — with one hash map per mask, keyed
-/// on the non-ALL positions only. The bucket with no ALL is the *finest*
-/// one. Once LinkAncestors() has run, each finest key's entry also lists its
-/// ancestor rows — the rows of every coarser bucket that the key projects
-/// onto — so a detail key found in the finest bucket gets all of Rel(t) from
-/// one lookup. Any other key (absent from the finest rows, holding ALL or
-/// NaN, or probing an index with no finest bucket) walks every bucket: a
-/// full d-dimensional cube then costs 2^d lookups. A plain (ALL-free) base
-/// table has exactly one bucket and a probe is a single lookup. A detail
-/// tuple with a NULL key probes to the empty set: θ-equality never matches
-/// NULL, not even against an ALL base key (the same verdict θ reaches when
-/// evaluated in full).
+/// on the non-ALL positions only, and a probe walks every bucket: a full
+/// d-dimensional cube costs 2^d lookups. A plain (ALL-free) base table has
+/// exactly one bucket and a probe is a single lookup. A cube B generated
+/// from R itself skips the index altogether (GroupIdMap, core/mdjoin.h). A
+/// detail tuple with a NULL key probes to the empty set: θ-equality never
+/// matches NULL, not even against an ALL base key (the same verdict θ
+/// reaches when evaluated in full).
 class BaseIndex {
  public:
-  /// Builds an index over `rows` of `base` using the equi pairs of θ, without
-  /// ancestor rows. Key expressions may be computed (e.g. B.month + 1). Rows
-  /// whose key contains NULL are left out: NULL matches no detail value.
+  /// Builds an index over `rows` of `base` using the equi pairs of θ. Key
+  /// expressions may be computed (e.g. B.month + 1). Rows whose key contains
+  /// NULL are left out: NULL matches no detail value.
   static Result<BaseIndex> Build(const Table& base, const std::vector<int64_t>& rows,
                                  const std::vector<EquiPair>& equi,
                                  const Schema& detail_schema);
-
-  /// Bound on the row ids LinkAncestors() stores: one per bucket for each
-  /// finest key. Lists are kept only when every key holds exactly one row, as
-  /// in a cube base indexed on all its dims; otherwise (θ on part of the
-  /// dims, repeated grouping sets, duplicate base rows) a coarse key's rows
-  /// would repeat in every finest descendant's list, so this is zero and the
-  /// index walks. Zero too with no finest bucket or no other bucket.
-  int64_t link_rows() const;
-
-  /// Lists each finest key's relative set, at most link_rows() row ids: its
-  /// own row, then its ancestor rows bucket by bucket in index order. Probes
-  /// give the same rows with or without the lists; the caller decides
-  /// whether their memory pays. A no-op when link_rows() is zero.
-  void LinkAncestors();
 
   /// Reusable buffers for Probe: caller-owned so a scan's probes do zero
   /// steady-state allocation. One scratch per scanning thread; a scratch must
@@ -127,7 +109,7 @@ class BaseIndex {
     int64_t memo_hits = 0;
     bool memo_enabled = true;
     // Probes of a multi-bucket index with a non-NULL key, and those answered
-    // without the per-bucket walk (a code-key memo hit or a finest hit).
+    // by a code-key memo hit instead of the per-bucket walk.
     int64_t probe_lookups = 0;
     int64_t probe_hits = 0;
   };
@@ -142,11 +124,10 @@ class BaseIndex {
   };
 
   /// Returns every indexed base row whose key θ-matches detail row
-  /// `detail_row`, as a span. It tries the code-key memo, then (for a key
-  /// with no ALL) the finest bucket, and only then walks the buckets.
-  /// Single-bucket hits, finest hits and memo hits alias index / memo
-  /// storage directly — no per-probe copying; only multi-bucket walks gather
-  /// through `gather` (clobbered). If some detail key value is ALL (possible
+  /// `detail_row`, as a span. It tries the code-key memo, and only then walks
+  /// the buckets. Single-bucket hits and memo hits alias index / memo storage
+  /// directly — no per-probe copying; only multi-bucket walks gather through
+  /// `gather` (clobbered). If some detail key value is ALL (possible
   /// when a cuboid feeds another MD-join), the walk matches it as a wildcard.
   ///
   /// Plain-column detail keys are read straight from the column (no Value
@@ -161,39 +142,12 @@ class BaseIndex {
   int num_keys() const { return static_cast<int>(detail_keys_.size()); }
 
  private:
-  /// A projected key whose RowKeyHash is already combined from per-position
-  /// hashes: LinkAncestors hashes each finest key's Values once, not once per
-  /// coarser bucket.
-  struct HashedKeyView {
-    const Value* const* vals;
-    size_t size;
-    size_t hash;
-  };
-  struct BucketHash : RowKeyHash {
-    using RowKeyHash::operator();
-    size_t operator()(const HashedKeyView& key) const { return key.hash; }
-  };
-  struct BucketEqual : RowKeyEqual {
-    using RowKeyEqual::operator();
-    bool operator()(const HashedKeyView& a, const RowKey& b) const {
-      return (*this)(RowKeyView{a.vals, a.size}, b);
-    }
-    bool operator()(const RowKey& a, const HashedKeyView& b) const { return (*this)(b, a); }
-  };
-
-  struct Entry {
-    std::vector<int64_t> rows;  // this bucket's rows
-    // A linked finest key's relative set: links_[link_begin, + link_count).
-    int64_t link_begin = 0;
-    int64_t link_count = 0;
-  };
-  using Bucket = std::unordered_map<RowKey, Entry, BucketHash, BucketEqual>;
+  using Bucket = std::unordered_map<RowKey, std::vector<int64_t>, RowKeyHash, RowKeyEqual>;
 
   struct MaskBucket {
     uint64_t all_mask;                // bit i set => key position i is ALL
     std::vector<int> probe_positions; // key positions that participate (non-ALL)
     Bucket map;
-    int64_t rows = 0;                 // indexed rows, summed over the keys
   };
 
   /// The per-bucket walk for the key in `scratch->key`: each bucket's own
@@ -203,9 +157,6 @@ class BaseIndex {
   std::vector<CompiledExpr> detail_keys_;
   std::vector<int> detail_cols_;  // plain-column key positions (else -1)
   std::vector<MaskBucket> buckets_;
-  int finest_ = -1;      // bucket with ALL-mask 0, or -1
-  bool linked_ = false;  // LinkAncestors() ran: finest hits carry all of Rel(t)
-  std::vector<int64_t> links_;  // the finest keys' relative sets, back to back
 };
 
 }  // namespace mdjoin

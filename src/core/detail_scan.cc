@@ -1,6 +1,7 @@
 #include "core/detail_scan.h"
 
 #include <algorithm>
+#include <chrono>
 #include <limits>
 #include <memory>
 #include <unordered_set>
@@ -104,13 +105,15 @@ struct BoundJoin {
   std::vector<const Value*> arg_cols;  // plain detail-column arguments
   std::vector<ArgPlan> plans;          // typed arguments; all-null without a mirror
   int64_t block = kMorselRows;
+  const GroupIdMap* groups = nullptr;  // relative sets by group id, when chosen
 };
 
 /// One prepared scan job: the read-only machinery for aggregating the base
 /// rows [lo, hi) against morsels of R — per component the active rows and a
-/// base index whose memory reservation lives as long as the job. Safe to
-/// call ScanChunk concurrently from many workers; all mutation happens
-/// through the caller's DetailScanWorker.
+/// base index whose memory reservation lives as long as the job; nothing
+/// when the join reads relative sets from a GroupIdMap. Safe to call
+/// ScanChunk concurrently from many workers; all mutation happens through
+/// the caller's DetailScanWorker.
 class DetailScan {
  public:
   static Result<DetailScan> Prepare(const BoundJoin& q, int64_t lo, int64_t hi,
@@ -118,6 +121,7 @@ class DetailScan {
     DetailScan scan;
     scan.q_ = &q;
     scan.parts_.resize(q.comps.size());
+    if (q.groups != nullptr) return scan;
     for (size_t c = 0; c < q.comps.size(); ++c) {
       const CompiledTheta& ct = q.comps[c].theta;
       Part& part = scan.parts_[c];
@@ -149,35 +153,15 @@ class DetailScan {
     return scan;
   }
 
-  /// Links each index's ancestor rows (BaseIndex::LinkAncestors) when the
-  /// guard can take them — kGuardBytesPerAncestorRow per row id, added to
-  /// the job's index reservation — and still leave `keep_free` bytes, what
-  /// the detail source reserves for the morsels the workers hold during the
-  /// scan. RunMdJoin calls this once every job of the pass holds its index
-  /// reservation, so the lists only take headroom the pass does not need.
-  /// An index whose lists do not fit probes per bucket, with the same rows.
-  Status LinkAncestors(QueryGuard* guard, int64_t keep_free) {
-    for (Part& part : parts_) {
-      const int64_t bytes = part.index.link_rows() * kGuardBytesPerAncestorRow;
-      if (bytes == 0 ||
-          (guard != nullptr && bytes > guard->headroom_bytes() - keep_free)) {
-        continue;
-      }
-      MDJ_RETURN_NOT_OK(part.index_bytes.Reserve(guard, part.index_bytes.bytes() + bytes,
-                                                 "base index ancestor rows"));
-      part.index.LinkAncestors();
-    }
-    return Status::OK();
-  }
-
-  /// Scans rows [lo, hi) of `chunk`, a table with the detail schema, folding
-  /// matches into `worker`'s partials. Machinery bound to the prepared table
-  /// (typed mirror, hoisted argument columns, code-key probe memos) engages
-  /// only when `chunk` IS that table; a decoded storage block resolves
-  /// arguments per call and probes by value. Work counters flush into
-  /// worker->stats before returning — including on a guard trip, so
-  /// cancelled queries report how far they got.
-  Status ScanChunk(const Table& chunk, int64_t lo, int64_t hi,
+  /// Scans rows [lo, hi) of `chunk`, a table with the detail schema whose
+  /// row r is row first_row + r of R, folding matches into `worker`'s
+  /// partials. Machinery bound to the prepared table (typed mirror, hoisted
+  /// argument columns, code-key probe memos) engages only when `chunk` IS
+  /// that table; a decoded storage block resolves arguments per call and
+  /// probes by value. Work counters flush into worker->stats before
+  /// returning — including on a guard trip, so cancelled queries report how
+  /// far they got.
+  Status ScanChunk(const Table& chunk, int64_t lo, int64_t hi, int64_t first_row,
                    DetailScanWorker* worker) const;
 
   int64_t index_masks() const { return index_masks_; }
@@ -195,7 +179,7 @@ class DetailScan {
 };
 
 Status DetailScan::ScanChunk(const Table& chunk, int64_t lo, int64_t hi,
-                             DetailScanWorker* worker) const {
+                             int64_t first_row, DetailScanWorker* worker) const {
   Span span("scan_range", "scan");
   const BoundJoin& q = *q_;
   const std::vector<BoundAgg>& aggs = q.aggs;
@@ -233,6 +217,7 @@ Status DetailScan::ScanChunk(const Table& chunk, int64_t lo, int64_t hi,
     // foreign chunk's codes, if it has any, live in a different mirror.
     worker->scratch[c].allow_code_keys = home;
   }
+  const GroupIdMap* groups = q.groups;
   const int64_t block = q.block;
   if (static_cast<int64_t>(worker->sel.size()) < block) {
     worker->sel.resize(static_cast<size_t>(block));
@@ -274,7 +259,12 @@ Status DetailScan::ScanChunk(const Table& chunk, int64_t lo, int64_t hi,
 
         const int64_t* cand;
         int64_t ncand;
-        if (ct.indexed) {
+        if (groups != nullptr) {
+          // Rel(t) is t's finest group's base rows; a NULL dim has none.
+          const int64_t g = groups->row_group[static_cast<size_t>(first_row + t)];
+          cand = groups->base_rows.data() + std::max<int64_t>(g, 0) * groups->stride;
+          ncand = g < 0 ? 0 : groups->stride;
+        } else if (ct.indexed) {
           const BaseIndex::ProbeResult pr =
               part.index.ProbeSpan(chunk, t, &worker->scratch[c], &worker->candidates);
           cand = pr.rows;
@@ -484,8 +474,9 @@ Status ScanMorsels(const std::vector<DetailScan>& jobs, const DetailSource& deta
     ++morsels;
     const DetailScan& job = jobs[static_cast<size_t>(m.job)];
     st = detail.Read(m.morsel, guard, &worker->stats,
-                     [&job, worker](const Table& chunk, int64_t lo, int64_t hi) {
-                       return job.ScanChunk(chunk, lo, hi, worker);
+                     [&job, worker](const Table& chunk, int64_t lo, int64_t hi,
+                                    int64_t first_row) {
+                       return job.ScanChunk(chunk, lo, hi, first_row, worker);
                      });
   }
   if (!st.ok()) return st;
@@ -499,6 +490,32 @@ bool ThetaProvablyFalse(const ExprPtr& theta) {
   ExprPtr folded = FoldConstants(theta);
   return folded != nullptr && folded->kind() == ExprKind::kLiteral &&
          !folded->literal().IsTruthy();
+}
+
+/// Why `groups` cannot give the relative sets of every component of `q` over
+/// `detail`, or null when it can: the map must be exact and built from R, and
+/// every θ must be indexed on exactly its dims with no B-only conjunct (a
+/// map row lists every cuboid's row; a B-only conjunct would drop some).
+const char* GroupIdsFailure(const BoundJoin& q, const GroupIdMap& groups,
+                            const DetailSource& detail) {
+  if (groups.unusable != nullptr) return groups.unusable;
+  const int64_t nbase = q.base->num_rows();
+  if (static_cast<int64_t>(groups.row_group.size()) != detail.num_rows() ||
+      std::any_of(groups.base_rows.begin(), groups.base_rows.end(),
+                  [nbase](int64_t r) { return r < 0 || r >= nbase; })) {
+    return "the map was not built for this base and detail relation";
+  }
+  for (const BoundComponent& c : q.comps) {
+    if (!c.theta.indexed) return "the index is disabled or θ has no equi part";
+    if (!c.parts.base_only.empty()) return "θ has a B-only conjunct";
+    if (const char* why = DimensionEqualityFailure(c.parts.equi, groups.dims)) return why;
+  }
+  return nullptr;
+}
+
+double MsSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
+      .count();
 }
 
 }  // namespace
@@ -553,7 +570,8 @@ Status MergeWorkerPartials(DetailScanWorker* into, const DetailScanWorker& from,
 Result<Table> RunMdJoin(const Table& base, const DetailSource& detail,
                         const std::vector<MdJoinComponent>& components,
                         const MdJoinOptions& options, MdJoinStats* stats,
-                        int base_fragments) {
+                        const GroupIdMap* groups, int base_fragments) {
+  const auto setup_start = std::chrono::steady_clock::now();
   MdJoinStats local_stats;
   if (stats == nullptr) stats = &local_stats;
   *stats = MdJoinStats{};
@@ -590,6 +608,8 @@ Result<Table> RunMdJoin(const Table& base, const DetailSource& detail,
   for (const BoundComponent& c : q.comps) {
     if (c.theta.indexed) index_bytes_per_row += kGuardBytesPerIndexedBaseRow;
   }
+  stats->route =
+      index_bytes_per_row > 0 ? RelativeSetRoute::kIndex : RelativeSetRoute::kNestedLoop;
   int64_t rows_per_pass =
       options.base_rows_per_pass > 0 ? options.base_rows_per_pass : nbase;
   const int fragments = std::max(1, base_fragments);
@@ -626,14 +646,39 @@ Result<Table> RunMdJoin(const Table& base, const DetailSource& detail,
         "worker partials"));
   }
 
+  // The generator's group-id map replaces the per-job indexes when it gives
+  // every θ's relative sets, B runs in one pass and one fragment, and the
+  // guard takes it beside what the workers reserve for the morsels they
+  // decode during the scan.
+  ScopedReservation map_bytes;
+  if (groups != nullptr) {
+    const char* why = GroupIdsFailure(q, *groups, detail);
+    if (why == nullptr && fragments > 1) why = "B is split into base fragments";
+    if (why == nullptr && rows_per_pass < nbase) why = "B is split into passes";
+    if (why == nullptr && guard != nullptr &&
+        groups->ApproxBytes() > guard->headroom_bytes() - workers * detail.morsel_bytes()) {
+      why = "the map does not fit the guard's headroom";
+    }
+    if (why == nullptr) {
+      MDJ_RETURN_NOT_OK(map_bytes.Reserve(guard, groups->ApproxBytes(), "group-id map"));
+      q.groups = groups;
+      stats->route = RelativeSetRoute::kGroupIds;
+      index_bytes_per_row = 0;
+    } else {
+      stats->route_reason = why;
+    }
+  }
+
   // Theorem 4.1 memory staging: ceil(|B| / budget) passes over R. Under a
   // guard soft memory budget the per-pass base partition is additionally
-  // capped so the per-pass indexes fit the remaining budget — graceful
-  // degradation to multi-pass, trading scans of R for memory, before the
-  // hard limit ever has to fail the query.
+  // capped so the per-pass indexes fit the remaining budget beside the
+  // morsels the workers decode — graceful degradation to multi-pass, trading
+  // scans of R for memory, before the hard limit ever has to fail the query.
   if (guard != nullptr && guard->has_memory_budget() && index_bytes_per_row > 0 &&
       nbase > 0) {
-    const int64_t fit = guard->remaining_soft_bytes() / index_bytes_per_row;
+    const int64_t fit =
+        (guard->remaining_soft_bytes() - workers * detail.morsel_bytes()) /
+        index_bytes_per_row;
     if (fit < rows_per_pass) {
       rows_per_pass = std::max<int64_t>(1, fit);
       stats->memory_degraded = true;
@@ -666,6 +711,7 @@ Result<Table> RunMdJoin(const Table& base, const DetailSource& detail,
   std::unique_ptr<ThreadPool> pool;
   if (workers > 1) pool = std::make_unique<ThreadPool>(workers);
 
+  stats->setup_ms += MsSince(setup_start);
   Status run = [&]() -> Status {
     if (provably_empty) {
       stats->blocks_pruned += detail.pruned_per_pass();
@@ -676,6 +722,7 @@ Result<Table> RunMdJoin(const Table& base, const DetailSource& detail,
       pass_span.SetArg("pass", stats->passes_over_detail);
       ++stats->passes_over_detail;
       stats->blocks_pruned += detail.pruned_per_pass();
+      const auto prepare_start = std::chrono::steady_clock::now();
       std::vector<DetailScan> jobs;
       jobs.reserve(pass.size());
       for (const auto& [lo, hi] : pass) {
@@ -683,9 +730,8 @@ Result<Table> RunMdJoin(const Table& base, const DetailSource& detail,
         stats->index_masks += job.index_masks();
         jobs.push_back(std::move(job));
       }
-      for (DetailScan& job : jobs) {
-        MDJ_RETURN_NOT_OK(job.LinkAncestors(guard, workers * detail.morsel_bytes()));
-      }
+      stats->setup_ms += MsSince(prepare_start);
+      const auto scan_start = std::chrono::steady_clock::now();
       MorselScheduler scheduler(static_cast<int64_t>(jobs.size()), detail.num_morsels());
       Status st = RunTasks(pool.get(), workers, guard, [&](int w) -> Status {
         // Allocated inside the task so its partial-state columns are
@@ -698,6 +744,7 @@ Result<Table> RunMdJoin(const Table& base, const DetailSource& detail,
       });
       stats->morsels += scheduler.dispatched();
       stats->steal_waits += scheduler.steal_waits();
+      stats->scan_ms += MsSince(scan_start);
       MDJ_RETURN_NOT_OK(st);
       // Leaving the scope releases this pass's indexes before the next
       // pass's are built, and the last pass's before finalize.
@@ -726,6 +773,7 @@ Result<Table> RunMdJoin(const Table& base, const DetailSource& detail,
   // Pairwise tree merge: level k combines slots i and i + 2^k, so each
   // level's merges touch disjoint slots and run concurrently; slots[0] ends
   // up holding the grand total after ⌈log₂ workers⌉ levels.
+  const auto merge_start = std::chrono::steady_clock::now();
   for (int step = 1; step < workers; step *= 2) {
     const int pairs = (workers - step + 2 * step - 1) / (2 * step);
     MDJ_RETURN_NOT_OK(RunTasks(pool.get(), pairs, guard, [&](int p) -> Status {
@@ -741,9 +789,12 @@ Result<Table> RunMdJoin(const Table& base, const DetailSource& detail,
   pool.reset();
   slots.resize(1);
   partial_bytes.Release();
+  map_bytes.Release();
+  stats->merge_ms += MsSince(merge_start);
 
   // Output: base columns, then one column per aggregate finalized column by
   // column from the merged states.
+  const auto finalize_start = std::chrono::steady_clock::now();
   ScopedReservation output_bytes;
   MDJ_RETURN_NOT_OK(output_bytes.Reserve(
       guard,
@@ -763,6 +814,7 @@ Result<Table> RunMdJoin(const Table& base, const DetailSource& detail,
     }
     MDJ_RETURN_NOT_OK(out.AddColumn(q.aggs[a].output_field, std::move(col)));
   }
+  stats->finalize_ms += MsSince(finalize_start);
   return out;
 }
 

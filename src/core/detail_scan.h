@@ -20,13 +20,17 @@ namespace mdjoin {
 /// is seen within one stride). A paged relation's morsel is one storage block.
 constexpr int64_t kMorselRows = 1024;
 
-/// The detail relation R as the MD-join driver reads it: a fixed sequence of
-/// morsels that every pass walks in the same order, each handed to the scan
-/// as rows [lo, hi) of a table with R's schema. Read() is called concurrently
-/// by the driver's workers; implementations keep no mutable shared state.
+/// The detail relation R as the MD-join driver (and a base generator reading
+/// R, cube/base_tables.h) reads it: a fixed sequence of morsels that every
+/// pass walks in the same order, each handed to the scan as rows [lo, hi) of
+/// a table with R's schema. Row r of a chunk is row `first_row + r` of R, so
+/// a scan can index per-row data of R (a GroupIdMap) from any chunk. Read()
+/// is called concurrently by the driver's workers; implementations keep no
+/// mutable shared state.
 class DetailSource {
  public:
-  using ScanFn = std::function<Status(const Table& chunk, int64_t lo, int64_t hi)>;
+  using ScanFn = std::function<Status(const Table& chunk, int64_t lo, int64_t hi,
+                                      int64_t first_row)>;
 
   DetailSource() = default;
   DetailSource(const DetailSource&) = delete;
@@ -41,6 +45,9 @@ class DetailSource {
   /// Morsels one pass reads.
   virtual int64_t num_morsels() const = 0;
 
+  /// Rows of R, pruned morsels included.
+  virtual int64_t num_rows() const = 0;
+
   /// Morsels of R each pass skips unread (zone-map pruned blocks).
   virtual int64_t pruned_per_pass() const { return 0; }
 
@@ -50,7 +57,8 @@ class DetailSource {
   virtual int64_t morsel_bytes() const { return 0; }
 
   /// Reads morsel `m` and calls `scan` on it. Storage counters (blocks read,
-  /// faulted, cache hits) go into `stats`, which is the calling worker's own.
+  /// faulted, cache hits) go into `stats`, which is the calling worker's own
+  /// (only those fields are touched).
   virtual Status Read(int64_t m, QueryGuard* guard, MdJoinStats* stats,
                       const ScanFn& scan) const = 0;
 };
@@ -64,9 +72,10 @@ class TableSource final : public DetailSource {
   int64_t num_morsels() const override {
     return (table_->num_rows() + kMorselRows - 1) / kMorselRows;
   }
+  int64_t num_rows() const override { return table_->num_rows(); }
   Status Read(int64_t m, QueryGuard*, MdJoinStats*, const ScanFn& scan) const override {
     const int64_t lo = m * kMorselRows;
-    return scan(*table_, lo, std::min(lo + kMorselRows, table_->num_rows()));
+    return scan(*table_, lo, std::min(lo + kMorselRows, table_->num_rows()), 0);
   }
 
  private:
@@ -129,10 +138,20 @@ Status MergeWorkerPartials(DetailScanWorker* into, const DetailScanWorker& from,
 /// the caller with one thread; and merges the partials pairwise before
 /// finalizing column by column. Output: base columns, then every component's
 /// aggregates in order; one row per base row, in base order.
+///
+/// Relative sets come from one of three places (stats->route): the map
+/// `groups` the generator of B built from R, a BaseIndex per job over θ's
+/// equi part, or every active base row. The map runs when it is offered and
+/// exact, every θ's equi part is the plain B.d = R.d pairs over its dims with
+/// no B-only conjunct, the index is enabled, B runs in one pass and one
+/// fragment, and the guard's headroom takes the map beside what the workers
+/// reserve for decoded morsels; otherwise the index runs and
+/// stats->route_reason says why. Either way the scan updates per detail row
+/// in R order, so the results are bit-identical.
 Result<Table> RunMdJoin(const Table& base, const DetailSource& detail,
                         const std::vector<MdJoinComponent>& components,
                         const MdJoinOptions& options, MdJoinStats* stats,
-                        int base_fragments = 1);
+                        const GroupIdMap* groups = nullptr, int base_fragments = 1);
 
 }  // namespace mdjoin
 

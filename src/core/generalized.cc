@@ -6,8 +6,9 @@ namespace mdjoin {
 
 Result<Table> GeneralizedMdJoin(const Table& base, const Table& detail,
                                 const std::vector<MdJoinComponent>& components,
-                                const MdJoinOptions& options, MdJoinStats* stats) {
-  return RunMdJoin(base, TableSource(detail), components, options, stats);
+                                const MdJoinOptions& options, MdJoinStats* stats,
+                                const GroupIdMap* groups) {
+  return RunMdJoin(base, TableSource(detail), components, options, stats, groups);
 }
 
 }  // namespace mdjoin

@@ -4,6 +4,18 @@
 
 namespace mdjoin {
 
+const char* RelativeSetRouteName(RelativeSetRoute route) {
+  switch (route) {
+    case RelativeSetRoute::kNestedLoop:
+      return "nested_loop";
+    case RelativeSetRoute::kIndex:
+      return "index";
+    case RelativeSetRoute::kGroupIds:
+      return "group_ids";
+  }
+  return "unknown";
+}
+
 std::string MdJoinStats::ToString() const {
   std::string out;
   out += "base_rows=" + std::to_string(base_rows);
@@ -14,6 +26,8 @@ std::string MdJoinStats::ToString() const {
   out += " agg_updates=" + std::to_string(agg_updates);
   out += " passes=" + std::to_string(passes_over_detail);
   out += " index_masks=" + std::to_string(index_masks);
+  out += std::string(" route=") + RelativeSetRouteName(route);
+  if (route_reason != nullptr) out += std::string("(") + route_reason + ")";
   if (blocks > 0) {
     out += " blocks=" + std::to_string(blocks);
     out += " kernel_invocations=" + std::to_string(kernel_invocations);
@@ -56,6 +70,10 @@ void MdJoinStats::Accumulate(const MdJoinStats& other) {
   memory_degraded = memory_degraded || other.memory_degraded;
   blocks += other.blocks;
   kernel_invocations += other.kernel_invocations;
+  setup_ms += other.setup_ms;
+  scan_ms += other.scan_ms;
+  merge_ms += other.merge_ms;
+  finalize_ms += other.finalize_ms;
   kernel_fallback_rows += other.kernel_fallback_rows;
   dense_blocks += other.dense_blocks;
   index_probe_lookups += other.index_probe_lookups;
@@ -72,8 +90,9 @@ void MdJoinStats::Accumulate(const MdJoinStats& other) {
 
 Result<Table> MdJoin(const Table& base, const Table& detail,
                      const std::vector<AggSpec>& aggs, const ExprPtr& theta,
-                     const MdJoinOptions& options, MdJoinStats* stats) {
-  return RunMdJoin(base, TableSource(detail), {{aggs, theta}}, options, stats);
+                     const MdJoinOptions& options, MdJoinStats* stats,
+                     const GroupIdMap* groups) {
+  return RunMdJoin(base, TableSource(detail), {{aggs, theta}}, options, stats, groups);
 }
 
 Result<Table> ParallelMdJoin(const Table& base, const Table& detail,
@@ -86,7 +105,7 @@ Result<Table> ParallelMdJoin(const Table& base, const Table& detail,
   MdJoinOptions eff = options;
   eff.num_threads = num_threads;
   return RunMdJoin(base, TableSource(detail), {{aggs, theta}}, eff, stats,
-                   num_partitions);
+                   /*groups=*/nullptr, num_partitions);
 }
 
 }  // namespace mdjoin

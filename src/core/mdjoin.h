@@ -86,8 +86,44 @@ struct MdJoinOptions {
 /// exists to bound blow-ups and trigger degradation, not to audit malloc.
 constexpr int64_t kGuardBytesPerAggState = 64;        // one AggregateState
 constexpr int64_t kGuardBytesPerIndexedBaseRow = 128; // BaseIndex entry
-constexpr int64_t kGuardBytesPerAncestorRow = 8;      // one ancestor row id
 constexpr int64_t kGuardBytesPerOutputCell = 48;      // one materialized Value
+
+/// The relative-set map of a base-values relation B that a generator built
+/// from the detail relation R itself (cube/base_tables.h CuboidsFromFinest),
+/// for θ whose equi part is exactly B.d = R.d over `dims` with no B-only
+/// conjunct (analyze/plan_analyzer.h CertifyGroupIds). Detail row t belongs
+/// to the finest group g = row_group[t], and Rel(t) is the `stride` base rows
+/// base_rows[g * stride, (g + 1) * stride): one per generated cuboid, in
+/// generation order (a repeated grouping set lists each copy). g is -1 when
+/// one of t's dims is NULL, which θ-equality matches to nothing, not even
+/// ALL. Gray et al. derive every super-aggregate of a cube from the core
+/// group-by's groups; this is that derivation, as row ids.
+struct GroupIdMap {
+  std::vector<std::string> dims;
+  std::vector<int32_t> row_group;  // one finest group id per row of R
+  std::vector<int64_t> base_rows;  // each finest group's relative set
+  int64_t stride = 0;              // base rows per finest group
+  /// Why θ's verdict can differ from group membership, so the map must not
+  /// stand in for it: a key column holding NaN (equal to nothing, yet
+  /// grouped), ALL (a wildcard), or both int64 and float64 cells. Null when
+  /// the map is exact.
+  const char* unusable = nullptr;
+
+  /// What the guard charges for the map while a join reads it.
+  int64_t ApproxBytes() const {
+    return static_cast<int64_t>(row_group.size() * sizeof(int32_t) +
+                                base_rows.size() * sizeof(int64_t));
+  }
+};
+
+/// How an MD-join found each detail tuple's relative set Rel(t).
+enum class RelativeSetRoute {
+  kNestedLoop,  // every active base row is a candidate (no equi part, or no index)
+  kIndex,       // a BaseIndex over B's equi keys (§4.5)
+  kGroupIds,    // the generator's GroupIdMap
+};
+
+const char* RelativeSetRouteName(RelativeSetRoute route);
 
 /// Work counters of one MD-join evaluation, the same fields on every route
 /// (in-memory, paged, spill; any thread count); incremented across all
@@ -109,10 +145,24 @@ struct MdJoinStats {
   int64_t kernel_fallback_rows = 0;  // rows filtered per-row inside blocks
   int64_t dense_blocks = 0;          // blocks whose selection stayed all-rows
 
+  // How relative sets were found. `route_reason` says why a GroupIdMap the
+  // caller handed in was not used (a static string; null when none was
+  // offered or the map ran).
+  RelativeSetRoute route = RelativeSetRoute::kNestedLoop;
+  const char* route_reason = nullptr;
+
+  // Driver phases, wall ms summed over passes: relative-set setup (binding,
+  // index build or map charge), the detail scan (kernels, probes, updates),
+  // the worker-partial merge, and finalizing the output table.
+  double setup_ms = 0;
+  double scan_ms = 0;
+  double merge_ms = 0;
+  double finalize_ms = 0;
+
   // Cube-index probe counters (BaseIndex::ProbeScratch): probes of a
-  // multi-bucket index with a non-NULL key, and those answered without the
-  // per-bucket walk — by a code-key memo hit or a finest-bucket hit. Zero
-  // for single-bucket indexes (non-cube θ) and unindexed joins.
+  // multi-bucket index with a non-NULL key, and those answered by a
+  // code-key memo hit instead of the per-bucket walk. Zero for
+  // single-bucket indexes (non-cube θ), group-id joins and unindexed joins.
   int64_t index_probe_lookups = 0;
   int64_t index_probe_memo_hits = 0;
 
@@ -132,10 +182,10 @@ struct MdJoinStats {
   int64_t spill_partitions = 0; // partition pairs spilled and joined
   int64_t spill_bytes_written = 0;
 
-  /// Adds `other`'s counters into this one — a worker's share into its
-  /// driver, or a spill partition's join into the spill driver. base_rows,
-  /// base_rows_per_pass_effective and threads describe one evaluation and
-  /// are left alone.
+  /// Adds `other`'s counters and phase times into this one — a worker's
+  /// share into its driver, or a spill partition's join into the spill
+  /// driver. base_rows, base_rows_per_pass_effective, threads and the route
+  /// describe one evaluation and are left alone.
   void Accumulate(const MdJoinStats& other);
 
   std::string ToString() const;
@@ -160,9 +210,14 @@ struct MdJoinComponent {
 /// columns via Side::kDetail (dsl::RCol); equality is ALL-wildcard (cube
 /// rows aggregate at their granularity). Aggregate arguments are expressions
 /// over the detail row.
+///
+/// `groups`, when given, is the map the generator of `base` built from
+/// `detail` (see GroupIdMap); relative sets are then read by group id instead
+/// of probing an index, with the same result.
 Result<Table> MdJoin(const Table& base, const Table& detail,
                      const std::vector<AggSpec>& aggs, const ExprPtr& theta,
-                     const MdJoinOptions& options = {}, MdJoinStats* stats = nullptr);
+                     const MdJoinOptions& options = {}, MdJoinStats* stats = nullptr,
+                     const GroupIdMap* groups = nullptr);
 
 /// Intra-operator parallel MD-join (§4.1.2): Theorem 4.1 splits the base
 /// relation into `num_partitions` fragments, all evaluated against the full

@@ -1,7 +1,12 @@
 #include "cube/base_tables.h"
 
+#include <cmath>
+#include <limits>
 #include <map>
+#include <numeric>
 
+#include "common/hash_util.h"
+#include "core/detail_scan.h"
 #include "table/table_ops.h"
 
 namespace mdjoin {
@@ -42,30 +47,184 @@ std::vector<int> GroupedColumns(const std::vector<int>& cols, CuboidMask mask) {
   return grouped;
 }
 
-/// The cuboids `masks` of `t` over `dims`, in that order, from one pass over
-/// `t`: the pass finds the first-occurrence rows of the finest cuboid (every
-/// dim grouped), and each cuboid then deduplicates only those rows. The first
-/// row of `t` with a coarse key is also the first occurrence of its finest
-/// key, so every cuboid keeps the rows, in the order, that its own scan of
-/// `t` would (Theorem 4.5 applied to the keys alone). Only row indices are
-/// held; no intermediate table is built.
-Result<Table> CuboidsFromFinest(const Table& t, const std::vector<std::string>& dims,
-                                const std::vector<CuboidMask>& masks) {
-  MDJ_ASSIGN_OR_RETURN(Schema schema, BaseSchema(t, dims));
-  MDJ_ASSIGN_OR_RETURN(std::vector<int> cols, ResolveColumns(t.schema(), dims));
-  Table out{std::move(schema)};
-  const std::vector<int64_t> finest = FirstOccurrenceRows(t, cols);
-  for (CuboidMask mask : masks) {
-    const std::vector<int> grouped = GroupedColumns(cols, mask);
-    AppendCuboidRows(t, cols, mask,
-                     grouped.size() == cols.size() ? finest
-                                                   : FirstOccurrenceRows(t, grouped, &finest),
-                     &out);
+/// The finest cuboid's groups of R, as one pass over R finds them: the dims
+/// cells of each distinct key in first-occurrence order (`keys[d][g]`) with
+/// their hashes, a probed row's cells hashed and compared in place
+/// (structural equality, as FirstOccurrenceRows dedups).
+struct FinestGroups {
+  explicit FinestGroups(size_t ndims) : keys(ndims), cell_hashes(ndims), row_hashes(ndims) {}
+
+  /// The group of row `row` of the chunk whose dims columns are `cols`.
+  int64_t FindOrAdd(const Value* const* cols, int64_t row) {
+    const size_t ndims = keys.size();
+    size_t hash = ndims;
+    for (size_t d = 0; d < ndims; ++d) {
+      row_hashes[d] = cols[d][row].Hash();
+      HashCombine(&hash, row_hashes[d]);
+    }
+    const int64_t g = ids.FindOrAdd(hash, [&](int64_t g) {
+      for (size_t d = 0; d < ndims; ++d) {
+        if (!cols[d][row].Equals(keys[d][static_cast<size_t>(g)])) return false;
+      }
+      return true;
+    });
+    if (g == size) {
+      for (size_t d = 0; d < ndims; ++d) {
+        keys[d].push_back(cols[d][row]);
+        cell_hashes[d].push_back(row_hashes[d]);
+      }
+      ++size;
+    }
+    return g;
   }
-  return out;
+
+  std::vector<std::vector<Value>> keys;
+  std::vector<std::vector<size_t>> cell_hashes;
+  int64_t size = 0;
+
+ private:
+  GroupNumbering ids;
+  std::vector<size_t> row_hashes;
+};
+
+/// Deduplicates the finest groups on the dims `pos`, in group order: the
+/// first finest group of each coarse group, in order, and each finest group's
+/// coarse group.
+void CoarseGroups(const FinestGroups& finest, const std::vector<size_t>& pos,
+                  std::vector<int64_t>* first, std::vector<int64_t>* coarse_of) {
+  const std::vector<std::vector<Value>>& keys = finest.keys;
+  GroupNumbering ids;
+  coarse_of->resize(static_cast<size_t>(finest.size));
+  for (int64_t g = 0; g < finest.size; ++g) {
+    const size_t gi = static_cast<size_t>(g);
+    size_t hash = pos.size();
+    for (size_t d : pos) HashCombine(&hash, finest.cell_hashes[d][gi]);
+    const int64_t c = ids.FindOrAdd(hash, [&](int64_t c) {
+      const size_t f = static_cast<size_t>((*first)[static_cast<size_t>(c)]);
+      for (size_t d : pos) {
+        if (!keys[d][gi].Equals(keys[d][f])) return false;
+      }
+      return true;
+    });
+    if (c == static_cast<int64_t>(first->size())) first->push_back(g);
+    (*coarse_of)[gi] = c;
+  }
 }
 
 }  // namespace
+
+std::vector<CuboidMask> CubeMasks(const CubeLattice& lattice) {
+  // Full cuboid first, then coarser ones, grand total last — the natural
+  // reading order of Figure 1(a).
+  std::vector<CuboidMask> masks;
+  for (int level = lattice.num_dims(); level >= 0; --level) {
+    for (CuboidMask mask : lattice.CuboidsAtLevel(level)) masks.push_back(mask);
+  }
+  return masks;
+}
+
+Result<Table> CuboidsFromFinest(const DetailSource& r, const std::vector<std::string>& dims,
+                                const std::vector<CuboidMask>& masks, QueryGuard* guard,
+                                MdJoinStats* reads, GroupIdMap* groups) {
+  const Schema& schema = r.prepared().schema();
+  MDJ_ASSIGN_OR_RETURN(Schema base_schema, BaseSchema(r.prepared(), dims));
+  MDJ_ASSIGN_OR_RETURN(std::vector<int> cols, ResolveColumns(schema, dims));
+  const size_t ndims = cols.size();
+  MdJoinStats local_reads;
+  if (reads == nullptr) reads = &local_reads;
+  if (groups != nullptr) {
+    *groups = GroupIdMap{};
+    groups->dims = dims;
+    groups->row_group.assign(static_cast<size_t>(r.num_rows()), -1);
+  }
+
+  // One pass over R: each row's finest group, and whether θ-equality and
+  // group membership can disagree on some key cell.
+  FinestGroups finest(ndims);
+  std::vector<uint8_t> kinds(ndims, 0);  // per dim: 1 int64 seen, 2 float64 seen
+  std::vector<const Value*> chunk_cols(ndims);
+  for (int64_t m = 0; m < r.num_morsels(); ++m) {
+    if (guard != nullptr) MDJ_RETURN_NOT_OK(guard->Check());
+    MDJ_RETURN_NOT_OK(r.Read(m, guard, reads,
+                             [&](const Table& chunk, int64_t lo, int64_t hi,
+                                 int64_t first_row) -> Status {
+      for (size_t d = 0; d < ndims; ++d) chunk_cols[d] = chunk.column(cols[d]).data();
+      for (int64_t row = lo; row < hi; ++row) {
+        const int64_t g = finest.FindOrAdd(chunk_cols.data(), row);
+        if (groups == nullptr) continue;
+        bool null_key = false;
+        for (size_t d = 0; d < ndims; ++d) {
+          const Value& v = chunk_cols[d][row];
+          null_key = null_key || v.is_null();
+          if (v.is_all()) groups->unusable = "a key column holds ALL";
+          if (v.is_float64() && std::isnan(v.float64())) {
+            groups->unusable = "a key column holds NaN";
+          }
+          kinds[d] |= v.is_int64() ? 1 : v.is_float64() ? 2 : 0;
+        }
+        // θ-equality matches a NULL key to nothing, not even ALL.
+        groups->row_group[static_cast<size_t>(first_row + row)] =
+            null_key ? -1 : static_cast<int32_t>(g);
+      }
+      return Status::OK();
+    }));
+  }
+
+  // Each cuboid deduplicates the finest groups only, in their order. The
+  // first row of R with a coarse key is also the first occurrence of its
+  // finest key, so every cuboid keeps the rows, in the order, that its own
+  // scan of R would (Theorem 4.5 applied to the keys alone).
+  std::vector<std::vector<Value>> out_cols(ndims);
+  const size_t nmasks = masks.size();
+  if (groups != nullptr) {
+    groups->stride = static_cast<int64_t>(nmasks);
+    groups->base_rows.resize(static_cast<size_t>(finest.size) * nmasks);
+  }
+  std::vector<int64_t> first, coarse_of;
+  int64_t offset = 0;
+  for (size_t i = 0; i < nmasks; ++i) {
+    std::vector<size_t> pos;
+    for (size_t d = 0; d < ndims; ++d) {
+      if (masks[i] & (CuboidMask{1} << d)) pos.push_back(d);
+    }
+    first.clear();
+    if (pos.size() == ndims) {
+      first.resize(static_cast<size_t>(finest.size));
+      std::iota(first.begin(), first.end(), 0);
+      coarse_of = first;
+    } else {
+      CoarseGroups(finest, pos, &first, &coarse_of);
+    }
+    for (size_t d = 0; d < ndims; ++d) {
+      const bool grouped = (masks[i] & (CuboidMask{1} << d)) != 0;
+      for (int64_t g : first) {
+        out_cols[d].push_back(grouped ? finest.keys[d][static_cast<size_t>(g)]
+                                      : Value::All());
+      }
+    }
+    if (groups != nullptr) {
+      for (int64_t g = 0; g < finest.size; ++g) {
+        groups->base_rows[static_cast<size_t>(g) * nmasks + i] =
+            offset + coarse_of[static_cast<size_t>(g)];
+      }
+    }
+    offset += static_cast<int64_t>(first.size());
+  }
+  if (groups != nullptr) {
+    for (size_t d = 0; d < ndims; ++d) {
+      if (kinds[d] == 3) groups->unusable = "a key column holds both int64 and float64 cells";
+    }
+    if (finest.size > std::numeric_limits<int32_t>::max()) {
+      groups->unusable = "more finest groups than a group id can number";
+    }
+  }
+  Table out;
+  for (size_t d = 0; d < ndims; ++d) {
+    MDJ_RETURN_NOT_OK(out.AddColumn(base_schema.field(static_cast<int>(d)),
+                                    std::move(out_cols[d])));
+  }
+  return out;
+}
 
 Result<Table> GroupByBase(const Table& t, const std::vector<std::string>& dims) {
   return DistinctOn(t, dims);
@@ -79,28 +238,26 @@ Result<Table> CuboidBase(const Table& t, const CubeLattice& lattice, CuboidMask 
   return out;
 }
 
-Result<Table> CubeByBase(const Table& t, const std::vector<std::string>& dims) {
+Result<Table> CubeByBase(const Table& t, const std::vector<std::string>& dims,
+                         GroupIdMap* groups) {
   MDJ_ASSIGN_OR_RETURN(CubeLattice lattice, CubeLattice::Make(dims));
-  // Full cuboid first, then coarser ones, grand total last — the natural
-  // reading order of Figure 1(a).
-  std::vector<CuboidMask> masks;
-  for (int level = lattice.num_dims(); level >= 0; --level) {
-    for (CuboidMask mask : lattice.CuboidsAtLevel(level)) masks.push_back(mask);
-  }
-  return CuboidsFromFinest(t, dims, masks);
+  return CuboidsFromFinest(TableSource(t), dims, CubeMasks(lattice), nullptr, nullptr,
+                           groups);
 }
 
-Result<Table> RollupBase(const Table& t, const std::vector<std::string>& dims) {
+Result<Table> RollupBase(const Table& t, const std::vector<std::string>& dims,
+                         GroupIdMap* groups) {
   // Prefix masks: full, drop last dim, ..., grand total.
   std::vector<CuboidMask> masks;
   for (int k = static_cast<int>(dims.size()); k >= 0; --k) {
     masks.push_back((CuboidMask{1} << k) - 1);
   }
-  return CuboidsFromFinest(t, dims, masks);
+  return CuboidsFromFinest(TableSource(t), dims, masks, nullptr, nullptr, groups);
 }
 
 Result<Table> GroupingSetsBase(const Table& t, const std::vector<std::string>& dims,
-                               const std::vector<std::vector<std::string>>& sets) {
+                               const std::vector<std::vector<std::string>>& sets,
+                               GroupIdMap* groups) {
   std::vector<CuboidMask> masks;
   masks.reserve(sets.size());
   for (const std::vector<std::string>& set : sets) {
@@ -121,14 +278,15 @@ Result<Table> GroupingSetsBase(const Table& t, const std::vector<std::string>& d
     }
     masks.push_back(mask);
   }
-  return CuboidsFromFinest(t, dims, masks);
+  return CuboidsFromFinest(TableSource(t), dims, masks, nullptr, nullptr, groups);
 }
 
-Result<Table> UnpivotBase(const Table& t, const std::vector<std::string>& dims) {
+Result<Table> UnpivotBase(const Table& t, const std::vector<std::string>& dims,
+                          GroupIdMap* groups) {
   std::vector<std::vector<std::string>> sets;
   sets.reserve(dims.size());
   for (const std::string& d : dims) sets.push_back({d});
-  return GroupingSetsBase(t, dims, sets);
+  return GroupingSetsBase(t, dims, sets, groups);
 }
 
 Result<CuboidMask> RowCuboid(const Table& base, const CubeLattice& lattice, int64_t row) {

@@ -10,6 +10,11 @@
 
 namespace mdjoin {
 
+class DetailSource;   // core/detail_scan.h
+class QueryGuard;     // common/query_guard.h
+struct GroupIdMap;    // core/mdjoin.h
+struct MdJoinStats;   // core/mdjoin.h
+
 /// Generators for base-values relations (the B operand of an MD-join). This
 /// is the paper's central decoupling: the *same* MD-join aggregates any of
 /// these — a plain group-by list, a full data cube, a rollup hierarchy,
@@ -17,6 +22,11 @@ namespace mdjoin {
 /// of interesting points (Example 2.4, which needs no generator at all).
 /// All outputs have schema = the dimension columns (types taken from `t`),
 /// with the ALL marker filling rolled-up positions.
+///
+/// The multi-cuboid generators (cube, rollup, grouping sets, unpivot) also
+/// hand out, when `groups` is non-null, the GroupIdMap of B over `t`: the
+/// relative sets an MD-join of B with `t` on dimension equality reads by
+/// group id instead of probing an index.
 
 /// select distinct dims from t — the GROUP BY base values.
 Result<Table> GroupByBase(const Table& t, const std::vector<std::string>& dims);
@@ -26,19 +36,39 @@ Result<Table> GroupByBase(const Table& t, const std::vector<std::string>& dims);
 Result<Table> CuboidBase(const Table& t, const CubeLattice& lattice, CuboidMask mask);
 
 /// CUBE BY dims (Example 2.1): the union of all 2^d cuboids.
-Result<Table> CubeByBase(const Table& t, const std::vector<std::string>& dims);
+Result<Table> CubeByBase(const Table& t, const std::vector<std::string>& dims,
+                         GroupIdMap* groups = nullptr);
 
 /// ROLLUP(d1, ..., dk): the prefix cuboids (d1..dk), (d1..dk-1), ..., ().
-Result<Table> RollupBase(const Table& t, const std::vector<std::string>& dims);
+Result<Table> RollupBase(const Table& t, const std::vector<std::string>& dims,
+                         GroupIdMap* groups = nullptr);
 
 /// GROUPING SETS: caller-selected cuboids, named per set. `dims` fixes the
 /// output column order; every set must be a subset of `dims`.
 Result<Table> GroupingSetsBase(const Table& t, const std::vector<std::string>& dims,
-                               const std::vector<std::vector<std::string>>& sets);
+                               const std::vector<std::vector<std::string>>& sets,
+                               GroupIdMap* groups = nullptr);
 
 /// UNPIVOT [GFC98]: the marginals — one single-attribute grouping set per
 /// dimension (what decision-tree learners consume, §2 Example 2.1).
-Result<Table> UnpivotBase(const Table& t, const std::vector<std::string>& dims);
+Result<Table> UnpivotBase(const Table& t, const std::vector<std::string>& dims,
+                          GroupIdMap* groups = nullptr);
+
+/// The cuboids CubeByBase emits, in its order: the full cuboid first, then
+/// coarser levels, the grand total last.
+std::vector<CuboidMask> CubeMasks(const CubeLattice& lattice);
+
+/// The cuboids `masks` of R over `dims`, in that order, from one pass over
+/// R read morsel by morsel (a paged R streams block by block; storage
+/// counters go into `reads`, which may be null). The pass finds R's finest
+/// groups (every dim grouped), and each cuboid then deduplicates only those:
+/// the same rows, in the same order, as a dedup of each cuboid over all of R.
+/// With `groups`, also fills the GroupIdMap of the result over R, marking it
+/// unusable when a key column holds NaN, ALL, or both int64 and float64
+/// cells. `guard` is checked once per morsel.
+Result<Table> CuboidsFromFinest(const DetailSource& r, const std::vector<std::string>& dims,
+                                const std::vector<CuboidMask>& masks, QueryGuard* guard,
+                                MdJoinStats* reads, GroupIdMap* groups);
 
 /// The ALL-mask of row `row` of a base table whose first columns are
 /// `lattice.dims()`: bit i set iff dims[i] is a concrete (non-ALL) value.

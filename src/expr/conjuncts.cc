@@ -1,5 +1,7 @@
 #include "expr/conjuncts.h"
 
+#include <set>
+
 #include "expr/compile.h"
 
 namespace mdjoin {
@@ -132,6 +134,23 @@ ThetaParts AnalyzeTheta(const ExprPtr& theta) {
     parts.residual.push_back(c);
   }
   return parts;
+}
+
+const char* DimensionEqualityFailure(const std::vector<EquiPair>& equi,
+                                     const std::vector<std::string>& dims) {
+  std::set<std::string> seen;
+  for (const EquiPair& p : equi) {
+    if (p.base_expr->kind() != ExprKind::kColumnRef ||
+        p.detail_expr->kind() != ExprKind::kColumnRef ||
+        p.base_expr->column_name() != p.detail_expr->column_name()) {
+      return "equi conjunct is not a plain B.d = R.d dimension pair";
+    }
+    seen.insert(p.base_expr->column_name());
+  }
+  if (seen != std::set<std::string>(dims.begin(), dims.end())) {
+    return "θ's dimension set does not match the base's dimensions";
+  }
+  return nullptr;
 }
 
 ExprPtr CombineTheta(const ThetaParts& parts) {

@@ -1,6 +1,7 @@
 #ifndef MDJOIN_EXPR_CONJUNCTS_H_
 #define MDJOIN_EXPR_CONJUNCTS_H_
 
+#include <string>
 #include <vector>
 
 #include "expr/expr.h"
@@ -35,6 +36,14 @@ struct ThetaParts {
 /// Splits and classifies `theta`. Never fails: unclassifiable pieces land in
 /// `residual`, so evaluation is always possible (just less indexable).
 ThetaParts AnalyzeTheta(const ExprPtr& theta);
+
+/// Why `equi` is not the dimension-equality condition over `dims` — plain
+/// B.d = R.d pairs, the same column on both sides, whose set of columns is
+/// exactly `dims` — or null when it is. Under that condition a cuboid row
+/// matches a detail tuple iff it agrees with it on the cuboid's grouped dims,
+/// which is what roll-up (Theorem 4.5) and group-id relative sets rely on.
+const char* DimensionEqualityFailure(const std::vector<EquiPair>& equi,
+                                     const std::vector<std::string>& dims);
 
 /// Reassembles the parts into a single condition (for round-trip testing).
 ExprPtr CombineTheta(const ThetaParts& parts);

@@ -62,21 +62,27 @@ void NodeToText(const OperatorProfile& node, int depth, std::string* out) {
                     static_cast<long long>(node.steal_waits));
       *out += buf;
     }
-    if (node.blocks_read > 0 || node.blocks_pruned > 0) {
-      std::snprintf(buf, sizeof(buf),
-                    " blocks_read=%lld pruned=%lld faulted=%lld cache_hits=%lld",
-                    static_cast<long long>(node.blocks_read),
-                    static_cast<long long>(node.blocks_pruned),
-                    static_cast<long long>(node.blocks_faulted),
-                    static_cast<long long>(node.block_cache_hits));
-      *out += buf;
-    }
     if (node.spill_partitions > 0) {
       std::snprintf(buf, sizeof(buf), " spill_parts=%lld spill_bytes=%lld",
                     static_cast<long long>(node.spill_partitions),
                     static_cast<long long>(node.spill_bytes_written));
       *out += buf;
     }
+    *out += " route=" + node.route;
+    if (!node.route_reason.empty()) *out += " (" + node.route_reason + ")";
+    std::snprintf(buf, sizeof(buf),
+                  " phases: setup=%.3fms scan=%.3fms merge=%.3fms finalize=%.3fms",
+                  node.setup_ms, node.scan_ms, node.merge_ms, node.finalize_ms);
+    *out += buf;
+  }
+  if (node.blocks_read > 0 || node.blocks_pruned > 0) {
+    std::snprintf(buf, sizeof(buf),
+                  " blocks_read=%lld pruned=%lld faulted=%lld cache_hits=%lld",
+                  static_cast<long long>(node.blocks_read),
+                  static_cast<long long>(node.blocks_pruned),
+                  static_cast<long long>(node.blocks_faulted),
+                  static_cast<long long>(node.block_cache_hits));
+    *out += buf;
   }
   *out += "\n";
   for (const auto& child : node.children) NodeToText(*child, depth + 1, out);
@@ -149,13 +155,24 @@ void NodeToJson(const OperatorProfile& node, std::string* out) {
     AppendKv("morsels", node.morsels, &first, out);
     AppendKv("steal_waits", node.steal_waits, &first, out);
     AppendKv("num_threads", node.num_threads, &first, out);
+    AppendKv("spill_partitions", node.spill_partitions, &first, out);
+    AppendKv("spill_bytes_written", node.spill_bytes_written, &first, out);
+    AppendKvMs("selectivity", node.selectivity(), &first, out);
+    *out += ", \"route\": \"";
+    AppendEscapedJson(node.route, out);
+    *out += "\", \"route_reason\": \"";
+    AppendEscapedJson(node.route_reason, out);
+    *out += "\"";
+    AppendKvMs("setup_ms", node.setup_ms, &first, out);
+    AppendKvMs("scan_ms", node.scan_ms, &first, out);
+    AppendKvMs("merge_ms", node.merge_ms, &first, out);
+    AppendKvMs("finalize_ms", node.finalize_ms, &first, out);
+  }
+  if (node.is_mdjoin || node.blocks_read > 0) {
     AppendKv("blocks_read", node.blocks_read, &first, out);
     AppendKv("blocks_pruned", node.blocks_pruned, &first, out);
     AppendKv("blocks_faulted", node.blocks_faulted, &first, out);
     AppendKv("block_cache_hits", node.block_cache_hits, &first, out);
-    AppendKv("spill_partitions", node.spill_partitions, &first, out);
-    AppendKv("spill_bytes_written", node.spill_bytes_written, &first, out);
-    AppendKvMs("selectivity", node.selectivity(), &first, out);
   }
   *out += ", \"children\": [";
   bool first_child = true;

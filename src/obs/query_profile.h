@@ -10,8 +10,9 @@ namespace mdjoin {
 
 /// Per-operator execution record: one node of the EXPLAIN ANALYZE tree,
 /// mirroring the plan tree. The generic fields (label, rows, timings) are
-/// filled for every operator; the scan-counter block is populated only for
-/// (generalized / parallel) MD-join nodes and stays zero elsewhere.
+/// filled for every operator; the scan-counter, route and phase blocks are
+/// populated only for (generalized / parallel) MD-join nodes, and the
+/// storage block for every node that read a paged table.
 struct OperatorProfile {
   std::string label;  // PlanNode::Label() of the operator
   int64_t output_rows = 0;
@@ -33,12 +34,25 @@ struct OperatorProfile {
   int64_t blocks = 0;                 // vectorized blocks
   int64_t kernel_invocations = 0;     // columnar predicate kernel runs
   int64_t index_probe_lookups = 0;    // probes of multi-bucket (cube) indexes
-  int64_t index_probe_memo_hits = 0;  // of those, answered without the bucket walk
+  int64_t index_probe_memo_hits = 0;  // of those, answered by the code-key memo
   int64_t morsels = 0;                // detail morsels the workers claimed
   int64_t steal_waits = 0;            // drained cursor polls ending worker loops
   int num_threads = 1;                // workers that executed this node
 
-  // Out-of-core counters (storage/out_of_core); zero for in-memory nodes.
+  // How the MD-join found each detail tuple's relative set: "group_ids",
+  // "index" or "nested_loop"; and, when the group-id map did not run, why
+  // (the certificate's or the driver's reason; empty when it ran).
+  std::string route;
+  std::string route_reason;
+  // Driver phases, wall ms: relative-set setup (binding, index build or map
+  // charge), scan, worker merge, finalize. They sum to at most elapsed_ms.
+  double setup_ms = 0;
+  double scan_ms = 0;
+  double merge_ms = 0;
+  double finalize_ms = 0;
+
+  // Storage counters: blocks an MD-join scan, a streaming base generator or
+  // a paged TableRef's whole-file read served; zero for in-memory nodes.
   int64_t blocks_read = 0;            // storage blocks served (faults + hits)
   int64_t blocks_pruned = 0;          // blocks refuted by zone maps, not decoded
   int64_t blocks_faulted = 0;         // block loads that ran the decoder
@@ -55,8 +69,8 @@ struct OperatorProfile {
                : -1.0;
   }
 
-  /// Share of cube-index probes answered by one lookup (code-key memo or
-  /// finest bucket) instead of the per-bucket walk; -1 with no lookups.
+  /// Share of cube-index probes answered by a code-key memo hit instead of
+  /// the per-bucket walk; -1 with no lookups.
   double probe_hit_rate() const {
     return index_probe_lookups > 0
                ? static_cast<double>(index_probe_memo_hits) /

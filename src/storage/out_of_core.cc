@@ -16,24 +16,10 @@ namespace mdjoin {
 
 namespace {
 
-Counter* BlocksReadCounter() {
-  static Counter* c = MetricsRegistry::Global().GetCounter(
-      "mdjoin_blocks_read_total",
-      "storage blocks served to paged scans (faults + cache hits)");
-  return c;
-}
-
 Counter* BlocksPrunedCounter() {
   static Counter* c = MetricsRegistry::Global().GetCounter(
       "mdjoin_blocks_pruned_total",
       "storage blocks refuted by zone maps and never decoded");
-  return c;
-}
-
-Counter* BlocksFaultedCounter() {
-  static Counter* c = MetricsRegistry::Global().GetCounter(
-      "mdjoin_blocks_faulted_total",
-      "storage block loads that ran the decoder (cache miss or no cache)");
   return c;
 }
 
@@ -43,10 +29,12 @@ Counter* BlocksFaultedCounter() {
 /// by name, so instruments already registered by their owning module (block
 /// cache, spill writer) are returned, not duplicated.
 void RegisterStorageMetrics() {
-  BlocksReadCounter();
   BlocksPrunedCounter();
-  BlocksFaultedCounter();
   MetricsRegistry& registry = MetricsRegistry::Global();
+  registry.GetCounter("mdjoin_blocks_read_total",
+                      "storage blocks served to paged scans (faults + cache hits)");
+  registry.GetCounter("mdjoin_blocks_faulted_total",
+                      "storage block loads that ran the decoder (cache miss or no cache)");
   registry.GetGauge("mdjoin_block_cache_bytes",
                     "decoded bytes resident in the block cache (all caches summed)");
   registry.GetCounter("mdjoin_block_cache_hit_total",
@@ -61,70 +49,47 @@ void RegisterStorageMetrics() {
                       "spill partition pairs written and joined");
 }
 
-/// A paged detail relation as the MD-join driver reads it: one morsel per
-/// storage block that survives zone-map pruning, faulted through the block
-/// cache (or decoded into a guard-charged ephemeral pin without one). θ
-/// compiles against a zero-row table with the detail schema: every chunk the
-/// scan sees is a decoded block, foreign to that table, so the typed-mirror
-/// machinery stays off.
-class PagedSource final : public DetailSource {
- public:
-  PagedSource(const PagedTable& table, const std::vector<MdJoinComponent>& components,
-              BlockCache* cache)
-      : table_(&table), stub_(table.schema()), cache_(cache) {
-    std::vector<bool> keep(static_cast<size_t>(table.num_blocks()), false);
-    for (const MdJoinComponent& c : components) {
-      const std::vector<bool> k = PlanBlockPruning(table, c.theta);
-      for (size_t b = 0; b < keep.size(); ++b) keep[b] = keep[b] || k[b];
-    }
-    for (int b = 0; b < table.num_blocks(); ++b) {
-      if (!keep[static_cast<size_t>(b)]) continue;
-      kept_.push_back(b);
-      if (cache_ == nullptr) {
-        morsel_bytes_ = std::max(morsel_bytes_, table.ApproxBlockBytes(b));
-      }
-    }
-  }
-
-  const Table& prepared() const override { return stub_; }
-  int64_t num_morsels() const override { return static_cast<int64_t>(kept_.size()); }
-  int64_t pruned_per_pass() const override {
-    return table_->num_blocks() - static_cast<int64_t>(kept_.size());
-  }
-  int64_t morsel_bytes() const override { return morsel_bytes_; }
-
-  Status Read(int64_t m, QueryGuard* guard, MdJoinStats* stats,
-              const ScanFn& scan) const override {
-    const int b = kept_[static_cast<size_t>(m)];
-    Span block_span("paged_block", "storage");
-    block_span.SetArg("block", b);
-    bool hit = false;
-    MDJ_ASSIGN_OR_RETURN(BlockPin pin, table_->Fault(b, cache_, &hit));
-    ++stats->blocks_read;
-    if (hit) {
-      ++stats->block_cache_hits;
-    } else {
-      ++stats->blocks_faulted;
-    }
-    // An uncached decode is this query's own transient memory for the
-    // duration of the scan; cached residency is the cache's charge to make.
-    ScopedReservation resident;
-    if (cache_ == nullptr) {
-      MDJ_RETURN_NOT_OK(
-          resident.Reserve(guard, table_->ApproxBlockBytes(b), "decoded block"));
-    }
-    return scan(pin.table(), 0, pin.table().num_rows());
-  }
-
- private:
-  const PagedTable* table_;
-  Table stub_;
-  BlockCache* cache_;
-  std::vector<int> kept_;
-  int64_t morsel_bytes_ = 0;  // largest kept block's decode, when uncached
-};
-
 }  // namespace
+
+PagedSource::PagedSource(const PagedTable& table, BlockCache* cache,
+                         const std::vector<MdJoinComponent>& components)
+    : table_(&table), stub_(table.schema()), cache_(cache) {
+  std::vector<bool> keep(static_cast<size_t>(table.num_blocks()), components.empty());
+  for (const MdJoinComponent& c : components) {
+    const std::vector<bool> k = PlanBlockPruning(table, c.theta);
+    for (size_t b = 0; b < keep.size(); ++b) keep[b] = keep[b] || k[b];
+  }
+  for (int b = 0; b < table.num_blocks(); ++b) {
+    if (!keep[static_cast<size_t>(b)]) continue;
+    kept_.push_back(b);
+    if (cache_ == nullptr) {
+      morsel_bytes_ = std::max(morsel_bytes_, table.ApproxBlockBytes(b));
+    }
+  }
+}
+
+Status PagedSource::Read(int64_t m, QueryGuard* guard, MdJoinStats* stats,
+                         const ScanFn& scan) const {
+  const int b = kept_[static_cast<size_t>(m)];
+  Span block_span("paged_block", "storage");
+  block_span.SetArg("block", b);
+  bool hit = false;
+  MDJ_ASSIGN_OR_RETURN(BlockPin pin, table_->Fault(b, cache_, &hit));
+  ++stats->blocks_read;
+  if (hit) {
+    ++stats->block_cache_hits;
+  } else {
+    ++stats->blocks_faulted;
+  }
+  // An uncached decode is this query's own transient memory for the
+  // duration of the scan; cached residency is the cache's charge to make.
+  ScopedReservation resident;
+  if (cache_ == nullptr) {
+    MDJ_RETURN_NOT_OK(
+        resident.Reserve(guard, table_->ApproxBlockBytes(b), "decoded block"));
+  }
+  return scan(pin.table(), 0, pin.table().num_rows(), table_->block_row_offset(b));
+}
 
 Status RegisterPagedTable(Catalog* catalog, std::string name,
                           const PagedTable& table) {
@@ -169,7 +134,8 @@ Result<Table> PagedMdJoin(const Table& base, const PagedTable& detail,
 
 Result<Table> PagedMdJoin(const Table& base, const PagedTable& detail,
                           const std::vector<MdJoinComponent>& components,
-                          const MdJoinOptions& options, MdJoinStats* stats) {
+                          const MdJoinOptions& options, MdJoinStats* stats,
+                          const GroupIdMap* groups) {
   MdJoinStats local_stats;
   if (stats == nullptr) stats = &local_stats;
   *stats = MdJoinStats{};
@@ -180,15 +146,14 @@ Result<Table> PagedMdJoin(const Table& base, const PagedTable& detail,
   }
   RegisterStorageMetrics();
   Span span("paged_mdjoin", "storage");
-  const PagedSource source(detail, components, options.block_cache);
+  const PagedSource source(detail, options.block_cache, components);
+  const bool spill = options.enable_spill && components.size() == 1;
   Result<Table> out =
-      options.enable_spill && components.size() == 1
-          ? SpillMdJoin(base, source, components[0].aggs, components[0].theta, options,
-                        stats)
-          : RunMdJoin(base, source, components, options, stats);
-  BlocksReadCounter()->Increment(stats->blocks_read);
+      spill ? SpillMdJoin(base, source, components[0].aggs, components[0].theta, options,
+                          stats)
+            : RunMdJoin(base, source, components, options, stats, groups);
+  if (spill && groups != nullptr) stats->route_reason = "spill";
   BlocksPrunedCounter()->Increment(stats->blocks_pruned);
-  BlocksFaultedCounter()->Increment(stats->blocks_faulted);
   span.SetArg("blocks_read", stats->blocks_read);
   span.SetArg("blocks_pruned", stats->blocks_pruned);
   return out;

@@ -5,10 +5,42 @@
 
 #include "agg/agg_spec.h"
 #include "common/result.h"
+#include "core/detail_scan.h"
 #include "core/mdjoin.h"
 #include "storage/paged_table.h"
 
 namespace mdjoin {
+
+/// A paged relation as the MD-join driver and the base generators read it:
+/// one morsel per storage block, faulted through `cache` (or decoded into a
+/// guard-charged ephemeral pin without one), handed over with the block's
+/// first row number. With `components`, only the blocks some θ could match
+/// survive zone-map pruning; without, every block is read. θ compiles
+/// against a zero-row table with the schema: every chunk the scan sees is a
+/// decoded block, foreign to that table, so the typed-mirror machinery stays
+/// off.
+class PagedSource final : public DetailSource {
+ public:
+  PagedSource(const PagedTable& table, BlockCache* cache,
+              const std::vector<MdJoinComponent>& components = {});
+
+  const Table& prepared() const override { return stub_; }
+  int64_t num_morsels() const override { return static_cast<int64_t>(kept_.size()); }
+  int64_t num_rows() const override { return table_->num_rows(); }
+  int64_t pruned_per_pass() const override {
+    return table_->num_blocks() - static_cast<int64_t>(kept_.size());
+  }
+  int64_t morsel_bytes() const override { return morsel_bytes_; }
+  Status Read(int64_t m, QueryGuard* guard, MdJoinStats* stats,
+              const ScanFn& scan) const override;
+
+ private:
+  const PagedTable* table_;
+  Table stub_;
+  BlockCache* cache_;
+  std::vector<int> kept_;
+  int64_t morsel_bytes_ = 0;  // largest kept block's decode, when uncached
+};
 
 /// The out-of-core MD-join: MdJoin() semantics with the detail relation living
 /// in a block file (storage/block_format) instead of RAM, run by the one
@@ -40,11 +72,13 @@ Result<Table> PagedMdJoin(const Table& base, const PagedTable& detail,
 
 /// The generalized MD-join (core/generalized.h) over a paged detail relation:
 /// a block survives zone-map pruning when any component's θ could match a row
-/// of it. Spill engages only for a single component.
+/// of it. Spill engages only for a single component, and never reads
+/// `groups`, the map the generator of `base` built from `detail` (MdJoin()).
 Result<Table> PagedMdJoin(const Table& base, const PagedTable& detail,
                           const std::vector<MdJoinComponent>& components,
                           const MdJoinOptions& options = {},
-                          MdJoinStats* stats = nullptr);
+                          MdJoinStats* stats = nullptr,
+                          const GroupIdMap* groups = nullptr);
 
 /// The pruning plan: keep[b] == false iff block b's zone maps refute θ
 /// (always all-true when θ has no detail-side range facts; all-false when the

@@ -3,7 +3,27 @@
 #include <utility>
 #include <vector>
 
+#include "obs/metrics.h"
+
 namespace mdjoin {
+
+namespace {
+
+/// Every block a paged table serves counts in `mdjoin_blocks_read_total`,
+/// and every decode in `mdjoin_blocks_faulted_total` too, whichever path
+/// read it (a scan's Fault or a whole-file ReadAll).
+void CountBlockRead(bool decoded) {
+  static Counter* read = MetricsRegistry::Global().GetCounter(
+      "mdjoin_blocks_read_total",
+      "storage blocks served to paged scans (faults + cache hits)");
+  static Counter* faulted = MetricsRegistry::Global().GetCounter(
+      "mdjoin_blocks_faulted_total",
+      "storage block loads that ran the decoder (cache miss or no cache)");
+  read->Increment(1);
+  if (decoded) faulted->Increment(1);
+}
+
+}  // namespace
 
 Result<std::unique_ptr<PagedTable>> PagedTable::Open(std::string path) {
   MDJ_ASSIGN_OR_RETURN(std::unique_ptr<BlockFile> file,
@@ -13,15 +33,19 @@ Result<std::unique_ptr<PagedTable>> PagedTable::Open(std::string path) {
 
 Result<BlockPin> PagedTable::Fault(int b, BlockCache* cache,
                                    bool* was_hit) const {
-  if (was_hit != nullptr) *was_hit = false;
+  bool hit = false;
+  BlockPin pin;
   if (cache == nullptr) {
     MDJ_ASSIGN_OR_RETURN(Table block, file_->ReadBlock(b));
-    BlockPin pin;
     pin.table_ = std::make_shared<const Table>(std::move(block));
-    return pin;
+  } else {
+    MDJ_ASSIGN_OR_RETURN(pin, cache->GetOrLoad(id_, b, ApproxBlockBytes(b),
+                                               [this, b] { return file_->ReadBlock(b); },
+                                               &hit));
   }
-  return cache->GetOrLoad(id_, b, ApproxBlockBytes(b),
-                          [this, b] { return file_->ReadBlock(b); }, was_hit);
+  CountBlockRead(!hit);
+  if (was_hit != nullptr) *was_hit = hit;
+  return pin;
 }
 
 Result<Table> PagedTable::ReadAll(QueryGuard* guard) const {
@@ -37,6 +61,7 @@ Result<Table> PagedTable::ReadAll(QueryGuard* guard) const {
   for (int b = 0; b < num_blocks(); ++b) {
     if (guard != nullptr) MDJ_RETURN_NOT_OK(guard->Check());
     MDJ_ASSIGN_OR_RETURN(Table block, file_->ReadBlock(b));
+    CountBlockRead(/*decoded=*/true);
     for (int c = 0; c < ncols; ++c) {
       const std::vector<Value>& src = block.column(c);
       cols[static_cast<size_t>(c)].insert(cols[static_cast<size_t>(c)].end(),

@@ -38,14 +38,17 @@ class PagedTable {
   uint64_t id() const { return id_; }
 
   /// Decodes block `b`, through `cache` when non-null (sets *was_hit on a
-  /// resident lookup), or directly into an ephemeral pin otherwise.
+  /// resident lookup), or directly into an ephemeral pin otherwise. Counts
+  /// the read in mdjoin_blocks_read_total, and a decode in
+  /// mdjoin_blocks_faulted_total.
   Result<BlockPin> Fault(int b, BlockCache* cache,
                          bool* was_hit = nullptr) const;
 
   /// Materializes the whole file as one in-memory Table — the compatibility
   /// fallback for consumers without a block-at-a-time path (e.g. a paged
   /// table referenced outside an MD-join detail position). Reserves the
-  /// decoded estimate on `guard` while assembling.
+  /// decoded estimate on `guard` while assembling. Every block decoded counts
+  /// in mdjoin_blocks_read_total and mdjoin_blocks_faulted_total.
   Result<Table> ReadAll(QueryGuard* guard) const;
 
  private:

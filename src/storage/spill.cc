@@ -229,6 +229,7 @@ Result<Table> SpillMdJoin(const Table& base, const DetailSource& detail,
     Result<Table> res = RunMdJoin(b, r, {{aggs, theta}}, options, &s);
     stats->Accumulate(s);
     stats->threads = std::max(stats->threads, s.threads);
+    stats->route = s.route;
     return res;
   };
 
@@ -329,7 +330,7 @@ Result<Table> SpillMdJoin(const Table& base, const DetailSource& detail,
     // R streams one morsel at a time, in row order.
     GuardTicket ticket(guard, /*count_rows=*/false);
     RowCtx ctx;
-    auto route = [&](const Table& chunk, int64_t lo, int64_t hi) -> Status {
+    auto route = [&](const Table& chunk, int64_t lo, int64_t hi, int64_t) -> Status {
       ctx.detail = &chunk;
       for (int64_t t = lo; t < hi; ++t) {
         ctx.detail_row = t;

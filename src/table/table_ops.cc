@@ -4,7 +4,6 @@
 #include <cmath>
 #include <numeric>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "common/hash_util.h"
 #include "common/logging.h"
@@ -36,31 +35,25 @@ Result<Table> SortTableBy(const Table& t, const std::vector<std::string>& column
   return SortTable(t, keys);
 }
 
-std::vector<int64_t> FirstOccurrenceRows(const Table& t, const std::vector<int>& cols,
-                                         const std::vector<int64_t>* rows) {
+std::vector<int64_t> FirstOccurrenceRows(const Table& t, const std::vector<int>& cols) {
   std::vector<const Value*> columns;
   columns.reserve(cols.size());
   for (int c : cols) columns.push_back(t.column(c).data());
-  // A set of row indices that hashes (as RowKeyHash would) and compares the
-  // projected cells in place.
-  auto hash = [&columns](int64_t r) {
-    size_t h = columns.size();
-    for (const Value* col : columns) HashCombine(&h, col[r].Hash());
-    return h;
-  };
-  auto equal = [&columns](int64_t a, int64_t b) {
-    for (const Value* col : columns) {
-      if (!col[a].Equals(col[b])) return false;
-    }
-    return true;
-  };
-  const int64_t n = rows != nullptr ? static_cast<int64_t>(rows->size()) : t.num_rows();
-  std::unordered_set<int64_t, decltype(hash), decltype(equal)> seen(
-      static_cast<size_t>(n), hash, equal);
+  // Group g's key is the projection of row out[g], hashed (as RowKeyHash
+  // would) and compared in place.
+  GroupNumbering groups;
   std::vector<int64_t> out;
-  for (int64_t i = 0; i < n; ++i) {
-    const int64_t r = rows != nullptr ? (*rows)[static_cast<size_t>(i)] : i;
-    if (seen.insert(r).second) out.push_back(r);
+  for (int64_t r = 0; r < t.num_rows(); ++r) {
+    size_t hash = columns.size();
+    for (const Value* col : columns) HashCombine(&hash, col[r].Hash());
+    const int64_t g = groups.FindOrAdd(hash, [&](int64_t g) {
+      const int64_t first = out[static_cast<size_t>(g)];
+      for (const Value* col : columns) {
+        if (!col[r].Equals(col[first])) return false;
+      }
+      return true;
+    });
+    if (g == static_cast<int64_t>(out.size())) out.push_back(r);
   }
   return out;
 }

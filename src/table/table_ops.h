@@ -30,11 +30,9 @@ std::vector<int64_t> SortedRowIndices(const Table& t, const std::vector<SortKey>
 
 /// Indices of the rows of `t` that first show each distinct projection on
 /// `cols`, in scan order: the rows a RowKey-set dedup keeps (structural
-/// equality, so ALL equals ALL and NaN equals nothing). With `rows`, only
-/// those rows are scanned, in their given order. Cells are hashed and
+/// equality, so ALL equals ALL and NaN equals nothing). Cells are hashed and
 /// compared in place; no key is materialized per row.
-std::vector<int64_t> FirstOccurrenceRows(const Table& t, const std::vector<int>& cols,
-                                         const std::vector<int64_t>* rows = nullptr);
+std::vector<int64_t> FirstOccurrenceRows(const Table& t, const std::vector<int>& cols);
 
 /// Distinct rows over all columns (first occurrence kept, original order).
 Table Distinct(const Table& t);

@@ -46,7 +46,7 @@ std::vector<int64_t> AllRows(const Table& t) {
 }
 
 /// One probe through `scratch`, sorted. With the default fresh scratch the
-/// code-key memo is off, so the finest lookup or the walk answers.
+/// code-key memo is off, so the walk answers.
 std::vector<int64_t> Probe(const BaseIndex& index, const Table& detail, int64_t row,
                            BaseIndex::ProbeScratch* scratch = nullptr) {
   BaseIndex::ProbeScratch fresh;
@@ -214,16 +214,14 @@ std::vector<int64_t> BruteForce(const Table& base, const std::vector<int64_t>& r
   return out;
 }
 
-/// The finest-bucket lookup (one lookup carrying the ancestor rows) returns
-/// exactly the rows the per-bucket walk and a brute-force MatchesEq scan
-/// return, on random cube bases, for the whole base and for Theorem 4.1 row
-/// subsets, with detail keys inside and outside the finest cuboid, NULL, ALL
-/// and NaN keys on either side, and with or without the code-key memo. Every
-/// third cube is built over a relation that itself holds ALL, so some of its
-/// keys hold two rows and the index keeps no lists.
-TEST(BaseIndexTest, FinestLookupEqualsWalkAndBruteForce) {
+/// The per-bucket walk returns exactly the rows a brute-force MatchesEq scan
+/// returns, with and without the code-key memo, on random cube bases, for
+/// the whole base and for Theorem 4.1 row subsets, with detail keys inside
+/// and outside the finest cuboid, and NULL, ALL and NaN keys on either side.
+/// Every third cube is built over a relation that itself holds ALL, so some
+/// of its keys hold two rows.
+TEST(BaseIndexTest, WalkEqualsBruteForce) {
   const std::vector<std::string> names = {"k0", "k1", "k2", "k3"};
-  int64_t finest_hits = 0, linked_indexes = 0;
   for (uint64_t seed = 1; seed <= 24; ++seed) {
     Random rng(seed);
     const int d = 1 + static_cast<int>(seed % 4);
@@ -247,96 +245,26 @@ TEST(BaseIndexTest, FinestLookupEqualsWalkAndBruteForce) {
     std::vector<int64_t> pass;
     for (int64_t r = lo; r < hi; ++r) pass.push_back(r);
     for (const std::vector<int64_t>& rows : {AllRows(base), finest, coarser, pass}) {
-      Result<BaseIndex> walk = BaseIndex::Build(base, rows, equi, detail.schema());
-      Result<BaseIndex> linked = BaseIndex::Build(base, rows, equi, detail.schema());
-      ASSERT_TRUE(walk.ok() && linked.ok());
-      linked->LinkAncestors();
-      if (linked->link_rows() > 0) ++linked_indexes;
+      Result<BaseIndex> index = BaseIndex::Build(base, rows, equi, detail.schema());
+      ASSERT_TRUE(index.ok());
       BaseIndex::ProbeScratch memo;  // persistent, code-key memo on
       BaseIndex::ProbeScratch no_memo;
       no_memo.memo_enabled = false;
       for (int64_t t = 0; t < detail.num_rows(); ++t) {
         SCOPED_TRACE(::testing::Message() << "rows=" << rows.size() << " t=" << t);
         const std::vector<int64_t> want = BruteForce(base, rows, detail, t, d);
-        EXPECT_EQ(Probe(*walk, detail, t), want);
-        EXPECT_EQ(Probe(*linked, detail, t, &no_memo), want);
-        EXPECT_EQ(Probe(*linked, detail, t, &memo), want);
+        EXPECT_EQ(Probe(*index, detail, t, &no_memo), want);
+        EXPECT_EQ(Probe(*index, detail, t, &memo), want);
       }
-      finest_hits += no_memo.probe_hits;
-      EXPECT_LE(no_memo.probe_hits, no_memo.probe_lookups);
-      // The counters see the same probes with the memo on; a memo hit
-      // answers without the walk just as a finest hit does.
+      EXPECT_EQ(no_memo.probe_hits, 0);  // memo off: every probe walks
+      // The counters see the same probes with the memo on.
       EXPECT_EQ(memo.probe_lookups, no_memo.probe_lookups);
-      EXPECT_GE(memo.probe_hits, no_memo.probe_hits);
+      EXPECT_LE(memo.probe_hits, memo.probe_lookups);
     }
   }
-  // memo_enabled = false gates the code-key memo only: finest hits happen.
-  EXPECT_GT(finest_hits, 0);
-  EXPECT_GT(linked_indexes, 0);
 }
 
-/// The lists are kept only when every key holds one row. θ on part of a
-/// cube's dims, a duplicate base row or a repeated grouping set puts many
-/// rows under one key, and those would repeat in every finest descendant's
-/// list: link_rows() is then zero, LinkAncestors() keeps nothing and the
-/// index walks, with the same rows.
-TEST(BaseIndexTest, NoListsWhenAKeyHoldsManyRows) {
-  Table detail = MakeDetail({{I(1), I(3), testutil::F(5)}});
-  // The cube over (prod, month), indexed on prod alone: key 1 of the finest
-  // bucket holds rows 0, 1 and 3; the ALL bucket's one key holds 5, 6 and 7.
-  Table cube = MakeBase({{I(1), I(2)}, {I(1), I(3)}, {I(2), I(2)}, {I(1), ALL()},
-                         {I(2), ALL()}, {ALL(), I(2)}, {ALL(), I(3)}, {ALL(), ALL()}});
-  Result<BaseIndex> partial = BaseIndex::Build(cube, AllRows(cube),
-                                               {{BCol("prod"), RCol("prod")}},
-                                               detail.schema());
-  ASSERT_TRUE(partial.ok());
-  EXPECT_EQ(partial->link_rows(), 0);
-  partial->LinkAncestors();
-  BaseIndex::ProbeScratch scratch;
-  scratch.memo_enabled = false;
-  EXPECT_EQ(Probe(*partial, detail, 0, &scratch), (std::vector<int64_t>{0, 1, 3, 5, 6, 7}));
-  EXPECT_EQ(scratch.probe_lookups, 1);
-  EXPECT_EQ(scratch.probe_hits, 0);  // walked
-
-  // A duplicate finest row; a coarse row listed twice (a repeated grouping
-  // set). With each key holding one row, the bound is one id per bucket for
-  // each finest key.
-  Table dup = MakeBase({{I(1), I(3)}, {I(1), I(3)}, {ALL(), I(3)}});
-  Table twice = MakeBase({{I(1), I(3)}, {ALL(), I(3)}, {ALL(), I(3)}});
-  Table once = MakeBase({{I(1), I(3)}, {ALL(), I(3)}});
-  for (const Table* base : {&dup, &twice, &once}) {
-    Result<BaseIndex> index = BaseIndex::Build(*base, AllRows(*base), DimEqui(),
-                                               detail.schema());
-    ASSERT_TRUE(index.ok());
-    EXPECT_EQ(index->link_rows(), base == &once ? 2 : 0);
-    index->LinkAncestors();
-    BaseIndex::ProbeScratch s;
-    s.memo_enabled = false;
-    EXPECT_EQ(Probe(*index, detail, 0, &s), AllRows(*base));
-    EXPECT_EQ(s.probe_hits, base == &once ? 1 : 0);
-  }
-}
-
-TEST(BaseIndexTest, LinkRowsCountOneRowPerFinestKeyPerBucket) {
-  Table base = MakeBase({{I(1), I(2)}, {I(1), I(3)}, {I(1), ALL()}, {ALL(), I(2)},
-                         {ALL(), I(3)}, {ALL(), ALL()}});
-  Table detail = MakeDetail({{I(1), I(3), testutil::F(5)}});
-  Result<BaseIndex> index = BaseIndex::Build(base, AllRows(base), DimEqui(),
-                                             detail.schema());
-  ASSERT_TRUE(index.ok());
-  EXPECT_EQ(index->link_rows(), 2 * 4);  // two finest keys, four buckets
-  index->LinkAncestors();
-  BaseIndex::ProbeScratch scratch;
-  scratch.memo_enabled = false;
-  EXPECT_EQ(Probe(*index, detail, 0, &scratch), (std::vector<int64_t>{1, 2, 4, 5}));
-  EXPECT_EQ(scratch.probe_lookups, 1);
-  EXPECT_EQ(scratch.probe_hits, 1);
-  // A base with no finest bucket, or a single bucket, has nothing to link.
-  EXPECT_EQ(BaseIndex::Build(base, {2, 3, 4, 5}, DimEqui(), detail.schema())->link_rows(), 0);
-  EXPECT_EQ(BaseIndex::Build(base, {0, 1}, DimEqui(), detail.schema())->link_rows(), 0);
-}
-
-TEST(BaseIndexTest, ProbeCountersSeeMemoAndFinestHits) {
+TEST(BaseIndexTest, ProbeCountersSeeMemoHits) {
   Table base = MakeBase({{I(1), I(2)}, {I(1), ALL()}, {ALL(), I(2)}, {ALL(), I(3)},
                          {ALL(), ALL()}});
   // A finest key, then a key outside the finest rows; each twice.
@@ -345,7 +273,6 @@ TEST(BaseIndexTest, ProbeCountersSeeMemoAndFinestHits) {
   Result<BaseIndex> index = BaseIndex::Build(base, AllRows(base), DimEqui(),
                                              detail.schema());
   ASSERT_TRUE(index.ok());
-  index->LinkAncestors();
   BaseIndex::ProbeScratch scratch;  // code-key memo on: the detail has a typed mirror
   for (int64_t t : {0, 2}) {
     EXPECT_EQ(Probe(*index, detail, t, &scratch), (std::vector<int64_t>{0, 1, 2, 4}));
@@ -355,7 +282,7 @@ TEST(BaseIndexTest, ProbeCountersSeeMemoAndFinestHits) {
   }
   EXPECT_EQ(scratch.probe_lookups, 4);
   EXPECT_EQ(scratch.memo_hits, 2);   // the repeats
-  EXPECT_EQ(scratch.probe_hits, 3);  // the repeats and the finest hit; one walk
+  EXPECT_EQ(scratch.probe_hits, 2);  // the repeats; the first of each key walks
 }
 
 TEST(BaseIndexTest, BuildRejectsUnboundColumns) {

@@ -263,14 +263,17 @@ TEST_F(GuardrailTest, MemoryHardLimitFails) {
   EXPECT_NE(result.status().message().find("hard limit"), std::string::npos);
 }
 
-/// A cube index's ancestor lists are optional memory. Under a soft budget
-/// that fits the aggregate states and the 128 B-per-row index estimate but
-/// not the lists, the index is built without them and probes per bucket:
-/// still one pass, the reference result, and every byte released.
-TEST_F(GuardrailTest, CubeIndexSkipsAncestorListsThatDoNotFit) {
+/// A cube's group-id map is optional memory, charged at its size while the
+/// join reads it. Under a soft budget that takes the aggregate states and the
+/// map, the join reads relative sets by group id in one pass; one byte less
+/// and it falls back to the BaseIndex, whose pass the budget then degrades.
+/// Either way the reference result, and every byte released.
+TEST_F(GuardrailTest, GroupIdMapFallsBackWhenItDoesNotFit) {
   Table sales = testutil::RandomSales(57, 400);
   const std::vector<std::string> dims = {"cust", "prod", "month", "state"};
-  Table base = *CubeByBase(sales, dims);
+  GroupIdMap groups;
+  Table base = *CubeByBase(sales, dims, &groups);
+  ASSERT_EQ(groups.unusable, nullptr);
   ExprPtr theta = Eq(RCol(dims[0]), BCol(dims[0]));
   for (size_t i = 1; i < dims.size(); ++i) {
     theta = And(theta, Eq(RCol(dims[i]), BCol(dims[i])));
@@ -279,42 +282,47 @@ TEST_F(GuardrailTest, CubeIndexSkipsAncestorListsThatDoNotFit) {
   Result<Table> want = MdJoinReference(base, sales, aggs, theta);
   ASSERT_TRUE(want.ok());
 
-  // Without the typed mirror no code-key memo runs, so every probe answered
-  // without the bucket walk is a finest hit.
-  sales = testutil::WithoutMirror(sales);
-  MdJoinOptions options;
-  MdJoinStats linked_stats;
-  ASSERT_TRUE(MdJoin(base, sales, aggs, theta, options, &linked_stats).ok());
-  ASSERT_EQ(linked_stats.index_probe_lookups, sales.num_rows());
-  EXPECT_EQ(linked_stats.index_probe_memo_hits, sales.num_rows());
-
-  const int64_t n = base.num_rows();
-  QueryGuardOptions guard_options;
-  guard_options.memory_budget_bytes =
-      static_cast<int64_t>(aggs.size()) * n * kGuardBytesPerAggState +
-      n * kGuardBytesPerIndexedBaseRow;
-  QueryGuard guard(guard_options);
-  options.guard = &guard;
-  MdJoinStats stats;
-  Result<Table> got = MdJoin(base, sales, aggs, theta, options, &stats);
-  ASSERT_TRUE(got.ok()) << got.status().ToString();
-  EXPECT_TRUE(testutil::TablesBitIdentical(*want, *got));
-  EXPECT_EQ(stats.passes_over_detail, 1);
-  EXPECT_FALSE(stats.memory_degraded);
-  EXPECT_EQ(stats.index_probe_lookups, sales.num_rows());
-  EXPECT_EQ(stats.index_probe_memo_hits, 0);  // no lists: every probe walked
-  EXPECT_EQ(guard.bytes_reserved(), 0);
+  const int64_t states =
+      static_cast<int64_t>(aggs.size()) * base.num_rows() * kGuardBytesPerAggState;
+  for (const int64_t budget : {states + groups.ApproxBytes(), states + groups.ApproxBytes() - 1}) {
+    const bool fits = budget == states + groups.ApproxBytes();
+    SCOPED_TRACE(::testing::Message() << "fits=" << fits);
+    QueryGuardOptions guard_options;
+    guard_options.memory_budget_bytes = budget;
+    QueryGuard guard(guard_options);
+    MdJoinOptions options;
+    options.guard = &guard;
+    MdJoinStats stats;
+    Result<Table> got = MdJoin(base, sales, aggs, theta, options, &stats, &groups);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_TRUE(testutil::TablesBitIdentical(*want, *got));
+    if (fits) {
+      EXPECT_EQ(stats.route, RelativeSetRoute::kGroupIds);
+      EXPECT_EQ(stats.route_reason, nullptr);
+      EXPECT_EQ(stats.passes_over_detail, 1);
+      EXPECT_EQ(stats.index_probe_lookups, 0);
+      EXPECT_GE(guard.bytes_high_water(), states + groups.ApproxBytes());
+    } else {
+      EXPECT_EQ(stats.route, RelativeSetRoute::kIndex);
+      EXPECT_STREQ(stats.route_reason, "the map does not fit the guard's headroom");
+      EXPECT_TRUE(stats.memory_degraded);
+      EXPECT_EQ(stats.index_probe_lookups, stats.passes_over_detail * sales.num_rows());
+    }
+    EXPECT_EQ(guard.bytes_reserved(), 0);
+  }
 }
 
-/// The ancestor lists leave room for what the scan itself reserves: an
-/// uncached paged detail decodes each block into a guard-charged pin. Under
-/// a hard limit alone that holds the aggregate states, the index estimate and
-/// one decoded block, but not the lists as well, the query still runs and the
-/// index walks; with room for both, the lists are kept.
-TEST_F(GuardrailTest, CubeIndexLeavesRoomForUncachedDecodedBlocks) {
+/// The map leaves room for what the scan itself reserves: an uncached paged
+/// detail decodes each block into a guard-charged pin. Under a soft budget
+/// that takes the aggregate states and the map but not a decoded block as
+/// well, the join falls back to the index; with room for both, the map runs.
+/// The hard limit leaves room for the output either way.
+TEST_F(GuardrailTest, GroupIdMapLeavesRoomForUncachedDecodedBlocks) {
   Table sales = testutil::RandomSales(59, 3000);
   const std::vector<std::string> dims = {"cust", "prod", "month", "state"};
-  Table base = *CubeByBase(sales, dims);
+  GroupIdMap groups;
+  Table base = *CubeByBase(sales, dims, &groups);
+  ASSERT_EQ(groups.unusable, nullptr);
   ExprPtr theta = Eq(RCol(dims[0]), BCol(dims[0]));
   for (size_t i = 1; i < dims.size(); ++i) {
     theta = And(theta, Eq(RCol(dims[i]), BCol(dims[i])));
@@ -337,38 +345,31 @@ TEST_F(GuardrailTest, CubeIndexLeavesRoomForUncachedDecodedBlocks) {
     block = std::max(block, (*paged)->ApproxBlockBytes(b));
   }
 
-  // What the scan holds (states, index, one decoded block), what the lists
-  // add (one row id per bucket for each finest key), and what the output
-  // phase holds after the index is released.
+  // What the map route holds while it scans (states, map, one decoded
+  // block), and what the output phase holds.
   const int64_t n = base.num_rows();
-  int64_t finest = 0;
-  for (int64_t r = 0; r < n; ++r) {
-    bool any_all = false;
-    for (int c = 0; c < base.num_columns(); ++c) any_all = any_all || base.Get(r, c).is_all();
-    if (!any_all) ++finest;
-  }
   const int64_t states = n * kGuardBytesPerAggState;
-  const int64_t scan = states + n * kGuardBytesPerIndexedBaseRow + block;
-  const int64_t lists = finest * (int64_t{1} << dims.size()) * kGuardBytesPerAncestorRow;
+  const int64_t scan = states + groups.ApproxBytes() + block;
   const int64_t output = states + n * (base.num_columns() + 1) * kGuardBytesPerOutputCell;
-  const int64_t tight = std::max(scan + lists / 2, output);
-  ASSERT_LT(tight, scan + lists);  // the lists and a decoded block do not both fit
-
-  for (const int64_t limit : {tight, scan + lists}) {
-    SCOPED_TRACE(::testing::Message() << "limit=" << limit);
+  for (const int64_t budget : {scan - 1, scan}) {
+    SCOPED_TRACE(::testing::Message() << "budget=" << budget);
     QueryGuardOptions guard_options;
-    guard_options.memory_hard_limit_bytes = limit;
+    guard_options.memory_budget_bytes = budget;
+    guard_options.memory_hard_limit_bytes = std::max(scan, output);
     QueryGuard guard(guard_options);
     MdJoinOptions options;
     options.guard = &guard;
     MdJoinStats stats;
-    Result<Table> got = PagedMdJoin(base, **paged, aggs, theta, options, &stats);
+    Result<Table> got = PagedMdJoin(base, **paged, {{aggs, theta}}, options, &stats, &groups);
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     EXPECT_TRUE(testutil::TablesBitIdentical(*want, *got));
-    EXPECT_EQ(stats.index_probe_lookups, sales.num_rows());
-    // Decoded blocks are foreign to the typed mirror, so no code-key memo
-    // runs: a probe answered without the walk is a finest hit.
-    EXPECT_EQ(stats.index_probe_memo_hits, limit == tight ? 0 : sales.num_rows());
+    if (budget == scan) {
+      EXPECT_EQ(stats.route, RelativeSetRoute::kGroupIds);
+      EXPECT_EQ(stats.index_probe_lookups, 0);
+    } else {
+      EXPECT_EQ(stats.route, RelativeSetRoute::kIndex);
+      EXPECT_STREQ(stats.route_reason, "the map does not fit the guard's headroom");
+    }
     EXPECT_EQ(guard.bytes_reserved(), 0);
   }
   paged->reset();

@@ -14,6 +14,8 @@
 #include <thread>
 #include <vector>
 
+#include <filesystem>
+
 #include "analyze/binder.h"
 #include "obs/metrics.h"
 #include "obs/query_profile.h"
@@ -21,6 +23,9 @@
 #include "optimizer/executor.h"
 #include "optimizer/optimize.h"
 #include "optimizer/plan.h"
+#include "storage/block_format.h"
+#include "storage/out_of_core.h"
+#include "storage/paged_table.h"
 #include "table/table_ops.h"
 #include "tests/test_util.h"
 
@@ -410,6 +415,166 @@ TEST_F(ObsTest, GeneralizedNodeCountsUpdatesPerComponent) {
     ASSERT_NE(gmd, nullptr) << profile.ToText();
     EXPECT_GT(gmd->matched_pairs, 0) << profile.ToText();
     EXPECT_EQ(gmd->agg_updates, gmd->matched_pairs) << profile.ToText();
+  }
+}
+
+/// Every node of the profile, depth first.
+void Nodes(const OperatorProfile& node, std::vector<const OperatorProfile*>* out) {
+  out->push_back(&node);
+  for (const auto& child : node.children) Nodes(*child, out);
+}
+
+/// A block file of `t` in `block_rows`-row blocks, removed on destruction.
+class BlockFileOf {
+ public:
+  BlockFileOf(const Table& t, int64_t block_rows) {
+    path_ = (std::filesystem::temp_directory_path() /
+             ("mdjoin_obs_" + std::to_string(reinterpret_cast<uintptr_t>(this)) + ".mdjb"))
+                .string();
+    BlockFileOptions options;
+    options.block_size_rows = block_rows;
+    MDJ_CHECK(WriteBlockFile(t, path_, options).ok());
+    table_ = std::move(*PagedTable::Open(path_));
+  }
+  ~BlockFileOf() {
+    table_.reset();
+    std::error_code ec;
+    std::filesystem::remove(path_, ec);
+  }
+  const PagedTable& table() const { return *table_; }
+
+ private:
+  std::string path_;
+  std::unique_ptr<PagedTable> table_;
+};
+
+Result<QueryProfile> ProfileText(const std::string& text, const Catalog& catalog,
+                                 const MdJoinOptions& options) {
+  MDJ_ASSIGN_OR_RETURN(analyze::BoundQuery bound, analyze::BindQueryString(text, catalog));
+  MDJ_ASSIGN_OR_RETURN(PlanPtr plan, OptimizePlan(bound.plan, catalog));
+  QueryProfile profile;
+  MDJ_RETURN_NOT_OK(ExplainAnalyze(plan, catalog, options, &profile).status());
+  return profile;
+}
+
+const char* kCube3 =
+    "select prod, month, state, sum(sale) from Sales analyze by cube(prod, month, state)";
+
+/// The MD-join of the cube3 text records how it found relative sets — by
+/// group id, on memory and on paged storage, and through the index with the
+/// guard's reason when the map does not fit — and its phase times, which are
+/// non-negative and add up to no more than the operator's wall time.
+TEST_F(ObsTest, ExplainAnalyzeRecordsRouteAndPhases) {
+  Table sales = testutil::RandomSales(17, 3000);
+  const BlockFileOf file(sales, 256);
+  for (const char* storage : {"memory", "paged"}) {
+    Catalog catalog;
+    if (std::string(storage) == "memory") {
+      ASSERT_TRUE(catalog.Register("Sales", &sales).ok());
+    } else {
+      ASSERT_TRUE(RegisterPagedTable(&catalog, "Sales", file.table()).ok());
+    }
+    for (const bool tight : {false, true}) {
+      SCOPED_TRACE(::testing::Message() << storage << (tight ? ", tight guard" : ""));
+      QueryGuardOptions guard_options;
+      if (tight) guard_options.memory_budget_bytes = 1;
+      QueryGuard guard(guard_options);
+      MdJoinOptions options;
+      options.guard = &guard;
+      Result<QueryProfile> profile = ProfileText(kCube3, catalog, options);
+      ASSERT_TRUE(profile.ok()) << profile.status().ToString();
+      std::vector<const OperatorProfile*> nodes;
+      Nodes(*profile->root, &nodes);
+      const OperatorProfile* md = nullptr;
+      for (const OperatorProfile* n : nodes) {
+        if (n->is_mdjoin) md = n;
+      }
+      ASSERT_NE(md, nullptr);
+      const std::string text = profile->ToText();
+      if (tight) {
+        EXPECT_EQ(md->route, "index");
+        EXPECT_EQ(md->route_reason, "the map does not fit the guard's headroom");
+        EXPECT_NE(text.find("route=index (the map does not fit the guard's headroom)"),
+                  std::string::npos)
+            << text;
+      } else {
+        EXPECT_EQ(md->route, "group_ids");
+        EXPECT_EQ(md->route_reason, "");
+        EXPECT_NE(text.find("route=group_ids phases: setup="), std::string::npos) << text;
+      }
+      for (double phase : {md->setup_ms, md->scan_ms, md->merge_ms, md->finalize_ms}) {
+        EXPECT_GE(phase, 0);
+      }
+      EXPECT_GT(md->scan_ms, 0);
+      EXPECT_LE(md->setup_ms + md->scan_ms + md->merge_ms + md->finalize_ms, md->elapsed_ms);
+      EXPECT_NE(profile->ToJson().find("\"route\": \"" + md->route + "\""),
+                std::string::npos);
+    }
+  }
+
+  // A join whose base is not generated from its detail says why.
+  Catalog catalog;
+  ASSERT_TRUE(catalog.Register("Sales", &sales).ok());
+  Result<QueryProfile> group = ProfileText(
+      "select cust, sum(sale) from Sales analyze by group(cust)", catalog, {});
+  ASSERT_TRUE(group.ok()) << group.status().ToString();
+  std::vector<const OperatorProfile*> nodes;
+  Nodes(*group->root, &nodes);
+  for (const OperatorProfile* n : nodes) {
+    if (!n->is_mdjoin) continue;
+    EXPECT_EQ(n->route, "index");
+    EXPECT_NE(n->route_reason.find("base child is not a cube"), std::string::npos)
+        << n->route_reason;
+  }
+}
+
+/// Every block decode counts in mdjoin_blocks_read_total and
+/// mdjoin_blocks_faulted_total and shows on the operator that read it: a
+/// whole-file ReadAll, a paged TableRef (under `where`, the detail is a
+/// Filter over the file), and the cube generator's streamed pass, which
+/// makes no ReadAll at all.
+TEST_F(ObsTest, BlockCountersMatchDecodes) {
+  Table sales = testutil::RandomSales(19, 2000);
+  const BlockFileOf file(sales, 256);
+  const int64_t nblocks = file.table().num_blocks();
+  Counter* read = MetricsRegistry::Global().GetCounter("mdjoin_blocks_read_total");
+  Counter* faulted = MetricsRegistry::Global().GetCounter("mdjoin_blocks_faulted_total");
+
+  int64_t read0 = read->value(), faulted0 = faulted->value();
+  ASSERT_TRUE(file.table().ReadAll(nullptr).ok());
+  EXPECT_EQ(read->value() - read0, nblocks);
+  EXPECT_EQ(faulted->value() - faulted0, nblocks);
+
+  Catalog catalog;
+  ASSERT_TRUE(RegisterPagedTable(&catalog, "Sales", file.table()).ok());
+  for (const std::string& where : {std::string(""), std::string(" where year > 1996")}) {
+    SCOPED_TRACE(where);
+    const std::string text =
+        "select prod, month, state, sum(sale) from Sales" + where +
+        " analyze by cube(prod, month, state)";
+    read0 = read->value();
+    faulted0 = faulted->value();
+    Result<QueryProfile> profile = ProfileText(text, catalog, {});  // no block cache
+    ASSERT_TRUE(profile.ok()) << profile.status().ToString();
+    std::vector<const OperatorProfile*> nodes;
+    Nodes(*profile->root, &nodes);
+    int64_t profiled = 0, table_refs = 0;
+    for (const OperatorProfile* n : nodes) {
+      EXPECT_EQ(n->blocks_faulted, n->blocks_read) << n->label;  // uncached
+      profiled += n->blocks_read;
+      if (n->label.rfind("TableRef", 0) == 0) {
+        ++table_refs;
+        EXPECT_EQ(n->blocks_read, nblocks);
+      }
+      if (n->label.rfind("CubeBase", 0) == 0) {
+        EXPECT_EQ(n->blocks_read, where.empty() ? nblocks : 0);
+      }
+    }
+    // Without `where` the generator streams the file: no TableRef, no ReadAll.
+    EXPECT_EQ(table_refs, where.empty() ? 0 : 1) << profile->ToText();
+    EXPECT_EQ(read->value() - read0, profiled);
+    EXPECT_EQ(faulted->value() - faulted0, profiled);
+    EXPECT_NE(profile->ToText().find("blocks_read="), std::string::npos);
   }
 }
 
