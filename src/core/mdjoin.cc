@@ -28,6 +28,8 @@ std::string MdJoinStats::ToString() const {
   out += " index_masks=" + std::to_string(index_masks);
   out += std::string(" route=") + RelativeSetRouteName(route);
   if (route_reason != nullptr) out += std::string("(") + route_reason + ")";
+  if (read != nullptr) out += std::string(" read=") + read;
+  if (folded != nullptr) out += " folded=" + folded->ToString();
   if (blocks > 0) {
     out += " blocks=" + std::to_string(blocks);
     out += " kernel_invocations=" + std::to_string(kernel_invocations);

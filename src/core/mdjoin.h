@@ -151,6 +151,14 @@ struct MdJoinStats {
   RelativeSetRoute route = RelativeSetRoute::kNestedLoop;
   const char* route_reason = nullptr;
 
+  // How the plan executor read R: "in_place" (the catalog's own table),
+  // "blocks" (a paged table, block by block) or "materialized" (an executed
+  // plan); null when the caller handed the join a relation. `folded` is the
+  // selection on R the executor folded into every θ instead of filtering R
+  // (Theorem 4.2 read right to left); null when there was none.
+  const char* read = nullptr;
+  ExprPtr folded;
+
   // Driver phases, wall ms summed over passes: relative-set setup (binding,
   // index build or map charge), the detail scan (kernels, probes, updates),
   // the worker-partial merge, and finalizing the output table.
@@ -184,8 +192,8 @@ struct MdJoinStats {
 
   /// Adds `other`'s counters and phase times into this one — a worker's
   /// share into its driver, or a spill partition's join into the spill
-  /// driver. base_rows, base_rows_per_pass_effective, threads and the route
-  /// describe one evaluation and are left alone.
+  /// driver. base_rows, base_rows_per_pass_effective, threads, the route and
+  /// how R was read describe one evaluation and are left alone.
   void Accumulate(const MdJoinStats& other);
 
   std::string ToString() const;

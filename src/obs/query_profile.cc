@@ -75,6 +75,8 @@ void NodeToText(const OperatorProfile& node, int depth, std::string* out) {
                   node.setup_ms, node.scan_ms, node.merge_ms, node.finalize_ms);
     *out += buf;
   }
+  if (!node.read.empty()) *out += " read=" + node.read;
+  if (!node.folded.empty()) *out += " folded=" + node.folded;
   if (node.blocks_read > 0 || node.blocks_pruned > 0) {
     std::snprintf(buf, sizeof(buf),
                   " blocks_read=%lld pruned=%lld faulted=%lld cache_hits=%lld",
@@ -167,6 +169,13 @@ void NodeToJson(const OperatorProfile& node, std::string* out) {
     AppendKvMs("scan_ms", node.scan_ms, &first, out);
     AppendKvMs("merge_ms", node.merge_ms, &first, out);
     AppendKvMs("finalize_ms", node.finalize_ms, &first, out);
+  }
+  if (!node.read.empty()) {
+    *out += ", \"read\": \"";
+    AppendEscapedJson(node.read, out);
+    *out += "\", \"folded\": \"";
+    AppendEscapedJson(node.folded, out);
+    *out += "\"";
   }
   if (node.is_mdjoin || node.blocks_read > 0) {
     AppendKv("blocks_read", node.blocks_read, &first, out);

@@ -51,6 +51,13 @@ struct OperatorProfile {
   double merge_ms = 0;
   double finalize_ms = 0;
 
+  // How an MD-join or a base generator read R: "in_place" (the catalog's
+  // own table), "blocks" (a paged table, block by block) or "materialized"
+  // (an executed plan); and the selection on R folded into θ instead of
+  // filtering R. Empty for other operators.
+  std::string read;
+  std::string folded;
+
   // Storage counters: blocks an MD-join scan, a streaming base generator or
   // a paged TableRef's whole-file read served; zero for in-memory nodes.
   int64_t blocks_read = 0;            // storage blocks served (faults + hits)

@@ -16,12 +16,15 @@ struct ExecStats {
   int64_t matched_pairs = 0;
   int64_t mdjoin_operators = 0;      // MD-join nodes evaluated
   int64_t rows_materialized = 0;     // total output rows across nodes
+  int64_t tables_materialized = 0;   // catalog tables copied whole (clone or ReadAll)
   int64_t cse_hits = 0;              // subtree reuses (ExecutePlanCse only)
 };
 
 /// Executes `plan` against `catalog`. Every node materializes its result (an
-/// in-memory engine in the paper's §4.1.1 spirit). MD-join nodes run with
-/// `md_options`.
+/// in-memory engine in the paper's §4.1.1 spirit), except R where an MD-join
+/// (detail child) or a base generator (input) reads it: σ*(TableRef T) there
+/// reads T in place or block by block, its selections folded into θ (or the
+/// generator's kernels). MD-join nodes run with `md_options`.
 Result<Table> ExecutePlan(const PlanPtr& plan, const Catalog& catalog,
                           const MdJoinOptions& md_options = {},
                           ExecStats* stats = nullptr);

@@ -54,6 +54,7 @@ void RegisterStorageMetrics() {
 PagedSource::PagedSource(const PagedTable& table, BlockCache* cache,
                          const std::vector<MdJoinComponent>& components)
     : table_(&table), stub_(table.schema()), cache_(cache) {
+  RegisterStorageMetrics();
   std::vector<bool> keep(static_cast<size_t>(table.num_blocks()), components.empty());
   for (const MdJoinComponent& c : components) {
     const std::vector<bool> k = PlanBlockPruning(table, c.theta);
@@ -144,18 +145,27 @@ Result<Table> PagedMdJoin(const Table& base, const PagedTable& detail,
       return Status::InvalidArgument("PagedMdJoin: θ-condition must not be null");
     }
   }
-  RegisterStorageMetrics();
   Span span("paged_mdjoin", "storage");
   const PagedSource source(detail, options.block_cache, components);
-  const bool spill = options.enable_spill && components.size() == 1;
-  Result<Table> out =
-      spill ? SpillMdJoin(base, source, components[0].aggs, components[0].theta, options,
-                          stats)
-            : RunMdJoin(base, source, components, options, stats, groups);
-  if (spill && groups != nullptr) stats->route_reason = "spill";
-  BlocksPrunedCounter()->Increment(stats->blocks_pruned);
+  Result<Table> out = SourceMdJoin(base, source, components, options, stats, groups);
   span.SetArg("blocks_read", stats->blocks_read);
   span.SetArg("blocks_pruned", stats->blocks_pruned);
+  return out;
+}
+
+Result<Table> SourceMdJoin(const Table& base, const DetailSource& detail,
+                           const std::vector<MdJoinComponent>& components,
+                           const MdJoinOptions& options, MdJoinStats* stats,
+                           const GroupIdMap* groups) {
+  MdJoinStats local_stats;
+  if (stats == nullptr) stats = &local_stats;
+  const bool spill = options.enable_spill && components.size() == 1;
+  Result<Table> out =
+      spill ? SpillMdJoin(base, detail, components[0].aggs, components[0].theta, options,
+                          stats)
+            : RunMdJoin(base, detail, components, options, stats, groups);
+  if (spill && groups != nullptr) stats->route_reason = "spill";
+  BlocksPrunedCounter()->Increment(stats->blocks_pruned);
   return out;
 }
 

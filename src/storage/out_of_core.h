@@ -80,6 +80,16 @@ Result<Table> PagedMdJoin(const Table& base, const PagedTable& detail,
                           MdJoinStats* stats = nullptr,
                           const GroupIdMap* groups = nullptr);
 
+/// The MD-join of `base` with R read through any detail source: the
+/// catalog's table in place, a paged table's blocks, or an executed plan.
+/// options.enable_spill with a single component runs SpillMdJoin (which
+/// never reads `groups`); everything else runs the one driver, RunMdJoin.
+/// Blocks the source pruned count into mdjoin_blocks_pruned_total.
+Result<Table> SourceMdJoin(const Table& base, const DetailSource& detail,
+                           const std::vector<MdJoinComponent>& components,
+                           const MdJoinOptions& options, MdJoinStats* stats,
+                           const GroupIdMap* groups = nullptr);
+
 /// The pruning plan: keep[b] == false iff block b's zone maps refute θ
 /// (always all-true when θ has no detail-side range facts; all-false when the
 /// range analysis proves θ unsatisfiable). Exposed for the executor's EXPLAIN

@@ -460,6 +460,28 @@ Result<QueryProfile> ProfileText(const std::string& text, const Catalog& catalog
 const char* kCube3 =
     "select prod, month, state, sum(sale) from Sales analyze by cube(prod, month, state)";
 
+/// The olapbench rotation (docs/QUERY_LANGUAGE.md): cube3, cube2, pivot and
+/// chain.
+const std::vector<std::string>& RotationTexts() {
+  static const std::vector<std::string> texts = {
+      kCube3,
+      "select prod, month, sum(sale) from Sales analyze by cube(prod, month)",
+      "select cust, avg(X.sale) as avg_ny, avg(Y.sale) as avg_nj, avg(Z.sale) as avg_ct "
+      "from Sales analyze by group(cust) "
+      "such that X: X.cust = cust and X.state = 'NY', "
+      "Y: Y.cust = cust and Y.state = 'NJ', "
+      "Z: Z.cust = cust and Z.state = 'CT'",
+      "select prod, month, count(Z.sale) as between_count "
+      "from Sales where year = 1997 analyze by group(prod, month) "
+      "such that X: X.prod = prod and X.month = month - 1, "
+      "Y: Y.prod = prod and Y.month = month + 1, "
+      "Z: Z.prod = prod and Z.month = month "
+      "and Z.sale > avg(X.sale) and Z.sale < avg(Y.sale) "
+      "order by prod, month",
+  };
+  return texts;
+}
+
 /// The MD-join of the cube3 text records how it found relative sets — by
 /// group id, on memory and on paged storage, and through the index with the
 /// guard's reason when the map does not fit — and its phase times, which are
@@ -512,7 +534,10 @@ TEST_F(ObsTest, ExplainAnalyzeRecordsRouteAndPhases) {
     }
   }
 
-  // A join whose base is not generated from its detail says why.
+  // group(...) is the finest cuboid of R, so its join reads group ids; a
+  // join the certificate refuses says why: chain's X/Y pair matches
+  // month ± 1, not the plain dimension equality, and its Z join's base is
+  // the X/Y join's output, not a generator.
   Catalog catalog;
   ASSERT_TRUE(catalog.Register("Sales", &sales).ok());
   Result<QueryProfile> group = ProfileText(
@@ -522,17 +547,34 @@ TEST_F(ObsTest, ExplainAnalyzeRecordsRouteAndPhases) {
   Nodes(*group->root, &nodes);
   for (const OperatorProfile* n : nodes) {
     if (!n->is_mdjoin) continue;
-    EXPECT_EQ(n->route, "index");
-    EXPECT_NE(n->route_reason.find("base child is not a cube"), std::string::npos)
-        << n->route_reason;
+    EXPECT_EQ(n->route, "group_ids");
+    EXPECT_EQ(n->route_reason, "");
   }
+  Result<QueryProfile> chain = ProfileText(RotationTexts()[3], catalog, {});
+  ASSERT_TRUE(chain.ok()) << chain.status().ToString();
+  nodes.clear();
+  Nodes(*chain->root, &nodes);
+  std::set<std::string> reasons;
+  for (const OperatorProfile* n : nodes) {
+    if (!n->is_mdjoin) continue;
+    EXPECT_EQ(n->route, "index");
+    reasons.insert(n->route_reason);
+  }
+  EXPECT_EQ(reasons, (std::set<std::string>{
+                         "equi conjunct is not a plain B.d = R.d dimension pair",
+                         "base child is not a cube, rollup, grouping-sets or unpivot "
+                         "generator"}))
+      << chain->ToText();
+  EXPECT_NE(chain->ToText().find("(equi conjunct is not a plain B.d = R.d dimension pair)"),
+            std::string::npos);
 }
 
 /// Every block decode counts in mdjoin_blocks_read_total and
 /// mdjoin_blocks_faulted_total and shows on the operator that read it: a
-/// whole-file ReadAll, a paged TableRef (under `where`, the detail is a
-/// Filter over the file), and the cube generator's streamed pass, which
-/// makes no ReadAll at all.
+/// whole-file ReadAll, and the cube generator's and the MD-join's streamed
+/// passes, which make no ReadAll at all. Under `where` the selection folds
+/// into θ and the generator's kernels, so no Filter over a TableRef reads
+/// the file either.
 TEST_F(ObsTest, BlockCountersMatchDecodes) {
   Table sales = testutil::RandomSales(19, 2000);
   const BlockFileOf file(sales, 256);
@@ -558,24 +600,107 @@ TEST_F(ObsTest, BlockCountersMatchDecodes) {
     ASSERT_TRUE(profile.ok()) << profile.status().ToString();
     std::vector<const OperatorProfile*> nodes;
     Nodes(*profile->root, &nodes);
-    int64_t profiled = 0, table_refs = 0;
+    int64_t profiled = 0, table_refs = 0, readers = 0;
     for (const OperatorProfile* n : nodes) {
       EXPECT_EQ(n->blocks_faulted, n->blocks_read) << n->label;  // uncached
       profiled += n->blocks_read;
-      if (n->label.rfind("TableRef", 0) == 0) {
-        ++table_refs;
-        EXPECT_EQ(n->blocks_read, nblocks);
-      }
-      if (n->label.rfind("CubeBase", 0) == 0) {
-        EXPECT_EQ(n->blocks_read, where.empty() ? nblocks : 0);
+      if (n->label.rfind("TableRef", 0) == 0) ++table_refs;
+      if (n->label.rfind("CubeBase", 0) == 0 || n->is_mdjoin) {
+        ++readers;
+        EXPECT_EQ(n->blocks_read + n->blocks_pruned, nblocks) << n->label;
+        EXPECT_EQ(n->read, "blocks") << n->label;
+        EXPECT_EQ(n->folded, where.empty() ? "" : "(R.year > 1996)") << n->label;
       }
     }
-    // Without `where` the generator streams the file: no TableRef, no ReadAll.
-    EXPECT_EQ(table_refs, where.empty() ? 0 : 1) << profile->ToText();
+    EXPECT_EQ(readers, 2) << profile->ToText();
+    EXPECT_EQ(table_refs, 0) << profile->ToText();
     EXPECT_EQ(read->value() - read0, profiled);
     EXPECT_EQ(faulted->value() - faulted0, profiled);
     EXPECT_NE(profile->ToText().find("blocks_read="), std::string::npos);
+    EXPECT_NE(profile->ToText().find(" read=blocks"), std::string::npos);
+    EXPECT_NE(profile->ToJson().find("\"read\": \"blocks\""), std::string::npos);
   }
+}
+
+/// R is read where it lives: every rotation text and every drill-down shape
+/// of the service workload copies no catalog table (ExecStats::
+/// tables_materialized, and no TableRef in the profile) under ExecutePlan,
+/// ExecutePlanCse and ExplainAnalyze. Each MD-join and generator reads the
+/// catalog's table `in_place` in memory and as `blocks` on paged storage; a
+/// detail child that is not a catalog reference is `materialized`.
+TEST_F(ObsTest, MdJoinsAndGeneratorsReadRWhereItLives) {
+  Table sales = testutil::RandomSales(23, 3000);
+  const BlockFileOf file(sales, 256);
+  std::vector<std::string> texts = RotationTexts();
+  const std::vector<std::string> dims = {"prod", "month", "state"};
+  for (const std::string& where : {std::string(""), std::string(" where year = 1997")}) {
+    for (unsigned mask = 1; mask < 8; ++mask) {
+      std::string list;
+      for (size_t i = 0; i < dims.size(); ++i) {
+        if (mask & (1u << i)) list += (list.empty() ? "" : ", ") + dims[i];
+      }
+      texts.push_back("select " + list + ", sum(sale) as total, count(*) as n from Sales" +
+                      where + " analyze by group(" + list + ")");
+    }
+    for (const char* sets : {"(prod, month), (prod, state), (month, state)",
+                             "(prod), (month), (state)"}) {
+      texts.push_back(
+          "select prod, month, state, sum(sale) as total, count(*) as n from Sales" + where +
+          " analyze by grouping_sets(" + std::string(sets) + ")");
+    }
+  }
+  for (const char* storage : {"in_place", "blocks"}) {
+    Catalog catalog;
+    if (std::string(storage) == "in_place") {
+      ASSERT_TRUE(catalog.Register("Sales", &sales).ok());
+    } else {
+      ASSERT_TRUE(RegisterPagedTable(&catalog, "Sales", file.table()).ok());
+    }
+    for (const std::string& text : texts) {
+      SCOPED_TRACE(::testing::Message() << storage << ": " << text);
+      Result<analyze::BoundQuery> bound = analyze::BindQueryString(text, catalog);
+      ASSERT_TRUE(bound.ok()) << bound.status().ToString();
+      Result<PlanPtr> plan = OptimizePlan(bound->plan, catalog);
+      ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+      ExecStats plain_stats, cse_stats;
+      Result<Table> plain = ExecutePlan(*plan, catalog, {}, &plain_stats);
+      Result<Table> cse = ExecutePlanCse(*plan, catalog, {}, &cse_stats);
+      QueryProfile profile;
+      Result<Table> profiled = ExplainAnalyze(*plan, catalog, {}, &profile);
+      ASSERT_TRUE(plain.ok() && cse.ok() && profiled.ok());
+      EXPECT_TRUE(testutil::TablesBitIdentical(*plain, *cse));
+      EXPECT_TRUE(testutil::TablesBitIdentical(*plain, *profiled));
+      EXPECT_EQ(plain_stats.tables_materialized, 0);
+      EXPECT_EQ(cse_stats.tables_materialized, 0);
+      std::vector<const OperatorProfile*> nodes;
+      Nodes(*profile.root, &nodes);
+      int readers = 0;
+      for (const OperatorProfile* n : nodes) {
+        EXPECT_NE(n->label.rfind("TableRef", 0), 0u) << profile.ToText();
+        if (!n->read.empty()) ++readers;
+        if (n->is_mdjoin || n->label.rfind("CuboidBase", 0) == 0 ||
+            n->label.rfind("CubeBase", 0) == 0) {
+          EXPECT_EQ(n->read, storage) << n->label;
+        }
+      }
+      EXPECT_GE(readers, 2) << profile.ToText();  // a generator and a join
+    }
+  }
+
+  // A detail child that is not a catalog reference runs, once.
+  Catalog catalog;
+  ASSERT_TRUE(catalog.Register("Sales", &sales).ok());
+  PlanPtr plan = MdJoinPlan(CuboidBasePlan(TableRef("Sales"), {"cust"}, 1),
+                            PartitionPlan(TableRef("Sales"), 0, 2), {Count("n")},
+                            Eq(BCol("cust"), RCol("cust")));
+  ExecStats stats;
+  ASSERT_TRUE(ExecutePlan(plan, catalog, {}, &stats).ok());
+  EXPECT_EQ(stats.tables_materialized, 1);
+  QueryProfile profile;
+  ASSERT_TRUE(ExplainAnalyze(plan, catalog, {}, &profile).ok());
+  EXPECT_EQ(profile.root->read, "materialized");
+  EXPECT_EQ(profile.root->children.back()->label, "Partition(0/2)");
+  EXPECT_NE(profile.ToText().find(" read=materialized"), std::string::npos);
 }
 
 }  // namespace

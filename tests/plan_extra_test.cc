@@ -118,15 +118,22 @@ TEST_F(PlanExtraTest, ProfiledExecutionMatchesPlainAndRecordsTree) {
   Result<Table> plain = ExecutePlan(plan, catalog_);
   ASSERT_TRUE(plain.ok());
   EXPECT_TRUE(TablesEqualOrdered(profiled->table, *plain));
-  // The profile tree mirrors the plan tree.
+  // The profile tree mirrors the plan tree: each node's children are a
+  // prefix of its plan node's, labelled alike (AnnotateEstimates and
+  // HarvestFeedback walk both in lockstep). The detail TableRef is read in
+  // place, never executed, so only the base subtree shows.
   ASSERT_NE(profiled->profile.root, nullptr);
   const OperatorProfile& root = *profiled->profile.root;
   EXPECT_NE(root.label.find("MdJoin"), std::string::npos);
   EXPECT_EQ(root.output_rows, plain->num_rows());
-  ASSERT_EQ(root.children.size(), 2u);  // base subtree + detail TableRef
+  ASSERT_EQ(root.children.size(), 1u);
+  EXPECT_EQ(root.children[0]->label, plan->child(0)->Label());
+  ASSERT_EQ(root.children[0]->children.size(), 1u);
+  EXPECT_EQ(root.children[0]->children[0]->label, plan->child(0)->child(0)->Label());
+  EXPECT_EQ(root.read, "in_place");
   EXPECT_GE(root.elapsed_ms, 0);
   EXPECT_GE(root.self_ms, 0);
-  double child_ms = root.children[0]->elapsed_ms + root.children[1]->elapsed_ms;
+  double child_ms = root.children[0]->elapsed_ms;
   EXPECT_NEAR(root.self_ms, root.elapsed_ms - child_ms, 1e-9);
   // The MD-join node carries its scan counters.
   EXPECT_TRUE(root.is_mdjoin);

@@ -308,7 +308,7 @@ TEST_F(StorageTest, SpillJoinCleansUpFilesOnWriteError) {
   md.spill_partitions = 4;
   FailpointRegistry::Global()->Enable("storage:spill_write", /*count=*/1);
   MdJoinStats stats;
-  Result<Table> out = SpillMdJoin(*base, sales, {Count("n")},
+  Result<Table> out = SpillMdJoin(*base, TableSource(sales), {Count("n")},
                                   Eq(RCol("cust"), BCol("cust")), md, &stats);
   ASSERT_FALSE(out.ok());
   EXPECT_EQ(out.status().code(), StatusCode::kInternal);
