@@ -2,6 +2,7 @@
 
 #include "common/logging.h"
 #include "expr/compile.h"
+#include "expr/conjuncts.h"
 
 namespace mdjoin {
 
@@ -170,6 +171,23 @@ PlanPtr CloneWithChildren(const PlanPtr& node, std::vector<PlanPtr> children) {
   m->sort_ascending = node->sort_ascending;
   m->empty_schema = node->empty_schema;
   return p;
+}
+
+DetailSelections PeelDetailSelections(const PlanPtr& plan,
+                                      const std::function<bool(const PlanPtr&)>& stop) {
+  std::vector<ExprPtr> predicates;
+  PlanPtr node = plan;
+  while (node->kind() == PlanKind::kFilter &&
+         !node->predicate->ReferencesSide(Side::kBase) &&
+         (stop == nullptr || !stop(node))) {
+    predicates.push_back(node->predicate);
+    node = node->child(0);
+  }
+  DetailSelections out{std::move(node), {}};
+  for (auto it = predicates.rbegin(); it != predicates.rend(); ++it) {
+    for (ExprPtr& c : SplitConjuncts(*it)) out.conjuncts.push_back(std::move(c));
+  }
+  return out;
 }
 
 std::string PlanNode::Label() const {

@@ -1,6 +1,7 @@
 #ifndef MDJOIN_OPTIMIZER_PLAN_H_
 #define MDJOIN_OPTIMIZER_PLAN_H_
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -115,6 +116,17 @@ PlanPtr EmptyRefPlan(Schema schema);
 /// Copy of `node` with its children replaced (payload preserved). The
 /// building block for rewrites that recurse through unchanged operators.
 PlanPtr CloneWithChildren(const PlanPtr& node, std::vector<PlanPtr> children);
+
+/// A plan σ_p1(…σ_pk(inner)…) whose selections read R only, peeled down to
+/// `inner`: the Filters an MD-join's θ or a base generator's kernels may run
+/// instead (Theorem 4.2 read right to left). `conjuncts` are those of
+/// pk … p1, innermost first. Peeling stops early at a node `stop` accepts.
+struct DetailSelections {
+  PlanPtr inner;
+  std::vector<ExprPtr> conjuncts;
+};
+DetailSelections PeelDetailSelections(
+    const PlanPtr& plan, const std::function<bool(const PlanPtr&)>& stop = nullptr);
 
 // ---------------------------------------------------------------------------
 // Catalog
