@@ -1,6 +1,5 @@
 #include "analyze/binder.h"
 
-#include <limits>
 #include <map>
 #include <set>
 
@@ -304,6 +303,13 @@ Result<ExprPtr> LowerCondition(BinderState* state, size_t comp_index,
   return Status::Internal("unreachable AST kind");
 }
 
+/// A generator of cuboids names each attribute by one bit of a CuboidMask.
+Status CheckCuboidWidth(const char* generator, const std::vector<std::string>& attrs) {
+  if (attrs.size() <= kMaxCuboidDims) return Status::OK();
+  return Status::BindError(generator, " takes at most ", kMaxCuboidDims,
+                           " attributes, got ", attrs.size());
+}
+
 Result<PlanPtr> BuildBasePlan(const BinderState& state, const PlanPtr& detail_plan) {
   const BaseGen& gen = state.query->base;
   switch (gen.kind) {
@@ -311,10 +317,8 @@ Result<PlanPtr> BuildBasePlan(const BinderState& state, const PlanPtr& detail_pl
       // The cube's core cuboid (Gray et al.): the distinct attrs of R in
       // first-occurrence order, the rows Distinct(Project(R)) gives. A list
       // wider than a cuboid mask binds to that dedup itself.
-      constexpr size_t kMaskBits = std::numeric_limits<CuboidMask>::digits;
-      if (gen.attrs.size() <= kMaskBits) {
-        const CuboidMask all = ~CuboidMask{0} >> (kMaskBits - gen.attrs.size());
-        return CuboidBasePlan(detail_plan, gen.attrs, all);
+      if (gen.attrs.size() <= kMaxCuboidDims) {
+        return CuboidBasePlan(detail_plan, gen.attrs, PrefixMask(gen.attrs.size()));
       }
       std::vector<ProjectItem> items;
       for (const std::string& a : gen.attrs) {
@@ -325,14 +329,16 @@ Result<PlanPtr> BuildBasePlan(const BinderState& state, const PlanPtr& detail_pl
     case BaseGenKind::kCube:
       return CubeBasePlan(detail_plan, gen.attrs);
     case BaseGenKind::kRollup: {
+      MDJ_RETURN_NOT_OK(CheckCuboidWidth("rollup", gen.attrs));
       std::vector<PlanPtr> pieces;
       for (int k = static_cast<int>(gen.attrs.size()); k >= 0; --k) {
-        CuboidMask mask = (CuboidMask{1} << k) - 1;
-        pieces.push_back(CuboidBasePlan(detail_plan, gen.attrs, mask));
+        pieces.push_back(
+            CuboidBasePlan(detail_plan, gen.attrs, PrefixMask(static_cast<size_t>(k))));
       }
       return UnionPlan(std::move(pieces));
     }
     case BaseGenKind::kUnpivot: {
+      MDJ_RETURN_NOT_OK(CheckCuboidWidth("unpivot", gen.attrs));
       std::vector<PlanPtr> pieces;
       for (size_t i = 0; i < gen.attrs.size(); ++i) {
         pieces.push_back(CuboidBasePlan(detail_plan, gen.attrs, CuboidMask{1} << i));
@@ -340,6 +346,7 @@ Result<PlanPtr> BuildBasePlan(const BinderState& state, const PlanPtr& detail_pl
       return UnionPlan(std::move(pieces));
     }
     case BaseGenKind::kGroupingSets: {
+      MDJ_RETURN_NOT_OK(CheckCuboidWidth("grouping_sets", gen.attrs));
       std::vector<PlanPtr> pieces;
       for (const std::vector<std::string>& set : gen.sets) {
         CuboidMask mask = 0;

@@ -520,6 +520,16 @@ double MsSince(std::chrono::steady_clock::time_point start) {
 
 }  // namespace
 
+TableSource::TableSource(const Table& table, const std::vector<bool>& keep)
+    : table_(&table) {
+  const int64_t morsels = (table.num_rows() + kMorselRows - 1) / kMorselRows;
+  MDJ_CHECK(keep.empty() || static_cast<int64_t>(keep.size()) == morsels);
+  for (int64_t m = 0; m < morsels; ++m) {
+    if (keep.empty() || keep[static_cast<size_t>(m)]) kept_.push_back(m);
+  }
+  pruned_ = morsels - static_cast<int64_t>(kept_.size());
+}
+
 DetailScanWorker::DetailScanWorker(int64_t base_rows, const std::vector<BoundAgg>& aggs,
                                    size_t num_components, QueryGuard* guard)
     : scratch(num_components), ticket(guard) {

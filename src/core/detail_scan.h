@@ -12,13 +12,9 @@
 #include "core/base_index.h"
 #include "core/mdjoin.h"
 #include "table/table.h"
+#include "table/table_accel.h"
 
 namespace mdjoin {
-
-/// Rows per morsel of an in-memory detail relation, and per vectorized block
-/// (a guarded scan clamps its blocks to the guard's check stride, so a cancel
-/// is seen within one stride). A paged relation's morsel is one storage block.
-constexpr int64_t kMorselRows = 1024;
 
 /// The detail relation R as the MD-join driver (and a base generator reading
 /// R, cube/base_tables.h) reads it: a fixed sequence of morsels that every
@@ -48,7 +44,7 @@ class DetailSource {
   /// Rows of R, pruned morsels included.
   virtual int64_t num_rows() const = 0;
 
-  /// Morsels of R each pass skips unread (zone-map pruned blocks).
+  /// Morsels of R each pass skips unread (zone-map pruned).
   virtual int64_t pruned_per_pass() const { return 0; }
 
   /// Most bytes Read() holds reserved on the guard for one morsel while its
@@ -63,23 +59,26 @@ class DetailSource {
                       const ScanFn& scan) const = 0;
 };
 
-/// An in-memory detail relation cut into kMorselRows-row morsels.
+/// An in-memory detail relation cut into kMorselRows-row morsels: every
+/// morsel, or those `keep` marks (one flag per morsel; PlanMorselPruning's
+/// decision over the zone maps of the table's mirror, storage/out_of_core.h).
 class TableSource final : public DetailSource {
  public:
-  explicit TableSource(const Table& table) : table_(&table) {}
+  explicit TableSource(const Table& table, const std::vector<bool>& keep = {});
 
   const Table& prepared() const override { return *table_; }
-  int64_t num_morsels() const override {
-    return (table_->num_rows() + kMorselRows - 1) / kMorselRows;
-  }
+  int64_t num_morsels() const override { return static_cast<int64_t>(kept_.size()); }
   int64_t num_rows() const override { return table_->num_rows(); }
+  int64_t pruned_per_pass() const override { return pruned_; }
   Status Read(int64_t m, QueryGuard*, MdJoinStats*, const ScanFn& scan) const override {
-    const int64_t lo = m * kMorselRows;
+    const int64_t lo = kept_[static_cast<size_t>(m)] * kMorselRows;
     return scan(*table_, lo, std::min(lo + kMorselRows, table_->num_rows()), 0);
   }
 
  private:
   const Table* table_;
+  std::vector<int64_t> kept_;  // morsel numbers read, in order
+  int64_t pruned_ = 0;
 };
 
 /// Thread-local mutable side of a detail scan: partial aggregate accumulators

@@ -288,10 +288,13 @@ Result<Table> CubeByBase(const Table& t, const std::vector<std::string>& dims,
 
 Result<Table> RollupBase(const Table& t, const std::vector<std::string>& dims,
                          GroupIdMap* groups) {
+  if (dims.size() > kMaxCuboidDims) {
+    return Status::InvalidArgument("rollup limited to ", kMaxCuboidDims, " dimensions");
+  }
   // Prefix masks: full, drop last dim, ..., grand total.
   std::vector<CuboidMask> masks;
   for (int k = static_cast<int>(dims.size()); k >= 0; --k) {
-    masks.push_back((CuboidMask{1} << k) - 1);
+    masks.push_back(PrefixMask(static_cast<size_t>(k)));
   }
   return CuboidsFromFinest(TableSource(t), dims, masks, {}, nullptr, nullptr, groups);
 }
@@ -299,6 +302,10 @@ Result<Table> RollupBase(const Table& t, const std::vector<std::string>& dims,
 Result<Table> GroupingSetsBase(const Table& t, const std::vector<std::string>& dims,
                                const std::vector<std::vector<std::string>>& sets,
                                GroupIdMap* groups) {
+  if (dims.size() > kMaxCuboidDims) {
+    return Status::InvalidArgument("grouping sets limited to ", kMaxCuboidDims,
+                                   " dimensions");
+  }
   std::vector<CuboidMask> masks;
   masks.reserve(sets.size());
   for (const std::vector<std::string>& set : sets) {

@@ -2,6 +2,7 @@
 #define MDJOIN_CUBE_LATTICE_H_
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -14,6 +15,15 @@ namespace mdjoin {
 /// means dims[i] is rolled up to ALL. The full cuboid is (2^d)-1; the grand
 /// total is 0.
 using CuboidMask = uint32_t;
+
+/// Dimensions a cuboid mask can name, one bit each.
+constexpr size_t kMaxCuboidDims = std::numeric_limits<CuboidMask>::digits;
+
+/// The mask grouping the first `k` dims, 0 <= k <= kMaxCuboidDims (no shift
+/// by the mask's width at either end).
+constexpr CuboidMask PrefixMask(size_t k) {
+  return k == 0 ? 0 : ~CuboidMask{0} >> (kMaxCuboidDims - k);
+}
 
 /// The search lattice of a data cube over named dimensions (paper §4.4).
 /// Purely structural: enumeration, parent/child tests, pretty names. Limited

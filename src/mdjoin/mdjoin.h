@@ -34,7 +34,6 @@
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
-#include "core/access_path.h"
 #include "core/generalized.h"
 #include "core/incremental.h"
 #include "core/mdjoin.h"
@@ -70,7 +69,6 @@
 #include "storage/out_of_core.h"
 #include "storage/paged_table.h"
 #include "storage/spill.h"
-#include "table/clustered_index.h"
 #include "table/csv.h"
 #include "table/table.h"
 #include "table/table_builder.h"

@@ -177,7 +177,7 @@ void NodeToJson(const OperatorProfile& node, std::string* out) {
     AppendEscapedJson(node.folded, out);
     *out += "\"";
   }
-  if (node.is_mdjoin || node.blocks_read > 0) {
+  if (node.is_mdjoin || node.blocks_read > 0 || node.blocks_pruned > 0) {
     AppendKv("blocks_read", node.blocks_read, &first, out);
     AppendKv("blocks_pruned", node.blocks_pruned, &first, out);
     AppendKv("blocks_faulted", node.blocks_faulted, &first, out);

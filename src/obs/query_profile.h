@@ -59,9 +59,10 @@ struct OperatorProfile {
   std::string folded;
 
   // Storage counters: blocks an MD-join scan, a streaming base generator or
-  // a paged TableRef's whole-file read served; zero for in-memory nodes.
+  // a paged TableRef's whole-file read served. In memory only blocks_pruned
+  // counts: the kMorselRows-row morsels zone maps refuted.
   int64_t blocks_read = 0;            // storage blocks served (faults + hits)
-  int64_t blocks_pruned = 0;          // blocks refuted by zone maps, not decoded
+  int64_t blocks_pruned = 0;          // morsels refuted by zone maps, never read
   int64_t blocks_faulted = 0;         // block loads that ran the decoder
   int64_t block_cache_hits = 0;       // blocks served resident from the cache
   int64_t spill_partitions = 0;       // partition pairs spilled and joined

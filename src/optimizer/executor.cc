@@ -136,11 +136,16 @@ struct DetailInput {
     return paged != nullptr ? "blocks" : table != nullptr ? "in_place" : "materialized";
   }
 
-  /// A source over R; a paged one skips the blocks no θ of `prune_by` can
-  /// match.
+  /// A source over R that skips the morsels no θ of `prune_by` can match
+  /// (PlanMorselPruning over the blocks' or the mirror's zone maps). An
+  /// executed R has no mirror, so it is read whole.
   std::unique_ptr<DetailSource> Source(
       BlockCache* cache, const std::vector<MdJoinComponent>& prune_by) const {
     if (paged != nullptr) return std::make_unique<PagedSource>(*paged, cache, prune_by);
+    if (table != nullptr && table->accel() != nullptr) {
+      return std::make_unique<TableSource>(
+          *table, PlanMorselPruning(table->schema(), table->accel()->zones, prune_by));
+    }
     return std::make_unique<TableSource>(table != nullptr ? *table : owned);
   }
 
@@ -184,9 +189,9 @@ std::vector<MdJoinComponent> FoldIntoTheta(std::vector<MdJoinComponent> componen
 }
 
 /// The cuboids `masks` of R over `dims` from one generator pass over `in`
-/// (its selections applied by the generator's kernels; a paged R skips the
-/// blocks they refute), with `groups` as CuboidsFromFinest fills it. How R
-/// was read and its block counts go on `profile`.
+/// (its selections applied by the generator's kernels; R skips the morsels
+/// they refute), with `groups` as CuboidsFromFinest fills it. How R was read
+/// and its block counts go on `profile`.
 Result<Table> Generate(const DetailInput& in, const std::vector<std::string>& dims,
                        const std::vector<CuboidMask>& masks,
                        const MdJoinOptions& md_options, OperatorProfile* profile,

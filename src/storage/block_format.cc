@@ -1,12 +1,10 @@
 #include "storage/block_format.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <fstream>
 
 #include "common/failpoint.h"
-#include "common/string_util.h"
 #include "table/dictionary.h"
 
 namespace mdjoin {
@@ -339,40 +337,6 @@ Status DecodeChunk(BlockEncoding enc, ByteReader* r, int64_t n,
   return Status::Internal("block file corrupt: unknown encoding");
 }
 
-ColumnZoneMap ComputeZone(const Value* cells, int64_t n) {
-  ColumnZoneMap z;
-  bool first_string = true;
-  for (int64_t i = 0; i < n; ++i) {
-    const Value& v = cells[i];
-    if (v.is_null()) {
-      ++z.null_count;
-    } else if (v.is_all()) {
-      ++z.all_count;
-    } else if (v.is_string()) {
-      ++z.string_count;
-      const std::string& s = v.string();
-      if (first_string) {
-        z.str_min = s;
-        z.str_max = s;
-        first_string = false;
-      } else {
-        if (s < z.str_min) z.str_min = s;
-        if (s > z.str_max) z.str_max = s;
-      }
-    } else {
-      const double d = v.AsDouble();
-      if (std::isnan(d)) {
-        ++z.nan_count;
-      } else {
-        ++z.numeric_count;
-        z.num_min = std::min(z.num_min, d);
-        z.num_max = std::max(z.num_max, d);
-      }
-    }
-  }
-  return z;
-}
-
 int64_t EstimateDecodedBytes(const Value* cells, int64_t n) {
   int64_t bytes = n * static_cast<int64_t>(sizeof(Value));
   for (int64_t i = 0; i < n; ++i) {
@@ -422,16 +386,6 @@ uint64_t BlockChecksum(const char* data, size_t len) {
   return h;
 }
 
-std::string ColumnZoneMap::ToString() const {
-  std::string out = StrCat("num:[", num_min, ", ", num_max, "]×", numeric_count,
-                           " null:", null_count, " all:", all_count,
-                           " nan:", nan_count);
-  if (string_count > 0) {
-    out += StrCat(" str:['", str_min, "', '", str_max, "']×", string_count);
-  }
-  return out;
-}
-
 Status WriteBlockFile(const Table& table, const std::string& path,
                       const BlockFileOptions& options) {
   const int64_t block_rows =
@@ -458,6 +412,7 @@ Status WriteBlockFile(const Table& table, const std::string& path,
   uint64_t offset = header.size();
 
   std::vector<BlockMeta> metas;
+  MorselZoneMaps zones;
   for (int64_t start = 0; start < table.num_rows(); start += block_rows) {
     const int64_t n = std::min<int64_t>(block_rows, table.num_rows() - start);
     BlockMeta meta;
@@ -465,9 +420,10 @@ Status WriteBlockFile(const Table& table, const std::string& path,
     meta.num_rows = n;
 
     std::string payload;
+    std::vector<ColumnZoneMap>& block_zones = zones.emplace_back();
     for (int c = 0; c < ncols; ++c) {
       const Value* cells = table.column(c).data() + start;
-      meta.zones.push_back(ComputeZone(cells, n));
+      block_zones.push_back(ComputeZone(cells, n));
       meta.decoded_bytes_estimate += EstimateDecodedBytes(cells, n);
 
       const ChunkShape shape = ShapeOf(cells, n);
@@ -511,7 +467,8 @@ Status WriteBlockFile(const Table& table, const std::string& path,
   // Footer index + trailer.
   std::string footer;
   PutU32(&footer, static_cast<uint32_t>(metas.size()));
-  for (const BlockMeta& m : metas) {
+  for (size_t b = 0; b < metas.size(); ++b) {
+    const BlockMeta& m = metas[b];
     PutU64(&footer, m.offset);
     PutU64(&footer, m.encoded_bytes);
     PutI64(&footer, m.num_rows);
@@ -519,7 +476,7 @@ Status WriteBlockFile(const Table& table, const std::string& path,
     PutI64(&footer, m.decoded_bytes_estimate);
     for (int c = 0; c < ncols; ++c) {
       PutU8(&footer, m.encodings[static_cast<size_t>(c)]);
-      PutZone(&footer, m.zones[static_cast<size_t>(c)]);
+      PutZone(&footer, zones[b][static_cast<size_t>(c)]);
     }
   }
   out.write(footer.data(), static_cast<std::streamsize>(footer.size()));
@@ -616,6 +573,7 @@ Result<std::unique_ptr<BlockFile>> BlockFile::Open(std::string path) {
         m.offset + m.encoded_bytes > footer_offset) {
       return Status::Internal("block file corrupt: block ", b, " geometry");
     }
+    std::vector<ColumnZoneMap>& zones = file->zones_.emplace_back();
     for (uint32_t c = 0; c < ncols; ++c) {
       uint8_t enc = 0;
       ColumnZoneMap z;
@@ -624,7 +582,7 @@ Result<std::unique_ptr<BlockFile>> BlockFile::Open(std::string path) {
         return Status::Internal("block file corrupt: encoding ", enc);
       }
       m.encodings.push_back(enc);
-      m.zones.push_back(std::move(z));
+      zones.push_back(std::move(z));
     }
     file->blocks_.push_back(std::move(m));
   }
@@ -681,35 +639,6 @@ Result<Table> BlockFile::ReadBlock(int b) const {
     MDJ_RETURN_NOT_OK(out.AddColumn(schema_.field(c), std::move(cells)));
   }
   return out;
-}
-
-bool ZoneCouldMatch(const ZoneMapPredicate& pred, const ColumnZoneMap& zone) {
-  // Each payload class present in the block is tested against what the
-  // predicate admits for that class; the block survives if any class might
-  // hold a qualifying cell. Missing classes (count 0) cannot save a block,
-  // which is exactly the sharpening per-class counts buy over the bare
-  // min/max/has_null triple.
-  if (pred.allow_null && zone.null_count > 0) return true;
-  if (pred.allow_all && zone.all_count > 0) return true;
-  if (pred.allow_nan && zone.nan_count > 0) return true;
-  if (zone.has_numeric()) {
-    // Delegate the interval logic to the official predicate with the
-    // non-numeric escape hatches cleared — the zone counts above already
-    // handled those classes exactly.
-    ZoneMapPredicate numeric_only = pred;
-    numeric_only.allow_null = false;
-    numeric_only.allow_non_numeric = false;
-    numeric_only.allow_nan = false;
-    if (numeric_only.CouldMatch(zone.num_min, zone.num_max,
-                                /*block_has_null=*/false)) {
-      return true;
-    }
-  }
-  if (zone.string_count > 0 && pred.allow_string &&
-      pred.CouldMatchString(zone.str_min, zone.str_max)) {
-    return true;
-  }
-  return false;
 }
 
 }  // namespace mdjoin

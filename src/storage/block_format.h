@@ -2,14 +2,13 @@
 #define MDJOIN_STORAGE_BLOCK_FORMAT_H_
 
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "analyze/range_analysis.h"
 #include "common/result.h"
 #include "table/table.h"
+#include "table/table_accel.h"
 #include "types/schema.h"
 
 namespace mdjoin {
@@ -42,37 +41,14 @@ enum class BlockEncoding : uint8_t {
   kForInt = 3,
 };
 
-/// Per-(block, column) statistics, computed by the writer and kept decoded in
-/// the footer so pruning never touches the block payload. The numeric window
-/// [num_min, num_max] spans the non-NaN numeric cells only; presence of the
-/// other payload classes is tracked by count so a ZoneMapPredicate can reason
-/// about each class independently (see ZoneCouldMatch).
-struct ColumnZoneMap {
-  double num_min = std::numeric_limits<double>::infinity();
-  double num_max = -std::numeric_limits<double>::infinity();
-  int64_t null_count = 0;
-  int64_t all_count = 0;
-  int64_t nan_count = 0;
-  int64_t numeric_count = 0;  // finite + ±inf numerics (excludes NaN)
-  int64_t string_count = 0;
-  std::string str_min;  // meaningful iff string_count > 0
-  std::string str_max;
-
-  bool has_null() const { return null_count > 0; }
-  bool has_numeric() const { return numeric_count > 0; }
-
-  std::string ToString() const;
-};
-
 /// Footer entry for one block.
 struct BlockMeta {
   uint64_t offset = 0;         // file offset of the payload
   uint64_t encoded_bytes = 0;  // payload length
   int64_t num_rows = 0;
   uint64_t checksum = 0;  // FNV-1a 64 over the payload
-  std::vector<ColumnZoneMap> zones;      // one per column
-  std::vector<uint8_t> encodings;        // BlockEncoding per column
-  int64_t decoded_bytes_estimate = 0;    // cache-charge estimate
+  std::vector<uint8_t> encodings;      // BlockEncoding per column
+  int64_t decoded_bytes_estimate = 0;  // cache-charge estimate
 };
 
 struct BlockFileOptions {
@@ -103,6 +79,8 @@ class BlockFile {
   int num_blocks() const { return static_cast<int>(blocks_.size()); }
   int64_t block_size_rows() const { return block_size_rows_; }
   const BlockMeta& block_meta(int b) const { return blocks_[static_cast<size_t>(b)]; }
+  /// The footer's zone maps, one entry per block (ComputeZone per column).
+  const MorselZoneMaps& zones() const { return zones_; }
   /// First row id (in whole-file row numbering) of block `b`.
   int64_t block_row_offset(int b) const {
     return static_cast<int64_t>(b) * block_size_rows_;
@@ -128,14 +106,8 @@ class BlockFile {
   int64_t num_rows_ = 0;
   int64_t block_size_rows_ = 0;
   std::vector<BlockMeta> blocks_;
+  MorselZoneMaps zones_;
 };
-
-/// The storage-side pruning test: may block statistics `zone` admit a row
-/// satisfying `pred`? Composes the per-class zone counts with the official
-/// numeric-interval test (ZoneMapPredicate::CouldMatch) and the string-window
-/// test, so a θ that admits strings can still prune all-numeric blocks and
-/// vice versa — strictly sharper than CouldMatch alone, never less sound.
-bool ZoneCouldMatch(const ZoneMapPredicate& pred, const ColumnZoneMap& zone);
 
 /// FNV-1a 64-bit, the block payload checksum.
 uint64_t BlockChecksum(const char* data, size_t len);

@@ -19,7 +19,7 @@ namespace {
 Counter* BlocksPrunedCounter() {
   static Counter* c = MetricsRegistry::Global().GetCounter(
       "mdjoin_blocks_pruned_total",
-      "storage blocks refuted by zone maps and never decoded");
+      "morsels (storage blocks or in-memory morsels) refuted by zone maps, never read");
   return c;
 }
 
@@ -55,11 +55,8 @@ PagedSource::PagedSource(const PagedTable& table, BlockCache* cache,
                          const std::vector<MdJoinComponent>& components)
     : table_(&table), stub_(table.schema()), cache_(cache) {
   RegisterStorageMetrics();
-  std::vector<bool> keep(static_cast<size_t>(table.num_blocks()), components.empty());
-  for (const MdJoinComponent& c : components) {
-    const std::vector<bool> k = PlanBlockPruning(table, c.theta);
-    for (size_t b = 0; b < keep.size(); ++b) keep[b] = keep[b] || k[b];
-  }
+  const std::vector<bool> keep =
+      PlanMorselPruning(table.schema(), table.zones(), components);
   for (int b = 0; b < table.num_blocks(); ++b) {
     if (!keep[static_cast<size_t>(b)]) continue;
     kept_.push_back(b);
@@ -98,29 +95,52 @@ Status RegisterPagedTable(Catalog* catalog, std::string name,
                                 table.num_rows());
 }
 
-std::vector<bool> PlanBlockPruning(const PagedTable& detail, const ExprPtr& theta) {
-  const int nblocks = detail.num_blocks();
-  std::vector<bool> keep(static_cast<size_t>(nblocks), true);
-  RangeAnalysis ra = AnalyzeRanges(theta);
-  if (!ra.satisfiable) {
-    keep.assign(keep.size(), false);
-    return keep;
+bool ZoneCouldMatch(const ZoneMapPredicate& pred, const ColumnZoneMap& zone) {
+  // Each payload class present in the morsel is tested against what the
+  // predicate admits for that class; the morsel survives if any class might
+  // hold a qualifying cell. Missing classes (count 0) cannot save a morsel,
+  // which is exactly the sharpening per-class counts buy over the bare
+  // min/max/has_null triple.
+  if (pred.allow_null && zone.null_count > 0) return true;
+  if (pred.allow_all && zone.all_count > 0) return true;
+  if (pred.allow_nan && zone.nan_count > 0) return true;
+  if (zone.has_numeric()) {
+    // Delegate the interval logic to the official predicate with the
+    // non-numeric escape hatches cleared — the zone counts above already
+    // handled those classes exactly.
+    ZoneMapPredicate numeric_only = pred;
+    numeric_only.allow_null = false;
+    numeric_only.allow_non_numeric = false;
+    numeric_only.allow_nan = false;
+    if (numeric_only.CouldMatch(zone.num_min, zone.num_max,
+                                /*block_has_null=*/false)) {
+      return true;
+    }
   }
-  // Resolve predicate columns once; a predicate naming no stored column (a
-  // computed detail expression) cannot prune.
-  std::vector<std::pair<int, const ZoneMapPredicate*>> preds;
-  for (const ZoneMapPredicate& zp : ra.zone_predicates) {
-    std::optional<int> c = detail.schema().FindField(zp.column);
-    if (c.has_value()) preds.emplace_back(*c, &zp);
+  if (zone.string_count > 0 && pred.allow_string &&
+      pred.CouldMatchString(zone.str_min, zone.str_max)) {
+    return true;
   }
-  if (preds.empty()) return keep;
-  for (int b = 0; b < nblocks; ++b) {
-    const BlockMeta& meta = detail.block_meta(b);
-    for (const auto& [col, zp] : preds) {
-      if (!ZoneCouldMatch(*zp, meta.zones[static_cast<size_t>(col)])) {
-        keep[static_cast<size_t>(b)] = false;
-        break;
-      }
+  return false;
+}
+
+std::vector<bool> PlanMorselPruning(const Schema& schema, const MorselZoneMaps& zones,
+                                    const std::vector<MdJoinComponent>& components) {
+  std::vector<bool> keep(zones.size(), components.empty());
+  for (const MdJoinComponent& c : components) {
+    const RangeAnalysis ra = AnalyzeRanges(c.theta);
+    if (!ra.satisfiable) continue;
+    // Resolve predicate columns once; a predicate naming no stored column (a
+    // computed detail expression) cannot prune.
+    std::vector<std::pair<size_t, const ZoneMapPredicate*>> preds;
+    for (const ZoneMapPredicate& zp : ra.zone_predicates) {
+      std::optional<int> col = schema.FindField(zp.column);
+      if (col.has_value()) preds.emplace_back(static_cast<size_t>(*col), &zp);
+    }
+    for (size_t m = 0; m < zones.size(); ++m) {
+      keep[m] = keep[m] || std::all_of(preds.begin(), preds.end(), [&](const auto& p) {
+                  return ZoneCouldMatch(*p.second, zones[m][p.first]);
+                });
     }
   }
   return keep;

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "agg/agg_spec.h"
+#include "analyze/range_analysis.h"
 #include "common/result.h"
 #include "core/detail_scan.h"
 #include "core/mdjoin.h"
@@ -11,11 +12,28 @@
 
 namespace mdjoin {
 
+/// The pruning test: may a morsel whose column statistics are `zone` hold a
+/// cell satisfying `pred`? Composes the per-class zone counts with the
+/// numeric-interval test (ZoneMapPredicate::CouldMatch) and the string-window
+/// test, so a θ that admits strings can still prune all-numeric morsels and
+/// vice versa — strictly sharper than CouldMatch alone, never less sound.
+bool ZoneCouldMatch(const ZoneMapPredicate& pred, const ColumnZoneMap& zone);
+
+/// The one pruning decision, for every source that reads R in morsels: a
+/// paged table's blocks (their footer zone maps) and an in-memory table's
+/// kMorselRows-row morsels (the zone maps of its typed mirror, TableAccel).
+/// keep[m] is true iff some component's θ could match a row of morsel m by
+/// the AnalyzeRanges facts on its detail columns: a θ without such facts
+/// keeps every morsel, one the analysis proves unsatisfiable keeps none.
+/// Without components every morsel is kept.
+std::vector<bool> PlanMorselPruning(const Schema& schema, const MorselZoneMaps& zones,
+                                    const std::vector<MdJoinComponent>& components);
+
 /// A paged relation as the MD-join driver and the base generators read it:
 /// one morsel per storage block, faulted through `cache` (or decoded into a
 /// guard-charged ephemeral pin without one), handed over with the block's
-/// first row number. With `components`, only the blocks some θ could match
-/// survive zone-map pruning; without, every block is read. θ compiles
+/// first row number. Only the blocks PlanMorselPruning keeps for
+/// `components` are read (every block without components). θ compiles
 /// against a zero-row table with the schema: every chunk the scan sees is a
 /// decoded block, foreign to that table, so the typed-mirror machinery stays
 /// off.
@@ -50,7 +68,7 @@ class PagedSource final : public DetailSource {
 /// out_of_core_test.cc enforce exactly that.
 ///
 /// Before any pass the driver's detail source refutes each block against its
-/// footer zone maps (ZoneCouldMatch over the AnalyzeRanges facts of θ): a
+/// footer zone maps (PlanMorselPruning): a
 /// refuted block provably holds no θ-matching row and is never faulted, let
 /// alone decoded (stats->blocks_pruned). Surviving blocks fault through
 /// options.block_cache when one is given (shared residency, LRU within its
@@ -89,12 +107,6 @@ Result<Table> SourceMdJoin(const Table& base, const DetailSource& detail,
                            const std::vector<MdJoinComponent>& components,
                            const MdJoinOptions& options, MdJoinStats* stats,
                            const GroupIdMap* groups = nullptr);
-
-/// The pruning plan: keep[b] == false iff block b's zone maps refute θ
-/// (always all-true when θ has no detail-side range facts; all-false when the
-/// range analysis proves θ unsatisfiable). Exposed for the executor's EXPLAIN
-/// path and the zone-map tests.
-std::vector<bool> PlanBlockPruning(const PagedTable& detail, const ExprPtr& theta);
 
 class Catalog;  // optimizer/plan.h
 

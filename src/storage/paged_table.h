@@ -32,6 +32,7 @@ class PagedTable {
   int64_t block_size_rows() const { return file_->block_size_rows(); }
   int64_t block_row_offset(int b) const { return file_->block_row_offset(b); }
   const BlockMeta& block_meta(int b) const { return file_->block_meta(b); }
+  const MorselZoneMaps& zones() const { return file_->zones(); }
   int64_t ApproxBlockBytes(int b) const { return file_->ApproxBlockBytes(b); }
   const std::string& path() const { return file_->path(); }
   /// Cache key namespace for this open table.

@@ -13,9 +13,11 @@
 #include "cube/pipesort.h"
 #include "expr/conjuncts.h"
 #include "ra/group_by.h"
+#include "ra/project.h"
 #include "table/key.h"
 #include "table/table_ops.h"
 #include "tests/test_util.h"
+#include "workload/generators.h"
 
 namespace mdjoin {
 namespace {
@@ -368,6 +370,37 @@ TEST(PipesortTest, ExecutionEqualsMdJoinCube) {
   ASSERT_TRUE(md_cube.ok());
   EXPECT_TRUE(TablesEqualUnordered(*pipesort_cube, *md_cube));
   EXPECT_LT(stats.sorts, 8);  // fewer sorts than cuboids: reuse happened
+}
+
+TEST(PipesortTest, NonIntegralSalesMatchWithinReassociation) {
+  // examples/cube_explorer's data: GenerateSales draws non-integral sales,
+  // and PIPESORT sums its finer cuboids' sums, so the additions are
+  // reassociated. Keys and counts match exactly; sums match within 1e-9
+  // relative, far above the (n-1)·2^-53 ≈ 2.2e-12 bound each order keeps
+  // to the exact sum of n = 20 000 positive addends.
+  SalesConfig config;
+  config.num_rows = 20000;
+  config.num_customers = 200;
+  config.num_products = 8;
+  config.num_months = 6;
+  config.num_states = 4;
+  const Table sales = GenerateSales(config);
+  const std::vector<std::string> dims = {"prod", "month"};
+  Result<CubeLattice> lat = CubeLattice::Make(dims);
+  Result<std::map<CuboidMask, int64_t>> card = CuboidCardinalities(sales, *lat);
+  Result<PipesortPlan> plan = BuildPipesortPlan(*lat, *card);
+  ASSERT_TRUE(plan.ok());
+  const std::vector<AggSpec> aggs = {Sum(RCol("sale"), "total"), Count("n")};
+  Result<Table> pipesort_cube = ExecutePipesortPlan(*plan, sales, aggs);
+  ASSERT_TRUE(pipesort_cube.ok()) << pipesort_cube.status().ToString();
+  Result<Table> base = CubeByBase(sales, dims);
+  Result<Table> md_cube = MdJoin(*base, sales, aggs, DimsTheta(dims));
+  ASSERT_TRUE(md_cube.ok());
+
+  const std::vector<std::string> keys_and_counts = {"prod", "month", "n"};
+  EXPECT_TRUE(TablesEqualUnordered(*ProjectColumns(*pipesort_cube, keys_and_counts),
+                                   *ProjectColumns(*md_cube, keys_and_counts)));
+  EXPECT_TRUE(TablesApproxEqualUnordered(*pipesort_cube, *md_cube, 1e-9));
 }
 
 TEST(PipesortTest, RollupBeatsDetailOnlyOnWork) {

@@ -10,7 +10,9 @@
 /// Theorem-4.1 passes and with spill. Every result is bit-identical to
 /// Definition 3.1 (MdJoinReference) over the unoptimized plan, the
 /// generator's B equals a per-cuboid dedup of R row for row, and each run
-/// reports the route the configuration calls for.
+/// reports the route the configuration calls for. Over a year-sorted R of
+/// 21 morsels, year selections prune the same morsels in memory as in a
+/// paged copy of 1024-row blocks.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +20,7 @@
 #include <filesystem>
 #include <functional>
 #include <limits>
+#include <map>
 #include <memory>
 
 #include "analyze/binder.h"
@@ -56,8 +59,10 @@ enum class Flavor { kExact, kNaN, kAll, kMixed };
 
 /// R(k0 int64, k1 float64, k2 string, yr int64, v float64) over tiny key
 /// domains, so groups hold several rows. v is integral, so sums are exact
-/// in any order and results compare bit for bit at any thread count.
-Table RandomR(uint64_t seed, int64_t rows, Flavor flavor) {
+/// in any order and results compare bit for bit at any thread count. With
+/// `sorted_years`, yr climbs 1, 2, ... every 512 rows instead of being
+/// drawn from 1..3, so morsels hold few years and year ranges prune them.
+Table RandomR(uint64_t seed, int64_t rows, Flavor flavor, bool sorted_years = false) {
   Random rng(seed);
   const double nan = std::numeric_limits<double>::quiet_NaN();
   std::vector<Value> k1s = {F(0.0), F(-0.0), F(1.5), F(2.0), Value::Null()};
@@ -72,8 +77,10 @@ Table RandomR(uint64_t seed, int64_t rows, Flavor flavor) {
   for (int64_t r = 0; r < rows; ++r) {
     Value k0 = rng.Uniform(9) == 0 ? Value::Null() : I(rng.UniformInt(1, 3));
     if (flavor == Flavor::kAll && rng.Uniform(9) == 0) k0 = Value::All();
-    b.AppendRowOrDie({std::move(k0), k1s[rng.Uniform(k1s.size())],
-                      k2s[rng.Uniform(k2s.size())], I(rng.UniformInt(1, 3)),
+    Value k1 = k1s[rng.Uniform(k1s.size())];
+    Value k2 = k2s[rng.Uniform(k2s.size())];
+    const int64_t yr = sorted_years ? 1 + r / 512 : rng.UniformInt(1, 3);
+    b.AppendRowOrDie({std::move(k0), std::move(k1), std::move(k2), I(yr),
                       F(static_cast<double>(rng.UniformInt(1, 500)))});
   }
   return std::move(b).Finish();
@@ -160,16 +167,16 @@ const std::vector<Config>& Configs() {
   return configs;
 }
 
-/// A paged copy of R in tiny blocks, removed on destruction.
+/// A paged copy of R, in tiny blocks by default, removed on destruction.
 class PagedCopy {
  public:
-  explicit PagedCopy(const Table& r) {
+  explicit PagedCopy(const Table& r, int64_t block_rows = 16) {
     path_ = (std::filesystem::temp_directory_path() /
              ("mdjoin_group_ids_" + std::to_string(reinterpret_cast<uintptr_t>(this)) +
               ".mdjb"))
                 .string();
     BlockFileOptions options;
-    options.block_size_rows = 16;
+    options.block_size_rows = block_rows;
     MDJ_CHECK(WriteBlockFile(r, path_, options).ok());
     table_ = std::move(*PagedTable::Open(path_));
   }
@@ -296,92 +303,162 @@ bool GeneratorsSeeUnusableKeys(const PlanPtr& plan, const Table& r) {
   return false;
 }
 
+/// Runs `text` over `r` bound and optimized, on memory and on `paged` (with
+/// a small block cache and without one), under every Config: each result is
+/// bit-identical to the reference, no guard byte leaks, and each
+/// generated-base join reports the route its configuration calls for. With
+/// `same_pruning` (a paged copy in kMorselRows-row blocks), every node that
+/// reads R prunes the same morsels and scans the same rows on both storages.
+void CheckOnEveryRoute(const Table& r, const PagedTable& paged, const Text& t,
+                       Flavor flavor, bool same_pruning, int64_t* group_id_joins) {
+  const std::string& text = t.text;
+  Catalog memory;
+  ASSERT_TRUE(memory.Register("R", &r).ok());
+  Result<analyze::BoundQuery> bound = analyze::BindQueryString(text, memory);
+  ASSERT_TRUE(bound.ok()) << bound.status().ToString();
+  Result<Table> want = Reference(bound->plan, r);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  Result<PlanPtr> optimized = OptimizePlan(bound->plan, memory);
+  ASSERT_TRUE(optimized.ok()) << optimized.status().ToString();
+
+  // The bound plan keeps θ's R-only conjuncts, which then run as kernels
+  // over the group-id candidates; the optimizer may push them into σ(R)
+  // (Theorem 4.2), and the executor folds them back into θ.
+  for (const PlanPtr& plan : {bound->plan, *optimized}) {
+    // A `where` may drop every NaN, ALL or mixed key cell, leaving the
+    // map exact; the texts that keep them see what the flavor holds.
+    const bool unusable = GeneratorsSeeUnusableKeys(plan, r);
+    if (t.sees_flavor) {
+      EXPECT_EQ(unusable, flavor != Flavor::kExact);
+    }
+    // Per config: (blocks pruned, rows scanned) of each node reading R.
+    std::map<std::string, std::vector<std::pair<int64_t, int64_t>>> reads;
+    for (const char* storage : {"memory", "paged+cache", "paged"}) {
+      Catalog catalog;
+      if (storage[0] == 'm') {
+        ASSERT_TRUE(catalog.Register("R", &r).ok());
+      } else {
+        ASSERT_TRUE(RegisterPagedTable(&catalog, "R", paged).ok());
+      }
+      BlockCache cache(SmallCache());
+      for (const Config& config : Configs()) {
+        SCOPED_TRACE(::testing::Message() << storage << ", " << config.name);
+        QueryGuardOptions guard_options;
+        if (config.tiny_guard) guard_options.memory_budget_bytes = 1;
+        QueryGuard guard(guard_options);
+        MdJoinOptions options;
+        options.guard = &guard;
+        options.num_threads = config.threads;
+        options.base_rows_per_pass = config.rows_per_pass;
+        options.enable_spill = config.spill;
+        if (std::string(storage) == "paged+cache") options.block_cache = &cache;
+        QueryProfile profile;
+        Result<Table> got = ExplainAnalyze(plan, catalog, options, &profile);
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        EXPECT_TRUE(testutil::TablesBitIdentical(*want, *got));
+        EXPECT_EQ(guard.bytes_reserved(), 0);
+
+        std::vector<std::pair<int64_t, int64_t>> node_reads;
+        std::function<void(const OperatorProfile&)> walk = [&](const OperatorProfile& n) {
+          if (!n.read.empty()) node_reads.emplace_back(n.blocks_pruned, n.detail_rows_scanned);
+          for (const auto& child : n.children) walk(*child);
+        };
+        walk(*profile.root);
+        if (same_pruning && storage[0] == 'm') {
+          reads[config.name] = node_reads;
+        } else if (same_pruning) {
+          EXPECT_EQ(node_reads, reads[config.name]) << profile.ToText();
+        }
+
+        std::vector<const OperatorProfile*> joins;
+        GeneratedBaseJoins(*profile.root, &joins);
+        ASSERT_FALSE(joins.empty()) << profile.ToText();
+        for (const OperatorProfile* join : joins) {
+          EXPECT_EQ(join->read, storage[0] == 'm' ? "in_place" : "blocks");
+          // Spill takes single-component joins only.
+          const bool spilled =
+              config.spill && join->label.rfind("GeneralizedMdJoin", 0) != 0;
+          if (join->route_reason ==
+              "equi conjunct is not a plain B.d = R.d dimension pair") {
+            EXPECT_EQ(join->route, "index");  // the chain's month ± 1 pair
+            EXPECT_NE(text.find("X.yr = yr - 1"), std::string::npos);
+          } else if (spilled) {
+            EXPECT_EQ(join->route, "index") << profile.ToText();
+            EXPECT_EQ(join->route_reason, "spill");
+          } else if (unusable) {
+            EXPECT_EQ(join->route, "index") << profile.ToText();
+            EXPECT_NE(join->route_reason.find("a key column holds"), std::string::npos)
+                << join->route_reason;
+          } else if (config.reason == nullptr || config.spill ||
+                     join->children[0]->output_rows <= config.rows_per_pass) {
+            EXPECT_EQ(join->route, "group_ids") << profile.ToText();
+            EXPECT_EQ(join->route_reason, "");
+            EXPECT_EQ(join->index_probe_lookups, 0);
+            ++*group_id_joins;
+          } else {
+            EXPECT_EQ(join->route, "index") << profile.ToText();
+            EXPECT_EQ(join->route_reason, config.reason) << profile.ToText();
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(GroupIdsTest, TextQueriesMatchReferenceOnEveryRoute) {
   int64_t group_id_joins = 0;
   for (uint64_t seed = 1; seed <= 8; ++seed) {
     const Flavor flavor = static_cast<Flavor>(seed % 4);
     const Table r = RandomR(seed, 40 + static_cast<int64_t>(seed) * 11, flavor);
     const PagedCopy paged(r);
-    for (const auto& [text, sees_flavor] : Texts()) {
-      SCOPED_TRACE(::testing::Message() << "seed=" << seed << " text=" << text);
-      Catalog memory;
-      ASSERT_TRUE(memory.Register("R", &r).ok());
-      Result<analyze::BoundQuery> bound = analyze::BindQueryString(text, memory);
-      ASSERT_TRUE(bound.ok()) << bound.status().ToString();
-      Result<Table> want = Reference(bound->plan, r);
-      ASSERT_TRUE(want.ok()) << want.status().ToString();
-      Result<PlanPtr> optimized = OptimizePlan(bound->plan, memory);
-      ASSERT_TRUE(optimized.ok()) << optimized.status().ToString();
+    for (const Text& text : Texts()) {
+      SCOPED_TRACE(::testing::Message() << "seed=" << seed << " text=" << text.text);
+      CheckOnEveryRoute(r, paged.table(), text, flavor, /*same_pruning=*/false,
+                        &group_id_joins);
+    }
+  }
+  EXPECT_GT(group_id_joins, 0);
+}
 
-      // The bound plan keeps θ's R-only conjuncts, which then run as kernels
-      // over the group-id candidates; the optimizer may push them into σ(R)
-      // (Theorem 4.2), and the executor folds them back into θ.
-      for (const PlanPtr& plan : {bound->plan, *optimized}) {
-        // A `where` may drop every NaN, ALL or mixed key cell, leaving the
-        // map exact; the texts that keep them see what the flavor holds.
-        const bool unusable = GeneratorsSeeUnusableKeys(plan, r);
-        if (sees_flavor) {
-          EXPECT_EQ(unusable, flavor != Flavor::kExact);
-        }
-        for (const char* storage : {"memory", "paged+cache", "paged"}) {
-          Catalog catalog;
-          if (storage[0] == 'm') {
-            ASSERT_TRUE(catalog.Register("R", &r).ok());
-          } else {
-            ASSERT_TRUE(RegisterPagedTable(&catalog, "R", paged.table()).ok());
-          }
-          BlockCache cache(SmallCache());
-          for (const Config& config : Configs()) {
-            SCOPED_TRACE(::testing::Message() << storage << ", " << config.name);
-            QueryGuardOptions guard_options;
-            if (config.tiny_guard) guard_options.memory_budget_bytes = 1;
-            QueryGuard guard(guard_options);
-            MdJoinOptions options;
-            options.guard = &guard;
-            options.num_threads = config.threads;
-            options.base_rows_per_pass = config.rows_per_pass;
-            options.enable_spill = config.spill;
-            if (std::string(storage) == "paged+cache") options.block_cache = &cache;
-            QueryProfile profile;
-            Result<Table> got = ExplainAnalyze(plan, catalog, options, &profile);
-            ASSERT_TRUE(got.ok()) << got.status().ToString();
-            EXPECT_TRUE(testutil::TablesBitIdentical(*want, *got));
-            EXPECT_EQ(guard.bytes_reserved(), 0);
-
-            std::vector<const OperatorProfile*> joins;
-            GeneratedBaseJoins(*profile.root, &joins);
-            ASSERT_FALSE(joins.empty()) << profile.ToText();
-            for (const OperatorProfile* join : joins) {
-              EXPECT_EQ(join->read, storage[0] == 'm' ? "in_place" : "blocks");
-              // Spill takes single-component joins only.
-              const bool spilled =
-                  config.spill && join->label.rfind("GeneralizedMdJoin", 0) != 0;
-              if (join->route_reason ==
-                  "equi conjunct is not a plain B.d = R.d dimension pair") {
-                EXPECT_EQ(join->route, "index");  // the chain's month ± 1 pair
-                EXPECT_NE(text.find("X.yr = yr - 1"), std::string::npos);
-              } else if (spilled) {
-                EXPECT_EQ(join->route, "index") << profile.ToText();
-                EXPECT_EQ(join->route_reason, "spill");
-              } else if (unusable) {
-                EXPECT_EQ(join->route, "index") << profile.ToText();
-                EXPECT_NE(join->route_reason.find("a key column holds"),
-                          std::string::npos)
-                    << join->route_reason;
-              } else if (config.reason == nullptr || config.spill ||
-                         join->children[0]->output_rows <= config.rows_per_pass) {
-                EXPECT_EQ(join->route, "group_ids") << profile.ToText();
-                EXPECT_EQ(join->route_reason, "");
-                EXPECT_EQ(join->index_probe_lookups, 0);
-                ++group_id_joins;
-              } else {
-                EXPECT_EQ(join->route, "index") << profile.ToText();
-                EXPECT_EQ(join->route_reason, config.reason) << profile.ToText();
-              }
-            }
-          }
-        }
-      }
+/// The same matrix over a year-sorted R of 21 morsels: year selections in
+/// `where` and in SUCH THAT prune the generators' and the joins' morsels in
+/// memory exactly as they prune a paged copy's kMorselRows-row blocks.
+TEST(GroupIdsTest, SortedTextQueriesPruneAlikeOnEveryRoute) {
+  const std::vector<Text> texts = {
+      {"select k0, k1, k2, sum(v) as s, count(*) as n from R "
+       "where yr between 5 and 7 analyze by rollup(k0, k1, k2)",
+       true},
+      {"select k0, k1, k2, count(*) as n, min(v) as lo from R where yr > 38 "
+       "analyze by cube(k0, k1, k2)",
+       true},
+      {"select k0, sum(X.v) as sx, count(X.*) as nx from R analyze by group(k0) "
+       "such that X: X.k0 = k0 and X.yr = 9"},
+      {"select k0, sum(X.v) as early, sum(Y.v) as late from R analyze by group(k0) "
+       "such that X: X.k0 = k0 and X.yr <= 3, Y: Y.k0 = k0 and Y.yr >= 40"},
+  };
+  int64_t group_id_joins = 0;
+  for (const Flavor flavor : {Flavor::kExact, Flavor::kNaN}) {
+    const Table r = RandomR(61, 21 * kMorselRows - 100, flavor, /*sorted_years=*/true);
+    const PagedCopy paged(r, kMorselRows);
+    for (const Text& text : texts) {
+      SCOPED_TRACE(::testing::Message() << "flavor=" << static_cast<int>(flavor)
+                                        << " text=" << text.text);
+      CheckOnEveryRoute(r, paged.table(), text, flavor, /*same_pruning=*/true,
+                        &group_id_joins);
+      // Every text prunes: its generator or its joins skip morsels.
+      Catalog catalog;
+      ASSERT_TRUE(catalog.Register("R", &r).ok());
+      Result<analyze::BoundQuery> bound = analyze::BindQueryString(text.text, catalog);
+      ASSERT_TRUE(bound.ok());
+      QueryProfile profile;
+      ASSERT_TRUE(ExplainAnalyze(bound->plan, catalog, {}, &profile).ok());
+      int64_t pruned = 0;
+      std::function<void(const OperatorProfile&)> walk = [&](const OperatorProfile& n) {
+        pruned += n.blocks_pruned;
+        for (const auto& child : n.children) walk(*child);
+      };
+      walk(*profile.root);
+      EXPECT_GT(pruned, 0) << profile.ToText();
     }
   }
   EXPECT_GT(group_id_joins, 0);

@@ -1,10 +1,7 @@
-/// Tests for the two access/maintenance extensions: range extraction +
-/// clustered-index detail access (access_path.h) and incremental MD-join
-/// maintenance under appends (incremental.h).
+/// Tests for incremental MD-join maintenance under appends (incremental.h).
 
 #include <gtest/gtest.h>
 
-#include "core/access_path.h"
 #include "core/incremental.h"
 #include "cube/base_tables.h"
 #include "table/table_ops.h"
@@ -14,88 +11,6 @@ namespace mdjoin {
 namespace {
 
 using namespace mdjoin::dsl;  // NOLINT
-using testutil::I;
-
-TEST(AccessPathTest, ExtractsRangesFromDetailConjuncts) {
-  ExprPtr theta = And(Eq(RCol("prod"), BCol("prod")), Ge(RCol("year"), Lit(1995)),
-                      Le(RCol("year"), Lit(1997)));
-  DetailKeyRange range = ExtractDetailKeyRange(theta, "year");
-  ASSERT_TRUE(range.bounded());
-  EXPECT_EQ(range.lo->int64(), 1995);
-  EXPECT_EQ(range.hi->int64(), 1997);
-}
-
-TEST(AccessPathTest, IntersectsMultipleBoundsAndMirrors) {
-  // 1994 <= year, year <= 1999, 1996 >= year (mirrored: year <= 1996),
-  // year >= 1995: net [1995, 1996].
-  ExprPtr theta = And(Le(Lit(1994), RCol("year")), Le(RCol("year"), Lit(1999)),
-                      Ge(Lit(1996), RCol("year")), Ge(RCol("year"), Lit(1995)));
-  DetailKeyRange range = ExtractDetailKeyRange(theta, "year");
-  EXPECT_EQ(range.lo->int64(), 1995);
-  EXPECT_EQ(range.hi->int64(), 1996);
-}
-
-TEST(AccessPathTest, EqualityAndIrrelevantConjuncts) {
-  ExprPtr theta = And(Eq(RCol("year"), Lit(1999)), Eq(RCol("state"), Lit("NY")),
-                      Gt(RCol("sale"), BCol("cust")));
-  DetailKeyRange range = ExtractDetailKeyRange(theta, "year");
-  EXPECT_EQ(range.lo->int64(), 1999);
-  EXPECT_EQ(range.hi->int64(), 1999);
-  // No predicate on the key at all: unbounded.
-  EXPECT_FALSE(ExtractDetailKeyRange(Eq(RCol("prod"), BCol("prod")), "year").bounded());
-  // Equi conjuncts with the base side do not constrain the scan.
-  EXPECT_FALSE(ExtractDetailKeyRange(Eq(RCol("year"), BCol("year")), "year").bounded());
-}
-
-TEST(AccessPathTest, IndexedDetailMatchesFullScan) {
-  Table sales = testutil::RandomSales(41, 400);
-  Result<Table> base = GroupByBase(sales, {"prod"});
-  Result<ClusteredIndex> index = ClusteredIndex::Build(sales, "year");
-  ASSERT_TRUE(index.ok());
-  std::vector<AggSpec> aggs = {Sum(RCol("sale"), "total"), Count("n")};
-  for (const ExprPtr& theta : {
-           And(Eq(RCol("prod"), BCol("prod")), Ge(RCol("year"), Lit(1997))),
-           And(Eq(RCol("prod"), BCol("prod")), Eq(RCol("year"), Lit(1999))),
-           And(Eq(RCol("prod"), BCol("prod")), Gt(RCol("year"), Lit(1996)),
-               Lt(RCol("year"), Lit(1999))),  // strict bounds widen, θ rechecks
-           Eq(RCol("prod"), BCol("prod")),    // unbounded: full clustered scan
-       }) {
-    MdJoinStats indexed_stats;
-    Result<Table> indexed =
-        MdJoinIndexedDetail(*base, *index, aggs, theta, {}, &indexed_stats);
-    Result<Table> full = MdJoin(*base, sales, aggs, theta);
-    ASSERT_TRUE(indexed.ok() && full.ok()) << theta->ToString();
-    EXPECT_TRUE(TablesEqualOrdered(*indexed, *full)) << theta->ToString();
-  }
-}
-
-TEST(AccessPathTest, IndexedDetailScansOnlyTheRange) {
-  Table sales = testutil::RandomSales(42, 600);
-  Result<Table> base = GroupByBase(sales, {"prod"});
-  Result<ClusteredIndex> index = ClusteredIndex::Build(sales, "year");
-  ExprPtr theta = And(Eq(RCol("prod"), BCol("prod")), Eq(RCol("year"), Lit(1999)));
-  MdJoinStats stats;
-  Result<Table> out = MdJoinIndexedDetail(*base, *index, {Count("n")}, theta, {},
-                                          &stats);
-  ASSERT_TRUE(out.ok());
-  int64_t year_rows = index->PointScan(I(1999)).num_rows();
-  EXPECT_EQ(stats.detail_rows_scanned, year_rows);
-  EXPECT_LT(year_rows, sales.num_rows());
-}
-
-TEST(AccessPathTest, ContradictoryRangeYieldsIdentityAggregates) {
-  Table sales = testutil::RandomSales(43, 100);
-  Result<Table> base = GroupByBase(sales, {"prod"});
-  Result<ClusteredIndex> index = ClusteredIndex::Build(sales, "year");
-  ExprPtr theta = And(Eq(RCol("prod"), BCol("prod")), Ge(RCol("year"), Lit(2005)),
-                      Le(RCol("year"), Lit(2000)));
-  Result<Table> out = MdJoinIndexedDetail(*base, *index, {Count("n")}, theta);
-  ASSERT_TRUE(out.ok());
-  EXPECT_EQ(out->num_rows(), base->num_rows());
-  for (int64_t r = 0; r < out->num_rows(); ++r) {
-    EXPECT_EQ(out->Get(r, 1).int64(), 0);
-  }
-}
 
 TEST(IncrementalTest, DeltaEqualsRecomputation) {
   Table all = testutil::RandomSales(51, 500);

@@ -28,6 +28,7 @@
 #include "storage/paged_table.h"
 #include "table/table_ops.h"
 #include "tests/test_util.h"
+#include "workload/generators.h"
 
 // ---------------------------------------------------------------------------
 // Global allocation hook: counts heap allocations while armed. The disabled
@@ -619,6 +620,74 @@ TEST_F(ObsTest, BlockCountersMatchDecodes) {
     EXPECT_NE(profile->ToText().find("blocks_read="), std::string::npos);
     EXPECT_NE(profile->ToText().find(" read=blocks"), std::string::npos);
     EXPECT_NE(profile->ToJson().find("\"read\": \"blocks\""), std::string::npos);
+  }
+}
+
+/// An in-memory R prunes its kMorselRows-row morsels as a paged R prunes
+/// blocks, and EXPLAIN ANALYZE says so on the node that read it: over a
+/// year-sorted Sales, `where year = 1997` lets the generator and the MD-join
+/// skip exactly the morsels that hold no 1997 row (text and JSON). Over
+/// uniform Sales, whose every morsel holds every year, month and state, no
+/// node of the four rotation texts prunes one.
+TEST_F(ObsTest, InMemoryMorselPruningShowsOnTheReadingNodes) {
+  SalesConfig config;
+  config.num_rows = 24 * kMorselRows;
+  config.num_customers = 50;
+  config.num_products = 20;
+  const Table uniform = GenerateSales(config);
+  Table by_year = *SortTableBy(uniform, {"year"});
+  by_year.RebuildAccel();
+  const int year_col = *by_year.schema().GetFieldIndex("year");
+  int64_t without_1997 = 0;
+  for (int64_t lo = 0; lo < by_year.num_rows(); lo += kMorselRows) {
+    bool holds = false;
+    for (int64_t r = lo; r < std::min(lo + kMorselRows, by_year.num_rows()); ++r) {
+      holds = holds || by_year.Get(r, year_col).int64() == 1997;
+    }
+    without_1997 += holds ? 0 : 1;
+  }
+  ASSERT_GT(without_1997, 0);
+
+  Catalog sorted;
+  ASSERT_TRUE(sorted.Register("Sales", &by_year).ok());
+  Result<QueryProfile> profile = ProfileText(
+      "select prod, month, sum(sale) as total from Sales where year = 1997 "
+      "analyze by group(prod, month)",
+      sorted, {});
+  ASSERT_TRUE(profile.ok()) << profile.status().ToString();
+  std::vector<const OperatorProfile*> nodes;
+  Nodes(*profile->root, &nodes);
+  int readers = 0;
+  for (const OperatorProfile* n : nodes) {
+    if (n->read.empty()) continue;
+    ++readers;
+    EXPECT_EQ(n->read, "in_place") << n->label;
+    EXPECT_EQ(n->blocks_pruned, without_1997) << n->label;
+    EXPECT_EQ(n->blocks_read, 0) << n->label;
+  }
+  EXPECT_EQ(readers, 2) << profile->ToText();  // the generator and the join
+  const std::string text = profile->ToText();
+  const std::string json = profile->ToJson();
+  const std::string text_pin =
+      " blocks_read=0 pruned=" + std::to_string(without_1997) + " faulted=0";
+  const std::string json_pin = "\"blocks_pruned\": " + std::to_string(without_1997);
+  for (const auto& [haystack, needle] : {std::pair{text, text_pin}, {json, json_pin}}) {
+    const size_t first = haystack.find(needle);
+    ASSERT_NE(first, std::string::npos) << haystack;
+    EXPECT_NE(haystack.find(needle, first + 1), std::string::npos) << haystack;
+  }
+
+  Catalog catalog;
+  ASSERT_TRUE(catalog.Register("Sales", &uniform).ok());
+  for (const std::string& rotation : RotationTexts()) {
+    SCOPED_TRACE(rotation);
+    Result<QueryProfile> p = ProfileText(rotation, catalog, {});
+    ASSERT_TRUE(p.ok()) << p.status().ToString();
+    nodes.clear();
+    Nodes(*p->root, &nodes);
+    for (const OperatorProfile* n : nodes) EXPECT_EQ(n->blocks_pruned, 0) << n->label;
+    EXPECT_EQ(p->ToText().find(" pruned="), std::string::npos);
+    EXPECT_NE(p->ToJson().find("\"blocks_pruned\": 0"), std::string::npos);
   }
 }
 

@@ -4,14 +4,22 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
+#include "analyze/binder.h"
 #include "core/generalized.h"
 #include "core/mdjoin.h"
+#include "core/reference.h"
 #include "cube/base_tables.h"
 #include "expr/conjuncts.h"
+#include "obs/query_profile.h"
+#include "optimizer/executor.h"
+#include "optimizer/optimize.h"
 #include "ra/filter.h"
 #include "ra/group_by.h"
 #include "ra/join.h"
 #include "ra/project.h"
+#include "table/table_accel.h"
 #include "table/table_ops.h"
 #include "tests/test_util.h"
 #include "workload/generators.h"
@@ -267,6 +275,74 @@ TEST_F(PaperExamplesTest, Example41_PeriodComparison) {
   Result<Table> baseline = HashJoin(*j1, *gl, {"prod"}, {"prod"}, JoinType::kLeftOuter);
   ASSERT_TRUE(baseline.ok());
   EXPECT_TRUE(TablesEqualUnordered(*md, *baseline));
+}
+
+TEST(PaperExample41Test, PeriodTextPrunesAYearSortedSales) {
+  // Example 4.1 from text over Sales sorted on year, 24 morsels: each θ's
+  // year range lets the MD-join skip the morsels outside it, so a join scans
+  // at most its in-range rows plus two partial morsels per range, and the
+  // morsels it skipped show in blocks_pruned. Bound, the two periods are two
+  // chained joins; optimized, one generalized join (Theorem 4.3) keeps the
+  // morsels either θ could match. Results equal the unsorted table's and
+  // Definition 3.1's.
+  const Table unsorted = testutil::RandomSales(41, 24 * kMorselRows);
+  Table by_year = *SortTableBy(unsorted, {"year"});
+  by_year.RebuildAccel();
+  const char* text =
+      "select prod, sum(X.sale) as total_94_96, sum(Y.sale) as total_99 from Sales "
+      "analyze by group(prod) such that "
+      "X: X.prod = prod and X.year >= 1994 and X.year <= 1996, "
+      "Y: Y.prod = prod and Y.year = 1999";
+  const ExprPtr early = And(Eq(RCol("prod"), BCol("prod")), Ge(RCol("year"), Lit(1994)),
+                            Le(RCol("year"), Lit(1996)));
+  const ExprPtr late = And(Eq(RCol("prod"), BCol("prod")), Eq(RCol("year"), Lit(1999)));
+  const int64_t early_rows = Filter(by_year, And(Ge(Col("year"), Lit(1994)),
+                                                 Le(Col("year"), Lit(1996))))->num_rows();
+  const int64_t late_rows = Filter(by_year, Eq(Col("year"), Lit(1999)))->num_rows();
+  ASSERT_GT(early_rows, 0);
+  ASSERT_GT(late_rows, 0);
+
+  Result<Table> base = GroupByBase(by_year, {"prod"});
+  Result<Table> x = MdJoinReference(*base, by_year, {Sum(RCol("sale"), "total_94_96")}, early);
+  Result<Table> want = MdJoinReference(*x, by_year, {Sum(RCol("sale"), "total_99")}, late);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+
+  Catalog sorted, plain;
+  ASSERT_TRUE(sorted.Register("Sales", &by_year).ok());
+  ASSERT_TRUE(plain.Register("Sales", &unsorted).ok());
+  Result<analyze::BoundQuery> bound = analyze::BindQueryString(text, sorted);
+  ASSERT_TRUE(bound.ok()) << bound.status().ToString();
+  Result<PlanPtr> optimized = OptimizePlan(bound->plan, sorted);
+  ASSERT_TRUE(optimized.ok()) << optimized.status().ToString();
+  for (const PlanPtr& plan : {bound->plan, *optimized}) {
+    QueryProfile profile;
+    Result<Table> got = ExplainAnalyze(plan, sorted, {}, &profile);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_TRUE(testutil::TablesBitIdentical(*want, *got));
+    Result<Table> over_unsorted = ExecutePlan(plan, plain);
+    ASSERT_TRUE(over_unsorted.ok());
+    EXPECT_TRUE(TablesEqualUnordered(*got, *over_unsorted));
+
+    std::vector<const OperatorProfile*> joins;
+    std::function<void(const OperatorProfile&)> walk = [&](const OperatorProfile& n) {
+      if (n.is_mdjoin) joins.push_back(&n);
+      for (const auto& child : n.children) walk(*child);
+    };
+    walk(*profile.root);
+    ASSERT_EQ(joins.size(), plan == bound->plan ? 2u : 1u) << profile.ToText();
+    for (const OperatorProfile* join : joins) {
+      SCOPED_TRACE(join->label);
+      // Chained, the outer join is the late period's; fused, both ranges.
+      const bool fused = joins.size() == 1;
+      const bool is_late = !fused && join == joins[0];
+      const int64_t in_range = fused ? early_rows + late_rows : is_late ? late_rows : early_rows;
+      const int64_t ranges = fused ? 2 : 1;
+      EXPECT_GT(join->blocks_pruned, 0) << profile.ToText();
+      EXPECT_LE(join->detail_rows_scanned, in_range + 2 * ranges * kMorselRows);
+      EXPECT_EQ(join->detail_rows_scanned,
+                by_year.num_rows() - join->blocks_pruned * kMorselRows);
+    }
+  }
 }
 
 TEST_F(PaperExamplesTest, Figure1a_OutputShape) {

@@ -67,6 +67,23 @@ TEST(RangeAnalysis, ConjunctionMeetsWindows) {
   EXPECT_TRUE(f->range.Admits(F(kNaN)));
 }
 
+TEST(RangeAnalysis, LiteralOnTheLeftMirrorsAndBoundsIntersect) {
+  // 1994 <= year, year <= 1999, 1996 >= year (year <= 1996), year >= 1995:
+  // the window is [1995, 1996]; an equi conjunct with B bounds nothing.
+  RangeAnalysis a = AnalyzeRanges(
+      And(Eq(RCol("year"), BCol("year")), Le(Lit(1994), RCol("year")),
+          Le(RCol("year"), Lit(1999)), Ge(Lit(1996), RCol("year")),
+          Ge(RCol("year"), Lit(1995))));
+  ASSERT_TRUE(a.satisfiable);
+  const RangeFact* f = a.FindFact(Side::kDetail, "year");
+  ASSERT_NE(f, nullptr) << a.ToString();
+  EXPECT_EQ(f->range.num_lo, 1995.0);
+  EXPECT_EQ(f->range.num_hi, 1996.0);
+  EXPECT_TRUE(f->range.Admits(I(1996)));
+  EXPECT_FALSE(f->range.Admits(I(1994)));
+  EXPECT_FALSE(f->range.Admits(I(1997)));
+}
+
 TEST(RangeAnalysis, EqualityKeepsAllWildcard) {
   // θ-equality treats ALL as a wildcard, so `x = 5 AND x = 10` is NOT
   // unsatisfiable: an ALL cell matches both.

@@ -182,12 +182,12 @@ TEST_F(StorageTest, ZoneMapsSummarizeEachBlock) {
   ASSERT_TRUE(WriteBlockFile(t, file.path(), options).ok());
   Result<std::unique_ptr<BlockFile>> f = BlockFile::Open(file.path());
   ASSERT_TRUE(f.ok());
-  const ColumnZoneMap& z0 = (*f)->block_meta(0).zones[0];
+  const ColumnZoneMap& z0 = (*f)->zones()[0][0];
   EXPECT_DOUBLE_EQ(z0.num_min, 1.0);
   EXPECT_DOUBLE_EQ(z0.num_max, 4.0);
   EXPECT_EQ(z0.numeric_count, 4);
   EXPECT_EQ(z0.null_count + z0.all_count + z0.nan_count + z0.string_count, 0);
-  const ColumnZoneMap& z1 = (*f)->block_meta(1).zones[0];
+  const ColumnZoneMap& z1 = (*f)->zones()[1][0];
   EXPECT_EQ(z1.numeric_count, 0);
   EXPECT_EQ(z1.null_count, 1);
   EXPECT_EQ(z1.all_count, 1);
@@ -646,7 +646,8 @@ TEST_F(StorageTest, FuzzPrunedBlocksHoldNoMatchingRows) {
     };
     for (size_t ti = 0; ti < thetas.size(); ++ti) {
       const ExprPtr& theta = thetas[ti];
-      std::vector<bool> keep = PlanBlockPruning(**paged, theta);
+      std::vector<bool> keep =
+          PlanMorselPruning((*paged)->schema(), (*paged)->zones(), {{{}, theta}});
       ASSERT_EQ(keep.size(), static_cast<size_t>((*paged)->num_blocks()));
       for (size_t b = 0; b < keep.size(); ++b) {
         if (keep[b]) continue;
