@@ -30,6 +30,7 @@ std::string MdJoinStats::ToString() const {
   if (route_reason != nullptr) out += std::string("(") + route_reason + ")";
   if (read != nullptr) out += std::string(" read=") + read;
   if (folded != nullptr) out += " folded=" + folded->ToString();
+  for (size_t i = 0; i < columns.size(); ++i) out += (i == 0 ? " cols=" : ",") + columns[i];
   if (blocks > 0) {
     out += " blocks=" + std::to_string(blocks);
     out += " kernel_invocations=" + std::to_string(kernel_invocations);

@@ -158,6 +158,9 @@ struct MdJoinStats {
   // (Theorem 4.2 read right to left); null when there was none.
   const char* read = nullptr;
   ExprPtr folded;
+  // The columns of R a paged read decoded from each block, in schema order
+  // (PagedSource); empty when R was read in memory.
+  std::vector<std::string> columns;
 
   // Driver phases, wall ms summed over passes: relative-set setup (binding,
   // index build or map charge), the detail scan (kernels, probes, updates),
@@ -193,7 +196,8 @@ struct MdJoinStats {
   /// Adds `other`'s counters and phase times into this one — a worker's
   /// share into its driver, or a spill partition's join into the spill
   /// driver. base_rows, base_rows_per_pass_effective, threads, the route and
-  /// how R was read describe one evaluation and are left alone.
+  /// how R was read (its columns included) describe one evaluation and are
+  /// left alone.
   void Accumulate(const MdJoinStats& other);
 
   std::string ToString() const;

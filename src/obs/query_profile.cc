@@ -76,6 +76,9 @@ void NodeToText(const OperatorProfile& node, int depth, std::string* out) {
     *out += buf;
   }
   if (!node.read.empty()) *out += " read=" + node.read;
+  for (size_t i = 0; i < node.columns.size(); ++i) {
+    *out += (i == 0 ? " cols=" : ",") + node.columns[i];
+  }
   if (!node.folded.empty()) *out += " folded=" + node.folded;
   if (node.blocks_read > 0 || node.blocks_pruned > 0) {
     std::snprintf(buf, sizeof(buf),
@@ -175,7 +178,13 @@ void NodeToJson(const OperatorProfile& node, std::string* out) {
     AppendEscapedJson(node.read, out);
     *out += "\", \"folded\": \"";
     AppendEscapedJson(node.folded, out);
-    *out += "\"";
+    *out += "\", \"cols\": [";
+    for (size_t i = 0; i < node.columns.size(); ++i) {
+      *out += i == 0 ? "\"" : ", \"";
+      AppendEscapedJson(node.columns[i], out);
+      *out += "\"";
+    }
+    *out += "]";
   }
   if (node.is_mdjoin || node.blocks_read > 0 || node.blocks_pruned > 0) {
     AppendKv("blocks_read", node.blocks_read, &first, out);

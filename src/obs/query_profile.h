@@ -53,10 +53,12 @@ struct OperatorProfile {
 
   // How an MD-join or a base generator read R: "in_place" (the catalog's
   // own table), "blocks" (a paged table, block by block) or "materialized"
-  // (an executed plan); and the selection on R folded into θ instead of
-  // filtering R. Empty for other operators.
+  // (an executed plan); the selection on R folded into θ instead of
+  // filtering R; and, when read as blocks, the columns decoded from each
+  // block, in schema order. Empty for other operators.
   std::string read;
   std::string folded;
+  std::vector<std::string> columns;
 
   // Storage counters: blocks an MD-join scan, a streaming base generator or
   // a paged TableRef's whole-file read served. In memory only blocks_pruned

@@ -165,10 +165,11 @@ int64_t BlockCache::EvictBytes(int64_t target_bytes) {
 }
 
 Result<BlockPin> BlockCache::GetOrLoad(uint64_t file_id, int block,
-                                       int64_t charge_bytes,
-                                       const Loader& loader, bool* was_hit) {
+                                       const std::vector<int>& columns,
+                                       int64_t charge_bytes, const Loader& loader,
+                                       bool* was_hit) {
   if (was_hit != nullptr) *was_hit = false;
-  const Key key{file_id, block};
+  const Key key{file_id, block, columns};
   std::shared_ptr<Entry> entry;
   for (;;) {
     MutexLock lock(mu_);

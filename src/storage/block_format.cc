@@ -1,6 +1,7 @@
 #include "storage/block_format.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <fstream>
 
@@ -13,7 +14,11 @@ namespace {
 
 constexpr char kHeaderMagic[4] = {'M', 'D', 'J', 'B'};
 constexpr char kTrailerMagic[4] = {'M', 'D', 'J', 'E'};
-constexpr uint32_t kFormatVersion = 1;
+constexpr uint32_t kFormatVersion = 2;
+// Trailer: u64 header length, u64 footer offset, u64 checksum, magic.
+constexpr int64_t kTrailerBytes = 28;
+// Header prefix read before the checksum: magic + version.
+constexpr size_t kLeadBytes = 8;
 
 // ---------------------------------------------------------------------------
 // Little serialization kit. The format is single-machine (spill + paged
@@ -366,6 +371,16 @@ bool ReadZone(ByteReader* r, ColumnZoneMap* z) {
          r->Str(&z->str_min) && r->Str(&z->str_max);
 }
 
+/// The trailer's checksum: over the header, the footer and the trailer's
+/// header-length and footer-offset fields (the first 16 bytes of `trailer`).
+uint64_t MetadataChecksum(const std::string& header, const std::string& footer,
+                          const std::string& trailer) {
+  std::string covered;
+  covered.reserve(header.size() + footer.size() + 16);
+  covered.append(header).append(footer).append(trailer, 0, 16);
+  return BlockChecksum(covered.data(), covered.size());
+}
+
 }  // namespace
 
 void AppendTaggedValue(std::string* out, const Value& v) { EncodeValue(out, v); }
@@ -378,12 +393,22 @@ bool ParseTaggedValue(const char* data, size_t len, size_t* pos, Value* out) {
 }
 
 uint64_t BlockChecksum(const char* data, size_t len) {
-  uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a 64
-  for (size_t i = 0; i < len; ++i) {
-    h ^= static_cast<uint8_t>(data[i]);
-    h *= 0x100000001b3ULL;
+  // Multiplying by an odd constant and rotating are bijections, and so is
+  // xoring the word in: one word's change always reaches the result.
+  constexpr uint64_t kMul = 0x9e3779b97f4a7c15ULL;
+  uint64_t h = 0xcbf29ce484222325ULL ^ static_cast<uint64_t>(len);
+  size_t i = 0;
+  for (; i + 8 <= len; i += 8) {
+    uint64_t w;
+    std::memcpy(&w, data + i, sizeof(w));
+    h = std::rotl((h ^ w) * kMul, 29);
   }
-  return h;
+  uint64_t tail = 0;
+  if (i < len) std::memcpy(&tail, data + i, len - i);
+  h = std::rotl((h ^ tail) * kMul, 29);
+  h ^= h >> 32;
+  h *= 0xd6e8feb86659fd93ULL;
+  return h ^ (h >> 32);
 }
 
 Status WriteBlockFile(const Table& table, const std::string& path,
@@ -413,18 +438,15 @@ Status WriteBlockFile(const Table& table, const std::string& path,
 
   std::vector<BlockMeta> metas;
   MorselZoneMaps zones;
+  std::string chunk;
   for (int64_t start = 0; start < table.num_rows(); start += block_rows) {
     const int64_t n = std::min<int64_t>(block_rows, table.num_rows() - start);
-    BlockMeta meta;
-    meta.offset = offset;
+    BlockMeta& meta = metas.emplace_back();
     meta.num_rows = n;
-
-    std::string payload;
     std::vector<ColumnZoneMap>& block_zones = zones.emplace_back();
     for (int c = 0; c < ncols; ++c) {
       const Value* cells = table.column(c).data() + start;
       block_zones.push_back(ComputeZone(cells, n));
-      meta.decoded_bytes_estimate += EstimateDecodedBytes(cells, n);
 
       const ChunkShape shape = ShapeOf(cells, n);
       BlockEncoding enc = BlockEncoding::kPlain;
@@ -435,9 +457,7 @@ Status WriteBlockFile(const Table& table, const std::string& path,
       } else if (shape.runs <= n / 4) {
         enc = BlockEncoding::kRle;
       }
-      meta.encodings.push_back(static_cast<uint8_t>(enc));
-
-      std::string chunk;
+      chunk.clear();
       switch (enc) {
         case BlockEncoding::kPlain:
           EncodePlain(&chunk, cells, n);
@@ -452,36 +472,34 @@ Status WriteBlockFile(const Table& table, const std::string& path,
           EncodeForInt(&chunk, cells, n);
           break;
       }
-      PutU8(&payload, static_cast<uint8_t>(enc));
-      PutU64(&payload, chunk.size());
-      payload += chunk;
+      meta.chunks.push_back(ChunkMeta{offset, chunk.size(), enc,
+                                      BlockChecksum(chunk.data(), chunk.size()),
+                                      EstimateDecodedBytes(cells, n)});
+      out.write(chunk.data(), static_cast<std::streamsize>(chunk.size()));
+      offset += chunk.size();
     }
-
-    meta.encoded_bytes = payload.size();
-    meta.checksum = BlockChecksum(payload.data(), payload.size());
-    out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-    offset += payload.size();
-    metas.push_back(std::move(meta));
   }
 
-  // Footer index + trailer.
+  // Footer index, then the trailer whose checksum covers header and footer.
   std::string footer;
   PutU32(&footer, static_cast<uint32_t>(metas.size()));
   for (size_t b = 0; b < metas.size(); ++b) {
-    const BlockMeta& m = metas[b];
-    PutU64(&footer, m.offset);
-    PutU64(&footer, m.encoded_bytes);
-    PutI64(&footer, m.num_rows);
-    PutU64(&footer, m.checksum);
-    PutI64(&footer, m.decoded_bytes_estimate);
+    PutI64(&footer, metas[b].num_rows);
     for (int c = 0; c < ncols; ++c) {
-      PutU8(&footer, m.encodings[static_cast<size_t>(c)]);
+      const ChunkMeta& m = metas[b].chunks[static_cast<size_t>(c)];
+      PutU64(&footer, m.offset);
+      PutU64(&footer, m.length);
+      PutU8(&footer, static_cast<uint8_t>(m.encoding));
+      PutU64(&footer, m.checksum);
+      PutI64(&footer, m.decoded_bytes_estimate);
       PutZone(&footer, zones[b][static_cast<size_t>(c)]);
     }
   }
   out.write(footer.data(), static_cast<std::streamsize>(footer.size()));
   std::string trailer;
+  PutU64(&trailer, header.size());
   PutU64(&trailer, offset);
+  PutU64(&trailer, MetadataChecksum(header, footer, trailer));
   trailer.append(kTrailerMagic, sizeof(kTrailerMagic));
   out.write(trailer.data(), static_cast<std::streamsize>(trailer.size()));
   out.flush();
@@ -494,46 +512,64 @@ Result<std::unique_ptr<BlockFile>> BlockFile::Open(std::string path) {
   if (!in) return Status::NotFound("cannot open block file: ", path);
   in.seekg(0, std::ios::end);
   const int64_t file_size = static_cast<int64_t>(in.tellg());
-  const int64_t trailer_size = 12;  // u64 footer offset + magic
-  if (file_size < trailer_size) {
-    return Status::Internal("block file corrupt: ", path, " too small (",
-                            file_size, " bytes)");
+  auto read_at = [&](int64_t offset, int64_t len, std::string* out) {
+    out->assign(static_cast<size_t>(len), '\0');
+    in.seekg(static_cast<std::streamoff>(offset));
+    in.read(out->data(), static_cast<std::streamsize>(len));
+    return static_cast<bool>(in);
+  };
+
+  // The magic and the version come first: the version says where the
+  // checksum is and what it covers.
+  std::string lead;
+  if (file_size < static_cast<int64_t>(kLeadBytes) ||
+      !read_at(0, static_cast<int64_t>(kLeadBytes), &lead) ||
+      std::memcmp(lead.data(), kHeaderMagic, sizeof(kHeaderMagic)) != 0) {
+    return Status::Internal("block file corrupt: ", path, " bad header magic");
+  }
+  uint32_t version = 0;
+  std::memcpy(&version, lead.data() + sizeof(kHeaderMagic), sizeof(version));
+  if (version != kFormatVersion) {
+    return Status::Internal("block file version ", version, " unsupported");
   }
 
-  std::string whole;  // header + footer are small; read trailer then regions
-  char trailer[12];
-  in.seekg(file_size - trailer_size);
-  in.read(trailer, trailer_size);
-  if (!in || std::memcmp(trailer + 8, kTrailerMagic, 4) != 0) {
+  std::string trailer;
+  if (file_size < static_cast<int64_t>(kLeadBytes) + kTrailerBytes ||
+      !read_at(file_size - kTrailerBytes, kTrailerBytes, &trailer) ||
+      std::memcmp(trailer.data() + 24, kTrailerMagic, sizeof(kTrailerMagic)) != 0) {
     return Status::Internal("block file corrupt: ", path, " bad trailer magic");
   }
-  uint64_t footer_offset = 0;
-  std::memcpy(&footer_offset, trailer, sizeof(footer_offset));
-  if (footer_offset >= static_cast<uint64_t>(file_size)) {
-    return Status::Internal("block file corrupt: ", path, " footer offset ",
-                            footer_offset, " beyond file size ", file_size);
+  uint64_t header_len = 0, footer_offset = 0, stored = 0;
+  std::memcpy(&header_len, trailer.data(), 8);
+  std::memcpy(&footer_offset, trailer.data() + 8, 8);
+  std::memcpy(&stored, trailer.data() + 16, 8);
+  const uint64_t footer_end = static_cast<uint64_t>(file_size - kTrailerBytes);
+  if (header_len < kLeadBytes || header_len > footer_offset ||
+      footer_offset > footer_end) {
+    return Status::Internal("block file corrupt: ", path, " header length ",
+                            header_len, ", footer offset ", footer_offset,
+                            " do not fit ", file_size, " bytes");
+  }
+  std::string header, footer;
+  if (!read_at(0, static_cast<int64_t>(header_len), &header) ||
+      !read_at(static_cast<int64_t>(footer_offset),
+               static_cast<int64_t>(footer_end - footer_offset), &footer)) {
+    return Status::Internal("block file corrupt: ", path, " short metadata read");
+  }
+  const uint64_t computed = MetadataChecksum(header, footer, trailer);
+  if (computed != stored) {
+    return Status::Internal("block file corrupt: ", path,
+                            " header/footer checksum mismatch (stored ", stored,
+                            ", computed ", computed, ")");
   }
 
   auto file = std::unique_ptr<BlockFile>(new BlockFile());
   file->path_ = std::move(path);
 
   // Header.
-  const size_t header_budget =
-      static_cast<size_t>(std::min<int64_t>(footer_offset, file_size));
-  whole.resize(header_budget);
-  in.seekg(0);
-  in.read(whole.data(), static_cast<std::streamsize>(header_budget));
-  if (!in) return Status::Internal("block file corrupt: short header read");
-  ByteReader hr{whole.data(), header_budget};
-  if (header_budget < 4 || std::memcmp(whole.data(), kHeaderMagic, 4) != 0) {
-    return Status::Internal("block file corrupt: bad header magic");
-  }
-  hr.pos = 4;
-  uint32_t version = 0, ncols = 0;
-  if (!hr.U32(&version) || !hr.U32(&ncols)) return Truncated("header");
-  if (version != kFormatVersion) {
-    return Status::Internal("block file version ", version, " unsupported");
-  }
+  ByteReader hr{header.data(), header.size(), kLeadBytes};
+  uint32_t ncols = 0;
+  if (!hr.U32(&ncols)) return Truncated("header");
   std::vector<Field> fields;
   for (uint32_t c = 0; c < ncols; ++c) {
     std::string name;
@@ -548,46 +584,51 @@ Result<std::unique_ptr<BlockFile>> BlockFile::Open(std::string path) {
   if (!hr.I64(&file->block_size_rows_) || !hr.I64(&file->num_rows_)) {
     return Truncated("header geometry");
   }
-  if (file->block_size_rows_ <= 0 || file->num_rows_ < 0) {
+  if (hr.pos != hr.len || file->block_size_rows_ <= 0 || file->num_rows_ < 0) {
     return Status::Internal("block file corrupt: geometry rows=", file->num_rows_,
                             " block_rows=", file->block_size_rows_);
   }
+  for (uint32_t c = 0; c < ncols; ++c) file->all_columns_.push_back(static_cast<int>(c));
 
-  // Footer.
-  const size_t footer_len =
-      static_cast<size_t>(file_size - trailer_size - static_cast<int64_t>(footer_offset));
-  std::string footer_buf(footer_len, '\0');
-  in.seekg(static_cast<std::streamoff>(footer_offset));
-  in.read(footer_buf.data(), static_cast<std::streamsize>(footer_len));
-  if (!in) return Status::Internal("block file corrupt: short footer read");
-  ByteReader fr{footer_buf.data(), footer_len};
+  // Footer: every chunk lies between the header and the footer.
+  ByteReader fr{footer.data(), footer.size()};
   uint32_t nblocks = 0;
   if (!fr.U32(&nblocks)) return Truncated("footer");
+  int64_t total = 0;
   for (uint32_t b = 0; b < nblocks; ++b) {
-    BlockMeta m;
-    if (!fr.U64(&m.offset) || !fr.U64(&m.encoded_bytes) || !fr.I64(&m.num_rows) ||
-        !fr.U64(&m.checksum) || !fr.I64(&m.decoded_bytes_estimate)) {
-      return Truncated("block meta");
+    BlockMeta& m = file->blocks_.emplace_back();
+    if (!fr.I64(&m.num_rows)) return Truncated("block meta");
+    if (m.num_rows <= 0 || m.num_rows > file->block_size_rows_) {
+      return Status::Internal("block file corrupt: block ", b, " holds ", m.num_rows,
+                              " rows");
     }
-    if (m.num_rows <= 0 || m.num_rows > file->block_size_rows_ ||
-        m.offset + m.encoded_bytes > footer_offset) {
-      return Status::Internal("block file corrupt: block ", b, " geometry");
-    }
+    total += m.num_rows;
     std::vector<ColumnZoneMap>& zones = file->zones_.emplace_back();
     for (uint32_t c = 0; c < ncols; ++c) {
+      ChunkMeta& chunk = m.chunks.emplace_back();
       uint8_t enc = 0;
-      ColumnZoneMap z;
-      if (!fr.U8(&enc) || !ReadZone(&fr, &z)) return Truncated("zone map");
+      ColumnZoneMap& z = zones.emplace_back();
+      if (!fr.U64(&chunk.offset) || !fr.U64(&chunk.length) || !fr.U8(&enc) ||
+          !fr.U64(&chunk.checksum) || !fr.I64(&chunk.decoded_bytes_estimate) ||
+          !ReadZone(&fr, &z)) {
+        return Truncated("chunk meta");
+      }
       if (enc > static_cast<uint8_t>(BlockEncoding::kForInt)) {
         return Status::Internal("block file corrupt: encoding ", enc);
       }
-      m.encodings.push_back(enc);
-      zones.push_back(std::move(z));
+      chunk.encoding = static_cast<BlockEncoding>(enc);
+      if (chunk.offset < header_len || chunk.length > footer_offset ||
+          chunk.offset > footer_offset - chunk.length ||
+          chunk.decoded_bytes_estimate < 0) {
+        return Status::Internal("block file corrupt: block ", b, " column ", c,
+                                " chunk geometry");
+      }
     }
-    file->blocks_.push_back(std::move(m));
   }
-  int64_t total = 0;
-  for (const BlockMeta& m : file->blocks_) total += m.num_rows;
+  if (fr.pos != fr.len) {
+    return Status::Internal("block file corrupt: ", fr.len - fr.pos,
+                            " bytes after the footer index");
+  }
   if (total != file->num_rows_) {
     return Status::Internal("block file corrupt: blocks hold ", total,
                             " rows, header promises ", file->num_rows_);
@@ -595,9 +636,26 @@ Result<std::unique_ptr<BlockFile>> BlockFile::Open(std::string path) {
   return file;
 }
 
-Result<Table> BlockFile::ReadBlock(int b) const {
+int64_t BlockFile::ApproxBlockBytes(int b, const std::vector<int>& cols) const {
+  const BlockMeta& meta = blocks_[static_cast<size_t>(b)];
+  int64_t bytes = 0;
+  for (int c : cols) bytes += meta.chunks[static_cast<size_t>(c)].decoded_bytes_estimate;
+  return bytes;
+}
+
+Result<Table> BlockFile::ReadBlock(int b, const std::vector<int>& cols) const {
   if (b < 0 || b >= num_blocks()) {
     return Status::OutOfRange("block ", b, " of ", num_blocks());
+  }
+  if (cols.empty()) {
+    return Status::InvalidArgument("block read of ", path_, " names no column");
+  }
+  for (size_t i = 0; i < cols.size(); ++i) {
+    if (cols[i] < 0 || cols[i] >= schema_.num_fields() ||
+        (i > 0 && cols[i] <= cols[i - 1])) {
+      return Status::InvalidArgument("block read columns must be ascending schema "
+                                     "indices, got ", cols[i], " at position ", i);
+    }
   }
   const BlockMeta& meta = blocks_[static_cast<size_t>(b)];
 
@@ -607,35 +665,32 @@ Result<Table> BlockFile::ReadBlock(int b) const {
     return Status::Internal("block read failed: ", path_, " block ", b,
                             read_fault ? " (failpoint storage:block_read)" : "");
   }
-  std::string payload(meta.encoded_bytes, '\0');
-  in.seekg(static_cast<std::streamoff>(meta.offset));
-  in.read(payload.data(), static_cast<std::streamsize>(payload.size()));
-  if (!in) {
-    return Status::Internal("block read failed: ", path_, " block ", b,
-                            " short read");
-  }
-
-  uint64_t checksum = BlockChecksum(payload.data(), payload.size());
-  if (MDJ_FAILPOINT("storage:block_corrupt")) checksum ^= 0xdeadbeefULL;
-  if (checksum != meta.checksum) {
-    return Status::Internal("block checksum mismatch: ", path_, " block ", b,
-                            " (stored ", meta.checksum, ", computed ", checksum,
-                            ")");
-  }
-
-  ByteReader r{payload.data(), payload.size()};
   Table out;
-  for (int c = 0; c < schema_.num_fields(); ++c) {
-    uint8_t enc = 0;
-    uint64_t chunk_len = 0;
-    if (!r.U8(&enc) || !r.U64(&chunk_len) || r.pos + chunk_len > r.len) {
-      return Truncated("chunk header");
+  std::string bytes;
+  std::vector<Value> cells;
+  for (int c : cols) {
+    const ChunkMeta& chunk = meta.chunks[static_cast<size_t>(c)];
+    bytes.resize(chunk.length);
+    in.seekg(static_cast<std::streamoff>(chunk.offset));
+    in.read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    if (!in) {
+      return Status::Internal("block read failed: ", path_, " block ", b, " column ",
+                              schema_.field(c).name, " short read");
     }
-    ByteReader cr{r.data + r.pos, static_cast<size_t>(chunk_len)};
-    r.pos += chunk_len;
-    std::vector<Value> cells;
-    MDJ_RETURN_NOT_OK(
-        DecodeChunk(static_cast<BlockEncoding>(enc), &cr, meta.num_rows, &cells));
+    uint64_t checksum = BlockChecksum(bytes.data(), bytes.size());
+    if (MDJ_FAILPOINT("storage:block_corrupt")) checksum ^= 0xdeadbeefULL;
+    if (checksum != chunk.checksum) {
+      return Status::Internal("block checksum mismatch: ", path_, " block ", b,
+                              " column ", schema_.field(c).name, " (stored ",
+                              chunk.checksum, ", computed ", checksum, ")");
+    }
+    ByteReader r{bytes.data(), bytes.size()};
+    MDJ_RETURN_NOT_OK(DecodeChunk(chunk.encoding, &r, meta.num_rows, &cells));
+    if (r.pos != r.len) {
+      return Status::Internal("block file corrupt: ", r.len - r.pos,
+                              " bytes after the cells of block ", b, " column ",
+                              schema_.field(c).name);
+    }
     MDJ_RETURN_NOT_OK(out.AddColumn(schema_.field(c), std::move(cells)));
   }
   return out;

@@ -15,14 +15,29 @@ namespace mdjoin {
 
 /// Paged columnar block format — the on-disk half of the out-of-core MD-join
 /// (ROADMAP item 1), patterned after WiredTiger's src/block layering: a file
-/// is a schema header, a sequence of independently decodable blocks (each a
-/// fixed-capacity slice of rows, stored column-chunk-at-a-time with a
-/// per-chunk lightweight encoding), and a footer index carrying, for every
-/// block, its offset/length/checksum and a per-column zone map. Readers seek
-/// straight to any block; nothing outside the footer need be resident.
+/// is a schema header, a sequence of blocks (each a fixed-capacity slice of
+/// rows, stored as one independently decodable chunk per column, each with a
+/// lightweight encoding), and a footer index carrying, for every chunk, its
+/// offset, length, encoding, checksum and decoded-size estimate, and for
+/// every block a per-column zone map. A reader seeks straight to the chunks
+/// it needs: a scan that names three of seven columns reads, verifies and
+/// decodes three chunks per block. Nothing outside the footer need be
+/// resident.
+///
+/// Layout (format version 2):
+///   header   "MDJB", u32 version, u32 columns, (name, type) per column,
+///            i64 rows per block, i64 rows
+///   chunks   block 0 column 0, block 0 column 1, ..., block 1 column 0, ...
+///   footer   u32 blocks; per block: i64 rows, then per column the chunk's
+///            offset, length, encoding, checksum, decoded-size estimate and
+///            zone map
+///   trailer  u64 header length, u64 footer offset, u64 checksum over the
+///            header, the footer and these two fields, "MDJE"
+/// Open verifies the trailer's checksum before it parses the header or the
+/// footer, so a corrupt zone map can never prune a block.
 ///
 /// Encodings are chosen per column chunk by the writer and recorded in the
-/// block payload, so the reader is encoding-agnostic:
+/// footer, so the reader is encoding-agnostic:
 ///  - kPlain:  tagged values verbatim (the fallback; also the spill codec);
 ///  - kRle:    run-length over *exactly identical* cells — note Equals()
 ///             would merge Int64(3) with Float64(3.0) and change decoded bit
@@ -41,14 +56,19 @@ enum class BlockEncoding : uint8_t {
   kForInt = 3,
 };
 
-/// Footer entry for one block.
+/// Footer entry for one column chunk of one block.
+struct ChunkMeta {
+  uint64_t offset = 0;  // file offset of the chunk's bytes
+  uint64_t length = 0;
+  BlockEncoding encoding = BlockEncoding::kPlain;
+  uint64_t checksum = 0;               // BlockChecksum over the chunk's bytes
+  int64_t decoded_bytes_estimate = 0;  // cache and guard charge of its decode
+};
+
+/// Footer entry for one block: its row count and one chunk per column.
 struct BlockMeta {
-  uint64_t offset = 0;         // file offset of the payload
-  uint64_t encoded_bytes = 0;  // payload length
   int64_t num_rows = 0;
-  uint64_t checksum = 0;  // FNV-1a 64 over the payload
-  std::vector<uint8_t> encodings;      // BlockEncoding per column
-  int64_t decoded_bytes_estimate = 0;  // cache-charge estimate
+  std::vector<ChunkMeta> chunks;
 };
 
 struct BlockFileOptions {
@@ -62,16 +82,20 @@ struct BlockFileOptions {
 Status WriteBlockFile(const Table& table, const std::string& path,
                       const BlockFileOptions& options = {});
 
-/// Open handle on a block file: the parsed header + footer (schema, row
-/// counts, zone maps) with block payloads left on disk. ReadBlock decodes one
-/// block into a Table; it opens its own stream per call, so one BlockFile may
-/// serve many scan threads concurrently.
+/// Open handle on a block file: the verified and parsed header + footer
+/// (schema, row counts, chunk index, zone maps) with the chunks left on
+/// disk. ReadBlock decodes the chunks of one block that a reader names; it
+/// opens its own stream per call, so one BlockFile may serve many scan
+/// threads concurrently.
 ///
-/// Failpoints: "storage:block_read" forces the next payload read to fail as a
-/// clean I/O Status; "storage:block_corrupt" flips the computed checksum so
-/// the mismatch path runs.
+/// Failpoints: "storage:block_read" forces the next block read to fail as a
+/// clean I/O Status; "storage:block_corrupt" flips the next computed chunk
+/// checksum so the mismatch path runs.
 class BlockFile {
  public:
+  /// Opens `path`. The header and footer are trusted only after the
+  /// trailer's checksum over them matches; a mismatch, a bad magic, a file
+  /// of another format version or malformed geometry is an error Status.
   static Result<std::unique_ptr<BlockFile>> Open(std::string path);
 
   const Schema& schema() const { return schema_; }
@@ -86,17 +110,25 @@ class BlockFile {
     return static_cast<int64_t>(b) * block_size_rows_;
   }
   const std::string& path() const { return path_; }
+  /// 0, 1, ..., columns - 1: the projection onto every column.
+  const std::vector<int>& all_columns() const { return all_columns_; }
 
-  /// Decodes block `b`. Verifies the payload checksum before decoding; a
-  /// mismatch (bit rot, torn write, or the storage:block_corrupt failpoint)
-  /// is an Internal error naming the block.
-  Result<Table> ReadBlock(int b) const;
+  /// Decodes the chunks of block `b` for the columns `cols` (schema indices,
+  /// ascending and distinct, at least one) into a Table whose schema is that
+  /// projection of schema(). Each chunk's checksum is verified before it is
+  /// decoded; a mismatch (bit rot, torn write, or the storage:block_corrupt
+  /// failpoint) is an Internal error naming the block and the column, and
+  /// the chunks of other columns stay readable.
+  Result<Table> ReadBlock(int b, const std::vector<int>& cols) const;
+  /// Every column of block `b`.
+  Result<Table> ReadBlock(int b) const { return ReadBlock(b, all_columns_); }
 
-  /// Estimated heap footprint of the decoded block, used for cache and guard
-  /// charging without decoding first.
-  int64_t ApproxBlockBytes(int b) const {
-    return blocks_[static_cast<size_t>(b)].decoded_bytes_estimate;
-  }
+  /// Estimated heap footprint of decoding `cols` of block `b` (the sum of
+  /// their chunks' estimates), used for cache and guard charging without
+  /// decoding first.
+  int64_t ApproxBlockBytes(int b, const std::vector<int>& cols) const;
+  /// The whole block's estimate.
+  int64_t ApproxBlockBytes(int b) const { return ApproxBlockBytes(b, all_columns_); }
 
  private:
   BlockFile() = default;
@@ -107,9 +139,13 @@ class BlockFile {
   int64_t block_size_rows_ = 0;
   std::vector<BlockMeta> blocks_;
   MorselZoneMaps zones_;
+  std::vector<int> all_columns_;
 };
 
-/// FNV-1a 64-bit, the block payload checksum.
+/// The chunk and footer checksum: a 64-bit hash that consumes eight bytes
+/// per step. Each step is a bijection of the running state for a fixed word
+/// and of the word for a fixed state, so any change confined to one aligned
+/// eight-byte word — every single-bit flip — changes the result.
 uint64_t BlockChecksum(const char* data, size_t len);
 
 /// The tagged scalar codec (u8 tag + payload) shared by kPlain block chunks

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/query_guard.h"
 #include "common/result.h"
@@ -33,17 +34,28 @@ class PagedTable {
   int64_t block_row_offset(int b) const { return file_->block_row_offset(b); }
   const BlockMeta& block_meta(int b) const { return file_->block_meta(b); }
   const MorselZoneMaps& zones() const { return file_->zones(); }
+  const std::vector<int>& all_columns() const { return file_->all_columns(); }
+  /// The decoded-size estimate of `cols` of block `b`, and of the whole block.
+  int64_t ApproxBlockBytes(int b, const std::vector<int>& cols) const {
+    return file_->ApproxBlockBytes(b, cols);
+  }
   int64_t ApproxBlockBytes(int b) const { return file_->ApproxBlockBytes(b); }
   const std::string& path() const { return file_->path(); }
   /// Cache key namespace for this open table.
   uint64_t id() const { return id_; }
 
-  /// Decodes block `b`, through `cache` when non-null (sets *was_hit on a
-  /// resident lookup), or directly into an ephemeral pin otherwise. Counts
-  /// the read in mdjoin_blocks_read_total, and a decode in
-  /// mdjoin_blocks_faulted_total.
-  Result<BlockPin> Fault(int b, BlockCache* cache,
+  /// Decodes the columns `cols` of block `b` (BlockFile::ReadBlock) into a
+  /// table with that projection of the schema, through `cache` when non-null
+  /// (keyed and charged by that column set; sets *was_hit on a resident
+  /// lookup), or directly into an ephemeral pin otherwise. Counts the read
+  /// in mdjoin_blocks_read_total, and a decode in mdjoin_blocks_faulted_total
+  /// and, once per chunk, mdjoin_column_chunks_decoded_total.
+  Result<BlockPin> Fault(int b, const std::vector<int>& cols, BlockCache* cache,
                          bool* was_hit = nullptr) const;
+  /// Every column of block `b`.
+  Result<BlockPin> Fault(int b, BlockCache* cache, bool* was_hit = nullptr) const {
+    return Fault(b, all_columns(), cache, was_hit);
+  }
 
   /// Materializes the whole file as one in-memory Table — the compatibility
   /// fallback for consumers without a block-at-a-time path (e.g. a paged

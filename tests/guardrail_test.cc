@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -317,10 +318,11 @@ TEST_F(GuardrailTest, GroupIdMapFallsBackWhenItDoesNotFit) {
 }
 
 /// The map leaves room for what the scan itself reserves: an uncached paged
-/// detail decodes each block into a guard-charged pin. Under a soft budget
-/// that takes the aggregate states and the map but not a decoded block as
-/// well, the join falls back to the index; with room for both, the map runs.
-/// The hard limit leaves room for the output either way.
+/// detail decodes the chunks of θ's and the aggregates' columns of each
+/// block into a guard-charged pin. Under a soft budget that takes the
+/// aggregate states and the map but not such a decode as well, the join
+/// falls back to the index; with room for both, the map runs. The hard limit
+/// leaves room for the output either way.
 TEST_F(GuardrailTest, GroupIdMapLeavesRoomForUncachedDecodedBlocks) {
   Table sales = testutil::RandomSales(59, 3000);
   const std::vector<std::string> dims = {"cust", "prod", "month", "state"};
@@ -344,9 +346,14 @@ TEST_F(GuardrailTest, GroupIdMapLeavesRoomForUncachedDecodedBlocks) {
   ASSERT_TRUE(WriteBlockFile(sales, path, file_options).ok());
   Result<std::unique_ptr<PagedTable>> paged = PagedTable::Open(path);
   ASSERT_TRUE(paged.ok());
+  std::vector<int> read_cols;  // the dims and sale, in schema order
+  for (const char* name : {"cust", "prod", "month", "state", "sale"}) {
+    read_cols.push_back(*sales.schema().GetFieldIndex(name));
+  }
+  ASSERT_TRUE(std::is_sorted(read_cols.begin(), read_cols.end()));
   int64_t block = 0;
   for (int b = 0; b < (*paged)->num_blocks(); ++b) {
-    block = std::max(block, (*paged)->ApproxBlockBytes(b));
+    block = std::max(block, (*paged)->ApproxBlockBytes(b, read_cols));
   }
 
   // What the map route holds while it scans (states, map, one decoded
@@ -367,6 +374,8 @@ TEST_F(GuardrailTest, GroupIdMapLeavesRoomForUncachedDecodedBlocks) {
     Result<Table> got = PagedMdJoin(base, **paged, {{aggs, theta}}, options, &stats, &groups);
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     EXPECT_TRUE(testutil::TablesBitIdentical(*want, *got));
+    EXPECT_EQ(stats.columns,
+              (std::vector<std::string>{"cust", "prod", "month", "state", "sale"}));
     if (budget == scan) {
       EXPECT_EQ(stats.route, RelativeSetRoute::kGroupIds);
       EXPECT_EQ(stats.index_probe_lookups, 0);

@@ -623,6 +623,66 @@ TEST_F(ObsTest, BlockCountersMatchDecodes) {
   }
 }
 
+/// On paged storage each node that reads R decodes only the columns it
+/// names: a generator its dimensions and its `where` columns, a join those
+/// of its θs (the folded `where` included) and of its aggregate arguments.
+/// EXPLAIN ANALYZE prints the set beside read=blocks in text and JSON, and
+/// mdjoin_column_chunks_decoded_total grows by each reading node's blocks
+/// faulted times its column count, with a block cache and without one.
+TEST_F(ObsTest, PagedReadsDecodeTheColumnsEachNodeNames) {
+  Table sales = testutil::RandomSales(29, 3000);
+  const BlockFileOf file(sales, 256);
+  Catalog catalog;
+  ASSERT_TRUE(RegisterPagedTable(&catalog, "Sales", file.table()).ok());
+  Counter* chunks = MetricsRegistry::Global().GetCounter("mdjoin_column_chunks_decoded_total");
+  using Cols = std::vector<std::string>;
+  // Per rotation text, the reading nodes in profile pre-order.
+  const std::vector<std::vector<Cols>> expected = {
+      {{"prod", "month", "state", "sale"}, {"prod", "month", "state"}},
+      {{"prod", "month", "sale"}, {"prod", "month"}},
+      {{"cust", "state", "sale"}, {"cust"}},
+      {{"prod", "month", "year", "sale"},
+       {"prod", "month", "year", "sale"},
+       {"prod", "month", "year"}},
+  };
+  BlockCache::Options cache_options;
+  cache_options.capacity_bytes = 4 * file.table().ApproxBlockBytes(0);
+  BlockCache cache(cache_options);
+  for (BlockCache* c : {static_cast<BlockCache*>(nullptr), &cache}) {
+    for (size_t q = 0; q < RotationTexts().size(); ++q) {
+      SCOPED_TRACE(::testing::Message() << "cache=" << (c != nullptr) << " " << RotationTexts()[q]);
+      MdJoinOptions options;
+      options.block_cache = c;
+      const int64_t chunks0 = chunks->value();
+      Result<QueryProfile> profile = ProfileText(RotationTexts()[q], catalog, options);
+      ASSERT_TRUE(profile.ok()) << profile.status().ToString();
+      std::vector<const OperatorProfile*> nodes;
+      Nodes(*profile->root, &nodes);
+      std::vector<Cols> got;
+      int64_t decoded = 0;
+      for (const OperatorProfile* n : nodes) {
+        if (n->read.empty()) continue;
+        EXPECT_EQ(n->read, "blocks") << n->label;
+        got.push_back(n->columns);
+        decoded += n->blocks_faulted * static_cast<int64_t>(n->columns.size());
+      }
+      EXPECT_EQ(got, expected[q]) << profile->ToText();
+      EXPECT_EQ(chunks->value() - chunks0, decoded);
+      const std::string text = profile->ToText();
+      const std::string json = profile->ToJson();
+      for (const Cols& cols : expected[q]) {
+        std::string text_pin = " read=blocks cols=", json_pin = "\"cols\": [";
+        for (size_t i = 0; i < cols.size(); ++i) {
+          text_pin += (i > 0 ? "," : "") + cols[i];
+          json_pin += (i > 0 ? ", \"" : "\"") + cols[i] + "\"";
+        }
+        EXPECT_NE(text.find(text_pin + " "), std::string::npos) << text_pin << "\n" << text;
+        EXPECT_NE(json.find(json_pin + "]"), std::string::npos) << json_pin << "\n" << json;
+      }
+    }
+  }
+}
+
 /// An in-memory R prunes its kMorselRows-row morsels as a paged R prunes
 /// blocks, and EXPLAIN ANALYZE says so on the node that read it: over a
 /// year-sorted Sales, `where year = 1997` lets the generator and the MD-join

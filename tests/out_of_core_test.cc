@@ -25,6 +25,7 @@
 #include "core/mdjoin.h"
 #include "core/reference.h"
 #include "cube/base_tables.h"
+#include "obs/metrics.h"
 #include "obs/query_profile.h"
 #include "optimizer/executor.h"
 #include "optimizer/optimize.h"
@@ -184,8 +185,14 @@ TEST(RouteMatrixTest, EveryRouteMatchesReferencePerComponent) {
   configs.reserve(edge.size() + 1);
   for (const MdJoinComponent& c : edge) configs.push_back({c});  // k = 1
   configs.push_back(edge);                                        // k = 3
+  // The columns each configuration's θs and aggregates name: all a paged
+  // run decodes of a block, in schema order.
+  using Names = std::vector<std::string>;
+  const std::vector<Names> read_columns = {
+      {"k", "v"}, {"f", "g", "v"}, {"k", "f", "v"}, {"k", "f", "g", "v"}};
 
-  for (const std::vector<MdJoinComponent>& comps : configs) {
+  for (size_t config = 0; config < configs.size(); ++config) {
+    const std::vector<MdJoinComponent>& comps = configs[config];
     const Table expect = testutil::ReferencePerComponent(base, detail, comps);
     for (int threads : {1, 2, 8}) {
       for (int64_t rows_per_pass : {int64_t{0}, int64_t{4}}) {
@@ -206,6 +213,9 @@ TEST(RouteMatrixTest, EveryRouteMatchesReferencePerComponent) {
           EXPECT_EQ(stats.passes_over_detail, rows_per_pass > 0 ? 4 : 1);
           if (on_disk) {
             EXPECT_GT(stats.blocks_read, 0);
+            EXPECT_EQ(stats.columns, read_columns[config]);
+          } else {
+            EXPECT_TRUE(stats.columns.empty());
           }
         }
         if (comps.size() > 1) continue;
@@ -225,9 +235,12 @@ TEST(RouteMatrixTest, EveryRouteMatchesReferencePerComponent) {
             SpillMdJoin(base, TableSource(detail), aggs, theta, spill, nullptr);
         ASSERT_TRUE(spilled.ok()) << spilled.status().ToString();
         EXPECT_TRUE(TablesBitIdentical(expect, *spilled)) << "SpillMdJoin";
-        Result<Table> paged_spill = PagedMdJoin(base, paged.table(), aggs, theta, spill);
+        MdJoinStats spill_stats;
+        Result<Table> paged_spill =
+            PagedMdJoin(base, paged.table(), aggs, theta, spill, &spill_stats);
         ASSERT_TRUE(paged_spill.ok()) << paged_spill.status().ToString();
         EXPECT_TRUE(TablesBitIdentical(expect, *paged_spill)) << "paged spill";
+        EXPECT_EQ(spill_stats.columns, read_columns[config]);
       }
     }
   }
@@ -252,6 +265,88 @@ TEST(OutOfCoreTest, BitIdenticalWithoutCacheAndWithoutEquiConjunct) {
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     EXPECT_TRUE(TablesBitIdentical(*expect, *got)) << "spill=" << spill;
   }
+}
+
+// A count(*) join whose θ names no column of R still sees every row: the
+// paged source decodes one chunk per block (the file's smallest column) so
+// its morsels keep their row counts, cached or not, at one and two threads.
+TEST(OutOfCoreTest, JoinNamingNoColumnOfRDecodesOneChunkPerBlock) {
+  const Table sales = testutil::RandomSales(29, 300);
+  Result<Table> base = GroupByBase(sales, {"cust"});
+  ASSERT_TRUE(base.ok());
+  const std::vector<AggSpec> aggs = {Count("n")};
+  const ExprPtr theta = Gt(BCol("cust"), Lit(int64_t{2}));
+  Result<Table> expect = MdJoinReference(*base, sales, aggs, theta);
+  ASSERT_TRUE(expect.ok()) << expect.status().ToString();
+  PagedFixture paged(sales, 32, "nocols");
+  Counter* chunks = MetricsRegistry::Global().GetCounter("mdjoin_column_chunks_decoded_total");
+  BlockCache cache(BlockCache::Options{});
+  for (BlockCache* c : {static_cast<BlockCache*>(nullptr), &cache}) {
+    for (int threads : {1, 2}) {
+      SCOPED_TRACE(::testing::Message() << "cache=" << (c != nullptr) << " threads=" << threads);
+      QueryGuard guard(QueryGuardOptions{});
+      MdJoinOptions md;
+      md.guard = &guard;
+      md.block_cache = c;
+      md.num_threads = threads;
+      MdJoinStats stats;
+      const int64_t chunks0 = chunks->value();
+      Result<Table> got = PagedMdJoin(*base, paged.table(), aggs, theta, md, &stats);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_TRUE(TablesBitIdentical(*expect, *got));
+      EXPECT_EQ(stats.detail_rows_scanned, sales.num_rows());
+      ASSERT_EQ(stats.columns.size(), 1u);
+      EXPECT_EQ(chunks->value() - chunks0, stats.blocks_faulted);
+      EXPECT_EQ(guard.bytes_reserved(), 0);
+    }
+  }
+  // A column R lacks fails to bind as it does in memory.
+  const ExprPtr bogus = Eq(RCol("bogus"), BCol("cust"));
+  Result<Table> in_memory = MdJoin(*base, sales, aggs, bogus);
+  Result<Table> on_disk = PagedMdJoin(*base, paged.table(), aggs, bogus);
+  ASSERT_FALSE(in_memory.ok());
+  ASSERT_FALSE(on_disk.ok());
+  EXPECT_EQ(on_disk.status().code(), in_memory.status().code());
+  for (const Result<Table>* r : {&in_memory, &on_disk}) {
+    EXPECT_NE(r->status().message().find("no column named 'bogus'"), std::string::npos)
+        << r->status().ToString();
+  }
+}
+
+// A spilled paged join partitions and re-reads only the columns θ and the
+// aggregates name: bit-identical to the reference with no guard byte left,
+// and fewer spill bytes than the same join spilling R's seven columns.
+TEST(OutOfCoreTest, SpilledPagedJoinSpillsItsColumnsOnly) {
+  const Table sales = testutil::RandomSales(31, 600);
+  Result<Table> base = GroupByBase(sales, {"cust"});
+  ASSERT_TRUE(base.ok());
+  const std::vector<AggSpec> aggs = {Count("n"), Sum(RCol("sale"), "t")};
+  const ExprPtr theta = And(Eq(RCol("cust"), BCol("cust")), Lt(RCol("month"), Lit(int64_t{7})));
+  Result<Table> expect = MdJoinReference(*base, sales, aggs, theta);
+  ASSERT_TRUE(expect.ok()) << expect.status().ToString();
+  PagedFixture paged(sales, 64, "spillcols");
+  BlockCache cache(BlockCache::Options{});
+  QueryGuardOptions guard_options;
+  guard_options.memory_hard_limit_bytes = int64_t{1} << 30;
+  QueryGuard guard(guard_options);
+  MdJoinOptions md;
+  md.guard = &guard;
+  md.block_cache = &cache;
+  md.enable_spill = true;
+  md.spill_partitions = 3;
+  MdJoinStats paged_stats, memory_stats;
+  Result<Table> got = PagedMdJoin(*base, paged.table(), aggs, theta, md, &paged_stats);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_TRUE(TablesBitIdentical(*expect, *got));
+  EXPECT_EQ(paged_stats.spill_partitions, 3);
+  EXPECT_EQ(paged_stats.columns, (std::vector<std::string>{"cust", "month", "sale"}));
+  Result<Table> whole =
+      SpillMdJoin(*base, TableSource(sales), aggs, theta, md, &memory_stats);
+  ASSERT_TRUE(whole.ok()) << whole.status().ToString();
+  EXPECT_TRUE(TablesBitIdentical(*expect, *whole));
+  EXPECT_GT(paged_stats.spill_bytes_written, 0);
+  EXPECT_LT(paged_stats.spill_bytes_written, memory_stats.spill_bytes_written);
+  EXPECT_EQ(guard.bytes_reserved(), 0);
 }
 
 TEST(OutOfCoreTest, EmptyBaseAndEmptyDetail) {
@@ -590,7 +685,9 @@ TEST(OutOfCoreTest, SpillUnderGuardLeavesNoReservations) {
 // A selection on R folded into θ spills only the rows it keeps: SpillMdJoin
 // with it among θ's R-only conjuncts writes the bytes it writes over the
 // pre-filtered R, and so does an executed `where` query against the same
-// query over σR, on memory and paged storage.
+// query over σR, on memory and paged storage. The query over σR keeps the
+// `where`, which holds on each of its rows, so on paged storage both spill
+// the same columns (those θ, the aggregates and the selection name).
 TEST(OutOfCoreTest, SpillWritesOnlyTheRowsAFoldedSelectionKeeps) {
   const Table sales = testutil::RandomSales(23, 800);
   const ExprPtr feb = Eq(RCol("month"), Lit(int64_t{2}));
@@ -632,7 +729,7 @@ TEST(OutOfCoreTest, SpillWritesOnlyTheRowsAFoldedSelectionKeeps) {
     std::vector<Table> results;
     std::vector<int64_t> spilled;
     for (const std::string& from :
-         {std::string("Sales where month = 2"), std::string("Feb")}) {
+         {std::string("Sales where month = 2"), std::string("Feb where month = 2")}) {
       Result<analyze::BoundQuery> bound =
           analyze::BindQueryString(select + from + " analyze by group(cust)", catalog);
       ASSERT_TRUE(bound.ok()) << bound.status().ToString();

@@ -11,7 +11,10 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <limits>
 #include <thread>
 #include <vector>
@@ -158,11 +161,11 @@ TEST_F(StorageTest, WriterPicksExpectedEncodings) {
   Result<std::unique_ptr<BlockFile>> f = BlockFile::Open(file.path());
   ASSERT_TRUE(f.ok());
   const BlockMeta& meta = (*f)->block_meta(0);
-  ASSERT_EQ(meta.encodings.size(), 4u);
-  EXPECT_EQ(meta.encodings[0], static_cast<uint8_t>(BlockEncoding::kForInt));
-  EXPECT_EQ(meta.encodings[1], static_cast<uint8_t>(BlockEncoding::kDict));
-  EXPECT_EQ(meta.encodings[2], static_cast<uint8_t>(BlockEncoding::kRle));
-  EXPECT_EQ(meta.encodings[3], static_cast<uint8_t>(BlockEncoding::kPlain));
+  ASSERT_EQ(meta.chunks.size(), 4u);
+  EXPECT_EQ(meta.chunks[0].encoding, BlockEncoding::kForInt);
+  EXPECT_EQ(meta.chunks[1].encoding, BlockEncoding::kDict);
+  EXPECT_EQ(meta.chunks[2].encoding, BlockEncoding::kRle);
+  EXPECT_EQ(meta.chunks[3].encoding, BlockEncoding::kPlain);
   Result<Table> read = (*f)->ReadBlock(0);
   ASSERT_TRUE(read.ok());
   EXPECT_TRUE(TablesBitIdentical(t, *read));
@@ -205,6 +208,234 @@ TEST_F(StorageTest, OpenRejectsGarbage) {
   }
   EXPECT_FALSE(BlockFile::Open(file.path()).ok());
   EXPECT_FALSE(BlockFile::Open(file.path() + ".does_not_exist").ok());
+}
+
+/// The bytes of the file at `path`.
+std::string FileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+}
+
+void WriteBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// Two 8-row blocks whose four chunks take every encoding, over NULL, ALL,
+/// NaN and ±0 cells: k (kForInt), s (kDict), r (kRle, runs of +0.0 and
+/// -0.0) and m (kPlain).
+Table EveryEncodingTable() {
+  Table t(Schema({{"k", DataType::kInt64},
+                  {"s", DataType::kString},
+                  {"r", DataType::kFloat64},
+                  {"m", DataType::kFloat64}}));
+  const std::vector<Value> mixed = {F(kNaN), NUL(), ALL(), S("x"),
+                                    I(3),    F(-0.0), F(2.5), S("")};
+  for (int64_t i = 0; i < 16; ++i) {
+    Value s = i % 4 == 0 ? NUL() : i % 4 == 1 ? ALL() : S(i % 2 == 0 ? "NY" : "CA");
+    Value r = i < 8 ? F(i < 4 ? 0.0 : -0.0) : F(i < 12 ? 1.5 : kNaN);
+    t.AppendRowUnchecked({I(100 + i % 5), std::move(s), std::move(r),
+                          mixed[static_cast<size_t>((i * 3) % 8)]});
+  }
+  return t;
+}
+
+TEST_F(StorageTest, ReadBlockDecodesTheNamedColumnsOnly) {
+  const Table sales = testutil::RandomSales(13, 40);
+  TempFile file("projection");
+  BlockFileOptions options;
+  options.block_size_rows = 16;
+  ASSERT_TRUE(WriteBlockFile(sales, file.path(), options).ok());
+  Result<std::unique_ptr<BlockFile>> f = BlockFile::Open(file.path());
+  ASSERT_TRUE(f.ok()) << f.status().ToString();
+  Result<Table> two = (*f)->ReadBlock(1, {0, 5});
+  ASSERT_TRUE(two.ok()) << two.status().ToString();
+  ASSERT_EQ(two->num_columns(), 2);
+  EXPECT_EQ(two->schema().field(0).name, "cust");
+  EXPECT_EQ(two->schema().field(1).name, "state");
+  ASSERT_EQ(two->num_rows(), 16);
+  for (int64_t r = 0; r < 16; ++r) {
+    EXPECT_TRUE(BitEq(two->Get(r, 0), sales.Get(16 + r, 0)));
+    EXPECT_TRUE(BitEq(two->Get(r, 1), sales.Get(16 + r, 5)));
+  }
+  Result<Table> all = (*f)->ReadBlock(1);
+  ASSERT_TRUE(all.ok());
+  EXPECT_TRUE(TablesBitIdentical(*all, *(*f)->ReadBlock(1, (*f)->all_columns())));
+  EXPECT_EQ(all->schema().num_fields(), 7);
+  for (const std::vector<int>& bad : std::vector<std::vector<int>>{{}, {5, 0}, {0, 0}, {7}, {-1}}) {
+    Result<Table> refused = (*f)->ReadBlock(1, bad);
+    ASSERT_FALSE(refused.ok());
+    EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
+TEST_F(StorageTest, OpenRejectsAnotherFormatVersion) {
+  TempFile file("version");
+  ASSERT_TRUE(WriteBlockFile(testutil::SmallSales(), file.path(), {}).ok());
+  std::string bytes = FileBytes(file.path());
+  const uint32_t v1 = 1;
+  std::memcpy(bytes.data() + 4, &v1, sizeof(v1));
+  WriteBytes(file.path(), bytes);
+  Result<std::unique_ptr<BlockFile>> f = BlockFile::Open(file.path());
+  ASSERT_FALSE(f.ok());
+  EXPECT_NE(f.status().message().find("version 1 unsupported"), std::string::npos)
+      << f.status().ToString();
+}
+
+TEST_F(StorageTest, ChecksumsDetectEveryBitFlip) {
+  // The hash itself, over every length around a word boundary.
+  for (size_t len = 1; len <= 24; ++len) {
+    std::string data(len, '\0');
+    for (size_t i = 0; i < len; ++i) data[i] = static_cast<char>(i * 37 + 11);
+    const uint64_t sum = BlockChecksum(data.data(), data.size());
+    for (size_t bit = 0; bit < 8 * len; ++bit) {
+      data[bit / 8] ^= static_cast<char>(1 << (bit % 8));
+      EXPECT_NE(BlockChecksum(data.data(), data.size()), sum) << len << " " << bit;
+      data[bit / 8] ^= static_cast<char>(1 << (bit % 8));
+    }
+  }
+  // Every bit of the chunk and of the footer of a one-chunk file (the
+  // kPlain column of EveryEncodingTable's first block).
+  const Table every = EveryEncodingTable();
+  Table t(Schema({every.schema().field(3)}));
+  for (int64_t r = 0; r < 8; ++r) t.AppendRowUnchecked({every.Get(r, 3)});
+  TempFile file("bits");
+  TempFile flipped("bits_flipped");
+  ASSERT_TRUE(WriteBlockFile(t, file.path(), {}).ok());
+  const std::string bytes = FileBytes(file.path());
+  Result<std::unique_ptr<BlockFile>> f = BlockFile::Open(file.path());
+  ASSERT_TRUE(f.ok()) << f.status().ToString();
+  ASSERT_EQ((*f)->num_blocks(), 1);
+  const ChunkMeta& chunk = (*f)->block_meta(0).chunks[0];
+  const size_t footer = chunk.offset + chunk.length;
+  ASSERT_LT(footer, bytes.size());
+  for (size_t i = chunk.offset; i < chunk.offset + chunk.length; ++i) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string copy = bytes;
+      copy[i] ^= static_cast<char>(1 << bit);
+      WriteBytes(flipped.path(), copy);
+      Result<std::unique_ptr<BlockFile>> g = BlockFile::Open(flipped.path());
+      ASSERT_TRUE(g.ok()) << g.status().ToString();
+      Result<Table> read = (*g)->ReadBlock(0);
+      ASSERT_FALSE(read.ok()) << "chunk byte " << i << " bit " << bit;
+      EXPECT_NE(read.status().message().find("checksum"), std::string::npos);
+    }
+  }
+  for (size_t i = footer; i < bytes.size(); ++i) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string copy = bytes;
+      copy[i] ^= static_cast<char>(1 << bit);
+      WriteBytes(flipped.path(), copy);
+      EXPECT_FALSE(BlockFile::Open(flipped.path()).ok()) << "byte " << i << " bit " << bit;
+    }
+  }
+}
+
+// Flipping any one byte of a small file either fails Open (a header,
+// footer or trailer byte) or fails every read of the one chunk it lies in
+// with a checksum Status, while reads of the block's other columns and
+// joins over them return the reference answer — through a guard, a block
+// cache and spill, leaking no pin, guard byte or spill file.
+TEST_F(StorageTest, EveryByteFlipFailsCleanlyOrSparesTheOtherColumns) {
+  const Table t = EveryEncodingTable();
+  TempFile file("flip_src");
+  TempFile flipped("flip");
+  BlockFileOptions options;
+  options.block_size_rows = 8;
+  ASSERT_TRUE(WriteBlockFile(t, file.path(), options).ok());
+  const std::string bytes = FileBytes(file.path());
+  Result<std::unique_ptr<BlockFile>> f = BlockFile::Open(file.path());
+  ASSERT_TRUE(f.ok()) << f.status().ToString();
+  ASSERT_EQ((*f)->num_blocks(), 2);
+  const int ncols = t.num_columns();
+  std::vector<std::pair<int, int>> owner(bytes.size(), {-1, -1});  // (block, column)
+  for (int b = 0; b < 2; ++b) {
+    const std::vector<ChunkMeta>& chunks = (*f)->block_meta(b).chunks;
+    const std::vector<BlockEncoding> encodings = {BlockEncoding::kForInt, BlockEncoding::kDict,
+                                                  BlockEncoding::kRle, BlockEncoding::kPlain};
+    for (int c = 0; c < ncols; ++c) {
+      const ChunkMeta& chunk = chunks[static_cast<size_t>(c)];
+      EXPECT_EQ(chunk.encoding, encodings[static_cast<size_t>(c)]) << b << " " << c;
+      for (uint64_t i = chunk.offset; i < chunk.offset + chunk.length; ++i) owner[i] = {b, c};
+    }
+  }
+
+  // Per column x, a join reading x alone: B is x's cells, θ B.x = R.x.
+  std::vector<Table> bases;
+  std::vector<ExprPtr> thetas;
+  std::vector<Table> expects;
+  for (int c = 0; c < ncols; ++c) {
+    Table base(Schema({{"x", t.schema().field(c).type}}));
+    for (int64_t r = 0; r < t.num_rows(); ++r) base.AppendRowUnchecked({t.Get(r, c)});
+    thetas.push_back(Eq(RCol(t.schema().field(c).name), BCol("x")));
+    Result<Table> expect = MdJoinReference(base, t, {Count("n")}, thetas.back());
+    ASSERT_TRUE(expect.ok()) << expect.status().ToString();
+    bases.push_back(std::move(base));
+    expects.push_back(std::move(*expect));
+  }
+  const std::string spill_dir =
+      std::filesystem::temp_directory_path().string() + "/mdjoin_storage_flip_spill";
+  std::filesystem::create_directories(spill_dir);
+
+  int64_t chunk_flips = 0;
+  for (size_t i = 0; i < bytes.size(); ++i) {
+    SCOPED_TRACE(::testing::Message() << "byte " << i << " of " << bytes.size());
+    std::string copy = bytes;
+    copy[i] = static_cast<char>(~copy[i]);
+    WriteBytes(flipped.path(), copy);
+    Result<std::unique_ptr<PagedTable>> paged = PagedTable::Open(flipped.path());
+    const auto [b, c] = owner[i];
+    if (b < 0) {
+      EXPECT_FALSE(paged.ok());
+      continue;
+    }
+    ++chunk_flips;
+    ASSERT_TRUE(paged.ok()) << paged.status().ToString();
+    Result<BlockPin> bad = (*paged)->Fault(b, {c}, nullptr);
+    ASSERT_FALSE(bad.ok());
+    EXPECT_NE(bad.status().message().find("checksum"), std::string::npos);
+    std::vector<int> others;
+    for (int x = 0; x < ncols; ++x) {
+      if (x != c) others.push_back(x);
+    }
+    Result<BlockPin> rest = (*paged)->Fault(b, others, nullptr);
+    ASSERT_TRUE(rest.ok()) << rest.status().ToString();
+    for (size_t k = 0; k < others.size(); ++k) {
+      for (int64_t r = 0; r < 8; ++r) {
+        EXPECT_TRUE(BitEq(rest->table().Get(r, static_cast<int>(k)),
+                          t.Get(8 * b + r, others[k])));
+      }
+    }
+
+    BlockCache cache(BlockCache::Options{});
+    for (int x = 0; x < ncols; ++x) {
+      QueryGuardOptions goptions;
+      goptions.memory_hard_limit_bytes = int64_t{1} << 30;
+      QueryGuard guard(goptions);
+      MdJoinOptions md;
+      md.guard = &guard;
+      md.block_cache = &cache;
+      md.enable_spill = true;
+      md.spill_partitions = 2;
+      md.spill_dir = spill_dir;
+      Result<Table> got = PagedMdJoin(bases[static_cast<size_t>(x)], **paged, {Count("n")},
+                                      thetas[static_cast<size_t>(x)], md);
+      if (x == c) {
+        ASSERT_FALSE(got.ok());
+        EXPECT_NE(got.status().message().find("checksum"), std::string::npos);
+      } else {
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        EXPECT_TRUE(TablesBitIdentical(expects[static_cast<size_t>(x)], *got));
+      }
+      EXPECT_EQ(guard.bytes_reserved(), 0);
+    }
+    cache.EvictBytes(std::numeric_limits<int64_t>::max());
+    EXPECT_EQ(cache.resident_bytes(), 0);  // no pin outlived its query
+    EXPECT_TRUE(std::filesystem::is_empty(spill_dir));
+  }
+  EXPECT_GT(chunk_flips, 0);
+  std::error_code ec;
+  std::filesystem::remove_all(spill_dir, ec);
 }
 
 // ---------------------------------------------------------------------------
@@ -321,6 +552,9 @@ TEST_F(StorageTest, SpillJoinCleansUpFilesOnWriteError) {
 // ---------------------------------------------------------------------------
 // BlockCache
 
+/// The column set the single-column test blocks are cached under.
+const std::vector<int> kCol0 = {0};
+
 Result<Table> MakeBlock(int64_t tag) {
   TableBuilder b({{"x", DataType::kInt64}});
   b.AppendRowOrDie({I(tag)});
@@ -338,11 +572,11 @@ TEST_F(StorageTest, CacheHitsServeResidentBlocks) {
     return MakeBlock(1);
   };
   bool hit = true;
-  Result<BlockPin> a = cache.GetOrLoad(id, 0, 100, loader, &hit);
+  Result<BlockPin> a = cache.GetOrLoad(id, 0, kCol0, 100, loader, &hit);
   ASSERT_TRUE(a.ok());
   EXPECT_FALSE(hit);
   a->Release();
-  Result<BlockPin> b = cache.GetOrLoad(id, 0, 100, loader, &hit);
+  Result<BlockPin> b = cache.GetOrLoad(id, 0, kCol0, 100, loader, &hit);
   ASSERT_TRUE(b.ok());
   EXPECT_TRUE(hit);
   EXPECT_EQ(loads, 1);
@@ -357,7 +591,7 @@ TEST_F(StorageTest, CacheEvictsLruWithinBudget) {
   const uint64_t id = BlockCache::NewFileId();
   for (int block = 0; block < 3; ++block) {
     Result<BlockPin> pin =
-        cache.GetOrLoad(id, block, 100, [&] { return MakeBlock(block); });
+        cache.GetOrLoad(id, block, kCol0, 100, [&] { return MakeBlock(block); });
     ASSERT_TRUE(pin.ok());
   }
   EXPECT_LE(cache.resident_bytes(), 250);
@@ -365,11 +599,11 @@ TEST_F(StorageTest, CacheEvictsLruWithinBudget) {
   // Block 0 was the coldest: reloading it is a miss, the hottest is a hit.
   bool hit = false;
   Result<BlockPin> back =
-      cache.GetOrLoad(id, 2, 100, [&] { return MakeBlock(2); }, &hit);
+      cache.GetOrLoad(id, 2, kCol0, 100, [&] { return MakeBlock(2); }, &hit);
   ASSERT_TRUE(back.ok());
   EXPECT_TRUE(hit);
   Result<BlockPin> cold =
-      cache.GetOrLoad(id, 0, 100, [&] { return MakeBlock(0); }, &hit);
+      cache.GetOrLoad(id, 0, kCol0, 100, [&] { return MakeBlock(0); }, &hit);
   ASSERT_TRUE(cold.ok());
   EXPECT_FALSE(hit);
 }
@@ -380,7 +614,7 @@ TEST_F(StorageTest, PinnedBlocksAreNotEvictable) {
   BlockCache cache(options);
   const uint64_t id = BlockCache::NewFileId();
   Result<BlockPin> pinned =
-      cache.GetOrLoad(id, 0, 100, [&] { return MakeBlock(0); });
+      cache.GetOrLoad(id, 0, kCol0, 100, [&] { return MakeBlock(0); });
   ASSERT_TRUE(pinned.ok());
   EXPECT_EQ(cache.EvictBytes(1000), 0);  // the only entry is pinned
   EXPECT_EQ(cache.resident_bytes(), 100);
@@ -400,7 +634,7 @@ TEST_F(StorageTest, ChargeRefusalFallsBackToEphemeralPin) {
   const uint64_t id = BlockCache::NewFileId();
   bool hit = true;
   Result<BlockPin> pin =
-      cache.GetOrLoad(id, 0, 100, [&] { return MakeBlock(42); }, &hit);
+      cache.GetOrLoad(id, 0, kCol0, 100, [&] { return MakeBlock(42); }, &hit);
   ASSERT_TRUE(pin.ok());
   EXPECT_FALSE(hit);
   EXPECT_EQ(pin->table().Get(0, 0).int64(), 42);
@@ -408,7 +642,7 @@ TEST_F(StorageTest, ChargeRefusalFallsBackToEphemeralPin) {
   EXPECT_EQ(cache.stats().ephemeral_loads, 1);
   // Not resident: the next lookup is another miss.
   Result<BlockPin> again =
-      cache.GetOrLoad(id, 0, 100, [&] { return MakeBlock(42); }, &hit);
+      cache.GetOrLoad(id, 0, kCol0, 100, [&] { return MakeBlock(42); }, &hit);
   ASSERT_TRUE(again.ok());
   EXPECT_FALSE(hit);
 }
@@ -427,7 +661,7 @@ TEST_F(StorageTest, ExternalChargesBalanceOnDestruction) {
     const uint64_t id = BlockCache::NewFileId();
     for (int block = 0; block < 4; ++block) {
       Result<BlockPin> pin =
-          cache.GetOrLoad(id, block, 100, [&] { return MakeBlock(block); });
+          cache.GetOrLoad(id, block, kCol0, 100, [&] { return MakeBlock(block); });
       ASSERT_TRUE(pin.ok());
     }
     EXPECT_EQ(pool.load(), cache.resident_bytes());
@@ -445,7 +679,7 @@ TEST_F(StorageTest, SingleflightRunsOneLoaderAcrossThreads) {
   std::atomic<int> failures{0};
   for (int t = 0; t < 8; ++t) {
     threads.emplace_back([&] {
-      Result<BlockPin> pin = cache.GetOrLoad(id, 0, 100, [&] {
+      Result<BlockPin> pin = cache.GetOrLoad(id, 0, kCol0, 100, [&] {
         loads.fetch_add(1);
         std::this_thread::sleep_for(std::chrono::milliseconds(5));
         return MakeBlock(7);
@@ -467,11 +701,69 @@ TEST_F(StorageTest, FailedLoadWakesWaitersAndRetries) {
     if (attempts.fetch_add(1) == 0) return Status::Internal("injected");
     return MakeBlock(9);
   };
-  Result<BlockPin> first = cache.GetOrLoad(id, 0, 100, flaky);
+  Result<BlockPin> first = cache.GetOrLoad(id, 0, kCol0, 100, flaky);
   EXPECT_FALSE(first.ok());
-  Result<BlockPin> second = cache.GetOrLoad(id, 0, 100, flaky);
+  Result<BlockPin> second = cache.GetOrLoad(id, 0, kCol0, 100, flaky);
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(second->table().Get(0, 0).int64(), 9);
+}
+
+TEST_F(StorageTest, CacheEntriesAreKeyedAndChargedByColumnSet) {
+  const Table sales = testutil::RandomSales(17, 40);
+  TempFile file("cache_cols");
+  BlockFileOptions options;
+  options.block_size_rows = 16;
+  ASSERT_TRUE(WriteBlockFile(sales, file.path(), options).ok());
+  Result<std::unique_ptr<PagedTable>> paged = PagedTable::Open(file.path());
+  ASSERT_TRUE(paged.ok());
+  const PagedTable& p = **paged;
+
+  // A chunk's estimate is its cells' Value slots plus string bytes, and a
+  // block's is the sum over its chunks: the whole-block estimate of old.
+  for (int b = 0; b < p.num_blocks(); ++b) {
+    int64_t block = 0;
+    for (int c = 0; c < sales.num_columns(); ++c) {
+      int64_t chunk = 0;
+      for (int64_t r = 0; r < p.block_meta(b).num_rows; ++r) {
+        const Value& v = sales.Get(p.block_row_offset(b) + r, c);
+        chunk += static_cast<int64_t>(sizeof(Value)) +
+                 (v.is_string() ? static_cast<int64_t>(v.string().size()) : 0);
+      }
+      EXPECT_EQ(p.block_meta(b).chunks[static_cast<size_t>(c)].decoded_bytes_estimate, chunk);
+      EXPECT_EQ(p.ApproxBlockBytes(b, {c}), chunk);
+      block += chunk;
+    }
+    EXPECT_EQ(p.ApproxBlockBytes(b), block);
+  }
+
+  BlockCache::Options cache_options;
+  cache_options.capacity_bytes = 1 << 20;
+  BlockCache cache(cache_options);
+  const std::vector<int> prod = {1}, sale = {6}, both = {1, 6};
+  int64_t charged = 0;
+  auto fault = [&](const std::vector<int>& cols, bool expect_hit) {
+    bool hit = !expect_hit;
+    Result<BlockPin> pin = p.Fault(0, cols, &cache, &hit);
+    EXPECT_TRUE(pin.ok());
+    if (!pin.ok()) return;
+    EXPECT_EQ(hit, expect_hit);
+    if (!hit) charged += p.ApproxBlockBytes(0, cols);
+    ASSERT_EQ(pin->table().num_columns(), static_cast<int>(cols.size()));
+    for (size_t k = 0; k < cols.size(); ++k) {
+      EXPECT_EQ(pin->table().schema().field(static_cast<int>(k)).name,
+                sales.schema().field(cols[k]).name);
+    }
+    EXPECT_EQ(cache.resident_bytes(), charged);
+  };
+  fault(prod, false);
+  fault(sale, false);  // another column set of the same block is a miss,
+  fault(both, false);  // and so is a superset of cached sets
+  fault(prod, true);
+  fault(p.all_columns(), false);
+  fault(p.all_columns(), true);
+  fault(both, true);
+  EXPECT_EQ(cache.stats().misses, 4);
+  EXPECT_EQ(cache.stats().hits, 3);
 }
 
 // ---------------------------------------------------------------------------

@@ -196,6 +196,9 @@ def validate_storage_metrics(metrics, schema_path):
     check(reads > 0, "metrics: no storage blocks read — did a paged scan run?")
     # Every read is either a decoder run (fault) or a cache hit, never both.
     check(reads >= faults, "metrics: blocks faulted exceed blocks read")
+    # Every decode verifies and decodes at least one column chunk.
+    check(scalar("mdjoin_column_chunks_decoded_total") >= faults,
+          "metrics: fewer column chunks decoded than blocks faulted")
     for name in ("mdjoin_blocks_pruned_total", "mdjoin_block_cache_bytes",
                  "mdjoin_block_cache_hit_total", "mdjoin_block_cache_miss_total",
                  "mdjoin_block_cache_evictions_total", "mdjoin_spill_bytes_total",
