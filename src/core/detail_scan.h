@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "agg/agg_spec.h"
@@ -51,6 +52,10 @@ class DetailSource {
   /// scan runs (an uncached decoded block). Optional memory leaves this much
   /// headroom free per worker.
   virtual int64_t morsel_bytes() const { return 0; }
+
+  /// The columns Read() decodes from storage for each morsel, in schema
+  /// order; empty for a source that decodes nothing (R in memory).
+  virtual std::vector<std::string> decoded_columns() const { return {}; }
 
   /// Reads morsel `m` and calls `scan` on it. Storage counters (blocks read,
   /// faulted, cache hits) go into `stats`, which is the calling worker's own
