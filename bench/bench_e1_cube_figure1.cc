@@ -6,17 +6,27 @@
 /// 1 passes the map, the route a CUBE BY text takes, and 0 leaves it out, so
 /// the join walks its multi-granularity index (2^d ALL-mask buckets).
 /// Counters report the route, the index's buckets and per-tuple candidate
-/// work.
+/// work. BM_CubeBase times the generator alone, over Sales with and without
+/// its typed mirror and over paged blocks.
 
 #include <benchmark/benchmark.h>
 
+#include <unistd.h>
+
 #include <cstdio>
+#include <filesystem>
+#include <map>
+#include <memory>
 
 #include "bench/bench_util.h"
 #include "common/logging.h"
+#include "core/detail_scan.h"
 #include "core/mdjoin.h"
 #include "cube/base_tables.h"
 #include "ra/filter.h"
+#include "storage/block_format.h"
+#include "storage/out_of_core.h"
+#include "storage/paged_table.h"
 #include "table/table_ops.h"
 
 namespace mdjoin {
@@ -147,6 +157,77 @@ Table WithoutMirror(const Table& t) {
   }
   return out;
 }
+
+/// A block file of `t`, written on first use and removed at exit.
+class BlockCopy {
+ public:
+  explicit BlockCopy(const Table& t)
+      : path_(std::filesystem::temp_directory_path().string() + "/mdjoin_bench_e1_" +
+              std::to_string(static_cast<long>(::getpid())) + "_" +
+              std::to_string(t.num_rows()) + ".mdjb") {
+    MDJ_CHECK(WriteBlockFile(t, path_).ok());
+    Result<std::unique_ptr<PagedTable>> opened = PagedTable::Open(path_);
+    MDJ_CHECK(opened.ok()) << opened.status().ToString();
+    table_ = std::move(*opened);
+  }
+  BlockCopy(const BlockCopy&) = delete;
+  BlockCopy& operator=(const BlockCopy&) = delete;
+  ~BlockCopy() {
+    table_.reset();
+    std::error_code ec;
+    std::filesystem::remove(path_, ec);
+  }
+  const PagedTable& table() const { return *table_; }
+
+ private:
+  std::string path_;
+  std::unique_ptr<PagedTable> table_;
+};
+
+/// The cube's base-values generator alone: CubeByBase over (prod, month,
+/// state)[:d] with its group-id map, as a CUBE BY text runs it, reading
+/// Sales three ways (arg2): 0 the table with its typed mirror (payloads and
+/// dictionary codes), 1 the same cells without the mirror, 2 its default
+/// 4096-row blocks, decoded fresh each pass (no cache) and streamed through
+/// CuboidsFromFinest.
+void BM_CubeBase(benchmark::State& state) {
+  const int64_t rows = state.range(0);
+  const int ndims = static_cast<int>(state.range(1));
+  const int source = static_cast<int>(state.range(2));
+  const Table& sales = CachedSales(rows, 100, 50, 12);
+  static std::map<int64_t, Table>* plain = new std::map<int64_t, Table>();
+  static std::map<int64_t, std::unique_ptr<BlockCopy>> blocks;
+  if (source == 1 && !plain->contains(rows)) plain->emplace(rows, WithoutMirror(sales));
+  if (source == 2 && !blocks.contains(rows)) {
+    blocks.emplace(rows, std::make_unique<BlockCopy>(sales));
+  }
+  const std::vector<std::string> all_dims = {"prod", "month", "state"};
+  const std::vector<std::string> dims(all_dims.begin(), all_dims.begin() + ndims);
+  const std::vector<CuboidMask> masks = CubeMasks(*CubeLattice::Make(dims));
+  GroupIdMap groups;
+  MdJoinStats reads;
+  int64_t base_rows = 0;
+  for (auto _ : state) {
+    Result<Table> base =
+        source == 0   ? CubeByBase(sales, dims, &groups)
+        : source == 1 ? CubeByBase(plain->at(rows), dims, &groups)
+                      : CuboidsFromFinest(
+                            PagedSource(blocks.at(rows)->table(), nullptr, {},
+                                        {dims.begin(), dims.end()}),
+                            dims, masks, {}, nullptr, &reads, &groups);
+    MDJ_CHECK(base.ok()) << base.status().ToString();
+    base_rows = base->num_rows();
+    benchmark::DoNotOptimize(groups.row_group.data());
+  }
+  state.counters["source"] = source;
+  state.counters["base_rows"] = static_cast<double>(base_rows);
+  state.counters["finest_groups"] =
+      static_cast<double>(groups.base_rows.size()) / static_cast<double>(masks.size());
+  state.counters["detail_rows"] = static_cast<double>(rows);
+}
+BENCHMARK(BM_CubeBase)
+    ->ArgsProduct({{50000, 200000}, {1, 2, 3}, {0, 1, 2}})
+    ->Unit(benchmark::kMillisecond);
 
 /// The raw-speed ladder on the 2-D cube. Every arm runs its kernels at the
 /// machine's SIMD level; arg1 picks the arm:

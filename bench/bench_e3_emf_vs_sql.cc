@@ -61,13 +61,13 @@ void BM_RelationalPlan(benchmark::State& state) {
     Table avgs = *GroupBy(sales, {"prod", "month"}, {Avg(Col("sale"), "a")});
     // Self-join 1: attach previous month's average to each sale row.
     Table prev_key = *Project(
-        avgs, {{Col("prod"), "prod"}, {Add(Col("month"), Lit(1)), "month"},
-               {Col("a"), "prev_avg"}});
+        avgs.Clone(), {{Col("prod"), "prod"}, {Add(Col("month"), Lit(1)), "month"},
+                       {Col("a"), "prev_avg"}});
     Table with_prev = *HashJoin(sales, prev_key, {"prod", "month"}, {"prod", "month"});
     // Self-join 2: attach next month's average.
     Table next_key = *Project(
-        avgs, {{Col("prod"), "prod"}, {Sub(Col("month"), Lit(1)), "month"},
-               {Col("a"), "next_avg"}});
+        std::move(avgs), {{Col("prod"), "prod"}, {Sub(Col("month"), Lit(1)), "month"},
+                          {Col("a"), "next_avg"}});
     Table with_both =
         *HashJoin(with_prev, next_key, {"prod", "month"}, {"prod", "month"});
     // σ: between the two averages; then the final GROUP BY count.

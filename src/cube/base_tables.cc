@@ -1,15 +1,16 @@
 #include "cube/base_tables.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <map>
 #include <numeric>
 
-#include "common/hash_util.h"
 #include "common/simd.h"
 #include "core/detail_scan.h"
 #include "expr/kernels.h"
+#include "table/key_numbering.h"
 #include "table/table_ops.h"
 
 namespace mdjoin {
@@ -48,70 +49,6 @@ std::vector<int> GroupedColumns(const std::vector<int>& cols, CuboidMask mask) {
     if (mask & (CuboidMask{1} << i)) grouped.push_back(cols[i]);
   }
   return grouped;
-}
-
-/// The finest cuboid's groups of R, as one pass over R finds them: the dims
-/// cells of each distinct key in first-occurrence order (`keys[d][g]`) with
-/// their hashes, a probed row's cells hashed and compared in place
-/// (structural equality, as FirstOccurrenceRows dedups).
-struct FinestGroups {
-  explicit FinestGroups(size_t ndims) : keys(ndims), cell_hashes(ndims), row_hashes(ndims) {}
-
-  /// The group of row `row` of the chunk whose dims columns are `cols`.
-  int64_t FindOrAdd(const Value* const* cols, int64_t row) {
-    const size_t ndims = keys.size();
-    size_t hash = ndims;
-    for (size_t d = 0; d < ndims; ++d) {
-      row_hashes[d] = cols[d][row].Hash();
-      HashCombine(&hash, row_hashes[d]);
-    }
-    const int64_t g = ids.FindOrAdd(hash, [&](int64_t g) {
-      for (size_t d = 0; d < ndims; ++d) {
-        if (!cols[d][row].Equals(keys[d][static_cast<size_t>(g)])) return false;
-      }
-      return true;
-    });
-    if (g == size) {
-      for (size_t d = 0; d < ndims; ++d) {
-        keys[d].push_back(cols[d][row]);
-        cell_hashes[d].push_back(row_hashes[d]);
-      }
-      ++size;
-    }
-    return g;
-  }
-
-  std::vector<std::vector<Value>> keys;
-  std::vector<std::vector<size_t>> cell_hashes;
-  int64_t size = 0;
-
- private:
-  GroupNumbering ids;
-  std::vector<size_t> row_hashes;
-};
-
-/// Deduplicates the finest groups on the dims `pos`, in group order: the
-/// first finest group of each coarse group, in order, and each finest group's
-/// coarse group.
-void CoarseGroups(const FinestGroups& finest, const std::vector<size_t>& pos,
-                  std::vector<int64_t>* first, std::vector<int64_t>* coarse_of) {
-  const std::vector<std::vector<Value>>& keys = finest.keys;
-  GroupNumbering ids;
-  coarse_of->resize(static_cast<size_t>(finest.size));
-  for (int64_t g = 0; g < finest.size; ++g) {
-    const size_t gi = static_cast<size_t>(g);
-    size_t hash = pos.size();
-    for (size_t d : pos) HashCombine(&hash, finest.cell_hashes[d][gi]);
-    const int64_t c = ids.FindOrAdd(hash, [&](int64_t c) {
-      const size_t f = static_cast<size_t>((*first)[static_cast<size_t>(c)]);
-      for (size_t d : pos) {
-        if (!keys[d][gi].Equals(keys[d][f])) return false;
-      }
-      return true;
-    });
-    if (c == static_cast<int64_t>(first->size())) first->push_back(g);
-    (*coarse_of)[gi] = c;
-  }
 }
 
 }  // namespace
@@ -167,43 +104,40 @@ Result<Table> CuboidsFromFinest(const DetailSource& r, const std::vector<std::st
 
   // One pass over R: each kept row's finest group, and whether θ-equality
   // and group membership can disagree on some key cell.
-  FinestGroups finest(ndims);
+  KeyNumbering finest(ndims);
   std::vector<uint8_t> kinds(ndims, 0);  // per dim: 1 int64 seen, 2 float64 seen
-  std::vector<const Value*> chunk_cols(ndims);
-  auto add_row = [&](int64_t row, int64_t first_row) {
-    const int64_t g = finest.FindOrAdd(chunk_cols.data(), row);
-    if (groups == nullptr) return;
-    bool null_key = false;
-    for (size_t d = 0; d < ndims; ++d) {
-      const Value& v = chunk_cols[d][row];
-      null_key = null_key || v.is_null();
-      if (v.is_all()) groups->unusable = "a key column holds ALL";
-      if (v.is_float64() && std::isnan(v.float64())) {
-        groups->unusable = "a key column holds NaN";
-      }
-      kinds[d] |= v.is_int64() ? 1 : v.is_float64() ? 2 : 0;
-    }
-    // θ-equality matches a NULL key to nothing, not even ALL.
-    groups->row_group[static_cast<size_t>(first_row + row)] =
-        null_key ? -1 : static_cast<int32_t>(g);
-  };
+  std::vector<int64_t> block_groups(static_cast<size_t>(kMorselRows));
   for (int64_t m = 0; m < r.num_morsels(); ++m) {
     if (guard != nullptr) MDJ_RETURN_NOT_OK(guard->Check());
     MDJ_RETURN_NOT_OK(r.Read(m, guard, reads,
                              [&](const Table& chunk, int64_t lo, int64_t hi,
                                  int64_t first_row) -> Status {
-      for (size_t d = 0; d < ndims; ++d) chunk_cols[d] = chunk.column(cols[d]).data();
       for (int64_t start = lo; start < hi; start += kMorselRows) {
-        const int n = static_cast<int>(std::min<int64_t>(kMorselRows, hi - start));
-        if (kernels.empty()) {
-          for (int i = 0; i < n; ++i) add_row(start + i, first_row);
-          continue;
+        int n = static_cast<int>(std::min<int64_t>(kMorselRows, hi - start));
+        const uint32_t* lanes = nullptr;
+        if (!kernels.empty()) {
+          const BlockFilter kept =
+              kernels.FilterBlock(chunk, start, n, sel.data(), mask.data(), &kernel_stats);
+          n = kept.count;
+          if (!kept.dense) lanes = sel.data();
         }
-        const BlockFilter kept =
-            kernels.FilterBlock(chunk, start, n, sel.data(), mask.data(), &kernel_stats);
-        for (int i = 0; i < kept.count; ++i) {
-          const int lane = kept.dense ? i : static_cast<int>(sel[static_cast<size_t>(i)]);
-          add_row(start + lane, first_row);
+        finest.Number(chunk, cols, start, lanes, n, block_groups.data());
+        if (groups == nullptr) continue;
+        for (int i = 0; i < n; ++i) {
+          bool null_key = false;
+          for (size_t d = 0; d < ndims; ++d) {
+            const KeyWord& w = finest.words(d)[i];
+            null_key = null_key || w.cls == KeyWord::kNull;
+            if (w.cls == KeyWord::kAll) groups->unusable = "a key column holds ALL";
+            if (w.cls == KeyWord::kFloat64 && std::isnan(std::bit_cast<double>(w.bits))) {
+              groups->unusable = "a key column holds NaN";
+            }
+            kinds[d] |= w.cls == KeyWord::kInt64 ? 1 : w.cls == KeyWord::kFloat64 ? 2 : 0;
+          }
+          // θ-equality matches a NULL key to nothing, not even ALL.
+          const int64_t row = first_row + start + (lanes != nullptr ? int64_t{lanes[i]} : i);
+          groups->row_group[static_cast<size_t>(row)] =
+              null_key ? -1 : static_cast<int32_t>(block_groups[static_cast<size_t>(i)]);
         }
       }
       return Status::OK();
@@ -213,49 +147,53 @@ Result<Table> CuboidsFromFinest(const DetailSource& r, const std::vector<std::st
   // Each cuboid deduplicates the finest groups only, in their order. The
   // first row of R with a coarse key is also the first occurrence of its
   // finest key, so every cuboid keeps the rows, in the order, that its own
-  // scan of R would (Theorem 4.5 applied to the keys alone).
-  std::vector<std::vector<Value>> out_cols(all_cols.size());
+  // scan of R would (Theorem 4.5 applied to the keys alone) wherever
+  // Value::Equals is transitive.
   const size_t nmasks = masks.size();
   if (groups != nullptr) {
     groups->stride = static_cast<int64_t>(nmasks);
-    groups->base_rows.resize(static_cast<size_t>(finest.size) * nmasks);
+    groups->base_rows.resize(static_cast<size_t>(finest.size()) * nmasks);
   }
-  std::vector<int64_t> first, coarse_of;
+  std::vector<std::vector<int64_t>> firsts(nmasks);  // each cuboid's first groups
+  std::vector<int64_t> coarse_of;
   int64_t offset = 0;
   for (size_t i = 0; i < nmasks; ++i) {
     std::vector<size_t> pos;
     for (size_t d = 0; d < all_cols.size(); ++d) {
       if (masks[i] & (CuboidMask{1} << d)) pos.push_back(static_cast<size_t>(slot[d]));
     }
-    first.clear();
+    std::vector<int64_t>& first = firsts[i];
     if (pos.size() == ndims) {
-      first.resize(static_cast<size_t>(finest.size));
+      first.resize(static_cast<size_t>(finest.size()));
       std::iota(first.begin(), first.end(), 0);
       coarse_of = first;
     } else {
-      CoarseGroups(finest, pos, &first, &coarse_of);
-    }
-    for (size_t d = 0; d < all_cols.size(); ++d) {
-      const bool grouped = (masks[i] & (CuboidMask{1} << d)) != 0;
-      for (int64_t g : first) {
-        out_cols[d].push_back(
-            grouped ? finest.keys[static_cast<size_t>(slot[d])][static_cast<size_t>(g)]
-                    : Value::All());
-      }
+      finest.Coarsen(pos, &first, &coarse_of);
     }
     if (groups != nullptr) {
-      for (int64_t g = 0; g < finest.size; ++g) {
+      for (int64_t g = 0; g < finest.size(); ++g) {
         groups->base_rows[static_cast<size_t>(g) * nmasks + i] =
             offset + coarse_of[static_cast<size_t>(g)];
       }
     }
     offset += static_cast<int64_t>(first.size());
   }
+  std::vector<std::vector<Value>> out_cols(all_cols.size());
+  for (size_t d = 0; d < all_cols.size(); ++d) {
+    out_cols[d].reserve(static_cast<size_t>(offset));
+    for (size_t i = 0; i < nmasks; ++i) {
+      const bool grouped = (masks[i] & (CuboidMask{1} << d)) != 0;
+      for (int64_t g : firsts[i]) {
+        out_cols[d].push_back(grouped ? finest.Cell(static_cast<size_t>(slot[d]), g)
+                                      : Value::All());
+      }
+    }
+  }
   if (groups != nullptr) {
     for (size_t d = 0; d < ndims; ++d) {
       if (kinds[d] == 3) groups->unusable = "a key column holds both int64 and float64 cells";
     }
-    if (finest.size > std::numeric_limits<int32_t>::max()) {
+    if (finest.size() > std::numeric_limits<int32_t>::max()) {
       groups->unusable = "more finest groups than a group id can number";
     }
   }

@@ -63,10 +63,13 @@ std::vector<CuboidMask> CubeMasks(const CubeLattice& lattice);
 /// pass over R read morsel by morsel (a paged R streams block by block;
 /// storage counters go into `reads`, which may be null). `where` holds
 /// conjuncts over R's columns; they run as the MD-join's predicate kernels
-/// over each morsel, and a row they reject joins no group. The pass finds
+/// over each morsel, and a row they reject joins no group. The pass numbers
 /// the finest groups over the dims some mask groups (every dim, with
-/// `groups`), and each cuboid then deduplicates only those: the same rows,
-/// in the same order, as a dedup of each cuboid over all of σ_where(R).
+/// `groups`) on key words (table/key_numbering.h), read from a chunk's typed
+/// mirror where it has one, and each cuboid then deduplicates only those:
+/// the same rows, in the same order, as a dedup of each cuboid over all of
+/// σ_where(R) wherever Value::Equals is transitive (it is not for int64
+/// cells beyond ±2^53 beside float64 ones).
 /// With `groups`, also fills the GroupIdMap of the result over R (a
 /// rejected row's group is -1), marking it unusable when a kept row's key
 /// cell is NaN or ALL, or a key column holds both int64 and float64 cells.

@@ -325,7 +325,7 @@ Result<Table> ExecNode(const PlanPtr& plan, const Catalog& catalog,
     }
     case PlanKind::kProject: {
       MDJ_ASSIGN_OR_RETURN(Table child, Exec(plan->child(0), catalog, md_options, stats, cse, profile));
-      MDJ_ASSIGN_OR_RETURN(Table out, Project(child, plan->projections));
+      MDJ_ASSIGN_OR_RETURN(Table out, Project(std::move(child), plan->projections));
       stats->rows_materialized += out.num_rows();
       return out;
     }

@@ -17,8 +17,10 @@ struct ProjectItem {
 };
 
 /// π over computed expressions (extended projection). No deduplication; use
-/// Distinct for set semantics.
-Result<Table> Project(const Table& t, const std::vector<ProjectItem>& items);
+/// Distinct for set semantics. An item that names a column of `t` bare takes
+/// that column whole (moved, or copied when another item names it too); the
+/// others evaluate per row.
+Result<Table> Project(Table t, const std::vector<ProjectItem>& items);
 
 /// Plain column-list projection.
 Result<Table> ProjectColumns(const Table& t, const std::vector<std::string>& columns);

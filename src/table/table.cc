@@ -1,5 +1,7 @@
 #include "table/table.h"
 
+#include <algorithm>
+
 #include "table/printer.h"
 #include "table/table_accel.h"
 
@@ -7,6 +9,23 @@ namespace mdjoin {
 
 Table::Table(Schema schema) : schema_(std::move(schema)) {
   columns_.resize(schema_.num_fields());
+}
+
+Table::Table(Schema schema, std::vector<std::vector<Value>> columns, int64_t num_rows)
+    : schema_(std::move(schema)), columns_(std::move(columns)), num_rows_(num_rows) {
+  MDJ_DCHECK(static_cast<int>(columns_.size()) == schema_.num_fields());
+  MDJ_DCHECK(std::all_of(columns_.begin(), columns_.end(), [&](const std::vector<Value>& c) {
+    return static_cast<int64_t>(c.size()) == num_rows_;
+  }));
+}
+
+std::vector<std::vector<Value>> Table::ReleaseColumns() && {
+  std::vector<std::vector<Value>> out = std::move(columns_);
+  schema_ = Schema();
+  columns_.clear();
+  num_rows_ = 0;
+  accel_.reset();
+  return out;
 }
 
 Table Table::Clone() const {

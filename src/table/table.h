@@ -23,6 +23,10 @@ class Table {
   Table() = default;
   explicit Table(Schema schema);
 
+  /// A table of `num_rows` rows whose columns are `columns`, one per field
+  /// of `schema`, each `num_rows` cells long.
+  Table(Schema schema, std::vector<std::vector<Value>> columns, int64_t num_rows);
+
   Table(Table&&) = default;
   Table& operator=(Table&&) = default;
   Table(const Table&) = delete;
@@ -47,6 +51,9 @@ class Table {
   }
 
   const std::vector<Value>& column(int col) const { return columns_[col]; }
+
+  /// Moves the columns out, leaving a table with no columns or rows.
+  std::vector<std::vector<Value>> ReleaseColumns() &&;
 
   /// Appends a row without type checking (internal fast path; use
   /// TableBuilder for checked construction). `values` must have one entry per

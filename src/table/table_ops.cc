@@ -5,8 +5,9 @@
 #include <numeric>
 #include <unordered_map>
 
-#include "common/hash_util.h"
 #include "common/logging.h"
+#include "table/key_numbering.h"
+#include "table/table_accel.h"
 
 namespace mdjoin {
 
@@ -24,7 +25,9 @@ std::vector<int64_t> SortedRowIndices(const Table& t, const std::vector<SortKey>
 }
 
 Table SortTable(const Table& t, const std::vector<SortKey>& keys) {
-  return TakeRows(t, SortedRowIndices(t, keys));
+  Table out = TakeRows(t, SortedRowIndices(t, keys));
+  if (t.accel() != nullptr) out.RebuildAccel();
+  return out;
 }
 
 Result<Table> SortTableBy(const Table& t, const std::vector<std::string>& columns) {
@@ -36,24 +39,18 @@ Result<Table> SortTableBy(const Table& t, const std::vector<std::string>& column
 }
 
 std::vector<int64_t> FirstOccurrenceRows(const Table& t, const std::vector<int>& cols) {
-  std::vector<const Value*> columns;
-  columns.reserve(cols.size());
-  for (int c : cols) columns.push_back(t.column(c).data());
-  // Group g's key is the projection of row out[g], hashed (as RowKeyHash
-  // would) and compared in place.
-  GroupNumbering groups;
+  KeyNumbering keys(cols.size());
+  keys.Reserve(t.num_rows());
+  std::vector<int64_t> groups(static_cast<size_t>(kMorselRows));
   std::vector<int64_t> out;
-  for (int64_t r = 0; r < t.num_rows(); ++r) {
-    size_t hash = columns.size();
-    for (const Value* col : columns) HashCombine(&hash, col[r].Hash());
-    const int64_t g = groups.FindOrAdd(hash, [&](int64_t g) {
-      const int64_t first = out[static_cast<size_t>(g)];
-      for (const Value* col : columns) {
-        if (!col[r].Equals(col[first])) return false;
+  for (int64_t start = 0; start < t.num_rows(); start += kMorselRows) {
+    const int n = static_cast<int>(std::min(kMorselRows, t.num_rows() - start));
+    keys.Number(t, cols, start, nullptr, n, groups.data());
+    for (int i = 0; i < n; ++i) {
+      if (groups[static_cast<size_t>(i)] == static_cast<int64_t>(out.size())) {
+        out.push_back(start + i);
       }
-      return true;
-    });
-    if (g == static_cast<int64_t>(out.size())) out.push_back(r);
+    }
   }
   return out;
 }

@@ -19,7 +19,9 @@ struct SortKey {
   bool ascending = true;
 };
 
-/// Returns a copy of `t` sorted by `keys` (stable).
+/// Returns a copy of `t` sorted by `keys` (stable). When `t` carries a typed
+/// mirror (table/table_accel.h) the copy gets its own, so a sorted catalog
+/// table prunes morsels on its sort columns.
 Table SortTable(const Table& t, const std::vector<SortKey>& keys);
 
 /// Sorts by named columns, all ascending.
@@ -29,9 +31,10 @@ Result<Table> SortTableBy(const Table& t, const std::vector<std::string>& column
 std::vector<int64_t> SortedRowIndices(const Table& t, const std::vector<SortKey>& keys);
 
 /// Indices of the rows of `t` that first show each distinct projection on
-/// `cols`, in scan order: the rows a RowKey-set dedup keeps (structural
-/// equality, so ALL equals ALL and NaN equals nothing). Cells are hashed and
-/// compared in place; no key is materialized per row.
+/// `cols`, in scan order: each row joins the earliest kept row whose
+/// projection Value::Equals its own (structural equality, so ALL equals ALL
+/// and NaN equals nothing). Rows are numbered on key words
+/// (table/key_numbering.h); no key is materialized per row.
 std::vector<int64_t> FirstOccurrenceRows(const Table& t, const std::vector<int>& cols);
 
 /// Distinct rows over all columns (first occurrence kept, original order).

@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <filesystem>
+#include <functional>
 #include <limits>
-#include <unordered_set>
+#include <memory>
 
 #include "common/random.h"
+#include "core/detail_scan.h"
 #include "core/mdjoin.h"
 #include "core/reference.h"
 #include "cube/base_tables.h"
@@ -14,7 +18,11 @@
 #include "expr/conjuncts.h"
 #include "ra/group_by.h"
 #include "ra/project.h"
+#include "storage/block_format.h"
+#include "storage/out_of_core.h"
+#include "storage/paged_table.h"
 #include "table/key.h"
+#include "table/table_accel.h"
 #include "table/table_ops.h"
 #include "tests/test_util.h"
 #include "workload/generators.h"
@@ -152,22 +160,41 @@ TEST(BaseTablesTest, RowCuboidAndPartition) {
   EXPECT_EQ(total, base->num_rows());
 }
 
+/// Which cells RandomDimTable draws besides NULL and its domains' values.
+enum class DimCells {
+  kMixed,   // ALL, and int64 cells in the float64 columns
+  kAllNaN,  // ALL; one storage type per column
+  kFlat,    // nothing more: the typed mirror flattens every key column
+};
+
 /// A small random relation over dims a (int64), b (float64), c (string) and
 /// d (float64), plus a payload column. Tiny domains make duplicate keys the
-/// rule; cells also take NULL, ALL, NaN, both zeros, and int64 values in the
-/// float64 columns (equal to their float64 twins under Value::Equals).
-Table RandomDimTable(uint64_t seed, int64_t rows) {
+/// rule; cells also take NULL, NaN and both zeros, and with kMixed int64
+/// values in the float64 columns (equal to their float64 twins under
+/// Value::Equals), among them, in d, int64 cells beyond ±2^53 beside the
+/// float64 cells they round to, where Equals is not transitive (2^53 + 1 and
+/// 2^53 both equal 2.0^53, not each other).
+Table RandomDimTable(uint64_t seed, int64_t rows, DimCells cells = DimCells::kMixed) {
   Random rng(seed);
   const double nan = std::numeric_limits<double>::quiet_NaN();
-  const std::vector<Value> floats = {testutil::F(0.0), testutil::F(-0.0), testutil::F(1.5),
-                                     testutil::F(nan), testutil::F(2.0), I(2)};
+  const int64_t big = int64_t{1} << 53;
+  std::vector<Value> floats = {testutil::F(0.0), testutil::F(-0.0), testutil::F(1.5),
+                               testutil::F(nan), testutil::F(2.0)};
+  std::vector<Value> wide = floats;
+  wide.push_back(testutil::F(static_cast<double>(big)));
+  wide.push_back(testutil::F(-static_cast<double>(big)));
+  if (cells == DimCells::kMixed) {
+    floats.push_back(I(2));
+    wide.insert(wide.end(), {I(2), I(big), I(big + 1), I(-big), I(-big - 1)});
+  }
   const std::vector<Value> strings = {testutil::S("x"), testutil::S("y"), testutil::S("")};
-  auto cell = [&rng](const std::vector<Value>& domain) {
+  auto cell = [&rng, cells](const std::vector<Value>& domain) {
     switch (rng.Uniform(8)) {
       case 0:
         return Value::Null();
       case 1:
-        return Value::All();
+        if (cells != DimCells::kFlat) return Value::All();
+        [[fallthrough]];
       default:
         return domain[rng.Uniform(domain.size())];
     }
@@ -178,37 +205,88 @@ Table RandomDimTable(uint64_t seed, int64_t rows) {
                   {"d", DataType::kFloat64},
                   {"v", DataType::kInt64}});
   for (int64_t r = 0; r < rows; ++r) {
-    b.AppendRowOrDie({cell({I(1), I(2), I(3)}), cell(floats), cell(strings), cell(floats),
+    b.AppendRowOrDie({cell({I(1), I(2), I(3)}), cell(floats), cell(strings), cell(wide),
                       I(r)});
   }
   return std::move(b).Finish();
 }
 
-/// The generators' reference semantics: per cuboid, one scan of all of `t`
-/// keeping the first row of each distinct RowKey over the grouped dims, ALL
-/// in the rolled-up positions, cuboids in `masks` order.
-Table OracleCuboids(const Table& t, const std::vector<std::string>& dims,
-                    const std::vector<CuboidMask>& masks) {
+/// Numbers `keys` by a quadratic first-match scan: each key joins the
+/// earliest kept key it Equals cell by cell. Returns each key's group and
+/// appends each group's first key to `kept`. Exact even where Equals is not
+/// transitive; a RowKey-set dedup is not.
+std::vector<int64_t> FirstMatch(const std::vector<RowKey>& keys, std::vector<size_t>* kept) {
+  std::vector<int64_t> group(keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    size_t g = 0;
+    while (g < kept->size() && !RowKeyEqual{}(keys[i], keys[(*kept)[g]])) ++g;
+    if (g == kept->size()) kept->push_back(i);
+    group[i] = static_cast<int64_t>(g);
+  }
+  return group;
+}
+
+/// A generator's B and group-id map by the first-match oracle: R's rows
+/// number the finest groups over the dims `numbered` holds, and each cuboid
+/// of `masks`, in order, numbers those groups' keys over its own dims, with
+/// ALL in the rolled-up positions. A row with a NULL key cell has group -1.
+/// The map is unusable for the last ALL or NaN key cell in row order, or
+/// for a key column with both int64 and float64 cells, which overrides it.
+struct OracleBase {
+  Table base;
+  std::vector<int32_t> row_group;
+  std::vector<int64_t> base_rows;
+  std::string unusable = "-";
+};
+
+OracleBase OracleCuboids(const Table& t, const std::vector<std::string>& dims,
+                         const std::vector<CuboidMask>& masks, CuboidMask numbered) {
+  std::vector<int> cols;
   std::vector<Field> fields;
-  for (const std::string& d : dims) fields.push_back(t.schema().field(*t.schema().FindField(d)));
-  Table out{Schema(std::move(fields))};
-  for (CuboidMask mask : masks) {
-    std::vector<int> cols;
-    std::vector<size_t> positions;
+  for (const std::string& d : dims) {
+    cols.push_back(*t.schema().FindField(d));
+    fields.push_back(t.schema().field(cols.back()));
+  }
+  auto project = [&](const RowKey& key, CuboidMask mask) {
+    RowKey out(dims.size(), Value::All());
     for (size_t i = 0; i < dims.size(); ++i) {
-      if (mask & (CuboidMask{1} << i)) {
-        cols.push_back(*t.schema().FindField(dims[i]));
-        positions.push_back(i);
-      }
+      if (mask & (CuboidMask{1} << i)) out[i] = key[i];
     }
-    std::unordered_set<RowKey, RowKeyHash, RowKeyEqual> seen;
-    for (int64_t r = 0; r < t.num_rows(); ++r) {
-      RowKey key = t.GetRowKey(r, cols);
-      if (!seen.insert(key).second) continue;
-      std::vector<Value> row(dims.size(), Value::All());
-      for (size_t i = 0; i < positions.size(); ++i) row[positions[i]] = key[i];
-      out.AppendRowUnchecked(std::move(row));
+    return out;
+  };
+  std::vector<RowKey> rows;
+  for (int64_t r = 0; r < t.num_rows(); ++r) rows.push_back(project(t.GetRowKey(r, cols), numbered));
+  std::vector<size_t> finest_first;
+  const std::vector<int64_t> finest = FirstMatch(rows, &finest_first);
+  OracleBase out{Table(Schema(std::move(fields))), {}, {}};
+  std::vector<int> kinds(dims.size(), 0);
+  for (size_t r = 0; r < rows.size(); ++r) {
+    bool null_key = false;
+    for (size_t i = 0; i < dims.size(); ++i) {
+      const Value& v = rows[r][i];
+      null_key = null_key || v.is_null();
+      if ((numbered & (CuboidMask{1} << i)) == 0) continue;
+      if (v.is_all()) out.unusable = "a key column holds ALL";
+      if (v.is_float64() && std::isnan(v.float64())) out.unusable = "a key column holds NaN";
+      kinds[i] |= v.is_int64() ? 1 : v.is_float64() ? 2 : 0;
     }
+    out.row_group.push_back(null_key ? -1 : static_cast<int32_t>(finest[r]));
+  }
+  for (int k : kinds) {
+    if (k == 3) out.unusable = "a key column holds both int64 and float64 cells";
+  }
+  out.base_rows.resize(finest_first.size() * masks.size());
+  int64_t offset = 0;
+  for (size_t i = 0; i < masks.size(); ++i) {
+    std::vector<RowKey> keys;
+    for (size_t f : finest_first) keys.push_back(project(rows[f], masks[i]));
+    std::vector<size_t> first;
+    const std::vector<int64_t> coarse = FirstMatch(keys, &first);
+    for (size_t c : first) out.base.AppendRowUnchecked(keys[c]);
+    for (size_t g = 0; g < coarse.size(); ++g) {
+      out.base_rows[g * masks.size() + i] = offset + coarse[g];
+    }
+    offset += static_cast<int64_t>(first.size());
   }
   return out;
 }
@@ -221,76 +299,169 @@ CuboidMask MaskOf(const std::vector<std::string>& dims, const std::vector<std::s
   return mask;
 }
 
-/// Every base generator keeps exactly the rows, and the row order, of a
-/// per-cuboid RowKey-set dedup over R.
+/// One multi-cuboid generator's run over one source: its cuboids, B and map.
+struct Generated {
+  std::string name;
+  std::vector<CuboidMask> masks;
+  Table base;
+  GroupIdMap map;
+};
+
+void ExpectSameMap(const GroupIdMap& want, const GroupIdMap& got) {
+  EXPECT_EQ(want.row_group, got.row_group);
+  EXPECT_EQ(want.base_rows, got.base_rows);
+  EXPECT_EQ(want.stride, got.stride);
+  EXPECT_EQ(std::string(want.unusable != nullptr ? want.unusable : "-"),
+            std::string(got.unusable != nullptr ? got.unusable : "-"));
+}
+
+/// Runs every generator over `t`, each multi-cuboid one with and without a
+/// map, CuboidBase over every cuboid, Distinct and DistinctOn, and checks
+/// each against the first-match oracle row for row; returns the
+/// multi-cuboid generators' runs with their maps.
+std::vector<Generated> CheckGenerators(const Table& t, const std::vector<std::string>& dims,
+                                       const std::vector<std::vector<std::string>>& sets) {
+  const CubeLattice lattice = *CubeLattice::Make(dims);
+  const int d = lattice.num_dims();
+  std::vector<CuboidMask> rollup_masks, set_masks, unpivot_masks;
+  for (int k = d; k >= 0; --k) rollup_masks.push_back((CuboidMask{1} << k) - 1);
+  for (const std::vector<std::string>& set : sets) set_masks.push_back(MaskOf(dims, set));
+  for (int i = 0; i < d; ++i) unpivot_masks.push_back(CuboidMask{1} << i);
+  struct Generator {
+    const char* name;
+    std::function<Result<Table>(GroupIdMap*)> run;
+    std::vector<CuboidMask> masks;
+  };
+  const std::vector<Generator> generators = {
+      {"cube", [&](GroupIdMap* g) { return CubeByBase(t, dims, g); }, CubeMasks(lattice)},
+      {"rollup", [&](GroupIdMap* g) { return RollupBase(t, dims, g); }, rollup_masks},
+      {"grouping sets", [&](GroupIdMap* g) { return GroupingSetsBase(t, dims, sets, g); },
+       set_masks},
+      {"unpivot", [&](GroupIdMap* g) { return UnpivotBase(t, dims, g); }, unpivot_masks},
+  };
+  std::vector<Generated> out;
+  for (const Generator& gen : generators) {
+    SCOPED_TRACE(gen.name);
+    CuboidMask numbered = 0;
+    for (CuboidMask m : gen.masks) numbered |= m;
+    Result<Table> plain = gen.run(nullptr);
+    EXPECT_TRUE(plain.ok());
+    if (!plain.ok()) continue;
+    EXPECT_TRUE(testutil::TablesBitIdentical(OracleCuboids(t, dims, gen.masks, numbered).base,
+                                             *plain));
+    Generated run{gen.name, gen.masks, Table(), GroupIdMap()};
+    Result<Table> mapped = gen.run(&run.map);
+    EXPECT_TRUE(mapped.ok());
+    if (!mapped.ok()) continue;
+    run.base = std::move(*mapped);
+    const OracleBase want = OracleCuboids(t, dims, gen.masks, lattice.full_cuboid());
+    EXPECT_TRUE(testutil::TablesBitIdentical(want.base, run.base));
+    EXPECT_EQ(want.row_group, run.map.row_group);
+    EXPECT_EQ(want.base_rows, run.map.base_rows);
+    EXPECT_EQ(want.unusable, run.map.unusable != nullptr ? run.map.unusable : "-");
+    out.push_back(std::move(run));
+  }
+  for (CuboidMask mask : CubeMasks(lattice)) {
+    Result<Table> cuboid = CuboidBase(t, lattice, mask);
+    EXPECT_TRUE(cuboid.ok());
+    if (!cuboid.ok()) continue;
+    EXPECT_TRUE(testutil::TablesBitIdentical(OracleCuboids(t, dims, {mask}, mask).base, *cuboid))
+        << "mask=" << mask;
+  }
+  // Distinct over every column, and DistinctOn over the dims in their order.
+  std::vector<RowKey> rows;
+  for (int64_t r = 0; r < t.num_rows(); ++r) rows.push_back(t.GetRow(r));
+  std::vector<size_t> kept;
+  FirstMatch(rows, &kept);
+  Table want_distinct(t.schema());
+  for (size_t r : kept) want_distinct.AppendRowFrom(t, static_cast<int64_t>(r));
+  EXPECT_TRUE(testutil::TablesBitIdentical(want_distinct, Distinct(t)));
+  Result<Table> on = DistinctOn(t, dims);
+  EXPECT_TRUE(on.ok());
+  if (on.ok()) {
+    EXPECT_TRUE(testutil::TablesBitIdentical(
+        OracleCuboids(t, dims, {lattice.full_cuboid()}, lattice.full_cuboid()).base, *on));
+  }
+  return out;
+}
+
+/// Every base generator, Distinct and DistinctOn keep exactly the rows, in
+/// the order, and every map the group ids and the unusable reason, of the
+/// first-match oracle: over relations with ALL and NaN key cells, with and
+/// without mixed int64/float64 key columns (Value cells), and over one
+/// whose key columns flatten, read (a) through its typed mirror, (b)
+/// without it and (c) streamed from tiny paged blocks with no cache, where
+/// (a)–(c) also give equal maps.
 TEST(BaseTablesTest, GeneratorsMatchPerCuboidDedupRowForRow) {
   const std::vector<std::string> names = {"a", "b", "c", "d"};
   for (uint64_t seed = 1; seed <= 40; ++seed) {
     SCOPED_TRACE(::testing::Message() << "seed=" << seed);
     Random rng(seed * 7919);
-    Table t = RandomDimTable(seed, static_cast<int64_t>(rng.UniformInt(0, 80)));
+    const int64_t rows = static_cast<int64_t>(rng.UniformInt(0, 80));
+    const Table t = RandomDimTable(seed, rows);
     // 1 to 4 dims, in a random order.
     std::vector<std::string> dims = names;
     for (size_t i = dims.size(); i > 1; --i) std::swap(dims[i - 1], dims[rng.Uniform(i)]);
     dims.resize(static_cast<size_t>(rng.UniformInt(1, 4)));
-    const int d = static_cast<int>(dims.size());
-    Result<CubeLattice> lattice = CubeLattice::Make(dims);
-    ASSERT_TRUE(lattice.ok());
-
-    std::vector<CuboidMask> cube_masks;
-    for (int level = d; level >= 0; --level) {
-      for (CuboidMask m : lattice->CuboidsAtLevel(level)) cube_masks.push_back(m);
-    }
-    Result<Table> cube = CubeByBase(t, dims);
-    ASSERT_TRUE(cube.ok());
-    EXPECT_TRUE(testutil::TablesBitIdentical(OracleCuboids(t, dims, cube_masks), *cube));
-
-    std::vector<CuboidMask> rollup_masks;
-    for (int k = d; k >= 0; --k) rollup_masks.push_back((CuboidMask{1} << k) - 1);
-    Result<Table> rollup = RollupBase(t, dims);
-    ASSERT_TRUE(rollup.ok());
-    EXPECT_TRUE(testutil::TablesBitIdentical(OracleCuboids(t, dims, rollup_masks), *rollup));
-
     // Random grouping sets: any subsets, repeats and the empty set included.
     std::vector<std::vector<std::string>> sets;
-    std::vector<CuboidMask> set_masks;
     for (int s = static_cast<int>(rng.UniformInt(1, 4)); s > 0; --s) {
       std::vector<std::string> set;
       for (const std::string& dim : dims) {
         if (rng.Bernoulli(0.5)) set.push_back(dim);
       }
       std::reverse(set.begin(), set.end());  // set order must not matter
-      set_masks.push_back(MaskOf(dims, set));
       sets.push_back(std::move(set));
     }
-    Result<Table> grouping = GroupingSetsBase(t, dims, sets);
-    ASSERT_TRUE(grouping.ok());
-    EXPECT_TRUE(testutil::TablesBitIdentical(OracleCuboids(t, dims, set_masks), *grouping));
-
-    std::vector<CuboidMask> unpivot_masks;
-    for (int i = 0; i < d; ++i) unpivot_masks.push_back(CuboidMask{1} << i);
-    Result<Table> unpivot = UnpivotBase(t, dims);
-    ASSERT_TRUE(unpivot.ok());
-    EXPECT_TRUE(testutil::TablesBitIdentical(OracleCuboids(t, dims, unpivot_masks), *unpivot));
-
-    for (CuboidMask mask : cube_masks) {
-      Result<Table> cuboid = CuboidBase(t, *lattice, mask);
-      ASSERT_TRUE(cuboid.ok());
-      EXPECT_TRUE(testutil::TablesBitIdentical(OracleCuboids(t, dims, {mask}), *cuboid))
-          << "mask=" << mask;
+    {
+      SCOPED_TRACE("mixed");
+      CheckGenerators(t, dims, sets);
+    }
+    {
+      SCOPED_TRACE("ALL and NaN");
+      CheckGenerators(RandomDimTable(seed, rows, DimCells::kAllNaN), dims, sets);
     }
 
-    // Distinct over every column, and DistinctOn over the dims in their order.
-    Table want_distinct(t.schema());
-    std::unordered_set<RowKey, RowKeyHash, RowKeyEqual> seen;
-    for (int64_t r = 0; r < t.num_rows(); ++r) {
-      if (seen.insert(t.GetRow(r)).second) want_distinct.AppendRowFrom(t, r);
+    const Table flat = RandomDimTable(seed, rows + 8, DimCells::kFlat);
+    ASSERT_NE(flat.accel(), nullptr);
+    for (const std::string& dim : dims) {
+      EXPECT_TRUE(flat.accel()->cols[static_cast<size_t>(*flat.schema().FindField(dim))].flat())
+          << dim;
     }
-    EXPECT_TRUE(testutil::TablesBitIdentical(want_distinct, Distinct(t)));
-    Result<Table> on = DistinctOn(t, dims);
-    ASSERT_TRUE(on.ok());
-    EXPECT_TRUE(testutil::TablesBitIdentical(
-        OracleCuboids(t, dims, {lattice->full_cuboid()}), *on));
+    std::vector<Generated> mirror, cells;
+    {
+      SCOPED_TRACE("(a) mirror");
+      mirror = CheckGenerators(flat, dims, sets);
+    }
+    {
+      SCOPED_TRACE("(b) without mirror");
+      cells = CheckGenerators(testutil::WithoutMirror(flat), dims, sets);
+    }
+    ASSERT_EQ(mirror.size(), cells.size());
+    const std::string path =
+        (std::filesystem::temp_directory_path() /
+         ("mdjoin_cube_test_" + std::to_string(seed) + ".mdjb"))
+            .string();
+    BlockFileOptions options;
+    options.block_size_rows = 5;
+    ASSERT_TRUE(WriteBlockFile(flat, path, options).ok());
+    Result<std::unique_ptr<PagedTable>> paged = PagedTable::Open(path);
+    ASSERT_TRUE(paged.ok());
+    for (size_t i = 0; i < mirror.size(); ++i) {
+      SCOPED_TRACE(mirror[i].name);
+      EXPECT_TRUE(testutil::TablesBitIdentical(mirror[i].base, cells[i].base));
+      ExpectSameMap(mirror[i].map, cells[i].map);
+      SCOPED_TRACE("(c) paged");
+      const PagedSource source(**paged, /*cache=*/nullptr, {}, {dims.begin(), dims.end()});
+      GroupIdMap streamed;
+      Result<Table> base =
+          CuboidsFromFinest(source, dims, mirror[i].masks, {}, nullptr, nullptr, &streamed);
+      ASSERT_TRUE(base.ok());
+      EXPECT_TRUE(testutil::TablesBitIdentical(mirror[i].base, *base));
+      ExpectSameMap(mirror[i].map, streamed);
+    }
+    paged->reset();
+    std::filesystem::remove(path);
   }
 }
 

@@ -116,7 +116,7 @@ Result<Table> Reference(const PlanPtr& plan, const Table& r) {
     case PlanKind::kFilter:
       return Filter(in[0], plan->predicate);
     case PlanKind::kProject:
-      return Project(in[0], plan->projections);
+      return Project(std::move(in[0]), plan->projections);
     case PlanKind::kDistinct:
       return Distinct(in[0]);
     case PlanKind::kUnion:
@@ -805,7 +805,7 @@ TEST(GroupIdsTest, GroupBindsAsTheFinestCuboid) {
       ASSERT_EQ(base->kind(), PlanKind::kCuboidBase);
       EXPECT_EQ(base->cube_dims, attrs);
       EXPECT_EQ(base->cuboid_mask, (CuboidMask{1} << attrs.size()) - 1);
-      const Table want = Distinct(*Project(r, items));
+      const Table want = Distinct(*Project(r.Clone(), items));
       for (const char* storage : {"memory", "paged"}) {
         Catalog catalog;
         if (storage[0] == 'm') {
@@ -848,7 +848,7 @@ TEST(GroupIdsTest, GroupBindsAsTheFinestCuboid) {
     }
     const std::string text =
         "select " + list + ", count(*) as n from W analyze by group(" + list + ")";
-    const Table want_base = Distinct(*Project(wide, items));
+    const Table want_base = Distinct(*Project(wide.Clone(), items));
     for (const char* storage : {"memory", "paged"}) {
       SCOPED_TRACE(storage);
       Catalog catalog;

@@ -695,8 +695,7 @@ TEST_F(ObsTest, InMemoryMorselPruningShowsOnTheReadingNodes) {
   config.num_customers = 50;
   config.num_products = 20;
   const Table uniform = GenerateSales(config);
-  Table by_year = *SortTableBy(uniform, {"year"});
-  by_year.RebuildAccel();
+  const Table by_year = *SortTableBy(uniform, {"year"});
   const int year_col = *by_year.schema().GetFieldIndex("year");
   int64_t without_1997 = 0;
   for (int64_t lo = 0; lo < by_year.num_rows(); lo += kMorselRows) {

@@ -286,8 +286,7 @@ TEST(PaperExample41Test, PeriodTextPrunesAYearSortedSales) {
   // morsels either θ could match. Results equal the unsorted table's and
   // Definition 3.1's.
   const Table unsorted = testutil::RandomSales(41, 24 * kMorselRows);
-  Table by_year = *SortTableBy(unsorted, {"year"});
-  by_year.RebuildAccel();
+  const Table by_year = *SortTableBy(unsorted, {"year"});
   const char* text =
       "select prod, sum(X.sale) as total_94_96, sum(Y.sale) as total_99 from Sales "
       "analyze by group(prod) such that "

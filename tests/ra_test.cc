@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
+#include "expr/compile.h"
+
 #include "ra/filter.h"
 #include "ra/group_by.h"
 #include "ra/join.h"
@@ -38,8 +42,8 @@ TEST(FilterTest, UnknownColumnFails) {
 
 TEST(ProjectTest, ComputedColumns) {
   Table sales = testutil::SmallSales();
-  Result<Table> p = Project(sales, {{Col("cust"), "cust"},
-                                    {Mul(Col("sale"), Lit(2)), "double_sale"}});
+  Result<Table> p = Project(sales.Clone(), {{Col("cust"), "cust"},
+                                            {Mul(Col("sale"), Lit(2)), "double_sale"}});
   ASSERT_TRUE(p.ok());
   EXPECT_EQ(p->num_columns(), 2);
   EXPECT_EQ(p->schema().field(1).name, "double_sale");
@@ -53,6 +57,55 @@ TEST(ProjectTest, ColumnsOnly) {
   EXPECT_EQ(p->num_columns(), 2);
   EXPECT_EQ(p->num_rows(), sales.num_rows());
   EXPECT_EQ(p->Get(0, 0).string(), "NY");
+}
+
+/// A projection moves each column an item names bare and evaluates the other
+/// items per row: renamed, reordered, repeated and computed items (one of
+/// them over a column another item moves) give, bit for bit and with the
+/// same schema, what evaluating every item per cell gives.
+TEST(ProjectTest, BareColumnsMatchPerCellEvaluation) {
+  Table sales = testutil::RandomSales(3, 3000);
+  sales.Set(0, 6, Value::Null());
+  sales.Set(1, 6, Value::All());
+  sales.Set(2, 6, testutil::F(std::numeric_limits<double>::quiet_NaN()));
+  sales.Set(3, 6, testutil::F(-0.0));
+  sales.Set(4, 5, Value::Null());
+  const std::vector<ProjectItem> items = {
+      {Col("sale"), "amount"},
+      {Col("state"), "state"},
+      {Col("cust"), "cust"},
+      {Col("state"), "state_again"},
+      {Mul(Col("sale"), Lit(2)), "double_sale"},
+      {Col("sale"), "sale"},
+      {Add(Col("cust"), Col("prod")), "cust_plus_prod"},
+  };
+  std::vector<CompiledExpr> exprs;
+  std::vector<Field> fields;
+  for (const ProjectItem& item : items) {
+    Result<CompiledExpr> c = CompileExpr(item.expr, sales.schema());
+    ASSERT_TRUE(c.ok());
+    fields.push_back({item.name, c->result_type()});
+    exprs.push_back(*c);
+  }
+  Table want{Schema(std::move(fields))};
+  RowCtx ctx;
+  ctx.detail = &sales;
+  for (int64_t r = 0; r < sales.num_rows(); ++r) {
+    ctx.detail_row = r;
+    std::vector<Value> row;
+    for (const CompiledExpr& e : exprs) row.push_back(e.Eval(ctx));
+    want.AppendRowUnchecked(std::move(row));
+  }
+  Result<Table> got = Project(sales.Clone(), items);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_TRUE(got->schema().Equals(want.schema()));
+  EXPECT_TRUE(testutil::TablesBitIdentical(want, *got));
+
+  Result<Table> none = Project(sales.Clone(), {});
+  ASSERT_TRUE(none.ok());
+  EXPECT_EQ(none->num_columns(), 0);
+  EXPECT_EQ(none->num_rows(), sales.num_rows());
+  EXPECT_FALSE(Project(sales.Clone(), {{Col("nope"), "nope"}}).ok());
 }
 
 TEST(GroupByTest, SumPerCustomer) {
