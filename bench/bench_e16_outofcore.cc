@@ -89,20 +89,22 @@ PagedData MakePaged(const Table& t, const std::string& tag) {
 
 const Table& Sales() { return CachedSales(kRows, kCustomers); }
 
+// The holders are function-local statics, not leaked pointers, so their
+// destructors run at exit and remove the block files.
 PagedData& PagedSales() {
-  static PagedData* d = new PagedData(MakePaged(Sales(), "sales"));
-  return *d;
+  static PagedData d = MakePaged(Sales(), "sales");
+  return d;
 }
 
 /// The zone-map arm's detail: same rows clustered on month, so each block
 /// covers a narrow month range and an equality predicate refutes most zones.
 PagedData& PagedSalesByMonth() {
-  static PagedData* d = [] {
+  static PagedData d = [] {
     Result<Table> sorted = SortTableBy(Sales(), {"month"});
     MDJ_CHECK(sorted.ok()) << sorted.status().ToString();
-    return new PagedData(MakePaged(*sorted, "bymonth"));
+    return MakePaged(*sorted, "bymonth");
   }();
-  return *d;
+  return d;
 }
 
 const Table& Base() {

@@ -20,7 +20,7 @@ int RunQuery(const Catalog& catalog, const char* title, const std::string& sql) 
     return 1;
   }
   std::printf("plan:\n%s", ExplainPlan(bound->plan).c_str());
-  Result<Table> result = ExecutePlanCse(bound->plan, catalog);
+  Result<Table> result = ExecutePlan(bound->plan, catalog);
   if (!result.ok()) {
     std::fprintf(stderr, "execution error: %s\n", result.status().ToString().c_str());
     return 1;

@@ -19,7 +19,7 @@
 ///   --explain-analyze   execute recording a per-operator profile and print
 ///                       the annotated plan (rows, selectivity, timings, the
 ///                       optimizer's rewrite log, terminal status) instead of
-///                       the result rows. No CSE: the plan runs as written.
+///                       the result rows.
 ///   --trace-out=FILE    collect a Chrome trace (chrome://tracing / Perfetto)
 ///                       of the execution — per-worker tracks with morsel
 ///                       spans, steal waits, merge tree, guard trips.
@@ -75,7 +75,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -619,8 +618,9 @@ int main(int argc, char** argv) {
   Result<Table> result = Status::Internal("query never ran (--repeat 0)");
   for (int run = 1; run <= repeat; ++run) {
     const auto run_start = std::chrono::steady_clock::now();
-    result = explain_analyze ? ExplainAnalyze(plan, catalog, md_options, &profile)
-                             : ExecutePlanCse(plan, catalog, md_options);
+    ExecStats exec;
+    result = explain_analyze ? ExplainAnalyze(plan, catalog, md_options, &profile, &exec)
+                             : ExecutePlan(plan, catalog, md_options, &exec);
     const double wall_ms =
         std::chrono::duration<double, std::milli>(
             std::chrono::steady_clock::now() - run_start)
@@ -647,18 +647,12 @@ int main(int argc, char** argv) {
         record.guard_tripped = code == StatusCode::kDeadlineExceeded ||
                                code == StatusCode::kCancelled;
       }
+      record.detail_rows_scanned = exec.detail_rows_scanned;
+      record.blocks_read = exec.blocks_read;
+      record.spill_bytes = exec.spill_bytes_written;
       if (explain_analyze) {
         record.max_qerror = profile.max_qerror;
         record.cpu_ms = profile.root != nullptr ? profile.root->cpu_ms : 0;
-        // Engine counters live on the profile's MD-join nodes, not the root.
-        const std::function<void(const OperatorProfile&)> sum_counters =
-            [&](const OperatorProfile& node) {
-              record.detail_rows_scanned += node.detail_rows_scanned;
-              record.blocks_read += node.blocks_read;
-              record.spill_bytes += node.spill_bytes_written;
-              for (const auto& child : node.children) sum_counters(*child);
-            };
-        if (profile.root != nullptr) sum_counters(*profile.root);
       }
       history->Record(std::move(record));
     }

@@ -74,8 +74,9 @@ int main() {
   if (!catalog.Register("sales", &sales).ok()) return 1;
   PlanPtr plan = MdJoinPlan(CuboidBasePlan(TableRef("sales"), lattice.dims(), 0b011),
                             TableRef("sales"), aggs, theta);
-  ProfiledResult profiled = *ExecutePlanProfiled(plan, catalog);
+  QueryProfile profile;
+  if (!ExplainAnalyze(plan, catalog, {}, &profile).ok()) return 1;
   std::printf("\nprofile of the direct (prod, month) cuboid MD-join:\n%s",
-              profiled.ToString().c_str());
+              profile.ToText().c_str());
   return 0;
 }

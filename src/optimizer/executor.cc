@@ -29,16 +29,13 @@ namespace mdjoin {
 
 namespace {
 
-/// Optional memo for ExecutePlanCse: explain-rendering of a subtree → result.
-using CseCache = std::unordered_map<std::string, Table>;
-
 Result<Table> Exec(const PlanPtr& plan, const Catalog& catalog,
                    const MdJoinOptions& md_options, ExecStats* stats,
-                   CseCache* cse = nullptr, OperatorProfile* parent_profile = nullptr);
+                   OperatorProfile* parent_profile = nullptr);
 
 Result<Table> ExecNode(const PlanPtr& plan, const Catalog& catalog,
                        const MdJoinOptions& md_options, ExecStats* stats,
-                       CseCache* cse, OperatorProfile* profile = nullptr);
+                       OperatorProfile* profile = nullptr);
 
 Status AccountMaterialization(const MdJoinOptions& md_options, const Table& t);
 
@@ -53,7 +50,7 @@ double ThreadCpuMs() {
 }
 
 Result<Table> Exec(const PlanPtr& plan, const Catalog& catalog,
-                   const MdJoinOptions& md_options, ExecStats* stats, CseCache* cse,
+                   const MdJoinOptions& md_options, ExecStats* stats,
                    OperatorProfile* parent_profile) {
   // Guard gate per plan node: a cancel/deadline issued between operators is
   // observed here even when no MD-join scan is running; inside scans the
@@ -73,7 +70,7 @@ Result<Table> Exec(const PlanPtr& plan, const Catalog& catalog,
     parent_profile->children.push_back(std::move(node));
     const auto start = std::chrono::steady_clock::now();
     const double cpu_start = ThreadCpuMs();
-    Result<Table> result = ExecNode(plan, catalog, md_options, stats, cse, raw);
+    Result<Table> result = ExecNode(plan, catalog, md_options, stats, raw);
     raw->elapsed_ms =
         std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
                                                   start)
@@ -89,19 +86,7 @@ Result<Table> Exec(const PlanPtr& plan, const Catalog& catalog,
     }
     return result;
   }
-  if (cse != nullptr) {
-    std::string key = ExplainPlan(plan);
-    auto it = cse->find(key);
-    if (it != cse->end()) {
-      ++stats->cse_hits;
-      return it->second.Clone();
-    }
-    MDJ_ASSIGN_OR_RETURN(Table out, ExecNode(plan, catalog, md_options, stats, cse));
-    MDJ_RETURN_NOT_OK(AccountMaterialization(md_options, out));
-    cse->emplace(std::move(key), out.Clone());
-    return out;
-  }
-  MDJ_ASSIGN_OR_RETURN(Table out, ExecNode(plan, catalog, md_options, stats, cse));
+  MDJ_ASSIGN_OR_RETURN(Table out, ExecNode(plan, catalog, md_options, stats));
   MDJ_RETURN_NOT_OK(AccountMaterialization(md_options, out));
   return out;
 }
@@ -161,7 +146,7 @@ struct DetailInput {
 /// Fills `in` with the catalog storage `plan` reads and its selections, or
 /// else with the executed plan (profiled as a child of `profile`).
 Status ReadDetail(const PlanPtr& plan, const Catalog& catalog,
-                  const MdJoinOptions& md_options, ExecStats* stats, CseCache* cse,
+                  const MdJoinOptions& md_options, ExecStats* stats,
                   OperatorProfile* profile, DetailInput* in) {
   DetailSelections peeled = PeelDetailSelections(plan);
   const PlanPtr& node = peeled.inner;
@@ -173,7 +158,7 @@ Status ReadDetail(const PlanPtr& plan, const Catalog& catalog,
     }
   }
   if (in->paged == nullptr && in->table == nullptr) {
-    MDJ_ASSIGN_OR_RETURN(in->owned, Exec(plan, catalog, md_options, stats, cse, profile));
+    MDJ_ASSIGN_OR_RETURN(in->owned, Exec(plan, catalog, md_options, stats, profile));
     return Status::OK();
   }
   in->where = std::move(peeled.conjuncts);
@@ -195,12 +180,13 @@ std::vector<MdJoinComponent> FoldIntoTheta(std::vector<MdJoinComponent> componen
 
 /// The cuboids `masks` of R over `dims` from one generator pass over `in`
 /// (its selections applied by the generator's kernels; R skips the morsels
-/// they refute), with `groups` as CuboidsFromFinest fills it. How R was read
-/// and its block counts go on `profile`.
+/// they refute), with `groups` as CuboidsFromFinest fills it. The blocks
+/// read count on `stats`; how R was read and its block counts go on
+/// `profile`.
 Result<Table> Generate(const DetailInput& in, const std::vector<std::string>& dims,
                        const std::vector<CuboidMask>& masks,
-                       const MdJoinOptions& md_options, OperatorProfile* profile,
-                       GroupIdMap* groups) {
+                       const MdJoinOptions& md_options, ExecStats* stats,
+                       OperatorProfile* profile, GroupIdMap* groups) {
   const ExprPtr folded = in.Folded();
   std::vector<MdJoinComponent> prune_by;
   if (folded != nullptr) prune_by.push_back({{}, folded});
@@ -211,6 +197,7 @@ Result<Table> Generate(const DetailInput& in, const std::vector<std::string>& di
   MdJoinStats reads;
   Result<Table> base =
       CuboidsFromFinest(*source, dims, masks, in.where, md_options.guard, &reads, groups);
+  stats->blocks_read += reads.blocks_read;
   if (profile != nullptr) {
     profile->read = in.read();
     profile->columns = source->decoded_columns();
@@ -264,7 +251,7 @@ void FillMdJoinProfile(OperatorProfile* profile, const MdJoinStats& s) {
 /// shape; the base node's time is the generator's alone.
 Result<Table> ExecGroupedBase(const PlanPtr& plan, const GroupIdsCertificate& cert,
                               const Catalog& catalog, const MdJoinOptions& md_options,
-                              ExecStats* stats, CseCache* cse, OperatorProfile* profile,
+                              ExecStats* stats, OperatorProfile* profile,
                               DetailInput* detail, GroupIdMap* groups) {
   const PlanPtr& base_plan = plan->child(0);
   OperatorProfile* node = nullptr;
@@ -274,12 +261,13 @@ Result<Table> ExecGroupedBase(const PlanPtr& plan, const GroupIdsCertificate& ce
     node->label = base_plan->Label();
   }
   MDJ_RETURN_NOT_OK(
-      ReadDetail(cert.detail, catalog, md_options, stats, cse, profile, detail));
+      ReadDetail(cert.detail, catalog, md_options, stats, profile, detail));
   ++stats->nodes_executed;
   Span span(PlanKindToString(base_plan->kind()), "plan");
   const auto start = std::chrono::steady_clock::now();
   const double cpu_start = ThreadCpuMs();
-  Result<Table> base = Generate(*detail, cert.dims, cert.masks, md_options, node, groups);
+  Result<Table> base =
+      Generate(*detail, cert.dims, cert.masks, md_options, stats, node, groups);
   if (node != nullptr) {
     node->elapsed_ms = node->self_ms =
         std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
@@ -295,7 +283,7 @@ Result<Table> ExecGroupedBase(const PlanPtr& plan, const GroupIdsCertificate& ce
 
 Result<Table> ExecNode(const PlanPtr& plan, const Catalog& catalog,
                        const MdJoinOptions& md_options, ExecStats* stats,
-                       CseCache* cse, OperatorProfile* profile) {
+                       OperatorProfile* profile) {
   ++stats->nodes_executed;
   switch (plan->kind()) {
     case PlanKind::kTableRef: {
@@ -306,6 +294,7 @@ Result<Table> ExecNode(const PlanPtr& plan, const Catalog& catalog,
       ++stats->tables_materialized;
       if (const PagedTable* paged = catalog.FindPaged(plan->table_name)) {
         MDJ_ASSIGN_OR_RETURN(Table all, paged->ReadAll(md_options.guard));
+        stats->blocks_read += paged->num_blocks();
         if (profile != nullptr) {
           profile->blocks_read = profile->blocks_faulted = paged->num_blocks();
         }
@@ -318,19 +307,19 @@ Result<Table> ExecNode(const PlanPtr& plan, const Catalog& catalog,
       return copy;
     }
     case PlanKind::kFilter: {
-      MDJ_ASSIGN_OR_RETURN(Table child, Exec(plan->child(0), catalog, md_options, stats, cse, profile));
+      MDJ_ASSIGN_OR_RETURN(Table child, Exec(plan->child(0), catalog, md_options, stats, profile));
       MDJ_ASSIGN_OR_RETURN(Table out, Filter(child, plan->predicate));
       stats->rows_materialized += out.num_rows();
       return out;
     }
     case PlanKind::kProject: {
-      MDJ_ASSIGN_OR_RETURN(Table child, Exec(plan->child(0), catalog, md_options, stats, cse, profile));
+      MDJ_ASSIGN_OR_RETURN(Table child, Exec(plan->child(0), catalog, md_options, stats, profile));
       MDJ_ASSIGN_OR_RETURN(Table out, Project(std::move(child), plan->projections));
       stats->rows_materialized += out.num_rows();
       return out;
     }
     case PlanKind::kDistinct: {
-      MDJ_ASSIGN_OR_RETURN(Table child, Exec(plan->child(0), catalog, md_options, stats, cse, profile));
+      MDJ_ASSIGN_OR_RETURN(Table child, Exec(plan->child(0), catalog, md_options, stats, profile));
       Table out = Distinct(child);
       stats->rows_materialized += out.num_rows();
       return out;
@@ -339,7 +328,7 @@ Result<Table> ExecNode(const PlanPtr& plan, const Catalog& catalog,
       std::vector<Table> pieces;
       pieces.reserve(plan->children().size());
       for (const PlanPtr& c : plan->children()) {
-        MDJ_ASSIGN_OR_RETURN(Table piece, Exec(c, catalog, md_options, stats, cse, profile));
+        MDJ_ASSIGN_OR_RETURN(Table piece, Exec(c, catalog, md_options, stats, profile));
         pieces.push_back(std::move(piece));
       }
       MDJ_ASSIGN_OR_RETURN(Table out, ConcatAll(pieces));
@@ -347,22 +336,22 @@ Result<Table> ExecNode(const PlanPtr& plan, const Catalog& catalog,
       return out;
     }
     case PlanKind::kPartition: {
-      MDJ_ASSIGN_OR_RETURN(Table child, Exec(plan->child(0), catalog, md_options, stats, cse, profile));
+      MDJ_ASSIGN_OR_RETURN(Table child, Exec(plan->child(0), catalog, md_options, stats, profile));
       std::vector<Table> parts = PartitionIntoN(child, plan->partition_count);
       Table out = std::move(parts[static_cast<size_t>(plan->partition_index)]);
       stats->rows_materialized += out.num_rows();
       return out;
     }
     case PlanKind::kHashJoin: {
-      MDJ_ASSIGN_OR_RETURN(Table left, Exec(plan->child(0), catalog, md_options, stats, cse, profile));
-      MDJ_ASSIGN_OR_RETURN(Table right, Exec(plan->child(1), catalog, md_options, stats, cse, profile));
+      MDJ_ASSIGN_OR_RETURN(Table left, Exec(plan->child(0), catalog, md_options, stats, profile));
+      MDJ_ASSIGN_OR_RETURN(Table right, Exec(plan->child(1), catalog, md_options, stats, profile));
       MDJ_ASSIGN_OR_RETURN(Table out, HashJoin(left, right, plan->left_keys,
                                                plan->right_keys, plan->join_type));
       stats->rows_materialized += out.num_rows();
       return out;
     }
     case PlanKind::kGroupBy: {
-      MDJ_ASSIGN_OR_RETURN(Table child, Exec(plan->child(0), catalog, md_options, stats, cse, profile));
+      MDJ_ASSIGN_OR_RETURN(Table child, Exec(plan->child(0), catalog, md_options, stats, profile));
       MDJ_ASSIGN_OR_RETURN(Table out, GroupBy(child, plan->group_columns, plan->aggs));
       stats->rows_materialized += out.num_rows();
       return out;
@@ -383,13 +372,13 @@ Result<Table> ExecNode(const PlanPtr& plan, const Catalog& catalog,
       if (by_groups.ok()) {
         MDJ_ASSIGN_OR_RETURN(base,
                              ExecGroupedBase(plan, *by_groups, catalog, md_options, stats,
-                                             cse, profile, &detail, &groups));
+                                             profile, &detail, &groups));
         detail.where.insert(detail.where.end(), by_groups->extra.begin(),
                             by_groups->extra.end());
       } else {
-        MDJ_ASSIGN_OR_RETURN(base, Exec(plan->child(0), catalog, md_options, stats, cse, profile));
-        MDJ_RETURN_NOT_OK(ReadDetail(plan->child(1), catalog, md_options, stats, cse,
-                                     profile, &detail));
+        MDJ_ASSIGN_OR_RETURN(base, Exec(plan->child(0), catalog, md_options, stats, profile));
+        MDJ_RETURN_NOT_OK(
+            ReadDetail(plan->child(1), catalog, md_options, stats, profile, &detail));
       }
       components = FoldIntoTheta(std::move(components), detail.where);
       const std::unique_ptr<DetailSource> source =
@@ -404,6 +393,8 @@ Result<Table> ExecNode(const PlanPtr& plan, const Catalog& catalog,
       stats->detail_rows_scanned += md_stats.detail_rows_scanned;
       stats->candidate_pairs += md_stats.candidate_pairs;
       stats->matched_pairs += md_stats.matched_pairs;
+      stats->blocks_read += md_stats.blocks_read;
+      stats->spill_bytes_written += md_stats.spill_bytes_written;
       // On failure the stats still hold partial counts; the profile takes
       // them either way so a cancelled query's profile stays truthful.
       if (profile != nullptr) {
@@ -428,14 +419,14 @@ Result<Table> ExecNode(const PlanPtr& plan, const Catalog& catalog,
       }
       DetailInput input;
       MDJ_RETURN_NOT_OK(
-          ReadDetail(plan->child(0), catalog, md_options, stats, cse, profile, &input));
+          ReadDetail(plan->child(0), catalog, md_options, stats, profile, &input));
       MDJ_ASSIGN_OR_RETURN(Table out, Generate(input, plan->cube_dims, masks, md_options,
-                                               profile, /*groups=*/nullptr));
+                                               stats, profile, /*groups=*/nullptr));
       stats->rows_materialized += out.num_rows();
       return out;
     }
     case PlanKind::kSort: {
-      MDJ_ASSIGN_OR_RETURN(Table child, Exec(plan->child(0), catalog, md_options, stats, cse, profile));
+      MDJ_ASSIGN_OR_RETURN(Table child, Exec(plan->child(0), catalog, md_options, stats, profile));
       MDJ_ASSIGN_OR_RETURN(std::vector<int> cols,
                            ResolveColumns(child.schema(), plan->sort_columns));
       std::vector<SortKey> keys;
@@ -456,15 +447,11 @@ Result<Table> ExecNode(const PlanPtr& plan, const Catalog& catalog,
   return Status::Internal("unreachable plan kind");
 }
 
-/// Debug invariant mode: statically verify the plan before evaluating it,
-/// when asked to by the options or the MDJOIN_VERIFY_PLANS environment
-/// variable. Executing an ill-formed tree would surface as a confusing
-/// runtime error deep inside some operator; the analyzer diagnostic names
-/// the offending node and rule instead.
 /// Lockstep walk over the plan and profile trees, annotating each profiled
 /// operator with the cost model's estimated cardinality. Estimation runs over
-/// the same catalog (and optional feedback store) the optimizer saw, so
-/// `est=` in the rendering is the number the plan was ranked with. Profile
+/// the catalog the optimizer saw plus the feedback store when one is given;
+/// without one, `est=` in the rendering is the number the plan was ranked
+/// with. Profile
 /// children can be a prefix of plan children (R read where it lives is never
 /// executed), hence the bounds guard, and a group-id join's executed R′ may
 /// sit where its detail child σ(R′) is, hence the label check; a failed
@@ -516,6 +503,11 @@ Histogram* PlanQErrorHistogram() {
   return h;
 }
 
+/// Debug invariant mode: statically verify the plan before evaluating it,
+/// when asked to by the options or the MDJOIN_VERIFY_PLANS environment
+/// variable. Executing an ill-formed tree would surface as a confusing
+/// runtime error deep inside some operator; the analyzer diagnostic names
+/// the offending node and rule instead.
 Status MaybeVerify(const PlanPtr& plan, const Catalog& catalog,
                    const MdJoinOptions& md_options, const char* context) {
   if (!md_options.verify_plans && !VerifyPlansEnabledByEnv()) return Status::OK();
@@ -534,19 +526,9 @@ Result<Table> ExecutePlan(const PlanPtr& plan, const Catalog& catalog,
   return Exec(plan, catalog, md_options, stats);
 }
 
-Result<Table> ExecutePlanCse(const PlanPtr& plan, const Catalog& catalog,
-                             const MdJoinOptions& md_options, ExecStats* stats) {
-  if (plan == nullptr) return Status::InvalidArgument("ExecutePlanCse: null plan");
-  MDJ_RETURN_NOT_OK(MaybeVerify(plan, catalog, md_options, "ExecutePlanCse"));
-  ExecStats local;
-  if (stats == nullptr) stats = &local;
-  *stats = ExecStats{};
-  CseCache cache;
-  return Exec(plan, catalog, md_options, stats, &cache);
-}
-
 Result<Table> ExplainAnalyze(const PlanPtr& plan, const Catalog& catalog,
-                             const MdJoinOptions& md_options, QueryProfile* profile) {
+                             const MdJoinOptions& md_options, QueryProfile* profile,
+                             ExecStats* stats) {
   if (profile == nullptr) {
     return Status::InvalidArgument("ExplainAnalyze: null profile");
   }
@@ -568,12 +550,13 @@ Result<Table> ExplainAnalyze(const PlanPtr& plan, const Catalog& catalog,
     return setup;
   }
 
-  ExecStats stats;
+  ExecStats local;
+  if (stats == nullptr) stats = &local;
+  *stats = ExecStats{};
   OperatorProfile holder;  // transient parent; its first child is the real root
   holder.label = "(root)";
   const auto start = std::chrono::steady_clock::now();
-  Result<Table> result =
-      Exec(plan, catalog, md_options, &stats, /*cse=*/nullptr, &holder);
+  Result<Table> result = Exec(plan, catalog, md_options, stats, &holder);
   profile->total_ms =
       std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
                                                 start)
@@ -601,16 +584,6 @@ Result<Table> ExplainAnalyze(const PlanPtr& plan, const Catalog& catalog,
   if (profile->complete && md_options.feedback != nullptr) {
     HarvestFeedback(plan, *profile->root, md_options.feedback);
   }
-  return result;
-}
-
-std::string ProfiledResult::ToString() const { return profile.ToText(); }
-
-Result<ProfiledResult> ExecutePlanProfiled(const PlanPtr& plan, const Catalog& catalog,
-                                           const MdJoinOptions& md_options) {
-  ProfiledResult result;
-  MDJ_ASSIGN_OR_RETURN(result.table,
-                       ExplainAnalyze(plan, catalog, md_options, &result.profile));
   return result;
 }
 

@@ -7,8 +7,8 @@
 
 namespace mdjoin {
 
-/// Work counters accumulated over a whole plan execution, for comparing
-/// rewritten plans in the experiment harness.
+/// Work counters accumulated over a whole plan execution: benches compare
+/// rewritten plans by them, and the query service's records carry them.
 struct ExecStats {
   int64_t nodes_executed = 0;
   int64_t detail_rows_scanned = 0;   // summed over all (generalized) MD-joins
@@ -17,7 +17,8 @@ struct ExecStats {
   int64_t mdjoin_operators = 0;      // MD-join nodes evaluated
   int64_t rows_materialized = 0;     // total output rows across nodes
   int64_t tables_materialized = 0;   // catalog tables copied whole (clone or ReadAll)
-  int64_t cse_hits = 0;              // subtree reuses (ExecutePlanCse only)
+  int64_t blocks_read = 0;           // blocks served to joins, generators and ReadAlls
+  int64_t spill_bytes_written = 0;   // bytes MD-joins wrote to spill files
 };
 
 /// Executes `plan` against `catalog`. Every node materializes its result (an
@@ -29,16 +30,6 @@ Result<Table> ExecutePlan(const PlanPtr& plan, const Catalog& catalog,
                           const MdJoinOptions& md_options = {},
                           ExecStats* stats = nullptr);
 
-/// ExecutePlan with common-subexpression elimination: structurally identical
-/// subtrees (same explain rendering) are evaluated once and their results
-/// reused. Rewrites like ExpandCubeBaseWithRollups (Theorem 4.5 chains) build
-/// trees where a finer cuboid feeds several coarser ones; the paper notes
-/// "usually optimizers perform common subexpression elimination" — this is
-/// that step. `stats->cse_hits` counts reuses.
-Result<Table> ExecutePlanCse(const PlanPtr& plan, const Catalog& catalog,
-                             const MdJoinOptions& md_options = {},
-                             ExecStats* stats = nullptr);
-
 /// EXPLAIN ANALYZE: executes `plan` while recording a per-operator
 /// QueryProfile (rows, wall/CPU timings, MD-join scan counters). `profile`
 /// must be non-null; its `rewrites` log is preserved (populate it via
@@ -47,23 +38,11 @@ Result<Table> ExecutePlanCse(const PlanPtr& plan, const Catalog& catalog,
 /// The profile is always well-formed on return — on a guard trip or operator
 /// failure the tree holds partial counts for whatever executed, `complete` is
 /// false, and `terminal` carries the error status (the terminal event). The
-/// returned Result mirrors that status. No CSE: every node runs, so the
-/// numbers reflect the plan as written.
+/// returned Result mirrors that status. `stats`, when non-null, receives the
+/// counters ExecutePlan would report for the same run.
 Result<Table> ExplainAnalyze(const PlanPtr& plan, const Catalog& catalog,
-                             const MdJoinOptions& md_options, QueryProfile* profile);
-
-/// Convenience wrapper around ExplainAnalyze for callers that only care
-/// about the success path.
-struct ProfiledResult {
-  Table table;
-  QueryProfile profile;
-
-  /// QueryProfile::ToText(): indented operator tree + rewrite log + terminal.
-  std::string ToString() const;
-};
-
-Result<ProfiledResult> ExecutePlanProfiled(const PlanPtr& plan, const Catalog& catalog,
-                                           const MdJoinOptions& md_options = {});
+                             const MdJoinOptions& md_options, QueryProfile* profile,
+                             ExecStats* stats = nullptr);
 
 }  // namespace mdjoin
 

@@ -27,8 +27,8 @@ Result<bool> Accept(const Result<PlanPtr>& candidate, const Catalog& catalog,
                     PlanPtr* plan, OptimizeReport* report,
                     std::vector<RewriteRecord>* rewrite_log) {
   if (!candidate.ok()) return false;
-  Result<PlanCost> before = EstimateCost(*plan, catalog, options.feedback);
-  Result<PlanCost> after = EstimateCost(*candidate, catalog, options.feedback);
+  Result<PlanCost> before = EstimateCost(*plan, catalog);
+  Result<PlanCost> after = EstimateCost(*candidate, catalog);
   if (!before.ok() || !after.ok()) {
     // The rule matched but the cost model could not certify the rewrite, so
     // the decision still deserves a record: keep whichever side estimated
@@ -94,8 +94,7 @@ Result<PlanPtr> TryFuseChainFirst(const PlanPtr& plan, const Catalog& catalog,
                                   std::vector<RewriteRecord>* rewrite_log,
                                   bool* fused) {
   *fused = false;
-  if (!options.enable_fusion || plan->kind() != PlanKind::kMdJoin ||
-      plan->child(0)->kind() != PlanKind::kMdJoin) {
+  if (plan->kind() != PlanKind::kMdJoin || plan->child(0)->kind() != PlanKind::kMdJoin) {
     return plan;
   }
   PlanPtr current = plan;
@@ -128,10 +127,11 @@ Result<PlanPtr> OptimizeRec(const PlanPtr& plan, const Catalog& catalog,
   }
   PlanPtr current = changed ? CloneWithChildren(plan, std::move(new_children)) : plan;
 
-  for (int round = 0; round < options.max_rounds; ++round) {
+  constexpr int kMaxRounds = 4;  // fixpoint guard per node
+  for (int round = 0; round < kMaxRounds; ++round) {
     bool fired = false;
     bool accepted = false;
-    if (options.enable_unsat_rewrite && current->kind() == PlanKind::kMdJoin) {
+    if (current->kind() == PlanKind::kMdJoin) {
       MDJ_ASSIGN_OR_RETURN(
           accepted, Accept(ApplyUnsatThetaRewrite(current, catalog), catalog, options,
                            "unsat-θ empty-result", &current, report, rewrite_log));
@@ -144,34 +144,20 @@ Result<PlanPtr> OptimizeRec(const PlanPtr& plan, const Catalog& catalog,
       }
       fired |= accepted;
     }
-    if (options.enable_fusion && current->kind() == PlanKind::kMdJoin) {
+    if (current->kind() == PlanKind::kMdJoin) {
       MDJ_ASSIGN_OR_RETURN(accepted,
                            Accept(FuseMdJoinSeries(current), catalog, options,
                                   "Theorem 4.3 fusion", &current, report, rewrite_log));
       fired |= accepted;
     }
-    if (options.enable_cube_rollup && current->kind() == PlanKind::kMdJoin) {
-      MDJ_ASSIGN_OR_RETURN(accepted,
-                           Accept(ExpandCubeBaseWithRollups(current), catalog, options,
-                                  "Theorem 4.5 cube roll-up expansion", &current,
-                                  report, rewrite_log));
-      fired |= accepted;
-    }
-    if (options.enable_split && current->kind() == PlanKind::kMdJoin) {
-      MDJ_ASSIGN_OR_RETURN(accepted,
-                           Accept(SplitToEquiJoin(current, catalog), catalog, options,
-                                  "Theorem 4.4 equijoin split", &current, report,
-                                  rewrite_log));
-      fired |= accepted;
-    }
-    if (options.enable_pushdown && current->kind() == PlanKind::kMdJoin) {
+    if (current->kind() == PlanKind::kMdJoin) {
       MDJ_ASSIGN_OR_RETURN(accepted,
                            Accept(ApplySelectionPushdown(current), catalog, options,
                                   "Theorem 4.2 selection pushdown", &current, report,
                                   rewrite_log));
       fired |= accepted;
     }
-    if (options.enable_transfer && current->kind() == PlanKind::kMdJoin) {
+    if (current->kind() == PlanKind::kMdJoin) {
       MDJ_ASSIGN_OR_RETURN(accepted,
                            Accept(ApplyBaseSelectionTransfer(current), catalog, options,
                                   "Observation 4.1 selection transfer", &current,

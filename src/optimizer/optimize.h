@@ -9,28 +9,8 @@
 
 namespace mdjoin {
 
-/// Which rewrites the driver may apply. The defaults apply everything that
-/// is beneficial under the plain executor; cube roll-up chains only pay off
-/// under ExecutePlanCse (shared parent cuboids), so they are opt-in.
+/// Optimizer settings.
 struct OptimizeOptions {
-  bool enable_pushdown = true;       // Theorem 4.2
-  bool enable_transfer = true;       // Observation 4.1
-  bool enable_fusion = true;         // Theorem 4.3
-  bool enable_cube_rollup = false;   // cube expansion + Theorem 4.5 chains
-  bool enable_unsat_rewrite = true;  // certified empty-result rewrite
-  /// Theorem 4.4 equijoin split. Opt-in: splitting pays off only when the
-  /// independent MD-joins can actually run at different sites (or in
-  /// parallel), which the single-node executor does not exploit, so default
-  /// plans keep the nested shape.
-  bool enable_split = false;
-  int max_rounds = 4;                // fixpoint guard per node
-
-  /// Plan-feedback store (stats/feedback.h) consulted by the cost model when
-  /// ranking rewrites: nodes with measured cardinalities beat the model's
-  /// constants, so repeated queries converge on measurement-backed rewrite
-  /// decisions. Not owned, may be null.
-  const class FeedbackStore* feedback = nullptr;
-
   /// Debug invariant mode: re-run the full PlanAnalyzer over the plan after
   /// every accepted rule application and fail fast with the analyzer's
   /// structured diagnostic if the rewrite produced an ill-formed plan. Also
@@ -46,13 +26,21 @@ struct OptimizeReport {
   std::string ToString() const;
 };
 
-/// Rule-driven plan optimization: rewrites bottom-up, firing each enabled
-/// rule wherever its pattern matches, re-checking with the cost model that
-/// the rewrite does not increase estimated work (a tiny cost-based
-/// optimizer in the sense of §4: the transformations make MD-join plans
-/// "immediately incorporable into present cost- and algebraic-based query
-/// optimizers"). Result equivalence is guaranteed by the rules' theorems and
-/// enforced by the property-test suite.
+/// Rule-driven plan optimization: rewrites bottom-up, firing each rule
+/// wherever its pattern matches, re-checking with the cost model that the
+/// rewrite does not increase estimated work (a tiny cost-based optimizer in
+/// the sense of §4: the transformations make MD-join plans "immediately
+/// incorporable into present cost- and algebraic-based query optimizers").
+/// At each MD-join the rules run in a fixed order — unsat-θ empty-result,
+/// Theorem 4.3 fusion, Theorem 4.2 pushdown, Observation 4.1 transfer — for
+/// at most four rounds, stopping at the first round where none fires. A
+/// chain of MD-joins fuses top-down first. Theorem 4.4's split is not a
+/// driver rule: it pays off only when the split joins run at different
+/// sites, so callers that want it apply SplitToEquiJoin themselves. The
+/// cost model reads the catalog's statistics only: plan feedback informs
+/// EXPLAIN ANALYZE estimates, never a rewrite choice. Result equivalence is
+/// guaranteed by the rules' theorems and enforced by the property-test
+/// suite.
 /// `rewrite_log`, when non-null, receives one RewriteRecord per rule firing
 /// that produced a candidate plan — accepted or rejected — carrying the
 /// cost-model certificate (estimated work before/after). EXPLAIN ANALYZE

@@ -1,8 +1,6 @@
 #include "optimizer/rules.h"
 
 #include <algorithm>
-#include <map>
-#include <set>
 #include <utility>
 
 #include "analyze/plan_analyzer.h"
@@ -194,66 +192,6 @@ Result<PlanPtr> ApplyRollup(const PlanPtr& plan, CuboidMask finer_mask) {
   PlanPtr finer_cuboid =
       MdJoinPlan(std::move(finer_base), plan->child(1), plan->aggs, plan->theta);
   return MdJoinPlan(base, std::move(finer_cuboid), std::move(rollup_specs), plan->theta);
-}
-
-Result<PlanPtr> ExpandCubeBase(const PlanPtr& plan) {
-  if (!IsMdJoin(plan)) return NotApplicable("cube expansion", "root is not an MD-join");
-  const PlanPtr& base = plan->child(0);
-  if (base->kind() != PlanKind::kCubeBase) {
-    return NotApplicable("cube expansion", "base child is not a CUBE BY generator");
-  }
-  MDJ_ASSIGN_OR_RETURN(CubeLattice lattice, CubeLattice::Make(base->cube_dims));
-  std::vector<PlanPtr> pieces;
-  for (int level = lattice.num_dims(); level >= 0; --level) {
-    for (CuboidMask mask : lattice.CuboidsAtLevel(level)) {
-      pieces.push_back(
-          MdJoinPlan(CuboidBasePlan(base->child(0), base->cube_dims, mask),
-                     plan->child(1), plan->aggs, plan->theta));
-    }
-  }
-  return UnionPlan(std::move(pieces));
-}
-
-Result<PlanPtr> ExpandCubeBaseWithRollups(const PlanPtr& plan) {
-  MDJ_ASSIGN_OR_RETURN(PlanPtr expanded, ExpandCubeBase(plan));
-  const PlanPtr& base = plan->child(0);
-  MDJ_ASSIGN_OR_RETURN(CubeLattice lattice, CubeLattice::Make(base->cube_dims));
-  // Re-plan each non-full cuboid to roll up from its finest direct parent
-  // (lowest set bit added — deterministic; a cost-based optimizer would pick
-  // by estimated parent size). The full cuboid keeps reading the detail
-  // relation. Relies on executor CSE to share parent results.
-  std::map<CuboidMask, PlanPtr> cuboid_plans;
-  for (const PlanPtr& piece : expanded->children()) {
-    cuboid_plans[piece->child(0)->cuboid_mask] = piece;
-  }
-  const CuboidMask full = lattice.full_cuboid();
-  // Process from finest to coarsest so parents are already re-planned.
-  for (int level = lattice.num_dims() - 1; level >= 0; --level) {
-    for (CuboidMask mask : lattice.CuboidsAtLevel(level)) {
-      // Choose the direct parent with the lowest added bit.
-      CuboidMask parent = 0;
-      for (int bit = 0; bit < lattice.num_dims(); ++bit) {
-        CuboidMask candidate = mask | (CuboidMask{1} << bit);
-        if (candidate != mask && candidate <= full) {
-          parent = candidate;
-          break;
-        }
-      }
-      MDJ_ASSIGN_OR_RETURN(PlanPtr rolled, ApplyRollup(cuboid_plans[mask], parent));
-      // Splice the re-planned parent in as the detail of the rolled plan:
-      // ApplyRollup rebuilt the parent from scratch; use the shared one.
-      const PlanPtr& coarse_base = rolled->child(0);
-      cuboid_plans[mask] = MdJoinPlan(coarse_base, cuboid_plans[parent], rolled->aggs,
-                                      rolled->theta);
-    }
-  }
-  std::vector<PlanPtr> pieces;
-  for (int level = lattice.num_dims(); level >= 0; --level) {
-    for (CuboidMask mask : lattice.CuboidsAtLevel(level)) {
-      pieces.push_back(cuboid_plans[mask]);
-    }
-  }
-  return UnionPlan(std::move(pieces));
 }
 
 }  // namespace mdjoin

@@ -78,19 +78,6 @@ Result<PlanPtr> SplitToEquiJoin(const PlanPtr& plan, const Catalog& catalog);
 /// |R|.
 Result<PlanPtr> ApplyRollup(const PlanPtr& plan, CuboidMask finer_mask);
 
-/// Granularity expansion (Theorem 4.1 along the lattice): rewrites
-/// MD(CubeBase(S, dims), R, l, θ) into a union of per-cuboid MD-joins,
-/// finest level first — the shape PIPESORT-style plans start from and the
-/// precondition for ApplyRollup.
-Result<PlanPtr> ExpandCubeBase(const PlanPtr& plan);
-
-/// Composes ExpandCubeBase with ApplyRollup along lattice edges: every
-/// non-full cuboid is rolled up from a parent (each cuboid's smallest
-/// superset among already-planned cuboids, following the paper's observation
-/// that this expresses [AAD+96]-style cube plans algebraically). Only the
-/// full cuboid reads the detail relation.
-Result<PlanPtr> ExpandCubeBaseWithRollups(const PlanPtr& plan);
-
 }  // namespace mdjoin
 
 #endif  // MDJOIN_OPTIMIZER_RULES_H_

@@ -78,27 +78,6 @@ class ActiveGuardScope {
   void (Session::*const set_)(QueryGuard*);
 };
 
-/// Folds a profiled operator tree into the ExecStats the unprofiled path
-/// would have produced, plus the storage counters the query record carries.
-void SumProfileCounters(const OperatorProfile& node, ExecStats* stats,
-                        QueryRecord* record) {
-  ++stats->nodes_executed;
-  stats->rows_materialized += node.output_rows;
-  if (node.is_mdjoin) {
-    ++stats->mdjoin_operators;
-    stats->detail_rows_scanned += node.detail_rows_scanned;
-    stats->candidate_pairs += node.candidate_pairs;
-    stats->matched_pairs += node.matched_pairs;
-  }
-  if (record != nullptr) {
-    record->blocks_read += node.blocks_read;
-    record->spill_bytes += node.spill_bytes_written;
-  }
-  for (const auto& child : node.children) {
-    SumProfileCounters(*child, stats, record);
-  }
-}
-
 /// Terminal-outcome label for the query record.
 const char* OutcomeLabel(const Status& status) {
   switch (status.code()) {
@@ -192,21 +171,21 @@ Result<Table> QueryService::RunEngine(const PlanPtr& plan, const Catalog& catalo
   md.guard = guard;
   md.num_threads = threads;
   if (block_cache_ != nullptr) md.block_cache = block_cache_.get();
-  if (!options_.collect_feedback) {
-    return ExecutePlanCse(plan, catalog, md, stats);
-  }
-  // Feedback mode: run profiled (no CSE — the measurements must reflect the
-  // plan as written), harvest measured cardinalities into the store, and
-  // carry the profile's telemetry into the query record.
-  md.feedback = &feedback_;
+  // Feedback mode runs profiled: the run's measured cardinalities go into
+  // the store, and the profile's q-error and CPU time into the record.
+  if (options_.collect_feedback) md.feedback = &feedback_;
   QueryProfile profile;
-  Result<Table> out = ExplainAnalyze(plan, catalog, md, &profile);
-  if (profile.root != nullptr) {
-    SumProfileCounters(*profile.root, stats, record);
-  }
+  Result<Table> out = options_.collect_feedback
+                          ? ExplainAnalyze(plan, catalog, md, &profile, stats)
+                          : ExecutePlan(plan, catalog, md, stats);
   if (record != nullptr) {
-    record->max_qerror = profile.max_qerror;
-    record->cpu_ms = profile.root != nullptr ? profile.root->cpu_ms : 0;
+    record->detail_rows_scanned = stats->detail_rows_scanned;
+    record->blocks_read = stats->blocks_read;
+    record->spill_bytes = stats->spill_bytes_written;
+    if (profile.root != nullptr) {
+      record->max_qerror = profile.max_qerror;
+      record->cpu_ms = profile.root->cpu_ms;
+    }
   }
   return out;
 }
@@ -227,7 +206,6 @@ Result<QueryResult> QueryService::Execute(Session* session, const PlanPtr& plan,
     if (result->table != nullptr) record.rows = result->table->num_rows();
     record.cache = CacheOutcomeToString(result->stats.cache);
     record.queue_wait_ms = result->stats.queue_wait_ms;
-    record.detail_rows_scanned = result->stats.exec.detail_rows_scanned;
   } else {
     record.outcome = OutcomeLabel(result.status());
     // Deadline and cancel terminate execution through the guard's stride
@@ -265,11 +243,8 @@ Result<QueryResult> QueryService::ExecuteInternal(
 
   // Canonicalize: equal queries share one cache identity and the engine runs
   // the optimized form.
-  PlanPtr canonical = plan;
-  if (options_.optimize) {
-    MDJ_ASSIGN_OR_RETURN(canonical,
-                         OptimizePlan(plan, catalog_, options_.optimize_options));
-  }
+  MDJ_ASSIGN_OR_RETURN(PlanPtr canonical,
+                       OptimizePlan(plan, catalog_, options_.optimize_options));
   if (record != nullptr) {
     // Submitted-form identity vs. executed-form identity; they differ exactly
     // when canonicalization changed the plan.

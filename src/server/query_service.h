@@ -49,12 +49,9 @@ struct QueryServiceOptions {
   /// queries over paged tables stream blocks ephemerally instead.
   int64_t block_cache_bytes = 0;
 
-  /// Canonicalize plans through OptimizePlan before keying the cache and
-  /// executing (recommended: equal queries then share cache entries even
-  /// when phrased differently).
-  bool optimize = true;
-
-  /// Rewrites OptimizePlan may apply during canonicalization.
+  /// Options for OptimizePlan, which canonicalizes every plan before the
+  /// cache is keyed and the plan runs: equal queries then share cache
+  /// entries even when phrased differently.
   OptimizeOptions optimize_options;
 
   /// Template for engine execution knobs. `guard` and `num_threads` are
@@ -170,8 +167,9 @@ class QueryService {
                                       QueryRecord* record);
 
   /// Executes `plan` under the minted guard/threads; shared by the roll-up
-  /// and full-execution paths. With collect_feedback on, runs profiled and
-  /// reports the per-query max q-error through `record`.
+  /// and full-execution paths. Copies the engine counters into `record`,
+  /// and with collect_feedback on runs profiled and reports the per-query
+  /// max q-error and CPU time there too.
   Result<Table> RunEngine(const PlanPtr& plan, const Catalog& catalog,
                           QueryGuard* guard, int threads, ExecStats* stats,
                           QueryRecord* record);

@@ -209,7 +209,7 @@ std::string QueryHistory::SummaryText() const {
     ok += r.outcome == "ok";
     slow += r.slow;
     errors += r.outcome != "ok";
-    cache_hits += r.cache == "hit" || r.cache == "rollup";
+    cache_hits += r.cache == "hit" || r.cache == "rollup_hit";
     wall_sum += r.wall_ms;
     if (r.max_qerror > qerr_max) qerr_max = r.max_qerror;
   }

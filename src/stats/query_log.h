@@ -25,7 +25,10 @@ struct QueryRecord {
   int64_t rows = 0;
   /// Terminal outcome: "ok", "shed", "deadline", "cancelled", or "error".
   std::string outcome = "ok";
-  /// Result-cache outcome: "miss", "hit", "rollup", or "off".
+  /// Result-cache outcome of a query that completed, as QueryService
+  /// writes it (CacheOutcomeToString): "disabled", "miss", "hit" or
+  /// "rollup_hit". "off" for a query that failed, and for records written
+  /// outside the service.
   std::string cache = "off";
   int64_t queue_wait_ms = 0;
   int64_t detail_rows_scanned = 0;

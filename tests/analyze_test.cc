@@ -141,7 +141,7 @@ class BinderTest : public ::testing::Test {
   Result<Table> Run(const std::string& sql) {
     Result<analyze::BoundQuery> bound = BindQueryString(sql, catalog_);
     if (!bound.ok()) return bound.status();
-    return ExecutePlanCse(bound->plan, catalog_);
+    return ExecutePlan(bound->plan, catalog_);
   }
 
   Table sales_;
@@ -340,8 +340,8 @@ TEST_F(BinderTest, EmfSqlMatchesAnalyzeByDialect) {
   Result<analyze::BoundQuery> b2 = BindQueryString(analyze_by, catalog_);
   ASSERT_TRUE(b1.ok()) << b1.status().ToString();
   ASSERT_TRUE(b2.ok()) << b2.status().ToString();
-  Result<Table> r1 = ExecutePlanCse(b1->plan, catalog_);
-  Result<Table> r2 = ExecutePlanCse(b2->plan, catalog_);
+  Result<Table> r1 = ExecutePlan(b1->plan, catalog_);
+  Result<Table> r2 = ExecutePlan(b2->plan, catalog_);
   ASSERT_TRUE(r1.ok() && r2.ok());
   EXPECT_TRUE(TablesEqualOrdered(*r1, *r2));
 }

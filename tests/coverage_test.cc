@@ -31,7 +31,7 @@ class GeneratorCoverage : public ::testing::Test {
   Result<Table> Run(const std::string& sql) {
     Result<analyze::BoundQuery> bound = analyze::BindQueryString(sql, catalog_);
     if (!bound.ok()) return bound.status();
-    return ExecutePlanCse(bound->plan, catalog_);
+    return ExecutePlan(bound->plan, catalog_);
   }
 
   Table sales_;
@@ -98,7 +98,6 @@ TEST(RuleRejectionCoverage, CommuteAndSplitPatternMismatches) {
   EXPECT_FALSE(CommuteMdJoins(TableRef("sales"), catalog).ok());
   EXPECT_FALSE(FuseMdJoinSeries(TableRef("sales")).ok());
   EXPECT_FALSE(ApplyRollup(TableRef("sales"), 0b1).ok());
-  EXPECT_FALSE(ExpandCubeBase(not_nested).ok());  // base is not CubeBase
   // Split rejects when the outer θ needs the inner's outputs.
   PlanPtr inner = MdJoinPlan(DistinctPlan(ProjectPlan(TableRef("sales"),
                                                       {{Col("cust"), "cust"}})),

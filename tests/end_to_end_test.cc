@@ -45,7 +45,7 @@ class EndToEndTest : public ::testing::Test {
     Result<analyze::BoundQuery> bound = analyze::BindQueryString(sql, catalog_);
     if (!bound.ok()) return bound.status();
     MDJ_ASSIGN_OR_RETURN(PlanPtr optimized, OptimizePlan(bound->plan, catalog_));
-    return ExecutePlanCse(optimized, catalog_);
+    return ExecutePlan(optimized, catalog_);
   }
 
   Table sales_;
@@ -66,8 +66,8 @@ TEST_F(EndToEndTest, OptimizedQueryMatchesUnoptimized) {
   Result<PlanPtr> optimized = OptimizePlan(bound->plan, catalog_, {}, &report);
   ASSERT_TRUE(optimized.ok()) << optimized.status().ToString();
   EXPECT_FALSE(report.applied.empty()) << "expected at least one rule firing";
-  Result<Table> plain = ExecutePlanCse(bound->plan, catalog_);
-  Result<Table> opt = ExecutePlanCse(*optimized, catalog_);
+  Result<Table> plain = ExecutePlan(bound->plan, catalog_);
+  Result<Table> opt = ExecutePlan(*optimized, catalog_);
   ASSERT_TRUE(plain.ok() && opt.ok());
   EXPECT_TRUE(TablesEqualOrdered(*plain, *opt));
 }
@@ -196,7 +196,7 @@ TEST_F(EndToEndTest, TwoFactTablesThroughPlans) {
       TableRef("Payments"), {Sum(RCol("amount"), "total_paid")}, theta);
   Result<PlanPtr> optimized = OptimizePlan(plan, catalog_);
   ASSERT_TRUE(optimized.ok());
-  Result<Table> got = ExecutePlanCse(*optimized, catalog_);
+  Result<Table> got = ExecutePlan(*optimized, catalog_);
   ASSERT_TRUE(got.ok());
 
   Result<Table> base_t = DistinctOn(sales_, {"cust", "month"});

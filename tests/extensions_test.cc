@@ -173,42 +173,6 @@ TEST_F(OptimizeDriverTest, DependentChainStaysChained) {
   EXPECT_TRUE(TablesEqualUnordered(*before, *after));
 }
 
-TEST_F(OptimizeDriverTest, CubeRollupOptIn) {
-  std::vector<std::string> dims = {"prod", "month"};
-  ExprPtr theta = And(Eq(BCol("prod"), RCol("prod")), Eq(BCol("month"), RCol("month")));
-  PlanPtr plan = MdJoinPlan(CubeBasePlan(TableRef("sales"), dims), TableRef("sales"),
-                            {Sum(RCol("sale"), "total"), Count("n")}, theta);
-  // Off by default: the plan keeps its CubeBase shape.
-  Result<PlanPtr> untouched = OptimizePlan(plan, catalog_);
-  ASSERT_TRUE(untouched.ok());
-  EXPECT_EQ((*untouched)->child(0)->kind(), PlanKind::kCubeBase);
-  // Opted in: the driver may expand into per-cuboid roll-up chains (gated by
-  // the cost model); whatever it decides, results are identical under the
-  // CSE executor.
-  OptimizeOptions options;
-  options.enable_cube_rollup = true;
-  OptimizeReport report;
-  Result<PlanPtr> optimized = OptimizePlan(plan, catalog_, options, &report);
-  ASSERT_TRUE(optimized.ok()) << optimized.status().ToString();
-  Result<Table> before = ExecutePlanCse(plan, catalog_);
-  Result<Table> after = ExecutePlanCse(*optimized, catalog_);
-  ASSERT_TRUE(before.ok() && after.ok());
-  EXPECT_TRUE(TablesEqualUnordered(*before, *after));
-}
-
-TEST_F(OptimizeDriverTest, RulesCanBeDisabled) {
-  PlanPtr plan = MdJoinPlan(CustBase(), TableRef("sales"), {Count("n")},
-                            And(Eq(RCol("cust"), BCol("cust")),
-                                Eq(RCol("year"), Lit(1997))));
-  OptimizeOptions off;
-  off.enable_pushdown = false;
-  off.enable_transfer = false;
-  off.enable_fusion = false;
-  Result<PlanPtr> optimized = OptimizePlan(plan, catalog_, off);
-  ASSERT_TRUE(optimized.ok());
-  EXPECT_EQ(ExplainPlan(*optimized), ExplainPlan(plan));
-}
-
 class HavingOrderTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -219,7 +183,7 @@ class HavingOrderTest : public ::testing::Test {
   Result<Table> Run(const std::string& sql) {
     Result<analyze::BoundQuery> bound = analyze::BindQueryString(sql, catalog_);
     if (!bound.ok()) return bound.status();
-    return ExecutePlanCse(bound->plan, catalog_);
+    return ExecutePlan(bound->plan, catalog_);
   }
 
   Table sales_;

@@ -752,8 +752,9 @@ TEST_F(ObsTest, InMemoryMorselPruningShowsOnTheReadingNodes) {
 
 /// R is read where it lives: every rotation text and every drill-down shape
 /// of the service workload copies no catalog table (ExecStats::
-/// tables_materialized, and no TableRef in the profile) under ExecutePlan,
-/// ExecutePlanCse and ExplainAnalyze. Each MD-join and generator reads the
+/// tables_materialized, and no TableRef in the profile) under ExecutePlan
+/// and ExplainAnalyze, which report equal ExecStats; their blocks_read is
+/// the profile's per-node sum. Each MD-join and generator reads the
 /// catalog's table `in_place` in memory and as `blocks` on paged storage; a
 /// detail child that is not a catalog reference is `materialized`.
 TEST_F(ObsTest, MdJoinsAndGeneratorsReadRWhereItLives) {
@@ -790,20 +791,29 @@ TEST_F(ObsTest, MdJoinsAndGeneratorsReadRWhereItLives) {
       ASSERT_TRUE(bound.ok()) << bound.status().ToString();
       Result<PlanPtr> plan = OptimizePlan(bound->plan, catalog);
       ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-      ExecStats plain_stats, cse_stats;
+      ExecStats plain_stats, profiled_stats;
       Result<Table> plain = ExecutePlan(*plan, catalog, {}, &plain_stats);
-      Result<Table> cse = ExecutePlanCse(*plan, catalog, {}, &cse_stats);
       QueryProfile profile;
-      Result<Table> profiled = ExplainAnalyze(*plan, catalog, {}, &profile);
-      ASSERT_TRUE(plain.ok() && cse.ok() && profiled.ok());
-      EXPECT_TRUE(testutil::TablesBitIdentical(*plain, *cse));
+      Result<Table> profiled =
+          ExplainAnalyze(*plan, catalog, {}, &profile, &profiled_stats);
+      ASSERT_TRUE(plain.ok() && profiled.ok());
       EXPECT_TRUE(testutil::TablesBitIdentical(*plain, *profiled));
       EXPECT_EQ(plain_stats.tables_materialized, 0);
-      EXPECT_EQ(cse_stats.tables_materialized, 0);
+      EXPECT_EQ(plain_stats.nodes_executed, profiled_stats.nodes_executed);
+      EXPECT_EQ(plain_stats.detail_rows_scanned, profiled_stats.detail_rows_scanned);
+      EXPECT_EQ(plain_stats.candidate_pairs, profiled_stats.candidate_pairs);
+      EXPECT_EQ(plain_stats.matched_pairs, profiled_stats.matched_pairs);
+      EXPECT_EQ(plain_stats.mdjoin_operators, profiled_stats.mdjoin_operators);
+      EXPECT_EQ(plain_stats.rows_materialized, profiled_stats.rows_materialized);
+      EXPECT_EQ(plain_stats.tables_materialized, profiled_stats.tables_materialized);
+      EXPECT_EQ(plain_stats.blocks_read, profiled_stats.blocks_read);
+      EXPECT_EQ(plain_stats.spill_bytes_written, profiled_stats.spill_bytes_written);
       std::vector<const OperatorProfile*> nodes;
       Nodes(*profile.root, &nodes);
       int readers = 0;
+      int64_t blocks_read = 0;
       for (const OperatorProfile* n : nodes) {
+        blocks_read += n->blocks_read;
         EXPECT_NE(n->label.rfind("TableRef", 0), 0u) << profile.ToText();
         if (!n->read.empty()) ++readers;
         if (n->is_mdjoin || n->label.rfind("CuboidBase", 0) == 0 ||
@@ -812,6 +822,10 @@ TEST_F(ObsTest, MdJoinsAndGeneratorsReadRWhereItLives) {
         }
       }
       EXPECT_GE(readers, 2) << profile.ToText();  // a generator and a join
+      EXPECT_EQ(plain_stats.blocks_read, blocks_read);
+      if (std::string(storage) == "blocks") {
+        EXPECT_GT(blocks_read, 0);
+      }
     }
   }
 

@@ -39,8 +39,8 @@ class OptimizerTest : public ::testing::Test {
 
   /// Executes both plans and expects identical multisets of rows.
   void ExpectSameResult(const PlanPtr& a, const PlanPtr& b) {
-    Result<Table> ra = ExecutePlanCse(a, catalog_);
-    Result<Table> rb = ExecutePlanCse(b, catalog_);
+    Result<Table> ra = ExecutePlan(a, catalog_);
+    Result<Table> rb = ExecutePlan(b, catalog_);
     ASSERT_TRUE(ra.ok()) << ra.status().ToString() << "\n" << ExplainPlan(a);
     ASSERT_TRUE(rb.ok()) << rb.status().ToString() << "\n" << ExplainPlan(b);
     EXPECT_TRUE(TablesEqualUnordered(*ra, *rb))
@@ -266,32 +266,6 @@ TEST_F(OptimizerTest, Theorem45Preconditions) {
                              TableRef("sales"), {Count("n")},
                              And(DimsTheta(dims), Gt(RCol("sale"), Lit(10))));
   EXPECT_FALSE(ApplyRollup(resid, 0b11).ok());
-}
-
-TEST_F(OptimizerTest, ExpandCubeBaseEqualsDirectCube) {
-  std::vector<std::string> dims = {"prod", "month"};
-  PlanPtr cube = MdJoinPlan(CubeBasePlan(TableRef("sales"), dims), TableRef("sales"),
-                            {Sum(RCol("sale"), "total")}, DimsTheta(dims));
-  Result<PlanPtr> expanded = ExpandCubeBase(cube);
-  ASSERT_TRUE(expanded.ok()) << expanded.status().ToString();
-  EXPECT_EQ((*expanded)->kind(), PlanKind::kUnion);
-  EXPECT_EQ((*expanded)->children().size(), 4u);
-  ExpectSameResult(cube, *expanded);
-}
-
-TEST_F(OptimizerTest, ExpandCubeBaseWithRollupsEqualsDirectCube) {
-  std::vector<std::string> dims = {"prod", "month", "state"};
-  PlanPtr cube = MdJoinPlan(CubeBasePlan(TableRef("sales"), dims), TableRef("sales"),
-                            {Sum(RCol("sale"), "total"), Count("n")}, DimsTheta(dims));
-  Result<PlanPtr> rolled = ExpandCubeBaseWithRollups(cube);
-  ASSERT_TRUE(rolled.ok()) << rolled.status().ToString();
-  ExpectSameResult(cube, *rolled);
-  // With CSE, the detail relation is scanned only by the full cuboid's
-  // MD-join; every other cuboid reads a finer cuboid's (smaller) output.
-  ExecStats direct_stats, rolled_stats;
-  ASSERT_TRUE(ExecutePlanCse(cube, catalog_, {}, &direct_stats).ok());
-  ASSERT_TRUE(ExecutePlanCse(*rolled, catalog_, {}, &rolled_stats).ok());
-  EXPECT_GT(rolled_stats.cse_hits, 0);
 }
 
 TEST_F(OptimizerTest, CostModelRanksIndexableThetaCheaper) {

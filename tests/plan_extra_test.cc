@@ -1,6 +1,6 @@
 /// Plan-IR plumbing not covered by the rule tests: the Sort node, schema
-/// inference corner cases, CloneWithChildren, executor CSE behavior, cost
-/// estimates per node kind, and explain-label rendering.
+/// inference corner cases, CloneWithChildren, cost estimates per node kind,
+/// the EXPLAIN ANALYZE tree, and explain-label rendering.
 
 #include <gtest/gtest.h>
 
@@ -57,32 +57,6 @@ TEST_F(PlanExtraTest, CloneWithChildrenPreservesPayload) {
   EXPECT_EQ(sort->Label(), sort_clone->Label());
 }
 
-TEST_F(PlanExtraTest, CseReusesIdenticalSubtrees) {
-  // The same expensive subquery (distinct customers) used on both sides of
-  // a join: CSE must evaluate it once.
-  PlanPtr dist = DistinctPlan(ProjectPlan(TableRef("sales"), {{Col("cust"), "cust"}}));
-  PlanPtr join = HashJoinPlan(dist, dist, {"cust"}, {"cust"});
-  ExecStats plain_stats, cse_stats;
-  Result<Table> plain = ExecutePlan(join, catalog_, {}, &plain_stats);
-  Result<Table> cse = ExecutePlanCse(join, catalog_, {}, &cse_stats);
-  ASSERT_TRUE(plain.ok() && cse.ok());
-  EXPECT_TRUE(TablesEqualUnordered(*plain, *cse));
-  EXPECT_EQ(plain_stats.cse_hits, 0);
-  EXPECT_EQ(cse_stats.cse_hits, 1);
-  EXPECT_LT(cse_stats.nodes_executed, plain_stats.nodes_executed);
-}
-
-TEST_F(PlanExtraTest, CseDistinguishesDifferentPayloads) {
-  PlanPtr f1 = FilterPlan(TableRef("sales"), Eq(Col("state"), Lit("NY")));
-  PlanPtr f2 = FilterPlan(TableRef("sales"), Eq(Col("state"), Lit("NJ")));
-  PlanPtr join = HashJoinPlan(f1, f2, {"cust"}, {"cust"});
-  ExecStats stats;
-  Result<Table> out = ExecutePlanCse(join, catalog_, {}, &stats);
-  ASSERT_TRUE(out.ok());
-  // Only the shared TableRef(sales) leaf is reused.
-  EXPECT_EQ(stats.cse_hits, 1);
-}
-
 TEST_F(PlanExtraTest, CostCoversEveryNodeKind) {
   PlanPtr base = DistinctPlan(ProjectPlan(TableRef("sales"), {{Col("cust"), "cust"}}));
   std::vector<PlanPtr> plans = {
@@ -113,17 +87,18 @@ TEST_F(PlanExtraTest, ProfiledExecutionMatchesPlainAndRecordsTree) {
   PlanPtr base = DistinctPlan(ProjectPlan(TableRef("sales"), {{Col("cust"), "cust"}}));
   PlanPtr plan = MdJoinPlan(base, TableRef("sales"), {Count("n")},
                             Eq(RCol("cust"), BCol("cust")));
-  Result<ProfiledResult> profiled = ExecutePlanProfiled(plan, catalog_);
+  QueryProfile profile;
+  Result<Table> profiled = ExplainAnalyze(plan, catalog_, {}, &profile);
   ASSERT_TRUE(profiled.ok()) << profiled.status().ToString();
   Result<Table> plain = ExecutePlan(plan, catalog_);
   ASSERT_TRUE(plain.ok());
-  EXPECT_TRUE(TablesEqualOrdered(profiled->table, *plain));
+  EXPECT_TRUE(TablesEqualOrdered(*profiled, *plain));
   // The profile tree mirrors the plan tree: each node's children are a
   // prefix of its plan node's, labelled alike (AnnotateEstimates and
   // HarvestFeedback walk both in lockstep). The detail TableRef is read in
   // place, never executed, so only the base subtree shows.
-  ASSERT_NE(profiled->profile.root, nullptr);
-  const OperatorProfile& root = *profiled->profile.root;
+  ASSERT_NE(profile.root, nullptr);
+  const OperatorProfile& root = *profile.root;
   EXPECT_NE(root.label.find("MdJoin"), std::string::npos);
   EXPECT_EQ(root.output_rows, plain->num_rows());
   ASSERT_EQ(root.children.size(), 1u);
@@ -139,10 +114,10 @@ TEST_F(PlanExtraTest, ProfiledExecutionMatchesPlainAndRecordsTree) {
   EXPECT_TRUE(root.is_mdjoin);
   EXPECT_GT(root.detail_rows_scanned, 0);
   EXPECT_GT(root.matched_pairs, 0);
-  EXPECT_TRUE(profiled->profile.complete);
-  EXPECT_EQ(profiled->profile.terminal, "ok");
+  EXPECT_TRUE(profile.complete);
+  EXPECT_EQ(profile.terminal, "ok");
   // Rendering contains every operator.
-  std::string text = profiled->ToString();
+  std::string text = profile.ToText();
   EXPECT_NE(text.find("MdJoin"), std::string::npos);
   EXPECT_NE(text.find("Distinct"), std::string::npos);
   EXPECT_NE(text.find("rows="), std::string::npos);

@@ -361,13 +361,6 @@ TEST_F(UnsatRewriteTest, OptimizerAppliesRewriteAndReportsIt) {
   Result<Table> opt = ExecutePlan(*optimized, catalog_, {});
   ASSERT_TRUE(ref.ok() && opt.ok());
   EXPECT_TRUE(TablesEqualOrdered(*ref, *opt));
-
-  // Disabled via options: plan untouched.
-  OptimizeOptions off;
-  off.enable_unsat_rewrite = false;
-  Result<PlanPtr> untouched = OptimizePlan(plan, catalog_, off);
-  ASSERT_TRUE(untouched.ok());
-  EXPECT_NE((*untouched)->child(1)->kind(), PlanKind::kEmptyRef);
 }
 
 TEST_F(UnsatRewriteTest, SatisfiableThetaIsLeftAlone) {

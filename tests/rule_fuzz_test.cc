@@ -71,8 +71,8 @@ class RuleFuzz : public ::testing::TestWithParam<uint64_t> {
         << verified.ToString() << "\nrewritten:\n" << ExplainPlan(b);
     MdJoinOptions options;
     options.verify_plans = true;
-    Result<Table> ra = ExecutePlanCse(a, catalog_, options);
-    Result<Table> rb = ExecutePlanCse(b, catalog_, options);
+    Result<Table> ra = ExecutePlan(a, catalog_, options);
+    Result<Table> rb = ExecutePlan(b, catalog_, options);
     ASSERT_TRUE(ra.ok()) << what << ": " << ra.status().ToString();
     ASSERT_TRUE(rb.ok()) << what << ": " << rb.status().ToString();
     EXPECT_TRUE(TablesEqualUnordered(*ra, *rb))

@@ -543,7 +543,7 @@ TEST_F(ServerTest, ServiceRollupHitServesCoarserFromCachedFiner) {
   EXPECT_LT(coarse->stats.exec.detail_rows_scanned, sales_.num_rows());
 
   // Identical to a fresh full execution.
-  Result<Table> fresh = ExecutePlanCse(CuboidQuery(0b01), catalog_);
+  Result<Table> fresh = ExecutePlan(CuboidQuery(0b01), catalog_);
   ASSERT_TRUE(fresh.ok());
   EXPECT_TRUE(TablesEqualOrdered(*coarse->table, *fresh))
       << "rollup:\n" << coarse->table->ToString() << "fresh:\n" << fresh->ToString();
@@ -554,10 +554,31 @@ TEST_F(ServerTest, ServiceRollupHitServesCoarserFromCachedFiner) {
   EXPECT_EQ(again->stats.cache, CacheOutcome::kHit);
 }
 
+TEST_F(ServerTest, HistorySummaryCountsRollupAndExactHits) {
+  QueryService service(catalog_);
+  auto session = service.OpenSession();
+  ASSERT_TRUE(session->Execute(CuboidQuery(0b11)).ok());
+  Result<QueryResult> coarse = session->Execute(CuboidQuery(0b01));
+  ASSERT_TRUE(coarse.ok()) << coarse.status().ToString();
+  ASSERT_EQ(coarse->stats.cache, CacheOutcome::kRollupHit);
+  ASSERT_NE(service.history(), nullptr);
+  std::vector<QueryRecord> records = service.history()->Snapshot();
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[0].cache, "miss");
+  EXPECT_EQ(records[1].cache, "rollup_hit");
+  std::string summary = service.history()->SummaryText();
+  EXPECT_NE(summary.find(", 1 cache hits,"), std::string::npos) << summary;
+
+  ASSERT_TRUE(session->Execute(CuboidQuery(0b01)).ok());  // now an exact hit
+  EXPECT_EQ(service.history()->Snapshot().back().cache, "hit");
+  summary = service.history()->SummaryText();
+  EXPECT_NE(summary.find(", 2 cache hits,"), std::string::npos) << summary;
+}
+
 TEST_F(ServerTest, RollupServedResultBitIdenticalAcrossThreadCounts) {
   // Satellite: the cached-rollup path must be bit-identical to fresh
   // execution whatever the engine parallelism (run under `ctest -L tsan`).
-  Result<Table> fresh = ExecutePlanCse(CuboidQuery(0b01), catalog_);
+  Result<Table> fresh = ExecutePlan(CuboidQuery(0b01), catalog_);
   ASSERT_TRUE(fresh.ok());
   for (int threads : {1, 2, 4}) {
     QueryServiceOptions opt;
@@ -680,7 +701,7 @@ TEST_F(ServerTest, ServiceOverloadShedsButNeverWedges) {
   opt.cache_capacity_bytes = 0;  // force real engine work per query
   QueryService service(catalog_, opt);
 
-  Result<Table> expected = ExecutePlanCse(CuboidQuery(0b11), catalog_);
+  Result<Table> expected = ExecutePlan(CuboidQuery(0b11), catalog_);
   ASSERT_TRUE(expected.ok());
 
   constexpr int kClients = 8;
@@ -725,8 +746,8 @@ TEST_F(ServerTest, ConcurrentSessionsShareCacheCorrectly) {
   // hits, and roll-up hits each one observes, every returned table must be
   // identical to fresh execution (run under `ctest -L tsan`).
   QueryService service(catalog_);
-  Result<Table> fresh_fine = ExecutePlanCse(CuboidQuery(0b11), catalog_);
-  Result<Table> fresh_coarse = ExecutePlanCse(CuboidQuery(0b01), catalog_);
+  Result<Table> fresh_fine = ExecutePlan(CuboidQuery(0b11), catalog_);
+  Result<Table> fresh_coarse = ExecutePlan(CuboidQuery(0b01), catalog_);
   ASSERT_TRUE(fresh_fine.ok() && fresh_coarse.ok());
 
   constexpr int kClients = 6;

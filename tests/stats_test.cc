@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <set>
 #include <string>
@@ -24,6 +25,9 @@
 #include "stats/feedback.h"
 #include "stats/query_log.h"
 #include "stats/table_stats.h"
+#include "storage/block_format.h"
+#include "storage/out_of_core.h"
+#include "storage/paged_table.h"
 #include "table/table_builder.h"
 #include "table/table_ops.h"
 #include "tests/test_util.h"
@@ -336,7 +340,7 @@ TEST(StatsCostTest, ResultsIdenticalWithAndWithoutStats) {
   ASSERT_TRUE(plain.Register("Sales", &sales).ok());
   Result<PlanPtr> optimized_plain = OptimizePlan(plan, plain);
   ASSERT_TRUE(optimized_plain.ok());
-  Result<Table> result_plain = ExecutePlanCse(*optimized_plain, plain);
+  Result<Table> result_plain = ExecutePlan(*optimized_plain, plain);
   ASSERT_TRUE(result_plain.ok());
 
   Catalog with_stats;
@@ -346,7 +350,7 @@ TEST(StatsCostTest, ResultsIdenticalWithAndWithoutStats) {
   ASSERT_TRUE(with_stats.RegisterStats("Sales", &*stats).ok());
   Result<PlanPtr> optimized_stats = OptimizePlan(plan, with_stats);
   ASSERT_TRUE(optimized_stats.ok());
-  Result<Table> result_stats = ExecutePlanCse(*optimized_stats, with_stats);
+  Result<Table> result_stats = ExecutePlan(*optimized_stats, with_stats);
   ASSERT_TRUE(result_stats.ok());
 
   // Statistics are advisory: plan choices may differ, results may not.
@@ -448,10 +452,51 @@ TEST(EstimateActualTest, ServiceCollectsFeedbackAndHistory) {
   EXPECT_LE(records[1].max_qerror, records[0].max_qerror);
 }
 
-// ---------------------------------------------------------------------------
-// Optimizer satellite: split rule record + feedback-threaded costing
+TEST(EstimateActualTest, ServiceRecordsBlocksReadWithAndWithoutFeedback) {
+  // Over a paged Sales, a query record's blocks_read comes from the engine's
+  // counters, so it is the same whether or not the query ran profiled.
+  const Table sales = testutil::RandomSales(/*seed=*/17, 1200);
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("mdjoin_stats_record_" + std::to_string(reinterpret_cast<uintptr_t>(&sales)) +
+        ".mdjb"))
+          .string();
+  BlockFileOptions file_options;
+  file_options.block_size_rows = 256;
+  ASSERT_TRUE(WriteBlockFile(sales, path, file_options).ok());
+  Result<std::unique_ptr<PagedTable>> paged = PagedTable::Open(path);
+  ASSERT_TRUE(paged.ok()) << paged.status().ToString();
+  Catalog catalog;
+  ASSERT_TRUE(RegisterPagedTable(&catalog, "Sales", **paged).ok());
 
-TEST(OptimizerStatsTest, SplitRuleIsOptInAndRecorded) {
+  std::vector<int64_t> blocks_read;
+  for (const bool feedback : {false, true}) {
+    SCOPED_TRACE(feedback ? "collect_feedback on" : "collect_feedback off");
+    QueryServiceOptions options;
+    options.collect_feedback = feedback;
+    options.cache_capacity_bytes = 0;  // every query runs the engine
+    QueryService service(catalog, options);
+    auto session = service.OpenSession();
+    Result<QueryResult> result = session->ExecuteQueryString(
+        "select prod, sum(sale) as total from Sales analyze by group(prod)");
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ASSERT_NE(service.history(), nullptr);
+    const std::vector<QueryRecord> records = service.history()->Snapshot();
+    ASSERT_EQ(records.size(), 1u);
+    EXPECT_GT(records[0].blocks_read, 0);
+    EXPECT_EQ(records[0].blocks_read, result->stats.exec.blocks_read);
+    EXPECT_EQ(records[0].detail_rows_scanned, result->stats.exec.detail_rows_scanned);
+    blocks_read.push_back(records[0].blocks_read);
+  }
+  EXPECT_EQ(blocks_read[0], blocks_read[1]);
+  paged->reset();
+  std::filesystem::remove(path);
+}
+
+// ---------------------------------------------------------------------------
+// Optimizer satellite: rewrite records
+
+TEST(OptimizerStatsTest, DriverRecordsNoSplit) {
   Table sales = testutil::SmallSales();
   Catalog catalog;
   ASSERT_TRUE(catalog.Register("Sales", &sales).ok());
@@ -461,35 +506,12 @@ TEST(OptimizerStatsTest, SplitRuleIsOptInAndRecorded) {
   PlanPtr plan = MdJoinPlan(inner, TableRef("Sales"), {Count("n2")},
                             Eq(RCol("cust"), BCol("cust")));
 
-  // Off by default: no Theorem 4.4 records.
-  std::vector<RewriteRecord> default_log;
-  Result<PlanPtr> default_plan = OptimizePlan(plan, catalog, {}, nullptr, &default_log);
-  ASSERT_TRUE(default_plan.ok());
-  for (const RewriteRecord& r : default_log) {
+  // Theorem 4.4 is not a driver rule: no record names it.
+  std::vector<RewriteRecord> log;
+  ASSERT_TRUE(OptimizePlan(plan, catalog, {}, nullptr, &log).ok());
+  for (const RewriteRecord& r : log) {
     EXPECT_EQ(r.rule.find("Theorem 4.4"), std::string::npos) << r.rule;
   }
-
-  OptimizeOptions options;
-  options.enable_split = true;
-  // Fusion would collapse the chain into one generalized MD-join before the
-  // split pattern can match; turn it off to isolate the Theorem 4.4 site.
-  options.enable_fusion = false;
-  std::vector<RewriteRecord> log;
-  Result<PlanPtr> optimized = OptimizePlan(plan, catalog, options, nullptr, &log);
-  ASSERT_TRUE(optimized.ok()) << optimized.status().ToString();
-  bool saw_split = false;
-  for (const RewriteRecord& r : log) {
-    if (r.rule.find("Theorem 4.4") == std::string::npos) continue;
-    saw_split = true;
-    EXPECT_FALSE(r.detail.empty());
-  }
-  EXPECT_TRUE(saw_split);
-  // Whatever the cost model decided, results are unchanged.
-  Result<Table> before = ExecutePlanCse(plan, catalog);
-  Result<Table> after = ExecutePlanCse(*optimized, catalog);
-  ASSERT_TRUE(before.ok());
-  ASSERT_TRUE(after.ok());
-  EXPECT_TRUE(TablesEqualUnordered(*before, *after));
 }
 
 TEST(OptimizerStatsTest, RewriteRecordsCarryCosts) {
