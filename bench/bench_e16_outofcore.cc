@@ -89,8 +89,8 @@ PagedData MakePaged(const Table& t, const std::string& tag) {
 
 const Table& Sales() { return CachedSales(kRows, kCustomers); }
 
-// The holders are function-local statics, not leaked pointers, so their
-// destructors run at exit and remove the block files.
+// Held by value in function-local statics, whose destructors run at exit
+// and remove the block files.
 PagedData& PagedSales() {
   static PagedData d = MakePaged(Sales(), "sales");
   return d;

@@ -451,11 +451,11 @@ Result<Table> ExecNode(const PlanPtr& plan, const Catalog& catalog,
 /// operator with the cost model's estimated cardinality. Estimation runs over
 /// the catalog the optimizer saw plus the feedback store when one is given;
 /// without one, `est=` in the rendering is the number the plan was ranked
-/// with. Profile
-/// children can be a prefix of plan children (R read where it lives is never
-/// executed), hence the bounds guard, and a group-id join's executed R′ may
-/// sit where its detail child σ(R′) is, hence the label check; a failed
-/// estimate leaves est_rows at -1 and the node renders without it.
+/// with. Profile children can be a prefix of plan children (R read where it
+/// lives is never executed), hence the bounds guard, and a group-id join's
+/// executed R′ may sit where its detail child σ(R′) is, hence the label
+/// check; a failed estimate leaves est_rows at -1 and the node renders
+/// without it.
 void AnnotateEstimates(const PlanPtr& plan, OperatorProfile* profile,
                        const Catalog& catalog, const FeedbackStore* feedback) {
   if (plan == nullptr || profile == nullptr || profile->label != plan->Label()) return;
