@@ -6,13 +6,15 @@
 ///   BM_ServiceUncontended   — 1 client, ample budget: the uncontended
 ///                             latency baseline the overload acceptance
 ///                             criterion compares against.
-///   BM_ServiceClosedLoop    — {2,4,8,16} clients against 2 thread tokens
-///                             and a short admission queue: measures p50/p99
-///                             latency of *admitted* queries, achieved QPS,
-///                             and the shed fraction as load grows. The
-///                             service must shed, not wedge: p99 of admitted
-///                             queries stays within 2× the uncontended p99
-///                             (checked against BENCH_e15.json).
+///   BM_ServiceClosedLoop    — {2,4,8,16} clients against 1 thread token
+///                             and no admission queue (depth 0), arriving
+///                             half a measured service time apart: measures
+///                             p50/p99 latency of *admitted* queries,
+///                             achieved QPS, and the shed fraction as load
+///                             grows. The service must shed, not wedge: p99
+///                             of admitted queries stays within 2× the
+///                             uncontended p99 (checked against
+///                             BENCH_e15.json).
 ///   BM_ServiceCacheLattice  — 4 clients, cache on, mixed cuboid masks of
 ///                             one family: measures exact-hit / roll-up-hit
 ///                             (Theorem 4.5) / miss traffic on the result
@@ -20,7 +22,8 @@
 ///
 /// Counters published per run (and into BENCH_e15.json via --json_out):
 /// p50_us, p99_us (admitted-query latency), qps (completed ok), shed_frac,
-/// queue_p99_ms, cache_hit/rollup_hit/miss deltas.
+/// queue_p99_ms, stagger_us (the closed loop's arrival spacing), and
+/// cache_hit/rollup_hit/miss per lattice sweep.
 ///
 /// Extra flag (stripped before google-benchmark sees argv): --metrics_out=F
 /// dumps the process metrics registry as flat JSON after all runs — the CI
@@ -31,6 +34,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -74,8 +78,8 @@ int64_t PercentileUs(std::vector<int64_t>& us, double p) {
 }
 
 /// One closed-loop round: `clients` threads each issue `per_client` queries
-/// back to back. Collects admitted-query latencies, queue waits, and shed
-/// counts across rounds.
+/// back to back, client i starting i × `stagger` after the first. Collects
+/// admitted-query latencies, queue waits, and shed counts across rounds.
 struct LoadTally {
   Mutex mu;
   std::vector<int64_t> latency_us;       // end to end: submit → result
@@ -87,7 +91,7 @@ struct LoadTally {
 };
 
 void RunRound(QueryService& service, int clients, int per_client, bool use_cache,
-              LoadTally* tally) {
+              std::chrono::microseconds stagger, LoadTally* tally) {
   std::vector<std::unique_ptr<Session>> sessions;
   sessions.reserve(static_cast<size_t>(clients));
   for (int i = 0; i < clients; ++i) {
@@ -100,7 +104,7 @@ void RunRound(QueryService& service, int clients, int per_client, bool use_cache
       // Ramp-up stagger, as in any load generator: real clients do not
       // arrive in lockstep, and a synchronized start would pin every queued
       // query's wait at one full service time.
-      std::this_thread::sleep_for(std::chrono::milliseconds(7 * i));
+      std::this_thread::sleep_for(stagger * i);
       SessionQueryOptions qopt;
       qopt.use_cache = use_cache;
       for (int q = 0; q < per_client; ++q) {
@@ -151,6 +155,23 @@ void PublishTally(benchmark::State& state, LoadTally& tally, double elapsed_seco
   if (tally.failed > 0) state.SkipWithError("queries failed with unexpected statuses");
 }
 
+/// The service time of an uncontended CuboidQuery on `service`: the median
+/// of three back-to-back runs from one client, cache off.
+std::chrono::microseconds MeasureServiceTime(QueryService& service) {
+  std::unique_ptr<Session> session = service.OpenSession("probe");
+  SessionQueryOptions qopt;
+  qopt.use_cache = false;
+  std::vector<int64_t> us;
+  for (int q = 0; q < 3; ++q) {
+    const auto start = std::chrono::steady_clock::now();
+    MDJ_CHECK(session->Execute(CuboidQuery(0b11), qopt).ok());
+    us.push_back(std::chrono::duration_cast<std::chrono::microseconds>(
+                     std::chrono::steady_clock::now() - start)
+                     .count());
+  }
+  return std::chrono::microseconds(PercentileUs(us, 0.5));
+}
+
 void BM_ServiceUncontended(benchmark::State& state) {
   Catalog catalog = SalesCatalog();
   QueryServiceOptions opt;
@@ -160,7 +181,8 @@ void BM_ServiceUncontended(benchmark::State& state) {
   LoadTally tally;
   const auto begin = std::chrono::steady_clock::now();
   for (auto _ : state) {
-    RunRound(service, /*clients=*/1, /*per_client=*/2, /*use_cache=*/false, &tally);
+    RunRound(service, /*clients=*/1, /*per_client=*/2, /*use_cache=*/false,
+             std::chrono::microseconds(0), &tally);
   }
   const double elapsed = std::chrono::duration<double>(
                              std::chrono::steady_clock::now() - begin)
@@ -190,16 +212,21 @@ void BM_ServiceClosedLoop(benchmark::State& state) {
   opt.admission.total_threads = 1;
   opt.admission.max_queue_depth = 0;
   QueryService service(catalog, opt);
+  // Clients arrive half a service time apart, so each arrives while the
+  // token is busy and the shed fraction grows with the client count; the
+  // spacing is measured here, on this host, not assumed.
+  const std::chrono::microseconds stagger = MeasureServiceTime(service) / 2;
   LoadTally tally;
   const auto begin = std::chrono::steady_clock::now();
   for (auto _ : state) {
-    RunRound(service, clients, /*per_client=*/2, /*use_cache=*/false, &tally);
+    RunRound(service, clients, /*per_client=*/2, /*use_cache=*/false, stagger, &tally);
   }
   const double elapsed = std::chrono::duration<double>(
                              std::chrono::steady_clock::now() - begin)
                              .count();
   PublishTally(state, tally, elapsed);
   state.counters["clients"] = clients;
+  state.counters["stagger_us"] = static_cast<double>(stagger.count());
 }
 BENCHMARK(BM_ServiceClosedLoop)
     ->Arg(2)
@@ -280,12 +307,14 @@ void BM_ServiceCacheLattice(benchmark::State& state) {
                              std::chrono::steady_clock::now() - begin)
                              .count();
   PublishTally(state, tally, elapsed);
+  const double sweeps = static_cast<double>(std::max<int64_t>(state.iterations(), 1));
   state.counters["cache_hit"] = static_cast<double>(
-      registry.GetCounter("mdjoin_server_cache_hit_total")->value() - hit0);
+      registry.GetCounter("mdjoin_server_cache_hit_total")->value() - hit0) / sweeps;
   state.counters["cache_rollup_hit"] = static_cast<double>(
-      registry.GetCounter("mdjoin_server_cache_rollup_hit_total")->value() - rollup0);
+      registry.GetCounter("mdjoin_server_cache_rollup_hit_total")->value() - rollup0) /
+      sweeps;
   state.counters["cache_miss"] = static_cast<double>(
-      registry.GetCounter("mdjoin_server_cache_miss_total")->value() - miss0);
+      registry.GetCounter("mdjoin_server_cache_miss_total")->value() - miss0) / sweeps;
 }
 BENCHMARK(BM_ServiceCacheLattice)->Unit(benchmark::kMillisecond)->UseRealTime();
 

@@ -65,6 +65,28 @@ inline ExprPtr DimsTheta(const std::vector<std::string>& dims) {
   return CombineConjuncts(std::move(eqs));
 }
 
+/// Mean, minimum and sample standard deviation (0 for one sample) of the
+/// repetitions of one measurement.
+struct Spread {
+  double mean = 0;
+  double min = 0;
+  double stddev = 0;
+};
+
+inline Spread SpreadOf(const std::vector<double>& samples) {
+  Spread out;
+  if (samples.empty()) return out;
+  double sum = 0;
+  for (double x : samples) sum += x;
+  out.mean = sum / static_cast<double>(samples.size());
+  out.min = *std::min_element(samples.begin(), samples.end());
+  double sq = 0;
+  for (double x : samples) sq += (x - out.mean) * (x - out.mean);
+  out.stddev =
+      samples.size() > 1 ? std::sqrt(sq / static_cast<double>(samples.size() - 1)) : 0;
+  return out;
+}
+
 /// Console reporter that additionally collects one machine-readable record
 /// per benchmark for the harness: name, rows (the "detail_rows" counter when
 /// the bench sets it), ns/op, detail-row throughput — plus every user counter
@@ -72,20 +94,18 @@ inline ExprPtr DimsTheta(const std::vector<std::string>& dims) {
 /// counts, ...), so bench drivers can publish arbitrary experiment-specific
 /// measurements through the same BENCH_*.json pipeline. Under
 /// --benchmark_repetitions=N the N runs of one benchmark fold into one
-/// record: ns_per_op is their mean, with their minimum and standard deviation
-/// beside it; counters are the last run's.
+/// record: ns/op and every counter keep all N runs' values, summarized as
+/// their mean with their minimum and standard deviation beside it.
 class JsonCollectingReporter : public ::benchmark::ConsoleReporter {
  public:
   struct Record {
     std::string name;
-    double rows = 0;
-    double ns_per_op = 0;  // mean over the repetitions
-    double ns_per_op_min = 0;
-    double ns_per_op_stddev = 0;  // sample standard deviation; 0 for one run
+    double rows = 0;  // mean of the "detail_rows" counter
+    Spread ns_per_op;
     double rows_per_sec = 0;
     int repetitions = 0;
-    /// All user counters of the run, verbatim (includes "detail_rows").
-    std::map<std::string, double> counters;
+    /// Every user counter of the runs, verbatim (includes "detail_rows").
+    std::map<std::string, Spread> counters;
   };
 
   void ReportRuns(const std::vector<Run>& reports) override {
@@ -101,32 +121,33 @@ class JsonCollectingReporter : public ::benchmark::ConsoleReporter {
         it->name = name;
         samples_.emplace_back();
       }
-      std::vector<double>& samples = samples_[static_cast<size_t>(it - records_.begin())];
+      Samples& samples = samples_[static_cast<size_t>(it - records_.begin())];
       const double iters = run.iterations > 0 ? static_cast<double>(run.iterations) : 1;
-      samples.push_back(run.real_accumulated_time / iters * 1e9);
+      samples.ns.push_back(run.real_accumulated_time / iters * 1e9);
+      for (const auto& [counter, value] : run.counters) {
+        samples.counters[counter].push_back(value.value);
+      }
       Record& rec = *it;
-      rec.counters.clear();
-      for (const auto& [counter, value] : run.counters) rec.counters[counter] = value.value;
+      rec.repetitions = static_cast<int>(samples.ns.size());
+      rec.ns_per_op = SpreadOf(samples.ns);
+      for (const auto& [counter, values] : samples.counters) {
+        rec.counters[counter] = SpreadOf(values);
+      }
       auto rows = rec.counters.find("detail_rows");
-      rec.rows = rows != rec.counters.end() ? rows->second : 0;
-      rec.repetitions = static_cast<int>(samples.size());
-      double sum = 0;
-      for (double ns : samples) sum += ns;
-      rec.ns_per_op = sum / static_cast<double>(samples.size());
-      rec.ns_per_op_min = *std::min_element(samples.begin(), samples.end());
-      double sq = 0;
-      for (double ns : samples) sq += (ns - rec.ns_per_op) * (ns - rec.ns_per_op);
-      rec.ns_per_op_stddev =
-          samples.size() > 1 ? std::sqrt(sq / static_cast<double>(samples.size() - 1)) : 0;
-      rec.rows_per_sec = rec.ns_per_op > 0 ? rec.rows * 1e9 / rec.ns_per_op : 0;
+      rec.rows = rows != rec.counters.end() ? rows->second.mean : 0;
+      rec.rows_per_sec = rec.ns_per_op.mean > 0 ? rec.rows * 1e9 / rec.ns_per_op.mean : 0;
     }
   }
 
   const std::vector<Record>& records() const { return records_; }
 
  private:
+  struct Samples {
+    std::vector<double> ns;                                // ns/op of each run
+    std::map<std::string, std::vector<double>> counters;  // each run's value
+  };
   std::vector<Record> records_;
-  std::vector<std::vector<double>> samples_;  // ns/op of each run, per record
+  std::vector<Samples> samples_;  // parallel to records_
 };
 
 /// Publishes an arm's raw-speed configuration as cfg_* counters;
@@ -151,7 +172,8 @@ inline void TagConfig(::benchmark::State& state, const Table& detail) {
 #endif
 
 /// Writes the collected records as a JSON array of flat objects. Every record
-/// carries its repetitions (count, mean, min, standard deviation), the host's
+/// carries its repetitions (count, and for ns/op and each counter the mean,
+/// with `_min` and `_stddev` beside it), the host's
 /// online core count, the build type, the build's git SHA and the
 /// harness-supplied wall-clock timestamp, so checked-in BENCH_*.json files
 /// stay attributable to a revision, a build and a machine.
@@ -168,17 +190,19 @@ inline bool WriteBenchJson(const std::string& path,
                  "  {\"name\": \"%s\", \"rows\": %.0f, \"ns_per_op\": %.1f, "
                  "\"ns_per_op_min\": %.1f, \"ns_per_op_stddev\": %.1f, "
                  "\"repetitions\": %d, \"rows_per_sec\": %.1f",
-                 r.name.c_str(), r.rows, r.ns_per_op, r.ns_per_op_min, r.ns_per_op_stddev,
-                 r.repetitions, r.rows_per_sec);
+                 r.name.c_str(), r.rows, r.ns_per_op.mean, r.ns_per_op.min,
+                 r.ns_per_op.stddev, r.repetitions, r.rows_per_sec);
     for (const auto& [name, value] : r.counters) {
       if (name == "detail_rows") continue;  // already published as "rows"
       if (name.rfind("cfg_", 0) == 0) continue;  // folded into "config" below
-      std::fprintf(f, ", \"%s\": %.3f", name.c_str(), value);
+      std::fprintf(f, ", \"%s\": %.3f, \"%s_min\": %.3f, \"%s_stddev\": %.3f",
+                   name.c_str(), value.mean, name.c_str(), value.min, name.c_str(),
+                   value.stddev);
     }
     // The arm's raw-speed configuration (TagConfig): the SIMD level every
     // kernel ran at on this host, and whether the detail carried its mirror.
     double dict_d = 1.0;
-    if (auto c = r.counters.find("cfg_dict"); c != r.counters.end()) dict_d = c->second;
+    if (auto c = r.counters.find("cfg_dict"); c != r.counters.end()) dict_d = c->second.mean;
     std::fprintf(f, ", \"config\": {\"simd\": \"%s\", \"dictionary\": %s}",
                  simd::LevelName(simd::BestLevel()), dict_d != 0 ? "true" : "false");
     std::fprintf(f,

@@ -327,27 +327,28 @@ Result<PlanPtr> BuildBasePlan(const BinderState& state, const PlanPtr& detail_pl
       return DistinctPlan(ProjectPlan(detail_plan, std::move(items)));
     }
     case BaseGenKind::kCube:
+      if (gen.attrs.size() > kMaxCubeDims) {
+        return Status::BindError("cube takes at most ", kMaxCubeDims, " attributes, got ",
+                                 gen.attrs.size());
+      }
       return CubeBasePlan(detail_plan, gen.attrs);
     case BaseGenKind::kRollup: {
       MDJ_RETURN_NOT_OK(CheckCuboidWidth("rollup", gen.attrs));
-      std::vector<PlanPtr> pieces;
+      std::vector<CuboidMask> masks;
       for (int k = static_cast<int>(gen.attrs.size()); k >= 0; --k) {
-        pieces.push_back(
-            CuboidBasePlan(detail_plan, gen.attrs, PrefixMask(static_cast<size_t>(k))));
+        masks.push_back(PrefixMask(static_cast<size_t>(k)));
       }
-      return UnionPlan(std::move(pieces));
+      return CuboidBasePlan(detail_plan, gen.attrs, std::move(masks));
     }
     case BaseGenKind::kUnpivot: {
       MDJ_RETURN_NOT_OK(CheckCuboidWidth("unpivot", gen.attrs));
-      std::vector<PlanPtr> pieces;
-      for (size_t i = 0; i < gen.attrs.size(); ++i) {
-        pieces.push_back(CuboidBasePlan(detail_plan, gen.attrs, CuboidMask{1} << i));
-      }
-      return UnionPlan(std::move(pieces));
+      std::vector<CuboidMask> masks;
+      for (size_t i = 0; i < gen.attrs.size(); ++i) masks.push_back(CuboidMask{1} << i);
+      return CuboidBasePlan(detail_plan, gen.attrs, std::move(masks));
     }
     case BaseGenKind::kGroupingSets: {
       MDJ_RETURN_NOT_OK(CheckCuboidWidth("grouping_sets", gen.attrs));
-      std::vector<PlanPtr> pieces;
+      std::vector<CuboidMask> masks;
       for (const std::vector<std::string>& set : gen.sets) {
         CuboidMask mask = 0;
         for (const std::string& a : set) {
@@ -355,9 +356,9 @@ Result<PlanPtr> BuildBasePlan(const BinderState& state, const PlanPtr& detail_pl
             if (gen.attrs[i] == a) mask |= CuboidMask{1} << i;
           }
         }
-        pieces.push_back(CuboidBasePlan(detail_plan, gen.attrs, mask));
+        masks.push_back(mask);
       }
-      return UnionPlan(std::move(pieces));
+      return CuboidBasePlan(detail_plan, gen.attrs, std::move(masks));
     }
     case BaseGenKind::kTable: {
       // Example 2.4: base values handed in as a table. Normalize column order

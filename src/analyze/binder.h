@@ -19,8 +19,9 @@ struct BoundQuery {
 };
 
 /// Lowers a parsed ANALYZE BY query to plan IR:
-///  - the generator becomes the base-values subplan (distinct / CubeBase /
-///    unions of CuboidBase / a catalog table);
+///  - the generator becomes the base-values subplan: one CuboidBase listing
+///    its cuboids (a group list wider than a mask binds to Distinct), or a
+///    catalog table;
 ///  - each grouping variable becomes one MD-join over the detail relation,
 ///    its SUCH THAT condition the θ (unqualified names resolve to base
 ///    attributes, `X.col` to the detail tuple);

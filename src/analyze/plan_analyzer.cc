@@ -1,10 +1,8 @@
 #include "analyze/plan_analyzer.h"
 
 #include <algorithm>
-#include <limits>
 
 #include "agg/agg_spec.h"
-#include "cube/base_tables.h"
 #include "expr/compile.h"
 
 namespace mdjoin {
@@ -173,6 +171,14 @@ std::string PlanAnalysis::DiagnosticsToString() const {
 // ---------------------------------------------------------------------------
 
 namespace {
+
+/// Each cuboid emits one row per value combination, so a generator's rows
+/// are distinct unless it lists a cuboid twice: a grouping-sets list may
+/// repeat a set, and the generator emits each copy.
+bool ListsACuboidTwice(std::vector<CuboidMask> masks) {
+  std::sort(masks.begin(), masks.end());
+  return std::adjacent_find(masks.begin(), masks.end()) != masks.end();
+}
 
 /// Recursive analyzer. Children are analyzed before their parent; a node
 /// whose child failed to resolve a schema records no schema itself and emits
@@ -402,78 +408,21 @@ class Analyzer {
         n->schema = std::move(out);
         return;
       }
-      case PlanKind::kGroupBy: {
-        if (!expect(1) || !ChildrenResolved(child_idx)) return;
-        const NodeAnalysis& child = Child(child_idx, 0);
-        Schema out;
-        for (const std::string& g : plan->group_columns) {
-          Result<int> idx = child.schema->GetFieldIndex(g);
-          if (!idx.ok()) {
-            Diag(*n, "type check", "group column '" + g + "' is not in the input");
-            return;
-          }
-          (void)out.AddField(child.schema->field(*idx));
-          const AttrProvenance* src = child.FindProvenance(g);
-          n->provenance.push_back(src != nullptr
-                                      ? *src
-                                      : AttrProvenance{g, AttrOrigin::kBaseColumn,
-                                                       plan.get(), g});
-        }
-        Result<std::vector<BoundAgg>> bound =
-            BindAggs(plan->aggs, nullptr, &*child.schema);
-        if (!bound.ok()) {
-          Diag(*n, "type check", "aggregate list does not bind: " +
-                                     bound.status().message());
-          return;
-        }
-        for (size_t i = 0; i < bound->size(); ++i) {
-          Status added = out.AddField((*bound)[i].output_field);
-          if (!added.ok()) {
-            Diag(*n, "invariant", "duplicate aggregate output: " + added.message());
-            return;
-          }
-          n->provenance.push_back({(*bound)[i].output_field.name,
-                                   AttrOrigin::kAggregate, plan.get(),
-                                   plan->aggs[i].ToString()});
-        }
-        n->schema = std::move(out);
-        n->rows_distinct = true;
-        n->distinct_evidence = "GroupBy emits one row per key at " + n->path;
-        return;
-      }
       case PlanKind::kMdJoin: {
         if (!expect(2) || !ChildrenResolved(child_idx)) return;
         const NodeAnalysis& base = Child(child_idx, 0);
         const NodeAnalysis& detail = Child(child_idx, 1);
-        if (plan->theta == nullptr) {
-          Diag(*n, "invariant", "MD-join has no θ-condition");
-          return;
-        }
-        if (!AnalyzeComponent(plan, plan->aggs, plan->theta, base, detail, n)) return;
-        n->rows_distinct = base.rows_distinct;
-        if (base.rows_distinct) {
-          n->distinct_evidence =
-              "MD-join extends distinct base rows (" + base.distinct_evidence + ")";
-        }
-        return;
-      }
-      case PlanKind::kGeneralizedMdJoin: {
-        if (!expect(2) || !ChildrenResolved(child_idx)) return;
-        const NodeAnalysis& base = Child(child_idx, 0);
-        const NodeAnalysis& detail = Child(child_idx, 1);
         if (plan->components.empty()) {
-          Diag(*n, "invariant", "generalized MD-join has no components");
+          Diag(*n, "invariant", "MD-join has no components");
           return;
         }
-        bool ok = true;
         for (const MdJoinComponent& comp : plan->components) {
           if (comp.theta == nullptr) {
-            Diag(*n, "invariant", "generalized MD-join component has no θ-condition");
+            Diag(*n, "invariant", "MD-join component has no θ-condition");
             return;
           }
-          ok = ok && AnalyzeComponent(plan, comp.aggs, comp.theta, base, detail, n);
+          if (!AnalyzeComponent(plan, comp.aggs, comp.theta, base, detail, n)) return;
         }
-        if (!ok) return;
         n->rows_distinct = base.rows_distinct;
         if (base.rows_distinct) {
           n->distinct_evidence =
@@ -481,23 +430,26 @@ class Analyzer {
         }
         return;
       }
-      case PlanKind::kCubeBase:
       case PlanKind::kCuboidBase: {
         if (!expect(1) || !ChildrenResolved(child_idx)) return;
         const NodeAnalysis& child = Child(child_idx, 0);
         if (plan->cube_dims.empty()) {
-          Diag(*n, "invariant", "cube base-values generator has no dimensions");
+          Diag(*n, "invariant", "cuboid generator has no dimensions");
           return;
         }
-        constexpr size_t kMaskBits = std::numeric_limits<CuboidMask>::digits;
-        if (plan->kind() == PlanKind::kCuboidBase && plan->cube_dims.size() > kMaskBits) {
-          Diag(*n, "invariant", "cuboid base has more dimensions than a mask has bits");
+        if (plan->cube_dims.size() > kMaxCuboidDims) {
+          Diag(*n, "invariant", "cuboid generator has more dimensions than a mask has bits");
           return;
         }
-        if (plan->kind() == PlanKind::kCuboidBase && plan->cube_dims.size() < kMaskBits &&
-            (plan->cuboid_mask >> plan->cube_dims.size()) != 0) {
-          Diag(*n, "invariant", "cuboid mask has bits beyond the dimension list");
+        if (plan->cuboid_masks.empty()) {
+          Diag(*n, "invariant", "cuboid generator lists no cuboids");
           return;
+        }
+        for (CuboidMask mask : plan->cuboid_masks) {
+          if ((mask & ~PrefixMask(plan->cube_dims.size())) != 0) {
+            Diag(*n, "invariant", "cuboid mask has bits beyond the dimension list");
+            return;
+          }
         }
         Schema out;
         for (const std::string& d : plan->cube_dims) {
@@ -518,10 +470,11 @@ class Analyzer {
                                                        plan.get(), d});
         }
         n->schema = std::move(out);
-        n->rows_distinct = true;
-        n->distinct_evidence = std::string(PlanKindToString(plan->kind())) +
-                               " generator emits distinct value combinations at " +
-                               n->path;
+        if (!ListsACuboidTwice(plan->cuboid_masks)) {
+          n->rows_distinct = true;
+          n->distinct_evidence =
+              "CuboidBase generator emits distinct value combinations at " + n->path;
+        }
         return;
       }
       case PlanKind::kEmptyRef: {
@@ -544,8 +497,8 @@ class Analyzer {
   }
 
   /// Type-checks one (aggs, θ) component against (base, detail) and extends
-  /// the node's schema/provenance/θ-classifications. Shared by kMdJoin and
-  /// kGeneralizedMdJoin (which calls it once per component, accumulating).
+  /// the node's schema/provenance/θ-classifications; called once per
+  /// component, accumulating.
   bool AnalyzeComponent(const PlanPtr& plan, const std::vector<AggSpec>& aggs,
                         const ExprPtr& theta, const NodeAnalysis& base,
                         const NodeAnalysis& detail, NodeAnalysis* n) {
@@ -605,6 +558,18 @@ Status NotCertified(const char* rule, const std::string& path, std::string why) 
       .ToStatus();
 }
 
+/// The base-side attributes one component's θ and aggregate arguments read.
+std::set<std::string> BaseRefs(const MdJoinComponent& comp) {
+  std::set<std::string> refs = comp.theta->ReferencedColumns(Side::kBase);
+  for (const AggSpec& a : comp.aggs) {
+    if (a.argument != nullptr) {
+      std::set<std::string> arg_refs = a.argument->ReferencedColumns(Side::kBase);
+      refs.insert(arg_refs.begin(), arg_refs.end());
+    }
+  }
+  return refs;
+}
+
 /// θ's equi part is exactly the dimension-equality condition over `dims`:
 /// the condition under which a cuboid row matches a detail tuple iff they
 /// agree on the cuboid's grouped dims (CertifyRollup, CertifyGroupIds).
@@ -618,36 +583,16 @@ Status CheckDimensionEquality(const ThetaParts& parts, const std::vector<std::st
 
 }  // namespace
 
-Result<PushdownCertificate> CertifyDetailPushdown(const PlanPtr& plan) {
-  if (plan->kind() != PlanKind::kMdJoin) {
-    return NotCertified("Theorem 4.2", "root", "root is not an MD-join");
-  }
-  ThetaClassification cls = ClassifyTheta(plan->theta);
-  if (cls.parts.detail_only.empty()) {
-    return NotCertified("Theorem 4.2", "root", "θ has no R-only conjuncts");
-  }
-  PushdownCertificate cert;
-  cert.detail_only = cls.parts.detail_only;
-  cert.remainder = cls.parts;
-  cert.remainder.detail_only.clear();
-  // Attach the detail-side interval facts the pushed σ enforces; zone maps
-  // and scan short-circuits consume these downstream.
-  RangeAnalysis ranges = AnalyzeRanges(plan->theta);
-  for (const RangeFact& f : ranges.facts) {
-    if (f.side == Side::kDetail) cert.pushed_ranges.push_back(f);
-  }
-  return cert;
-}
-
 Result<TransferCertificate> CertifyEquiTransfer(const PlanPtr& plan) {
-  if (plan->kind() != PlanKind::kMdJoin) {
-    return NotCertified("Observation 4.1", "root", "root is not an MD-join");
+  if (!IsPlainMdJoin(plan)) {
+    return NotCertified("Observation 4.1", "root", "root is not a one-component MD-join");
   }
   const PlanPtr& base = plan->child(0);
   if (base->kind() != PlanKind::kFilter) {
     return NotCertified("Observation 4.1", "root/0", "base child is not a selection");
   }
-  ThetaClassification cls = ClassifyTheta(plan->theta);
+  const ExprPtr& theta = plan->components[0].theta;
+  ThetaClassification cls = ClassifyTheta(theta);
   // The base selection predicate is a single-table expression over B (kDetail
   // frame); every attribute it touches must be in the equi-transfer closure.
   TransferCertificate cert;
@@ -664,8 +609,8 @@ Result<TransferCertificate> CertifyEquiTransfer(const PlanPtr& plan) {
   // remapped to B here) conjoined with θ, then read off the detail side as
   // transfer facts — the range predicates the transferred σ implies on R.
   ExprPtr base_sel = Expr::RemapSide(base->predicate, Side::kDetail, Side::kBase);
-  RangeAnalysis ranges = AnalyzeRanges(
-      Expr::Binary(BinaryOp::kAnd, plan->theta, std::move(base_sel)));
+  RangeAnalysis ranges =
+      AnalyzeRanges(Expr::Binary(BinaryOp::kAnd, theta, std::move(base_sel)));
   for (const RangeFact& f : ranges.facts) {
     if (f.from_transfer) cert.transferred_ranges.push_back(f);
   }
@@ -673,10 +618,10 @@ Result<TransferCertificate> CertifyEquiTransfer(const PlanPtr& plan) {
 }
 
 Result<UnsatThetaCertificate> CertifyUnsatTheta(const PlanPtr& plan) {
-  if (plan == nullptr || plan->kind() != PlanKind::kMdJoin) {
-    return NotCertified("unsat-θ", "root", "root is not an MD-join");
+  if (plan == nullptr || !IsPlainMdJoin(plan)) {
+    return NotCertified("unsat-θ", "root", "root is not a one-component MD-join");
   }
-  RangeAnalysis analysis = AnalyzeRanges(plan->theta);
+  RangeAnalysis analysis = AnalyzeRanges(plan->components[0].theta);
   if (analysis.satisfiable) {
     return NotCertified("unsat-θ", "root",
                         "interval analysis cannot refute θ: " +
@@ -698,18 +643,11 @@ ChainDependencyCertificate CertifyChainDependencies(
   cert.outputs.resize(k);
   cert.base_refs.resize(k);
   for (size_t i = 0; i < k; ++i) {
-    const PlanPtr& node = chain_innermost_first[i];
-    for (const AggSpec& a : node->aggs) cert.outputs[i].insert(a.output_name);
+    const MdJoinComponent& comp = chain_innermost_first[i]->components[0];
+    for (const AggSpec& a : comp.aggs) cert.outputs[i].insert(a.output_name);
     // A component depends on everything its θ or aggregate arguments read
     // from the base side: those names resolve against the stack below it.
-    std::set<std::string> refs = node->theta->ReferencedColumns(Side::kBase);
-    for (const AggSpec& a : node->aggs) {
-      if (a.argument != nullptr) {
-        std::set<std::string> arg_refs = a.argument->ReferencedColumns(Side::kBase);
-        refs.insert(arg_refs.begin(), arg_refs.end());
-      }
-    }
-    cert.base_refs[i] = std::move(refs);
+    cert.base_refs[i] = BaseRefs(comp);
     int gen = 0;
     for (size_t j = 0; j < i; ++j) {
       bool depends = false;
@@ -739,12 +677,10 @@ Status CertifyOuterIndependence(const PlanPtr& plan, const Catalog& catalog,
   // must trace to an attribute of the inner *base*, not to an aggregate the
   // inner MD-join generates — provenance decides, not name guessing.
   const NodeAnalysis* base_info = analysis.Find(inner->child(0).get());
-  std::set<std::string> outer_refs = plan->theta->ReferencedColumns(Side::kBase);
-  for (const AggSpec& a : plan->aggs) {
-    if (a.argument != nullptr) {
-      std::set<std::string> r = a.argument->ReferencedColumns(Side::kBase);
-      outer_refs.insert(r.begin(), r.end());
-    }
+  std::set<std::string> outer_refs;
+  for (const MdJoinComponent& comp : plan->components) {
+    std::set<std::string> refs = BaseRefs(comp);
+    outer_refs.insert(refs.begin(), refs.end());
   }
   for (const std::string& col : outer_refs) {
     const AttrProvenance* p = analysis.root().FindProvenance(col);
@@ -775,13 +711,14 @@ Result<DistinctnessCertificate> CertifyBaseDistinct(const PlanPtr& base_plan) {
         return DistinctnessCertificate{"Distinct at " + path +
                                        (via.empty() ? "" : " (preserved through " +
                                                               via.back() + ")")};
-      case PlanKind::kCubeBase:
       case PlanKind::kCuboidBase:
+        if (ListsACuboidTwice(cursor->cuboid_masks)) {
+          return NotCertified("Theorem 4.4", path,
+                              "no distinctness evidence: the CuboidBase lists a cuboid "
+                              "twice and emits each copy");
+        }
         return DistinctnessCertificate{
-            std::string(PlanKindToString(cursor->kind())) +
-            " generator emits distinct value combinations at " + path};
-      case PlanKind::kGroupBy:
-        return DistinctnessCertificate{"GroupBy emits one row per key at " + path};
+            "CuboidBase generator emits distinct value combinations at " + path};
       case PlanKind::kEmptyRef:
         return DistinctnessCertificate{"empty relation at " + path};
       // Distinctness-preserving: these never introduce duplicate rows when
@@ -790,7 +727,6 @@ Result<DistinctnessCertificate> CertifyBaseDistinct(const PlanPtr& base_plan) {
       case PlanKind::kSort:
       case PlanKind::kPartition:
       case PlanKind::kMdJoin:
-      case PlanKind::kGeneralizedMdJoin:
         // MD-joins output exactly their base's rows, extended with new
         // columns — extension cannot merge distinct rows.
         via.push_back(PlanKindToString(cursor->kind()));
@@ -802,21 +738,22 @@ Result<DistinctnessCertificate> CertifyBaseDistinct(const PlanPtr& base_plan) {
             "Theorem 4.4", path,
             std::string("no distinctness evidence: ") + PlanKindToString(cursor->kind()) +
                 " does not establish or preserve duplicate-freedom (wrap the base in "
-                "Distinct, or derive it from a cube/GroupBy generator)");
+                "Distinct, or derive it from a cuboid generator)");
     }
   }
 }
 
 Result<RollupCertificate> CertifyRollup(const PlanPtr& plan) {
-  if (plan->kind() != PlanKind::kMdJoin) {
-    return NotCertified("Theorem 4.5", "root", "root is not an MD-join");
+  if (!IsPlainMdJoin(plan)) {
+    return NotCertified("Theorem 4.5", "root", "root is not a one-component MD-join");
   }
   const PlanPtr& base = plan->child(0);
-  if (base->kind() != PlanKind::kCuboidBase) {
+  if (base->kind() != PlanKind::kCuboidBase || base->cuboid_masks.size() != 1) {
     return NotCertified("Theorem 4.5", "root/0",
                         "base child is not a cuboid base-values table");
   }
-  MDJ_ASSIGN_OR_RETURN(bool distributive, AllDistributive(plan->aggs));
+  const MdJoinComponent& comp = plan->components[0];
+  MDJ_ASSIGN_OR_RETURN(bool distributive, AllDistributive(comp.aggs));
   if (!distributive) {
     return NotCertified("Theorem 4.5", "root",
                         "aggregate list is not distributive; re-aggregating "
@@ -825,7 +762,7 @@ Result<RollupCertificate> CertifyRollup(const PlanPtr& plan) {
   // θ must be exactly the dimension-equality condition over the cuboid's
   // dimension list: only equi conjuncts, each a plain B.d = R.d pair, and the
   // set of paired dimensions equal to the cuboid's.
-  ThetaClassification cls = ClassifyTheta(plan->theta);
+  ThetaClassification cls = ClassifyTheta(comp.theta);
   if (!cls.parts.detail_only.empty() || !cls.parts.base_only.empty() ||
       !cls.parts.residual.empty()) {
     return NotCertified("Theorem 4.5", "root",
@@ -838,44 +775,17 @@ Result<RollupCertificate> CertifyRollup(const PlanPtr& plan) {
 
 Result<GroupIdsCertificate> CertifyGroupIds(const PlanPtr& plan) {
   constexpr const char* kRule = "group-id relative sets";
-  std::vector<ExprPtr> thetas;
-  if (plan->kind() == PlanKind::kMdJoin) {
-    thetas.push_back(plan->theta);
-  } else if (plan->kind() == PlanKind::kGeneralizedMdJoin) {
-    for (const MdJoinComponent& c : plan->components) thetas.push_back(c.theta);
-  } else {
+  if (plan->kind() != PlanKind::kMdJoin) {
     return NotCertified(kRule, "root", "root is not an MD-join");
   }
-  // The base: CuboidBase(R′, dims, m), CubeBase(R′, dims), or a union of
-  // CuboidBase(R′, dims, m) over one R′ and one dims list.
   const PlanPtr& base = plan->child(0);
-  std::vector<PlanPtr> pieces = {base};
-  if (base->kind() == PlanKind::kUnion) pieces = base->children();
-  GroupIdsCertificate cert;
-  for (const PlanPtr& piece : pieces) {
-    if (piece->kind() != PlanKind::kCuboidBase &&
-        !(piece == base && base->kind() == PlanKind::kCubeBase)) {
-      return NotCertified(kRule, "root/0",
-                          "base child is not a cube, rollup, grouping-sets or unpivot "
-                          "generator");
-    }
-    if (cert.detail == nullptr) {
-      cert.detail = piece->child(0);
-      cert.dims = piece->cube_dims;
-    } else if (piece->cube_dims != cert.dims ||
-               (piece->child(0) != cert.detail &&
-                ExplainPlan(piece->child(0)) != ExplainPlan(cert.detail))) {
-      return NotCertified(kRule, "root/0",
-                          "the union's cuboids differ in their input or dimensions");
-    }
-    if (piece->kind() == PlanKind::kCuboidBase) cert.masks.push_back(piece->cuboid_mask);
+  if (base->kind() != PlanKind::kCuboidBase) {
+    return NotCertified(kRule, "root/0",
+                        "base child is not a cube, rollup, grouping-sets or unpivot "
+                        "generator");
   }
-  if (cert.detail == nullptr) return NotCertified(kRule, "root/0", "empty union");
-  if (base->kind() == PlanKind::kCubeBase) {
-    MDJ_ASSIGN_OR_RETURN(CubeLattice lattice, CubeLattice::Make(cert.dims));
-    cert.masks = CubeMasks(lattice);
-  }
-  // The detail child is R′, or R′ under selections pushed out of θ.
+  GroupIdsCertificate cert{base->child(0), {}, base->cube_dims, base->cuboid_masks};
+  // The detail child is R′, or R′ under selections.
   auto same = [](const PlanPtr& a, const PlanPtr& b) {
     return a == b || ExplainPlan(a) == ExplainPlan(b);
   };
@@ -889,8 +799,8 @@ Result<GroupIdsCertificate> CertifyGroupIds(const PlanPtr& plan) {
   // Every θ: the dimension equality over dims, and no B-only conjunct (it
   // would drop base rows the group's relative set lists). R-only and
   // residual conjuncts run as they do over an index.
-  for (const ExprPtr& theta : thetas) {
-    ThetaClassification cls = ClassifyTheta(theta);
+  for (const MdJoinComponent& comp : plan->components) {
+    ThetaClassification cls = ClassifyTheta(comp.theta);
     if (!cls.parts.base_only.empty()) {
       return NotCertified(kRule, "root", "θ has a B-only conjunct");
     }

@@ -66,7 +66,7 @@ struct AnalyzerDiagnostic {
 /// How one conjunct of θ participates in MD-join evaluation and rewriting.
 enum class ConjunctClass {
   kEquiBound,   // (B-only expr) = (R-only expr): indexable, transfers σs
-  kDetailOnly,  // references R only: Theorem 4.2 pushes it into σ(R)
+  kDetailOnly,  // references R only: runs as a kernel over R (Theorem 4.2)
   kBaseOnly,    // references B only: restricts base rows up front
   kConstant,    // no column references at all
   kResidual,    // mixed non-equi: evaluated per candidate pair
@@ -107,7 +107,7 @@ ThetaClassification ClassifyTheta(const ExprPtr& theta);
 /// Where an output attribute of a plan node comes from.
 enum class AttrOrigin {
   kBaseColumn,  // a column of a catalog table, passed through untouched
-  kAggregate,   // output of an MD-join / GroupBy aggregate
+  kAggregate,   // output of an MD-join aggregate
   kComputed,    // projection expression (not a plain column passthrough)
   kRenamed,     // hash-join clash suffixing ("x" -> "x_r")
 };
@@ -116,7 +116,7 @@ const char* AttrOriginToString(AttrOrigin origin);
 
 /// Provenance of one field of a node's output schema. `producer` is the node
 /// that introduced the attribute (the TableRef for base columns, the MD-join
-/// or GroupBy for aggregates, the Project for computed columns); `detail`
+/// for aggregates, the Project for computed columns); `detail`
 /// renders the definition (e.g. "sales.cust" or "sum(R.sale)").
 struct AttrProvenance {
   std::string name;
@@ -140,13 +140,12 @@ struct NodeAnalysis {
   /// One entry per schema field, parallel to schema->fields().
   std::vector<AttrProvenance> provenance;
 
-  /// θ classification for kMdJoin (one entry) / kGeneralizedMdJoin (one per
-  /// component); empty otherwise.
+  /// θ classification for kMdJoin, one per component; empty otherwise.
   std::vector<ThetaClassification> thetas;
 
   /// Structural duplicate-freedom evidence: true when this node's output
   /// rows are provably distinct from the plan shape alone (Distinct roots,
-  /// cube base-values generators, GroupBy outputs, and shapes that preserve
+  /// cuboid generators listing no cuboid twice, and shapes that preserve
   /// distinctness). `distinct_evidence` says why.
   bool rows_distinct = false;
   std::string distinct_evidence;
@@ -183,18 +182,6 @@ Result<PlanAnalysis> AnalyzePlan(const PlanPtr& plan, const Catalog& catalog);
 // Rewrite-legality certificates (consumed by optimizer/rules.cc)
 // ---------------------------------------------------------------------------
 
-/// Theorem 4.2 (selection pushdown): the R-only conjuncts of θ and the
-/// remainder they leave behind. Absent (InvalidArgument) when the root is not
-/// an MD-join or θ has no R-only conjunct.
-struct PushdownCertificate {
-  std::vector<ExprPtr> detail_only;  // σ-pushable conjuncts
-  ThetaParts remainder;              // θ minus detail_only
-  /// Detail-side range facts θ's interval analysis derives — the bounds the
-  /// pushed σ (and, later, block zone maps) will enforce.
-  std::vector<RangeFact> pushed_ranges;
-};
-Result<PushdownCertificate> CertifyDetailPushdown(const PlanPtr& plan);
-
 /// Observation 4.1 (base-selection transfer): for MD(σ_c(B), R, l, θ), the
 /// substitution mapping every B attribute that c references to the R-side
 /// expression an equi conjunct of θ binds it to. Absent when the root shape
@@ -210,7 +197,8 @@ struct TransferCertificate {
 Result<TransferCertificate> CertifyEquiTransfer(const PlanPtr& plan);
 
 /// Statically-unsatisfiable θ: the interval abstract interpretation proves no
-/// (b, t) pair can satisfy the root MD-join's condition — every base row's
+/// (b, t) pair can satisfy the root one-component MD-join's condition — every
+/// base row's
 /// aggregates are over the empty multiset, so the detail child may be
 /// replaced by an empty relation without scanning R. Absent when θ is (or may
 /// be) satisfiable.
@@ -221,7 +209,7 @@ struct UnsatThetaCertificate {
 Result<UnsatThetaCertificate> CertifyUnsatTheta(const PlanPtr& plan);
 
 /// Theorem 4.3 (series fusion): dependency analysis over a chain of nested
-/// MD-joins, innermost first. Component i's generation is one past the
+/// one-component MD-joins, innermost first. Component i's generation is one past the
 /// highest generation whose aggregate outputs its θ or aggregate arguments
 /// reference; same-generation components are mutually θ-independent and may
 /// fuse when they share a detail relation.
@@ -235,7 +223,7 @@ ChainDependencyCertificate CertifyChainDependencies(
 
 /// Theorem 4.3 (commute) / Theorem 4.4 (split): θ-independence of the outer
 /// MD-join from the inner one's generated columns. Verifies that every
-/// base-side attribute the outer θ and aggregate arguments reference resolves
+/// base-side attribute the outer θs and aggregate arguments reference resolves
 /// to a column of the *inner base's* schema — i.e. provenance is a base
 /// column, not an aggregate output of the inner MD-join. `rule` labels the
 /// diagnostic.
@@ -243,36 +231,33 @@ Status CertifyOuterIndependence(const PlanPtr& plan, const Catalog& catalog,
                                 const char* rule);
 
 /// Theorem 4.4 (split): structural evidence that `base_plan`'s rows are
-/// distinct. Derived bottom-up: Distinct nodes, cube base-values generators
-/// (CubeBase / CuboidBase emit one row per value combination), GroupBy (one
-/// row per key), and distinctness-preserving shapes above them (Filter, Sort,
-/// Partition, MD-joins extending a distinct base). Absent (InvalidArgument,
-/// naming the node that breaks the chain) when no evidence exists — the rule
-/// refuses rather than trusting callers.
+/// distinct. Derived bottom-up: Distinct nodes, cuboid generators that list no
+/// cuboid twice (each cuboid emits one row per value combination; a repeated
+/// grouping set emits each copy), and distinctness-preserving shapes above
+/// them (Filter, Sort, Partition, MD-joins extending a distinct base). Absent
+/// (InvalidArgument, naming the node that breaks the chain) when no evidence
+/// exists — the rule refuses rather than trusting callers.
 struct DistinctnessCertificate {
   std::string evidence;  // human-readable derivation, e.g. "Distinct at root/0"
 };
 Result<DistinctnessCertificate> CertifyBaseDistinct(const PlanPtr& base_plan);
 
 /// Theorem 4.5 (roll-up): l is distributive and θ is exactly the
-/// dimension-equality condition of the base child's cuboid. Requires root
-/// MD-join over a CuboidBase child.
+/// dimension-equality condition of the base child's cuboid. Requires a root
+/// one-component MD-join over a one-cuboid CuboidBase child.
 struct RollupCertificate {
   std::vector<std::string> dims;  // the cuboid's dimensions, for convenience
 };
 Result<RollupCertificate> CertifyRollup(const PlanPtr& plan);
 
-/// Group-id relative sets: an MD-join, plain or generalized, whose base is
-/// generated from its own detail relation R′ — a CuboidBase(R′, dims, m)
-/// (group(...) binds as the finest one), CubeBase(R′, dims), or a Union of
-/// CuboidBase(R′, dims, m) over one R′ and one dims list (rollup, grouping
-/// sets, unpivot) — where every θ's equi part is exactly the
-/// dimension-equality condition over dims (CertifyRollup's check) and no θ
-/// has a B-only conjunct. The detail child is R′ itself or R′ under Filters
-/// (a Theorem-4.2 pushdown), whose predicates fold back into every θ. The
-/// executor then runs the generator once over R′ and hands the MD-join each
-/// detail row's relative set by group id (GroupIdMap, core/mdjoin.h) instead
-/// of an index over B.
+/// Group-id relative sets: an MD-join whose base is generated from its own
+/// detail relation R′ — a CuboidBase(R′, dims, masks), whichever generator
+/// bound it (group(...) binds as the finest cuboid) — where every θ's equi
+/// part is exactly the dimension-equality condition over dims (CertifyRollup's
+/// check) and no θ has a B-only conjunct. The detail child is R′ itself or R′
+/// under Filters, whose predicates fold into every θ. The executor then runs
+/// the generator once over R′ and hands the MD-join each detail row's relative
+/// set by group id (GroupIdMap, core/mdjoin.h) instead of an index over B.
 struct GroupIdsCertificate {
   PlanPtr detail;                  // R′: the generator's input
   std::vector<ExprPtr> extra;      // conjuncts of the Filters between detail and R′

@@ -68,21 +68,19 @@ void ReportTheta(const std::string& path, const ExprPtr& theta,
 void ReportNode(const PlanPtr& plan, const Catalog& catalog,
                 const std::string& path, std::vector<std::string>* out) {
   if (plan == nullptr) return;
-  if (plan->kind() == PlanKind::kMdJoin ||
-      plan->kind() == PlanKind::kGeneralizedMdJoin) {
+  if (plan->kind() == PlanKind::kMdJoin) {
     // Schemas are needed to lower θ; an un-inferable child degrades the
     // verifier line to "not lowered" rather than failing the report.
     Result<Schema> base_schema = InferSchema(plan->child(0), catalog);
     Result<Schema> detail_schema = InferSchema(plan->child(1), catalog);
     const Schema* bs = base_schema.ok() ? &*base_schema : nullptr;
     const Schema* ds = detail_schema.ok() ? &*detail_schema : nullptr;
-    if (plan->kind() == PlanKind::kMdJoin) {
-      ReportTheta(path, plan->theta, bs, ds, out);
-    } else {
-      for (size_t i = 0; i < plan->components.size(); ++i) {
-        ReportTheta(path + "#" + std::to_string(i), plan->components[i].theta, bs,
-                    ds, out);
-      }
+    // A one-component MD-join reports under its path, the components of a
+    // generalized one under path#i.
+    const std::vector<MdJoinComponent>& comps = plan->components;
+    for (size_t i = 0; i < comps.size(); ++i) {
+      ReportTheta(comps.size() == 1 ? path : path + "#" + std::to_string(i),
+                  comps[i].theta, bs, ds, out);
     }
   }
   for (size_t i = 0; i < plan->children().size(); ++i) {

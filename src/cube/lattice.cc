@@ -6,9 +6,9 @@ namespace mdjoin {
 
 Result<CubeLattice> CubeLattice::Make(std::vector<std::string> dims) {
   if (dims.empty()) return Status::InvalidArgument("cube lattice needs >= 1 dimension");
-  if (dims.size() > 20) {
-    return Status::InvalidArgument("cube lattice limited to 20 dimensions, got ",
-                                   dims.size());
+  if (dims.size() > kMaxCubeDims) {
+    return Status::InvalidArgument("cube lattice limited to ", kMaxCubeDims,
+                                   " dimensions, got ", dims.size());
   }
   for (size_t i = 0; i < dims.size(); ++i) {
     for (size_t j = i + 1; j < dims.size(); ++j) {

@@ -19,6 +19,9 @@ using CuboidMask = uint32_t;
 /// Dimensions a cuboid mask can name, one bit each.
 constexpr size_t kMaxCuboidDims = std::numeric_limits<CuboidMask>::digits;
 
+/// Dimensions a cube lattice (all 2^d cuboids) may have.
+constexpr size_t kMaxCubeDims = 20;
+
 /// The mask grouping the first `k` dims, 0 <= k <= kMaxCuboidDims (no shift
 /// by the mask's width at either end).
 constexpr CuboidMask PrefixMask(size_t k) {
@@ -27,7 +30,8 @@ constexpr CuboidMask PrefixMask(size_t k) {
 
 /// The search lattice of a data cube over named dimensions (paper §4.4).
 /// Purely structural: enumeration, parent/child tests, pretty names. Limited
-/// to 20 dimensions (2^20 cuboids) — far beyond practical cube widths.
+/// to kMaxCubeDims dimensions (2^20 cuboids) — far beyond practical cube
+/// widths.
 class CubeLattice {
  public:
   static Result<CubeLattice> Make(std::vector<std::string> dims);

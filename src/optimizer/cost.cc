@@ -1,7 +1,6 @@
 #include "optimizer/cost.h"
 
 #include <algorithm>
-#include <cmath>
 #include <optional>
 
 #include "expr/conjuncts.h"
@@ -14,18 +13,7 @@ namespace {
 
 constexpr double kFilterSelectivity = 0.3;
 constexpr double kDistinctRatio = 0.6;
-constexpr double kGroupByRatio = 0.2;
 constexpr double kCuboidRatio = 0.2;
-
-Result<PlanCost> CostMdJoinLike(double base_rows, double base_work, double detail_rows,
-                                double detail_work, bool has_equi) {
-  PlanCost cost;
-  cost.output_rows = base_rows;
-  double pairs = has_equi ? detail_rows  // one indexed probe per tuple
-                          : detail_rows * base_rows;
-  cost.work = base_work + detail_work + detail_rows + pairs + base_rows;
-  return cost;
-}
 
 std::optional<CmpOp> ToCmpOp(BinaryOp op) {
   switch (op) {
@@ -110,13 +98,14 @@ double PredicateSelectivity(const ExprPtr& predicate, const TableStats* stats) {
   return std::clamp(sel, 0.0, 1.0);
 }
 
-/// Product of the NDVs of `columns`, or nullopt when any column lacks
-/// statistics (callers then fall back to the ratio constants). The product
-/// is the standard independence-assumption group-count estimate; callers
-/// clamp it to the input cardinality.
+/// Product of the NDVs of `columns` (1 for none: the grand total's one
+/// group), or nullopt when any column lacks statistics (callers then fall
+/// back to the ratio constants). The product is the standard
+/// independence-assumption group-count estimate; callers clamp it to the
+/// input cardinality.
 std::optional<double> NdvProduct(const TableStats* stats,
                                  const std::vector<std::string>& columns) {
-  if (stats == nullptr || columns.empty()) return std::nullopt;
+  if (stats == nullptr) return std::nullopt;
   double product = 1.0;
   for (const std::string& name : columns) {
     const ColumnStats* cs = stats->FindColumn(name);
@@ -197,54 +186,19 @@ Result<PlanCost> EstimateCostImpl(const PlanPtr& plan, const Catalog& catalog,
       return PlanCost{std::max(l.output_rows, r.output_rows),
                       l.work + r.work + l.output_rows + r.output_rows};
     }
-    case PlanKind::kGroupBy: {
-      MDJ_ASSIGN_OR_RETURN(PlanCost child, Estimate(plan->child(0), catalog, feedback));
-      double out = child.output_rows * kGroupByRatio;
-      if (std::optional<double> ndv = NdvProduct(
-              StatsForInput(plan->child(0), catalog), plan->group_columns)) {
-        out = std::min(*ndv, child.output_rows);
-      }
-      return PlanCost{out, child.work + child.output_rows};
-    }
     case PlanKind::kMdJoin: {
-      MDJ_ASSIGN_OR_RETURN(PlanCost b, Estimate(plan->child(0), catalog, feedback));
-      MDJ_ASSIGN_OR_RETURN(PlanCost r, Estimate(plan->child(1), catalog, feedback));
-      bool has_equi = !AnalyzeTheta(plan->theta).equi.empty();
-      return CostMdJoinLike(b.output_rows, b.work, r.output_rows, r.work, has_equi);
-    }
-    case PlanKind::kGeneralizedMdJoin: {
       MDJ_ASSIGN_OR_RETURN(PlanCost b, Estimate(plan->child(0), catalog, feedback));
       MDJ_ASSIGN_OR_RETURN(PlanCost r, Estimate(plan->child(1), catalog, feedback));
       PlanCost cost;
       cost.output_rows = b.output_rows;
       cost.work = b.work + r.work + r.output_rows;  // ONE scan of R
       for (const MdJoinComponent& comp : plan->components) {
+        // One indexed probe per tuple with an equi conjunct, else every pair.
         bool has_equi = !AnalyzeTheta(comp.theta).equi.empty();
         cost.work += has_equi ? r.output_rows : r.output_rows * b.output_rows;
       }
       cost.work += b.output_rows;
       return cost;
-    }
-    case PlanKind::kCubeBase: {
-      MDJ_ASSIGN_OR_RETURN(PlanCost child, Estimate(plan->child(0), catalog, feedback));
-      double cuboids = std::pow(2.0, static_cast<double>(plan->cube_dims.size()));
-      double out = child.output_rows * kCuboidRatio * cuboids;
-      if (const TableStats* stats = StatsForInput(plan->child(0), catalog)) {
-        // Sum over all 2^d cuboids of the per-cuboid NDV products has the
-        // closed form prod_i (ndv_i + 1) under independence.
-        double product = 1.0;
-        bool covered = true;
-        for (const std::string& dim : plan->cube_dims) {
-          const ColumnStats* cs = stats->FindColumn(dim);
-          if (cs == nullptr) {
-            covered = false;
-            break;
-          }
-          product *= static_cast<double>(std::max<int64_t>(cs->ndv, 1)) + 1.0;
-        }
-        if (covered) out = std::min(product, cuboids * child.output_rows);
-      }
-      return PlanCost{out, child.work + child.output_rows};
     }
     case PlanKind::kSort: {
       MDJ_ASSIGN_OR_RETURN(PlanCost child, Estimate(plan->child(0), catalog, feedback));
@@ -252,17 +206,19 @@ Result<PlanCost> EstimateCostImpl(const PlanPtr& plan, const Catalog& catalog,
     }
     case PlanKind::kCuboidBase: {
       MDJ_ASSIGN_OR_RETURN(PlanCost child, Estimate(plan->child(0), catalog, feedback));
-      double out = child.output_rows * kCuboidRatio;
-      // Dims present in the cuboid (mask bit i <-> cube_dims[i]); the absent
-      // ones are ALL, contributing factor 1.
-      std::vector<std::string> present;
-      for (size_t i = 0; i < plan->cube_dims.size(); ++i) {
-        if ((plan->cuboid_mask >> i) & 1u) present.push_back(plan->cube_dims[i]);
+      const TableStats* stats = StatsForInput(plan->child(0), catalog);
+      double out = 0;
+      for (CuboidMask mask : plan->cuboid_masks) {
+        // Dims present in the cuboid (mask bit i <-> cube_dims[i]); the
+        // absent ones are ALL, contributing factor 1.
+        std::vector<std::string> present;
+        for (size_t i = 0; i < plan->cube_dims.size(); ++i) {
+          if ((mask >> i) & 1u) present.push_back(plan->cube_dims[i]);
+        }
+        std::optional<double> ndv = NdvProduct(stats, present);
+        out += ndv ? std::min(*ndv, child.output_rows) : child.output_rows * kCuboidRatio;
       }
-      if (std::optional<double> ndv =
-              NdvProduct(StatsForInput(plan->child(0), catalog), present)) {
-        out = std::min(*ndv, child.output_rows);
-      }
+      // Every cuboid comes from one scan of the input.
       return PlanCost{out, child.work + child.output_rows};
     }
     case PlanKind::kEmptyRef:

@@ -31,17 +31,18 @@ uint64_t PlanFingerprint(const PlanPtr& plan);
 /// Fallback heuristics, used when no statistics or feedback cover a node
 /// (documented so benches can reason about rankings):
 ///  - TableRef: |T| rows, no work.
-///  - Filter: selectivity 0.3; Distinct: 0.6; GroupBy: 0.2 of child rows.
-///  - CubeBase over d dims: 2^d × 0.2 × child; CuboidBase: 0.2 × child.
-///  - MD-join with an equi conjunct: work = |R| + |R| (index probes);
-///    without: work = |R| × |B| (nested loop). Output rows = |B|.
-///  - Generalized MD-join: one scan of R plus per-component probe work.
+///  - Filter: selectivity 0.3; Distinct: 0.6 of child rows.
+///  - CuboidBase with k cuboids: k × 0.2 × child rows, from one scan of the
+///    child.
+///  - MD-join: one scan of R plus, per component, |R| index probes with an
+///    equi conjunct or |R| × |B| pairs without (nested loop). Output rows =
+///    |B|.
 ///  - HashJoin: |L| + |R|; Union: sum; Partition: child / count.
 ///
 /// When the catalog carries AnalyzeTable statistics (Catalog::FindStats),
 /// cardinalities come from them instead: filters over a scanned table use
-/// per-conjunct histogram/NDV selectivities, and Distinct/GroupBy/Cube
-/// output sizes use NDV products clamped to the input size. When a feedback
+/// per-conjunct histogram/NDV selectivities, and Distinct and each cuboid of
+/// a CuboidBase use NDV products clamped to the input size. When a feedback
 /// store is supplied, a node whose fingerprint has been observed uses the
 /// measured output cardinality outright — measurements beat models.
 Result<PlanCost> EstimateCost(const PlanPtr& plan, const Catalog& catalog);

@@ -18,7 +18,6 @@
 #include "cube/base_tables.h"
 #include "expr/conjuncts.h"
 #include "ra/filter.h"
-#include "ra/group_by.h"
 #include "ra/join.h"
 #include "ra/project.h"
 #include "storage/out_of_core.h"
@@ -187,6 +186,7 @@ Result<Table> Generate(const DetailInput& in, const std::vector<std::string>& di
                        const std::vector<CuboidMask>& masks,
                        const MdJoinOptions& md_options, ExecStats* stats,
                        OperatorProfile* profile, GroupIdMap* groups) {
+  if (masks.empty()) return Status::InvalidArgument("CuboidBase lists no cuboids");
   const ExprPtr folded = in.Folded();
   std::vector<MdJoinComponent> prune_by;
   if (folded != nullptr) prune_by.push_back({{}, folded});
@@ -350,18 +350,7 @@ Result<Table> ExecNode(const PlanPtr& plan, const Catalog& catalog,
       stats->rows_materialized += out.num_rows();
       return out;
     }
-    case PlanKind::kGroupBy: {
-      MDJ_ASSIGN_OR_RETURN(Table child, Exec(plan->child(0), catalog, md_options, stats, profile));
-      MDJ_ASSIGN_OR_RETURN(Table out, GroupBy(child, plan->group_columns, plan->aggs));
-      stats->rows_materialized += out.num_rows();
-      return out;
-    }
-    case PlanKind::kMdJoin:
-    case PlanKind::kGeneralizedMdJoin: {
-      std::vector<MdJoinComponent> components =
-          plan->kind() == PlanKind::kMdJoin
-              ? std::vector<MdJoinComponent>{{plan->aggs, plan->theta}}
-              : plan->components;
+    case PlanKind::kMdJoin: {
       // B generated from the detail relation itself: one generator pass over
       // R′ gives B and each detail row's relative set by group id; the
       // selections between the detail child and R′ join R′'s in θ.
@@ -380,7 +369,8 @@ Result<Table> ExecNode(const PlanPtr& plan, const Catalog& catalog,
         MDJ_RETURN_NOT_OK(
             ReadDetail(plan->child(1), catalog, md_options, stats, profile, &detail));
       }
-      components = FoldIntoTheta(std::move(components), detail.where);
+      const std::vector<MdJoinComponent> components =
+          FoldIntoTheta(plan->components, detail.where);
       const std::unique_ptr<DetailSource> source =
           detail.Source(md_options.block_cache, components, DetailColumns(components));
       ++stats->mdjoin_operators;
@@ -410,18 +400,14 @@ Result<Table> ExecNode(const PlanPtr& plan, const Catalog& catalog,
       stats->rows_materialized += out->num_rows();
       return out;
     }
-    case PlanKind::kCubeBase:
     case PlanKind::kCuboidBase: {
-      std::vector<CuboidMask> masks = {plan->cuboid_mask};
-      if (plan->kind() == PlanKind::kCubeBase) {
-        MDJ_ASSIGN_OR_RETURN(CubeLattice lattice, CubeLattice::Make(plan->cube_dims));
-        masks = CubeMasks(lattice);
-      }
+      // Every listed cuboid from one pass over the input.
       DetailInput input;
       MDJ_RETURN_NOT_OK(
           ReadDetail(plan->child(0), catalog, md_options, stats, profile, &input));
-      MDJ_ASSIGN_OR_RETURN(Table out, Generate(input, plan->cube_dims, masks, md_options,
-                                               stats, profile, /*groups=*/nullptr));
+      MDJ_ASSIGN_OR_RETURN(Table out,
+                           Generate(input, plan->cube_dims, plan->cuboid_masks, md_options,
+                                    stats, profile, /*groups=*/nullptr));
       stats->rows_materialized += out.num_rows();
       return out;
     }

@@ -83,11 +83,10 @@ Result<PlanPtr> OptimizeRec(const PlanPtr& plan, const Catalog& catalog,
                             const OptimizeOptions& options, OptimizeReport* report,
                             std::vector<RewriteRecord>* rewrite_log);
 
-/// Fusion must fire on the *raw* chain: optimizing the inner MD-joins first
-/// would push their detail-only conjuncts into per-component Filter nodes,
-/// making the shared detail relation look different per component and
-/// defeating the Theorem 4.3 match. So chains fuse top-down before the
-/// regular bottom-up pass.
+/// Fusion must fire on the whole chain: bottom-up, the inner MD-joins would
+/// fuse first, and a fused (multi-component) node ends FuseMdJoinSeries's
+/// walk down the chain, so the outer joins could no longer join its
+/// generation. So chains fuse top-down before the regular bottom-up pass.
 Result<PlanPtr> TryFuseChainFirst(const PlanPtr& plan, const Catalog& catalog,
                                   const OptimizeOptions& options,
                                   OptimizeReport* report,
@@ -148,13 +147,6 @@ Result<PlanPtr> OptimizeRec(const PlanPtr& plan, const Catalog& catalog,
       MDJ_ASSIGN_OR_RETURN(accepted,
                            Accept(FuseMdJoinSeries(current), catalog, options,
                                   "Theorem 4.3 fusion", &current, report, rewrite_log));
-      fired |= accepted;
-    }
-    if (current->kind() == PlanKind::kMdJoin) {
-      MDJ_ASSIGN_OR_RETURN(accepted,
-                           Accept(ApplySelectionPushdown(current), catalog, options,
-                                  "Theorem 4.2 selection pushdown", &current, report,
-                                  rewrite_log));
       fired |= accepted;
     }
     if (current->kind() == PlanKind::kMdJoin) {

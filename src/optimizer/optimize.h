@@ -32,9 +32,10 @@ struct OptimizeReport {
 /// the sense of §4: the transformations make MD-join plans "immediately
 /// incorporable into present cost- and algebraic-based query optimizers").
 /// At each MD-join the rules run in a fixed order — unsat-θ empty-result,
-/// Theorem 4.3 fusion, Theorem 4.2 pushdown, Observation 4.1 transfer — for
-/// at most four rounds, stopping at the first round where none fires. A
-/// chain of MD-joins fuses top-down first. Theorem 4.4's split is not a
+/// Theorem 4.3 fusion, Observation 4.1 transfer — for at most four rounds,
+/// stopping at the first round where none fires. A chain of MD-joins fuses
+/// top-down first. Theorem 4.2 is no driver rule: the executor folds every
+/// selection on R into θ, where its R-only conjuncts run as kernels. Theorem 4.4's split is not a
 /// driver rule: it pays off only when the split joins run at different
 /// sites, so callers that want it apply SplitToEquiJoin themselves. The
 /// cost model reads the catalog's statistics only: plan feedback informs

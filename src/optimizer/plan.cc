@@ -1,6 +1,9 @@
 #include "optimizer/plan.h"
 
+#include <bit>
+
 #include "common/logging.h"
+#include "cube/base_tables.h"
 #include "expr/compile.h"
 #include "expr/conjuncts.h"
 
@@ -22,14 +25,8 @@ const char* PlanKindToString(PlanKind kind) {
       return "Partition";
     case PlanKind::kHashJoin:
       return "HashJoin";
-    case PlanKind::kGroupBy:
-      return "GroupBy";
     case PlanKind::kMdJoin:
       return "MdJoin";
-    case PlanKind::kGeneralizedMdJoin:
-      return "GeneralizedMdJoin";
-    case PlanKind::kCubeBase:
-      return "CubeBase";
     case PlanKind::kCuboidBase:
       return "CuboidBase";
     case PlanKind::kSort:
@@ -51,6 +48,34 @@ namespace {
 
 /// Mutable handle used by factories before the node is published as const.
 PlanNode* Mutable(const PlanPtr& p) { return const_cast<PlanNode*>(p.get()); }
+
+/// Appends "aggs | θ" of one MD-join component to a label, joined by `sep`.
+void AppendComponent(const MdJoinComponent& c, const char* sep, std::string* out) {
+  for (size_t i = 0; i < c.aggs.size(); ++i) {
+    if (i > 0) *out += ", ";
+    *out += c.aggs[i].ToString();
+  }
+  *out += sep;
+  *out += c.theta ? c.theta->ToString() : "?";
+}
+
+/// `masks` is every cuboid over `ndims` >= 1 dims in CubeMasks order: 2^d
+/// masks, levels non-increasing and masks increasing within a level. One
+/// pass, no lattice.
+bool IsFullCube(const std::vector<CuboidMask>& masks, size_t ndims) {
+  if (ndims == 0 || ndims >= kMaxCuboidDims || masks.size() != (size_t{1} << ndims)) {
+    return false;
+  }
+  const CuboidMask full = PrefixMask(ndims);
+  for (size_t i = 0; i < masks.size(); ++i) {
+    if ((masks[i] & ~full) != 0) return false;
+    if (i == 0) continue;
+    const int level = std::popcount(masks[i]);
+    const int prev = std::popcount(masks[i - 1]);
+    if (level > prev || (level == prev && masks[i] <= masks[i - 1])) return false;
+  }
+  return true;
+}
 
 }  // namespace
 
@@ -97,41 +122,40 @@ PlanPtr HashJoinPlan(PlanPtr left, PlanPtr right, std::vector<std::string> left_
   return p;
 }
 
-PlanPtr GroupByPlan(PlanPtr child, std::vector<std::string> group_columns,
-                    std::vector<AggSpec> aggs) {
-  PlanPtr p = MakeNode(PlanKind::kGroupBy, {std::move(child)});
-  Mutable(p)->group_columns = std::move(group_columns);
-  Mutable(p)->aggs = std::move(aggs);
-  return p;
-}
-
 PlanPtr MdJoinPlan(PlanPtr base, PlanPtr detail, std::vector<AggSpec> aggs,
                    ExprPtr theta) {
-  PlanPtr p = MakeNode(PlanKind::kMdJoin, {std::move(base), std::move(detail)});
-  Mutable(p)->aggs = std::move(aggs);
-  Mutable(p)->theta = std::move(theta);
-  return p;
+  return GeneralizedMdJoinPlan(std::move(base), std::move(detail),
+                               {{std::move(aggs), std::move(theta)}});
 }
 
 PlanPtr GeneralizedMdJoinPlan(PlanPtr base, PlanPtr detail,
                               std::vector<MdJoinComponent> components) {
-  PlanPtr p =
-      MakeNode(PlanKind::kGeneralizedMdJoin, {std::move(base), std::move(detail)});
+  PlanPtr p = MakeNode(PlanKind::kMdJoin, {std::move(base), std::move(detail)});
   Mutable(p)->components = std::move(components);
   return p;
 }
 
-PlanPtr CubeBasePlan(PlanPtr child, std::vector<std::string> dims) {
-  PlanPtr p = MakeNode(PlanKind::kCubeBase, {std::move(child)});
+bool IsPlainMdJoin(const PlanPtr& plan) {
+  return plan->kind() == PlanKind::kMdJoin && plan->components.size() == 1;
+}
+
+PlanPtr CuboidBasePlan(PlanPtr child, std::vector<std::string> dims,
+                       std::vector<CuboidMask> masks) {
+  PlanPtr p = MakeNode(PlanKind::kCuboidBase, {std::move(child)});
   Mutable(p)->cube_dims = std::move(dims);
+  Mutable(p)->cuboid_masks = std::move(masks);
   return p;
 }
 
 PlanPtr CuboidBasePlan(PlanPtr child, std::vector<std::string> dims, CuboidMask mask) {
-  PlanPtr p = MakeNode(PlanKind::kCuboidBase, {std::move(child)});
-  Mutable(p)->cube_dims = std::move(dims);
-  Mutable(p)->cuboid_mask = mask;
-  return p;
+  return CuboidBasePlan(std::move(child), std::move(dims), std::vector<CuboidMask>{mask});
+}
+
+PlanPtr CubeBasePlan(PlanPtr child, std::vector<std::string> dims) {
+  Result<CubeLattice> lattice = CubeLattice::Make(dims);
+  std::vector<CuboidMask> masks;
+  if (lattice.ok()) masks = CubeMasks(*lattice);
+  return CuboidBasePlan(std::move(child), std::move(dims), std::move(masks));
 }
 
 PlanPtr SortPlan(PlanPtr child, std::vector<std::string> columns,
@@ -161,12 +185,9 @@ PlanPtr CloneWithChildren(const PlanPtr& node, std::vector<PlanPtr> children) {
   m->left_keys = node->left_keys;
   m->right_keys = node->right_keys;
   m->join_type = node->join_type;
-  m->group_columns = node->group_columns;
-  m->aggs = node->aggs;
-  m->theta = node->theta;
   m->components = node->components;
   m->cube_dims = node->cube_dims;
-  m->cuboid_mask = node->cuboid_mask;
+  m->cuboid_masks = node->cuboid_masks;
   m->sort_columns = node->sort_columns;
   m->sort_ascending = node->sort_ascending;
   m->empty_schema = node->empty_schema;
@@ -221,51 +242,43 @@ std::string PlanNode::Label() const {
       out += join_type == JoinType::kLeftOuter ? "; left outer)" : ")";
       break;
     }
-    case PlanKind::kGroupBy: {
-      out += "(keys: ";
-      for (size_t i = 0; i < group_columns.size(); ++i) {
-        if (i > 0) out += ", ";
-        out += group_columns[i];
-      }
-      out += "; aggs: ";
-      for (size_t i = 0; i < aggs.size(); ++i) {
-        if (i > 0) out += ", ";
-        out += aggs[i].ToString();
-      }
-      out += ")";
-      break;
-    }
     case PlanKind::kMdJoin: {
-      out += "(aggs: ";
-      for (size_t i = 0; i < aggs.size(); ++i) {
-        if (i > 0) out += ", ";
-        out += aggs[i].ToString();
+      // One component renders as Definition 3.1's MD-join, more as
+      // Definition 4.1's generalized one.
+      if (components.size() == 1) {
+        out += "(aggs: ";
+        AppendComponent(components[0], "; theta: ", &out);
+        out += ")";
+        break;
       }
-      out += "; theta: " + (theta ? theta->ToString() : "?") + ")";
-      break;
-    }
-    case PlanKind::kGeneralizedMdJoin: {
-      out += "(" + std::to_string(components.size()) + " components";
+      out = "GeneralizedMdJoin(" + std::to_string(components.size()) + " components";
       for (const MdJoinComponent& c : components) {
         out += "; [";
-        for (size_t i = 0; i < c.aggs.size(); ++i) {
-          if (i > 0) out += ", ";
-          out += c.aggs[i].ToString();
-        }
-        out += " | " + (c.theta ? c.theta->ToString() : "?") + "]";
+        AppendComponent(c, " | ", &out);
+        out += "]";
       }
       out += ")";
       break;
     }
-    case PlanKind::kCubeBase:
     case PlanKind::kCuboidBase: {
+      // The full cube in CubeMasks order renders as its dimension list; any
+      // other list as its cuboids, ALL in each rolled-up position.
+      if (IsFullCube(cuboid_masks, cube_dims.size())) {
+        out = "CubeBase(";
+        for (size_t i = 0; i < cube_dims.size(); ++i) {
+          out += (i > 0 ? ", " : "") + cube_dims[i];
+        }
+        out += ")";
+        break;
+      }
       out += "(";
-      for (size_t i = 0; i < cube_dims.size(); ++i) {
-        if (i > 0) out += ", ";
-        if (kind_ == PlanKind::kCuboidBase && !(cuboid_mask & (CuboidMask{1} << i))) {
-          out += "ALL";
-        } else {
-          out += cube_dims[i];
+      for (size_t m = 0; m < cuboid_masks.size(); ++m) {
+        if (m > 0) out += "; ";
+        for (size_t i = 0; i < cube_dims.size(); ++i) {
+          if (i > 0) out += ", ";
+          const bool grouped =
+              i < kMaxCuboidDims && (cuboid_masks[m] & (CuboidMask{1} << i)) != 0;
+          out += grouped ? cube_dims[i] : "ALL";
         }
       }
       out += ")";
@@ -455,39 +468,25 @@ Result<Schema> InferSchema(const PlanPtr& plan, const Catalog& catalog) {
       }
       return Schema(std::move(fields));
     }
-    case PlanKind::kGroupBy: {
-      MDJ_ASSIGN_OR_RETURN(Schema child, InferSchema(plan->child(0), catalog));
-      std::vector<Field> fields;
-      for (const std::string& g : plan->group_columns) {
-        MDJ_ASSIGN_OR_RETURN(int idx, child.GetFieldIndex(g));
-        fields.push_back(child.field(idx));
-      }
-      MDJ_ASSIGN_OR_RETURN(std::vector<BoundAgg> bound,
-                           BindAggs(plan->aggs, nullptr, &child));
-      for (const BoundAgg& b : bound) fields.push_back(b.output_field);
-      return Schema(std::move(fields));
-    }
     case PlanKind::kMdJoin: {
-      MDJ_ASSIGN_OR_RETURN(Schema base, InferSchema(plan->child(0), catalog));
-      MDJ_ASSIGN_OR_RETURN(Schema detail, InferSchema(plan->child(1), catalog));
-      // Type-check θ while we are here.
-      MDJ_ASSIGN_OR_RETURN(CompiledExpr c, CompileExpr(plan->theta, &base, &detail));
-      (void)c;
-      return InferAggOutputs(base, detail, plan->aggs, base);
-    }
-    case PlanKind::kGeneralizedMdJoin: {
+      if (plan->components.empty()) {
+        return Status::InvalidArgument("MD-join has no components");
+      }
       MDJ_ASSIGN_OR_RETURN(Schema base, InferSchema(plan->child(0), catalog));
       MDJ_ASSIGN_OR_RETURN(Schema detail, InferSchema(plan->child(1), catalog));
       Schema out = base;
       for (const MdJoinComponent& comp : plan->components) {
+        // Type-check θ while we are here.
         MDJ_ASSIGN_OR_RETURN(CompiledExpr c, CompileExpr(comp.theta, &base, &detail));
         (void)c;
         MDJ_ASSIGN_OR_RETURN(out, InferAggOutputs(base, detail, comp.aggs, out));
       }
       return out;
     }
-    case PlanKind::kCubeBase:
     case PlanKind::kCuboidBase: {
+      if (plan->cuboid_masks.empty()) {
+        return Status::InvalidArgument("CuboidBase lists no cuboids");
+      }
       MDJ_ASSIGN_OR_RETURN(Schema child, InferSchema(plan->child(0), catalog));
       std::vector<Field> fields;
       for (const std::string& d : plan->cube_dims) {

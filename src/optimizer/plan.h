@@ -22,20 +22,17 @@ namespace mdjoin {
 /// algebraically (the §4 theorems are tree transformations) and physical
 /// enough to execute directly — appropriate for an in-memory engine.
 enum class PlanKind {
-  kTableRef,           // named input relation from the catalog
-  kFilter,             // σ
-  kProject,            // π (extended projection)
-  kDistinct,           // duplicate elimination over all columns
-  kUnion,              // bag union (concat) of same-schema children
-  kPartition,          // slice i of an m-way row split of the child (Thm 4.1)
-  kHashJoin,           // equijoin on named key columns
-  kGroupBy,            // conventional Σ aggregation
-  kMdJoin,             // MD(B, R, l, θ) — children: [base, detail]
-  kGeneralizedMdJoin,  // MD(B, R, (l..), (θ..)) — children: [base, detail]
-  kCubeBase,           // CUBE BY base-values generator over the child
-  kCuboidBase,         // one cuboid of the child (π_{X,ALL..}) (Thm 4.5)
-  kSort,               // order the child by named columns
-  kEmptyRef,           // constant empty relation with a fixed schema
+  kTableRef,    // named input relation from the catalog
+  kFilter,      // σ
+  kProject,     // π (extended projection)
+  kDistinct,    // duplicate elimination over all columns
+  kUnion,       // bag union (concat) of same-schema children
+  kPartition,   // slice i of an m-way row split of the child (Thm 4.1)
+  kHashJoin,    // equijoin on named key columns
+  kMdJoin,      // MD(B, R, (l..), (θ..)) — children: [base, detail]
+  kCuboidBase,  // the cuboids of the child listed by their masks (π_{X,ALL..})
+  kSort,        // order the child by named columns
+  kEmptyRef,    // constant empty relation with a fixed schema
 };
 
 const char* PlanKindToString(PlanKind kind);
@@ -63,12 +60,9 @@ class PlanNode {
   std::vector<std::string> left_keys;        // kHashJoin
   std::vector<std::string> right_keys;       // kHashJoin
   JoinType join_type = JoinType::kInner;     // kHashJoin
-  std::vector<std::string> group_columns;    // kGroupBy
-  std::vector<AggSpec> aggs;                 // kGroupBy, kMdJoin
-  ExprPtr theta;                             // kMdJoin
-  std::vector<MdJoinComponent> components;   // kGeneralizedMdJoin
-  std::vector<std::string> cube_dims;        // kCubeBase, kCuboidBase
-  CuboidMask cuboid_mask = 0;                // kCuboidBase
+  std::vector<MdJoinComponent> components;   // kMdJoin (Theorem 4.3: one is plain)
+  std::vector<std::string> cube_dims;        // kCuboidBase
+  std::vector<CuboidMask> cuboid_masks;      // kCuboidBase, in output order
   std::vector<std::string> sort_columns;     // kSort
   std::vector<bool> sort_ascending;          // kSort (parallel to sort_columns)
   std::shared_ptr<const Schema> empty_schema;  // kEmptyRef
@@ -96,14 +90,28 @@ PlanPtr PartitionPlan(PlanPtr child, int index, int count);
 PlanPtr HashJoinPlan(PlanPtr left, PlanPtr right, std::vector<std::string> left_keys,
                      std::vector<std::string> right_keys,
                      JoinType type = JoinType::kInner);
-PlanPtr GroupByPlan(PlanPtr child, std::vector<std::string> group_columns,
-                    std::vector<AggSpec> aggs);
+
+/// MD(B, R, l, θ): the one-component MD-join. GeneralizedMdJoinPlan takes
+/// the component list (Definition 4.1); both build the same kMdJoin node.
 PlanPtr MdJoinPlan(PlanPtr base, PlanPtr detail, std::vector<AggSpec> aggs,
                    ExprPtr theta);
 PlanPtr GeneralizedMdJoinPlan(PlanPtr base, PlanPtr detail,
                               std::vector<MdJoinComponent> components);
-PlanPtr CubeBasePlan(PlanPtr child, std::vector<std::string> dims);
+
+/// True for a one-component MD-join, the unit the rules that read one θ
+/// (and fusion's chain walk) take.
+bool IsPlainMdJoin(const PlanPtr& plan);
+
+/// Base-values generators, one kCuboidBase node each: the cuboids `masks` of
+/// `child` over `dims`, in that order (Gray et al.: CUBE, ROLLUP and GROUPING
+/// SETS are one operator over different sets of group-bys). CuboidBasePlan
+/// with one mask is a single cuboid; CubeBasePlan lists all 2^d in CubeMasks
+/// order, and none when the dims cannot form a lattice (the plan then fails
+/// its type check).
+PlanPtr CuboidBasePlan(PlanPtr child, std::vector<std::string> dims,
+                       std::vector<CuboidMask> masks);
 PlanPtr CuboidBasePlan(PlanPtr child, std::vector<std::string> dims, CuboidMask mask);
+PlanPtr CubeBasePlan(PlanPtr child, std::vector<std::string> dims);
 
 PlanPtr SortPlan(PlanPtr child, std::vector<std::string> columns,
                  std::vector<bool> ascending = {});

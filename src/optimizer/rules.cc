@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "analyze/plan_analyzer.h"
-#include "expr/conjuncts.h"
 
 namespace mdjoin {
 
@@ -38,17 +37,10 @@ Result<PlanPtr> ApplyBasePartitioning(const PlanPtr& plan, int num_partitions) {
   std::vector<PlanPtr> pieces;
   pieces.reserve(static_cast<size_t>(num_partitions));
   for (int i = 0; i < num_partitions; ++i) {
-    pieces.push_back(MdJoinPlan(PartitionPlan(plan->child(0), i, num_partitions),
-                                plan->child(1), plan->aggs, plan->theta));
+    pieces.push_back(CloneWithChildren(
+        plan, {PartitionPlan(plan->child(0), i, num_partitions), plan->child(1)}));
   }
   return UnionPlan(std::move(pieces));
-}
-
-Result<PlanPtr> ApplySelectionPushdown(const PlanPtr& plan) {
-  MDJ_ASSIGN_OR_RETURN(PushdownCertificate cert, CertifyDetailPushdown(plan));
-  ExprPtr detail_sel = CombineConjuncts(cert.detail_only);
-  return MdJoinPlan(plan->child(0), FilterPlan(plan->child(1), std::move(detail_sel)),
-                    plan->aggs, CombineTheta(cert.remainder));
 }
 
 Result<PlanPtr> ApplyBaseSelectionTransfer(const PlanPtr& plan) {
@@ -65,8 +57,7 @@ Result<PlanPtr> ApplyBaseSelectionTransfer(const PlanPtr& plan) {
       plan->child(1)->predicate->ToString() == detail_sel->ToString()) {
     return NotApplicable("Observation 4.1", "selection already transferred");
   }
-  return MdJoinPlan(base, FilterPlan(plan->child(1), std::move(detail_sel)), plan->aggs,
-                    plan->theta);
+  return CloneWithChildren(plan, {base, FilterPlan(plan->child(1), std::move(detail_sel))});
 }
 
 Result<PlanPtr> ApplyUnsatThetaRewrite(const PlanPtr& plan, const Catalog& catalog) {
@@ -82,16 +73,17 @@ Result<PlanPtr> ApplyUnsatThetaRewrite(const PlanPtr& plan, const Catalog& catal
   // θ is kept on the node: it is provably unsatisfiable, so evaluating it
   // over the empty relation is free, and keeping it preserves the plan's
   // self-description (EXPLAIN still shows the original condition).
-  return MdJoinPlan(plan->child(0), EmptyRefPlan(std::move(detail_schema)),
-                    plan->aggs, plan->theta);
+  return CloneWithChildren(plan, {plan->child(0), EmptyRefPlan(std::move(detail_schema))});
 }
 
 Result<PlanPtr> FuseMdJoinSeries(const PlanPtr& plan) {
-  if (!IsMdJoin(plan)) return NotApplicable("Theorem 4.3", "root is not an MD-join");
-  // Collect the chain of nested MD-joins, outermost first.
+  if (!IsPlainMdJoin(plan)) {
+    return NotApplicable("Theorem 4.3", "root is not a one-component MD-join");
+  }
+  // Collect the chain of nested plain MD-joins, outermost first.
   std::vector<PlanPtr> chain;
   PlanPtr cursor = plan;
-  while (IsMdJoin(cursor)) {
+  while (IsPlainMdJoin(cursor)) {
     chain.push_back(cursor);
     cursor = cursor->child(0);
   }
@@ -109,9 +101,9 @@ Result<PlanPtr> FuseMdJoinSeries(const PlanPtr& plan) {
   const ChainDependencyCertificate cert = CertifyChainDependencies(chain);
   const size_t k = chain.size();
 
-  // Group components by (generation, detail subplan); emit one (generalized)
-  // MD-join per group, stacked in generation order. Groups keep first-member
-  // order within a generation.
+  // Group components by (generation, detail subplan); emit one MD-join per
+  // group, stacked in generation order. Groups keep first-member order within
+  // a generation.
   int max_gen = *std::max_element(cert.generation.begin(), cert.generation.end());
   PlanPtr current = innermost_base;
   bool fused_anything = false;
@@ -131,16 +123,11 @@ Result<PlanPtr> FuseMdJoinSeries(const PlanPtr& plan) {
       if (!placed) groups.push_back({i});
     }
     for (const std::vector<size_t>& g : groups) {
-      if (g.size() == 1) {
-        const PlanPtr& node = chain[g[0]];
-        current = MdJoinPlan(current, node->child(1), node->aggs, node->theta);
-      } else {
-        fused_anything = true;
-        std::vector<MdJoinComponent> comps;
-        comps.reserve(g.size());
-        for (size_t i : g) comps.push_back({chain[i]->aggs, chain[i]->theta});
-        current = GeneralizedMdJoinPlan(current, chain[g[0]]->child(1), std::move(comps));
-      }
+      fused_anything = fused_anything || g.size() > 1;
+      std::vector<MdJoinComponent> comps;
+      comps.reserve(g.size());
+      for (size_t i : g) comps.push_back(chain[i]->components[0]);
+      current = GeneralizedMdJoinPlan(current, chain[g[0]]->child(1), std::move(comps));
     }
   }
   if (!fused_anything) {
@@ -153,9 +140,8 @@ Result<PlanPtr> FuseMdJoinSeries(const PlanPtr& plan) {
 Result<PlanPtr> CommuteMdJoins(const PlanPtr& plan, const Catalog& catalog) {
   MDJ_RETURN_NOT_OK(CertifyOuterIndependence(plan, catalog, "Theorem 4.3 (commute)"));
   const PlanPtr& inner = plan->child(0);
-  PlanPtr new_inner =
-      MdJoinPlan(inner->child(0), plan->child(1), plan->aggs, plan->theta);
-  return MdJoinPlan(std::move(new_inner), inner->child(1), inner->aggs, inner->theta);
+  PlanPtr new_inner = CloneWithChildren(plan, {inner->child(0), plan->child(1)});
+  return CloneWithChildren(inner, {std::move(new_inner), inner->child(1)});
 }
 
 Result<PlanPtr> SplitToEquiJoin(const PlanPtr& plan, const Catalog& catalog) {
@@ -171,27 +157,27 @@ Result<PlanPtr> SplitToEquiJoin(const PlanPtr& plan, const Catalog& catalog) {
   std::vector<std::string> keys;
   keys.reserve(static_cast<size_t>(base_schema.num_fields()));
   for (const Field& f : base_schema.fields()) keys.push_back(f.name);
-  PlanPtr right = MdJoinPlan(b_plan, plan->child(1), plan->aggs, plan->theta);
+  PlanPtr right = CloneWithChildren(plan, {b_plan, plan->child(1)});
   return HashJoinPlan(inner, std::move(right), keys, keys, JoinType::kInner);
 }
 
 Result<PlanPtr> ApplyRollup(const PlanPtr& plan, CuboidMask finer_mask) {
   MDJ_ASSIGN_OR_RETURN(RollupCertificate cert, CertifyRollup(plan));
   const PlanPtr& base = plan->child(0);
-  const CuboidMask coarse = base->cuboid_mask;
+  const CuboidMask coarse = base->cuboid_masks[0];
   if ((coarse & finer_mask) != coarse || coarse == finer_mask) {
     return NotApplicable("Theorem 4.5", "finer mask is not a strict superset");
   }
+  const MdJoinComponent& comp = plan->components[0];
   std::vector<AggSpec> rollup_specs;
-  rollup_specs.reserve(plan->aggs.size());
-  for (const AggSpec& a : plan->aggs) {
+  rollup_specs.reserve(comp.aggs.size());
+  for (const AggSpec& a : comp.aggs) {
     MDJ_ASSIGN_OR_RETURN(AggSpec r, RollupSpec(a));
     rollup_specs.push_back(std::move(r));
   }
   PlanPtr finer_base = CuboidBasePlan(base->child(0), cert.dims, finer_mask);
-  PlanPtr finer_cuboid =
-      MdJoinPlan(std::move(finer_base), plan->child(1), plan->aggs, plan->theta);
-  return MdJoinPlan(base, std::move(finer_cuboid), std::move(rollup_specs), plan->theta);
+  PlanPtr finer_cuboid = CloneWithChildren(plan, {std::move(finer_base), plan->child(1)});
+  return MdJoinPlan(base, std::move(finer_cuboid), std::move(rollup_specs), comp.theta);
 }
 
 }  // namespace mdjoin

@@ -21,11 +21,6 @@ namespace mdjoin {
 /// memory-resident fragments for extra scans, or fragments on m processors).
 Result<PlanPtr> ApplyBasePartitioning(const PlanPtr& plan, int num_partitions);
 
-/// Theorem 4.2 — selection pushdown:
-///   MD(B, R, l, θ1 ∧ θ2) = MD(B, σ_{θ2}(R), l, θ1)   (θ2 over R only)
-/// Moves the R-only conjuncts of θ into an explicit σ on the detail child.
-Result<PlanPtr> ApplySelectionPushdown(const PlanPtr& plan);
-
 /// Observation 4.1 — base-selection transfer: for a root of shape
 /// MD(σ_c(B), R, l, θ) where every B-attribute referenced by c is bound to an
 /// R-side expression by an equi conjunct of θ, also wraps the detail child in
@@ -63,10 +58,11 @@ Result<PlanPtr> CommuteMdJoins(const PlanPtr& plan, const Catalog& catalog);
 /// Preconditions: θ2 references only attributes of B (provenance-checked by
 /// CertifyOuterIndependence), and B's rows are distinct — the theorem's
 /// standing assumption, for which the rule now demands structural evidence
-/// from CertifyBaseDistinct (a Distinct node, cube base-values generator, or
-/// GroupBy below distinctness-preserving operators). Without evidence the
-/// rule returns InvalidArgument naming the offending node instead of
-/// trusting callers. Enables moving each MD-join to its relation's site.
+/// from CertifyBaseDistinct (a Distinct node, or a cuboid generator listing
+/// no cuboid twice, below distinctness-preserving operators). Without
+/// evidence the rule returns InvalidArgument naming the offending node
+/// instead of trusting callers. Enables moving each MD-join to its
+/// relation's site.
 Result<PlanPtr> SplitToEquiJoin(const PlanPtr& plan, const Catalog& catalog);
 
 /// Theorem 4.5 — roll-up: for a root of shape

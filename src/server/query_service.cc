@@ -318,8 +318,8 @@ Result<QueryResult> QueryService::ExecuteInternal(
       Catalog shadow = catalog_;
       if (rolled.ok() &&
           shadow.Register(kCachedFinerTable, finer->table.get()).ok()) {
-        PlanPtr outer = MdJoinPlan((*rolled)->child(0), TableRef(kCachedFinerTable),
-                                   (*rolled)->aggs, (*rolled)->theta);
+        PlanPtr outer =
+            CloneWithChildren(*rolled, {(*rolled)->child(0), TableRef(kCachedFinerTable)});
         Result<Table> out = RunEngine(outer, shadow, &guard, ticket.threads(),
                                       &stats.exec, record);
         if (!out.ok()) return out.status();

@@ -47,11 +47,10 @@ PlanCacheKey MakePlanCacheKey(const PlanPtr& plan) {
   if (!CertifyRollup(plan).ok()) return key;
   // The family is the canonical key with the mask normalized to the grand
   // total, so every cuboid of the same cube query lands in one family.
-  PlanPtr normalized =
-      MdJoinPlan(CuboidBasePlan(base->child(0), base->cube_dims, 0), plan->child(1),
-                 plan->aggs, plan->theta);
+  PlanPtr normalized = CloneWithChildren(
+      plan, {CuboidBasePlan(base->child(0), base->cube_dims, 0), plan->child(1)});
   key.family = ExplainPlan(normalized);
-  key.mask = base->cuboid_mask;
+  key.mask = base->cuboid_masks[0];
   return key;
 }
 

@@ -264,7 +264,8 @@ TEST_F(BinderTest, FusionAppliesToBoundPlan) {
   ASSERT_EQ(bound->plan->kind(), PlanKind::kProject);
   Result<PlanPtr> fused = FuseMdJoinSeries(bound->plan->child(0));
   ASSERT_TRUE(fused.ok()) << fused.status().ToString();
-  EXPECT_EQ((*fused)->kind(), PlanKind::kGeneralizedMdJoin);
+  EXPECT_EQ((*fused)->kind(), PlanKind::kMdJoin);
+  EXPECT_EQ((*fused)->components.size(), 2u);
   Result<Table> a = ExecutePlan(bound->plan->child(0), catalog_);
   Result<Table> b = ExecutePlan(*fused, catalog_);
   ASSERT_TRUE(a.ok() && b.ok());

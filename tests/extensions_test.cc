@@ -107,7 +107,7 @@ class OptimizeDriverTest : public ::testing::Test {
   Catalog catalog_;
 };
 
-TEST_F(OptimizeDriverTest, FusesAndPushesDown) {
+TEST_F(OptimizeDriverTest, FusesSharedDetailSeries) {
   auto state_theta = [](const char* st) {
     return And(Eq(RCol("cust"), BCol("cust")), Eq(RCol("state"), Lit(st)));
   };
@@ -119,26 +119,14 @@ TEST_F(OptimizeDriverTest, FusesAndPushesDown) {
   OptimizeReport report;
   Result<PlanPtr> optimized = OptimizePlan(plan, catalog_, {}, &report);
   ASSERT_TRUE(optimized.ok()) << optimized.status().ToString();
-  // Fusion fired: root is a generalized MD-join.
-  EXPECT_EQ((*optimized)->kind(), PlanKind::kGeneralizedMdJoin);
+  // Fusion fired: root is a generalized (two-component) MD-join.
+  EXPECT_EQ((*optimized)->kind(), PlanKind::kMdJoin);
+  EXPECT_EQ((*optimized)->components.size(), 2u);
   EXPECT_FALSE(report.applied.empty());
   // Results unchanged.
   Result<Table> before = ExecutePlan(plan, catalog_);
   Result<Table> after = ExecutePlan(*optimized, catalog_);
   ASSERT_TRUE(before.ok() && after.ok());
-  EXPECT_TRUE(TablesEqualUnordered(*before, *after));
-}
-
-TEST_F(OptimizeDriverTest, PushdownFiresOnSingleMdJoin) {
-  PlanPtr plan = MdJoinPlan(CustBase(), TableRef("sales"), {Count("n")},
-                            And(Eq(RCol("cust"), BCol("cust")),
-                                Eq(RCol("year"), Lit(1997))));
-  OptimizeReport report;
-  Result<PlanPtr> optimized = OptimizePlan(plan, catalog_, {}, &report);
-  ASSERT_TRUE(optimized.ok());
-  EXPECT_EQ((*optimized)->child(1)->kind(), PlanKind::kFilter);
-  Result<Table> before = ExecutePlan(plan, catalog_);
-  Result<Table> after = ExecutePlan(*optimized, catalog_);
   EXPECT_TRUE(TablesEqualUnordered(*before, *after));
 }
 

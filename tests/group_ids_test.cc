@@ -121,15 +121,13 @@ Result<Table> Reference(const PlanPtr& plan, const Table& r) {
       return Distinct(in[0]);
     case PlanKind::kUnion:
       return ConcatAll(in);
-    case PlanKind::kCubeBase: {
-      MDJ_ASSIGN_OR_RETURN(CubeLattice lattice, CubeLattice::Make(plan->cube_dims));
-      return PerCuboid(in[0], plan->cube_dims, CubeMasks(lattice));
-    }
     case PlanKind::kCuboidBase:
-      return PerCuboid(in[0], plan->cube_dims, {plan->cuboid_mask});
+      return PerCuboid(in[0], plan->cube_dims, plan->cuboid_masks);
     case PlanKind::kMdJoin:
-      return MdJoinReference(in[0], in[1], plan->aggs, plan->theta);
-    case PlanKind::kGeneralizedMdJoin:
+      if (plan->components.size() == 1) {
+        return MdJoinReference(in[0], in[1], plan->components[0].aggs,
+                               plan->components[0].theta);
+      }
       return testutil::ReferencePerComponent(in[0], in[1], plan->components);
     case PlanKind::kSort: {
       MDJ_ASSIGN_OR_RETURN(std::vector<int> cols,
@@ -205,8 +203,7 @@ void GeneratedBaseJoins(const OperatorProfile& node,
                         std::vector<const OperatorProfile*>* out) {
   if (node.is_mdjoin && !node.children.empty()) {
     const std::string& base = node.children[0]->label;
-    if (base.rfind("CubeBase", 0) == 0 || base.rfind("CuboidBase", 0) == 0 ||
-        base.rfind("Union", 0) == 0) {
+    if (base.rfind("CubeBase", 0) == 0 || base.rfind("CuboidBase", 0) == 0) {
       out->push_back(&node);
     }
   }
@@ -260,7 +257,7 @@ std::vector<Text> Texts() {
                    "analyze by group(k0, yr) such that X: X.k0 = k0 and X.yr = yr - 1, "
                    "Y: Y.k0 = k0 and Y.yr = yr + 1, Z: Z.k0 = k0 and Z.yr = yr and "
                    "Z.v > avg(X.v) and Z.v < avg(Y.v) order by k0, yr"});
-  // R-only SUCH THAT conjuncts, which the optimizer pushes into σ(R).
+  // R-only SUCH THAT conjuncts, which run as kernels over R.
   texts.push_back({"select k0, sum(X.v) as sx, count(X.*) as nx from R "
                    "where k2 in ('x', 'y') analyze by group(k0) "
                    "such that X: X.k0 = k0 and X.yr = 2"});
@@ -269,26 +266,20 @@ std::vector<Text> Texts() {
   return texts;
 }
 
-/// Whether the generators of `plan` see a key cell that makes θ-equality
-/// and group membership disagree, worked out from their input σ_where(R)
+/// Whether the generator of `plan` sees a key cell that makes θ-equality
+/// and group membership disagree, worked out from its input σ_where(R)
 /// itself: a dimension column holding ALL, NaN, or both int64 and float64
-/// cells. The texts' generators all read one input over one dims list.
+/// cells. Each text has one generator.
 bool GeneratorsSeeUnusableKeys(const PlanPtr& plan, const Table& r) {
   std::vector<PlanPtr> generators;
   std::function<void(const PlanPtr&)> walk = [&](const PlanPtr& p) {
-    if (p->kind() == PlanKind::kCubeBase || p->kind() == PlanKind::kCuboidBase) {
-      generators.push_back(p);
-    }
+    if (p->kind() == PlanKind::kCuboidBase) generators.push_back(p);
     for (const PlanPtr& child : p->children()) walk(child);
   };
   walk(plan);
-  EXPECT_FALSE(generators.empty());
+  EXPECT_EQ(generators.size(), 1u);
   if (generators.empty()) return false;
   const PlanPtr& gen = generators[0];
-  for (const PlanPtr& other : generators) {
-    EXPECT_EQ(other->cube_dims, gen->cube_dims);
-    EXPECT_EQ(ExplainPlan(other->child(0)), ExplainPlan(gen->child(0)));
-  }
   Result<Table> input = Reference(gen->child(0), r);
   EXPECT_TRUE(input.ok()) << input.status().ToString();
   if (!input.ok()) return false;
@@ -308,8 +299,7 @@ bool GeneratorsSeeUnusableKeys(const PlanPtr& plan, const Table& r) {
 /// decodes, by the node's label: an MD-join those its θs and aggregate
 /// arguments name plus those of the selections over R in its detail child;
 /// a generator its dimensions plus those of the selections over R in its
-/// input; a Union of generators (a group-id join's base) those of its first
-/// generator. Names in the order of `schema`.
+/// input. Names in the order of `schema`.
 void ReadColumnsByLabel(const PlanPtr& plan, const Schema& schema,
                         std::map<std::string, std::vector<std::string>>* out) {
   std::set<std::string> cols;
@@ -324,19 +314,12 @@ void ReadColumnsByLabel(const PlanPtr& plan, const Schema& schema,
       if (agg.argument != nullptr) agg.argument->CollectColumns(Side::kDetail, &cols);
     }
   };
-  const bool is_generator =
-      plan->kind() == PlanKind::kCubeBase || plan->kind() == PlanKind::kCuboidBase;
   if (plan->kind() == PlanKind::kMdJoin) {
-    component(plan->aggs, plan->theta);
-    selections(plan->child(1));
-  } else if (plan->kind() == PlanKind::kGeneralizedMdJoin) {
     for (const MdJoinComponent& c : plan->components) component(c.aggs, c.theta);
     selections(plan->child(1));
-  } else if (is_generator || (plan->kind() == PlanKind::kUnion &&
-                              plan->child(0)->kind() == PlanKind::kCuboidBase)) {
-    const PlanPtr& gen = is_generator ? plan : plan->child(0);
-    cols.insert(gen->cube_dims.begin(), gen->cube_dims.end());
-    selections(gen->child(0));
+  } else if (plan->kind() == PlanKind::kCuboidBase) {
+    cols.insert(plan->cube_dims.begin(), plan->cube_dims.end());
+    selections(plan->child(0));
   }
   if (!cols.empty()) {
     std::vector<std::string> ordered;
@@ -369,9 +352,8 @@ void CheckOnEveryRoute(const Table& r, const PagedTable& paged, const Text& t,
   Result<PlanPtr> optimized = OptimizePlan(bound->plan, memory);
   ASSERT_TRUE(optimized.ok()) << optimized.status().ToString();
 
-  // The bound plan keeps θ's R-only conjuncts, which then run as kernels
-  // over the group-id candidates; the optimizer may push them into σ(R)
-  // (Theorem 4.2), and the executor folds them back into θ.
+  // Both plans keep θ's R-only conjuncts, which then run as kernels over the
+  // group-id candidates.
   for (const PlanPtr& plan : {bound->plan, *optimized}) {
     // A `where` may drop every NaN, ALL or mixed key cell, leaving the
     // map exact; the texts that keep them see what the flavor holds.
@@ -677,9 +659,9 @@ TEST(GroupIdsTest, CertificateAcceptsOnlyGeneratorsOverTheDetailChild) {
   EXPECT_EQ(cube->masks.size(), 8u);
   EXPECT_EQ(cube->dims, dims);
 
-  // Structurally equal R′ plans certify; a union of cuboids over one R′ does.
-  PlanPtr sets = UnionPlan(
-      {CuboidBasePlan(filtered, dims, 0b011), CuboidBasePlan(where(), dims, 0b011)});
+  // A list of cuboids over R′ certifies, a cuboid listed twice included, and
+  // so does a detail child structurally equal to R′.
+  PlanPtr sets = CuboidBasePlan(filtered, dims, {0b011, 0b011});
   const ExprPtr theta_x = And(theta, Gt(RCol("v"), Lit(3.0)));
   Result<GroupIdsCertificate> grouping = CertifyGroupIds(
       GeneralizedMdJoinPlan(sets, where(), {{aggs, theta}, {{Count("m")}, theta_x}}));
@@ -704,10 +686,6 @@ TEST(GroupIdsTest, CertificateAcceptsOnlyGeneratorsOverTheDetailChild) {
   const std::vector<std::pair<PlanPtr, std::string>> refused = {
       {MdJoinPlan(CubeBasePlan(filtered, dims), r, aggs, theta),
        "the detail child is not the plan the base is generated from"},
-      {MdJoinPlan(
-           UnionPlan({CuboidBasePlan(r, dims, 1), CuboidBasePlan(filtered, dims, 2)}), r,
-           aggs, theta),
-       "the union's cuboids differ in their input or dimensions"},
       {MdJoinPlan(DistinctPlan(ProjectPlan(r, {{Col("k0"), "k0"}})), r, aggs,
                   Eq(BCol("k0"), RCol("k0"))),
        "base child is not a cube, rollup, grouping-sets or unpivot generator"},
@@ -725,11 +703,25 @@ TEST(GroupIdsTest, CertificateAcceptsOnlyGeneratorsOverTheDetailChild) {
   }
 }
 
+/// Theorem 4.2 applied by hand to the MD-join under `plan`'s Project: the
+/// R-only conjuncts of its θ move into σ over its detail child.
+PlanPtr SelectDetail(const PlanPtr& plan) {
+  if (plan->kind() != PlanKind::kMdJoin) {
+    return CloneWithChildren(plan, {SelectDetail(plan->child(0))});
+  }
+  const MdJoinComponent& c = plan->components[0];
+  ThetaParts parts = AnalyzeTheta(c.theta);
+  PlanPtr detail = FilterPlan(plan->child(1), CombineConjuncts(parts.detail_only));
+  parts.detail_only.clear();
+  return MdJoinPlan(plan->child(0), std::move(detail), c.aggs, CombineTheta(parts));
+}
+
 /// The satellite case of Theorem 4.2: `such that X: X.k0 = k0 and X.yr = 2`
-/// over group(k0) or a cube, optimized, joins σ_{yr = 2}(R′) against B
-/// generated from R′; the selection folds back into θ and the join still
-/// reads group ids, on memory and paged storage, bit-identical to the
-/// reference.
+/// over group(k0) or a cube. Optimized, θ stays whole and X.yr = 2 runs as a
+/// kernel; with the selection moved by hand, the join reads σ_{yr = 2}(R′)
+/// against B generated from R′ and the selection folds back into θ. Either
+/// way the join reads group ids, on memory and paged storage, bit-identical
+/// to the reference.
 TEST(GroupIdsTest, PushedSelectionKeepsTheGroupIdRoute) {
   const Table r = RandomR(31, 200, Flavor::kExact);
   const PagedCopy paged(r);
@@ -747,29 +739,71 @@ TEST(GroupIdsTest, PushedSelectionKeepsTheGroupIdRoute) {
     ASSERT_TRUE(want.ok());
     Result<PlanPtr> optimized = OptimizePlan(bound->plan, memory);
     ASSERT_TRUE(optimized.ok());
-    ASSERT_NE(ExplainPlan(*optimized).find("Filter"), std::string::npos)
-        << "the optimizer no longer pushes the selection: " << ExplainPlan(*optimized);
-    for (const char* storage : {"memory", "paged"}) {
-      Catalog catalog;
-      if (storage[0] == 'm') {
-        ASSERT_TRUE(catalog.Register("R", &r).ok());
-      } else {
-        ASSERT_TRUE(RegisterPagedTable(&catalog, "R", paged.table()).ok());
+    ASSERT_EQ(ExplainPlan(*optimized).find("Filter"), std::string::npos)
+        << "θ is no longer whole: " << ExplainPlan(*optimized);
+    const PlanPtr selected = SelectDetail(*optimized);
+    ASSERT_NE(ExplainPlan(selected).find("Filter((R.yr = 2))"), std::string::npos)
+        << ExplainPlan(selected);
+    const std::vector<std::pair<PlanPtr, std::string>> plans = {
+        {*optimized, ""}, {selected, "(R.yr = 2)"}};
+    for (const auto& [plan, folded] : plans) {
+      for (const char* storage : {"memory", "paged"}) {
+        Catalog catalog;
+        if (storage[0] == 'm') {
+          ASSERT_TRUE(catalog.Register("R", &r).ok());
+        } else {
+          ASSERT_TRUE(RegisterPagedTable(&catalog, "R", paged.table()).ok());
+        }
+        QueryGuard guard;
+        MdJoinOptions options;
+        options.guard = &guard;
+        QueryProfile profile;
+        Result<Table> got = ExplainAnalyze(plan, catalog, options, &profile);
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        EXPECT_TRUE(testutil::TablesBitIdentical(*want, *got));
+        EXPECT_EQ(guard.bytes_reserved(), 0);
+        std::vector<const OperatorProfile*> joins;
+        GeneratedBaseJoins(*profile.root, &joins);
+        ASSERT_EQ(joins.size(), 1u) << profile.ToText();
+        EXPECT_EQ(joins[0]->route, "group_ids") << profile.ToText();
+        EXPECT_EQ(joins[0]->folded, folded);
       }
-      QueryGuard guard;
-      MdJoinOptions options;
-      options.guard = &guard;
-      QueryProfile profile;
-      Result<Table> got = ExplainAnalyze(*optimized, catalog, options, &profile);
-      ASSERT_TRUE(got.ok()) << got.status().ToString();
-      EXPECT_TRUE(testutil::TablesBitIdentical(*want, *got));
-      EXPECT_EQ(guard.bytes_reserved(), 0);
-      std::vector<const OperatorProfile*> joins;
-      GeneratedBaseJoins(*profile.root, &joins);
-      ASSERT_EQ(joins.size(), 1u) << profile.ToText();
-      EXPECT_EQ(joins[0]->route, "group_ids") << profile.ToText();
-      EXPECT_EQ(joins[0]->folded, "(R.yr = 2)");
     }
+  }
+}
+
+/// A generated base whose join the certificate refuses still reads R once:
+/// the three grouping sets are one CuboidBase node, generated in one pass
+/// over R, and the join scans R once more. On paged storage that is 2 ×
+/// the blocks, not one pass per cuboid plus the join's; the result is
+/// Definition 3.1's.
+TEST(GroupIdsTest, RefusedGroupingSetsBaseReadsROnce) {
+  const Table r = testutil::RandomSales(37, 3000);
+  const PagedCopy paged(r, 256);
+  const int64_t blocks = paged.table().num_blocks();
+  Catalog catalog;
+  ASSERT_TRUE(RegisterPagedTable(&catalog, "R", paged.table()).ok());
+  Result<analyze::BoundQuery> bound = analyze::BindQueryString(
+      "select prod, month, state, count(X.*) as n, sum(X.sale) as sx from R "
+      "analyze by grouping_sets((prod, month), (prod, state), (month, state)) "
+      "such that X: X.prod = prod and X.month < month",
+      catalog);
+  ASSERT_TRUE(bound.ok()) << bound.status().ToString();
+  PlanPtr join = bound->plan;
+  while (join->kind() != PlanKind::kMdJoin) join = join->child(0);
+  ASSERT_EQ(join->child(0)->kind(), PlanKind::kCuboidBase);
+  EXPECT_EQ(join->child(0)->cuboid_masks, (std::vector<CuboidMask>{0b011, 0b101, 0b110}));
+  ASSERT_FALSE(CertifyGroupIds(join).ok());
+  Result<Table> want = Reference(bound->plan, r);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  Result<PlanPtr> optimized = OptimizePlan(bound->plan, catalog);
+  ASSERT_TRUE(optimized.ok()) << optimized.status().ToString();
+  for (const PlanPtr& plan : {bound->plan, *optimized}) {
+    ExecStats stats;
+    Result<Table> got = ExecutePlan(plan, catalog, {}, &stats);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_TRUE(testutil::TablesBitIdentical(*want, *got));
+    EXPECT_EQ(stats.blocks_read, 2 * blocks) << ExplainPlan(plan);
   }
 }
 
@@ -804,7 +838,8 @@ TEST(GroupIdsTest, GroupBindsAsTheFinestCuboid) {
       base = base->child(0);
       ASSERT_EQ(base->kind(), PlanKind::kCuboidBase);
       EXPECT_EQ(base->cube_dims, attrs);
-      EXPECT_EQ(base->cuboid_mask, (CuboidMask{1} << attrs.size()) - 1);
+      EXPECT_EQ(base->cuboid_masks,
+                std::vector<CuboidMask>{(CuboidMask{1} << attrs.size()) - 1});
       const Table want = Distinct(*Project(r.Clone(), items));
       for (const char* storage : {"memory", "paged"}) {
         Catalog catalog;
@@ -863,7 +898,8 @@ TEST(GroupIdsTest, GroupBindsAsTheFinestCuboid) {
       while (join->kind() != PlanKind::kMdJoin) join = join->child(0);
       if (width <= kMaskBits) {
         ASSERT_EQ(join->child(0)->kind(), PlanKind::kCuboidBase);
-        EXPECT_EQ(join->child(0)->cuboid_mask, ~CuboidMask{0} >> (kMaskBits - width));
+        EXPECT_EQ(join->child(0)->cuboid_masks,
+                  std::vector<CuboidMask>{~CuboidMask{0} >> (kMaskBits - width)});
       } else {
         EXPECT_EQ(join->child(0)->kind(), PlanKind::kDistinct);
       }

@@ -623,6 +623,59 @@ TEST_F(ObsTest, BlockCountersMatchDecodes) {
   }
 }
 
+/// A grouping_sets and a rollup text generate their base in one CuboidBase
+/// node, in memory and on paged storage: EXPLAIN ANALYZE shows no Union
+/// node, and the base node's line carries how it read R and, paged, the
+/// columns it decoded and its block counts, so the generator's time shows
+/// under the generator's own label.
+TEST_F(ObsTest, GroupingSetsAndRollupGenerateInOneNode) {
+  Table sales = testutil::RandomSales(31, 2000);
+  const BlockFileOf file(sales, 256);
+  const int64_t nblocks = file.table().num_blocks();
+  const std::vector<std::string> texts = {
+      "select prod, month, state, sum(sale) as total from Sales "
+      "analyze by grouping_sets((prod, month), (prod, state), (month, state))",
+      "select prod, month, state, count(*) as n from Sales "
+      "analyze by rollup(prod, month, state)"};
+  for (const std::string storage : {"in_place", "blocks"}) {
+    Catalog catalog;
+    if (storage == "in_place") {
+      ASSERT_TRUE(catalog.Register("Sales", &sales).ok());
+    } else {
+      ASSERT_TRUE(RegisterPagedTable(&catalog, "Sales", file.table()).ok());
+    }
+    for (const std::string& text : texts) {
+      SCOPED_TRACE(::testing::Message() << storage << ": " << text);
+      Result<QueryProfile> profile = ProfileText(text, catalog, {});
+      ASSERT_TRUE(profile.ok()) << profile.status().ToString();
+      const std::string rendered = profile->ToText();
+      std::vector<const OperatorProfile*> nodes;
+      Nodes(*profile->root, &nodes);
+      const OperatorProfile* base = nullptr;
+      for (const OperatorProfile* n : nodes) {
+        EXPECT_NE(n->label.rfind("Union", 0), 0u) << rendered;
+        if (n->is_mdjoin) {
+          ASSERT_FALSE(n->children.empty()) << rendered;
+          base = n->children[0].get();
+        }
+      }
+      ASSERT_NE(base, nullptr) << rendered;
+      EXPECT_EQ(base->label.rfind("CuboidBase(", 0), 0u) << rendered;
+      EXPECT_EQ(base->read, storage);
+      const size_t at = rendered.find(base->label + "  rows=");
+      ASSERT_NE(at, std::string::npos) << rendered;
+      const std::string line = rendered.substr(at, rendered.find('\n', at) - at);
+      EXPECT_NE(line.find(" read=" + storage), std::string::npos) << line;
+      if (storage == "blocks") {
+        EXPECT_EQ(base->columns, (std::vector<std::string>{"prod", "month", "state"}));
+        EXPECT_NE(line.find(" cols=prod,month,state blocks_read="), std::string::npos)
+            << line;
+        EXPECT_EQ(base->blocks_read + base->blocks_pruned, nblocks);
+      }
+    }
+  }
+}
+
 /// On paged storage each node that reads R decodes only the columns it
 /// names: a generator its dimensions and its `where` columns, a join those
 /// of its θs (the folded `where` included) and of its aggregate arguments.

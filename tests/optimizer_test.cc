@@ -104,21 +104,6 @@ TEST_F(OptimizerTest, Theorem41RequiresMdJoinRoot) {
   EXPECT_FALSE(ApplyBasePartitioning(TableRef("sales"), 2).ok());
 }
 
-TEST_F(OptimizerTest, Theorem42PushdownPreservesResults) {
-  ExprPtr theta = And(CustTheta(), Eq(RCol("year"), Lit(1999)),
-                      Gt(RCol("sale"), Lit(10)));
-  PlanPtr plan = MdJoinPlan(DistinctCustBase(), TableRef("sales"), {Count("n")}, theta);
-  Result<PlanPtr> pushed = ApplySelectionPushdown(plan);
-  ASSERT_TRUE(pushed.ok()) << pushed.status().ToString();
-  // The rewritten detail child is now a Filter node.
-  EXPECT_EQ((*pushed)->child(1)->kind(), PlanKind::kFilter);
-  ExpectSameResult(plan, *pushed);
-  // Not applicable without R-only conjuncts.
-  PlanPtr no_detail_only =
-      MdJoinPlan(DistinctCustBase(), TableRef("sales"), {Count("n")}, CustTheta());
-  EXPECT_FALSE(ApplySelectionPushdown(no_detail_only).ok());
-}
-
 TEST_F(OptimizerTest, Observation41TransferPreservesResults) {
   // Base restricted to cust <= 2; the equi conjunct lets the restriction
   // transfer to the detail side.
@@ -155,7 +140,7 @@ TEST_F(OptimizerTest, Theorem43FusionCollapsesIndependentSeries) {
                     state_theta("CT"));
   Result<PlanPtr> fused = FuseMdJoinSeries(plan);
   ASSERT_TRUE(fused.ok()) << fused.status().ToString();
-  EXPECT_EQ((*fused)->kind(), PlanKind::kGeneralizedMdJoin);
+  EXPECT_EQ((*fused)->kind(), PlanKind::kMdJoin);
   EXPECT_EQ((*fused)->components.size(), 3u);
   ExpectSameResult(plan, *fused);
   // One scan instead of three.

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "analyze/binder.h"
 #include "analyze/plan_invariants.h"
 #include "expr/conjuncts.h"
 #include "optimizer/executor.h"
@@ -134,6 +135,7 @@ TEST_F(PlanAnalyzerTest, DistinctnessEvidence) {
   // Cuboid base-values generators are distinct by construction.
   EXPECT_TRUE(
       CertifyBaseDistinct(CuboidBasePlan(TableRef("sales"), {"prod"}, 0b1)).ok());
+  EXPECT_TRUE(CertifyBaseDistinct(CubeBasePlan(TableRef("sales"), {"prod", "state"})).ok());
   // Negative: a bare projection proves nothing; the error names the blocker.
   Result<DistinctnessCertificate> none = CertifyBaseDistinct(UndocumentedCustBase());
   ASSERT_FALSE(none.ok());
@@ -142,20 +144,56 @@ TEST_F(PlanAnalyzerTest, DistinctnessEvidence) {
       << none.status().ToString();
 }
 
+/// A generator claims distinct rows only when its cuboid list has no
+/// repeats: grouping_sets may list a set twice and emits each copy, so such
+/// a base has no distinctness evidence and Theorem 4.4's split refuses it.
+TEST_F(PlanAnalyzerTest, GeneratorIsDistinctOnlyWithoutRepeatedCuboids) {
+  const std::vector<std::string> dims = {"prod", "state"};
+  const PlanPtr once = CuboidBasePlan(TableRef("sales"), dims, {0b11, 0b01, 0b00});
+  const PlanPtr twice = CuboidBasePlan(TableRef("sales"), dims, {0b01, 0b10, 0b01});
+  EXPECT_TRUE(Analyze(once).root().rows_distinct);
+  EXPECT_TRUE(CertifyBaseDistinct(once).ok());
+  const NodeAnalysis repeated = Analyze(twice).root();
+  EXPECT_FALSE(repeated.rows_distinct) << repeated.distinct_evidence;
+  Result<DistinctnessCertificate> none = CertifyBaseDistinct(twice);
+  ASSERT_FALSE(none.ok());
+  EXPECT_NE(none.status().ToString().find("lists a cuboid twice"), std::string::npos)
+      << none.status().ToString();
+
+  // The text binds to that base, runs it with both copies, and the split
+  // refuses it while it accepts the same two joins over the repeat-free base.
+  Result<analyze::BoundQuery> bound = analyze::BindQueryString(
+      "select prod, state, count(*) as n from sales "
+      "analyze by grouping_sets((prod), (state), (prod))",
+      catalog_);
+  ASSERT_TRUE(bound.ok()) << bound.status().ToString();
+  PlanPtr base = bound->plan;
+  while (base->kind() != PlanKind::kCuboidBase) base = base->child(0);
+  EXPECT_EQ(base->cuboid_masks, (std::vector<CuboidMask>{0b01, 0b10, 0b01}));
+  Result<Table> rows = ExecutePlan(base, catalog_);
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  Result<Table> prods =
+      ExecutePlan(CuboidBasePlan(TableRef("sales"), dims, 0b01), catalog_);
+  Result<Table> states =
+      ExecutePlan(CuboidBasePlan(TableRef("sales"), dims, 0b10), catalog_);
+  ASSERT_TRUE(prods.ok() && states.ok());
+  EXPECT_EQ(rows->num_rows(), 2 * prods->num_rows() + states->num_rows());
+  auto split = [&](const PlanPtr& b) {
+    const ExprPtr theta = DimsTheta(dims);
+    PlanPtr inner = MdJoinPlan(b, TableRef("sales"), {Count("n")}, theta);
+    return SplitToEquiJoin(MdJoinPlan(inner, TableRef("sales"), {Count("m")}, theta),
+                           catalog_);
+  };
+  EXPECT_TRUE(split(once).ok());
+  Result<PlanPtr> refused = split(twice);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_NE(refused.status().ToString().find("lists a cuboid twice"), std::string::npos)
+      << refused.status().ToString();
+}
+
 // ---------------------------------------------------------------------------
 // Negative preconditions, one illegal plan per rule
 // ---------------------------------------------------------------------------
-
-TEST_F(PlanAnalyzerTest, PushdownRejectsMixedOnlyTheta) {
-  // Theorem 4.2 negative: every conjunct involves B, so nothing is pushable.
-  ExprPtr theta = And(CustTheta(), Lt(BCol("cust"), RCol("prod")));
-  PlanPtr plan = MdJoinPlan(DistinctCustBase(), TableRef("sales"), {Count("n")}, theta);
-  Result<PushdownCertificate> cert = CertifyDetailPushdown(plan);
-  ASSERT_FALSE(cert.ok());
-  EXPECT_NE(cert.status().ToString().find("no R-only conjuncts"), std::string::npos)
-      << cert.status().ToString();
-  EXPECT_FALSE(ApplySelectionPushdown(plan).ok());
-}
 
 TEST_F(PlanAnalyzerTest, TransferRejectsUnboundSelectionAttribute) {
   // Observation 4.1 negative: the base σ references cust, but θ binds it with
@@ -193,7 +231,8 @@ TEST_F(PlanAnalyzerTest, FusionDetectsDependentThetas) {
   EXPECT_EQ(ok_cert.generation[1], 0);
   Result<PlanPtr> fused = FuseMdJoinSeries(indep);
   ASSERT_TRUE(fused.ok()) << fused.status().ToString();
-  EXPECT_EQ((*fused)->kind(), PlanKind::kGeneralizedMdJoin);
+  EXPECT_EQ((*fused)->kind(), PlanKind::kMdJoin);
+  EXPECT_EQ((*fused)->components.size(), 2u);
 }
 
 TEST_F(PlanAnalyzerTest, CommuteRejectsDependentOuterTheta) {
@@ -281,10 +320,11 @@ TEST_F(PlanAnalyzerTest, ExecutorVerifyPlansFailsFast) {
 }
 
 TEST_F(PlanAnalyzerTest, OptimizerVerifyPlansAcceptsLegalRewrites) {
-  // A representative plan that fires pushdown; with verification on, every
-  // accepted rewrite is re-analyzed and the optimization still succeeds.
-  ExprPtr theta = And(CustTheta(), Eq(RCol("year"), Lit(1999)));
-  PlanPtr plan = MdJoinPlan(DistinctCustBase(), TableRef("sales"), {Count("n")}, theta);
+  // A representative plan that fires Observation 4.1's transfer; with
+  // verification on, every accepted rewrite is re-analyzed and the
+  // optimization still succeeds.
+  PlanPtr plan = MdJoinPlan(FilterPlan(DistinctCustBase(), Le(Col("cust"), Lit(3))),
+                            TableRef("sales"), {Count("n")}, CustTheta());
   OptimizeOptions options;
   options.verify_plans = true;
   OptimizeReport report;

@@ -67,7 +67,6 @@ TEST_F(PlanExtraTest, CostCoversEveryNodeKind) {
       UnionPlan({TableRef("sales"), TableRef("sales")}),
       PartitionPlan(TableRef("sales"), 0, 4),
       HashJoinPlan(base, base, {"cust"}, {"cust"}),
-      GroupByPlan(TableRef("sales"), {"cust"}, {Count("n")}),
       MdJoinPlan(base, TableRef("sales"), {Count("n")}, Eq(RCol("cust"), BCol("cust"))),
       GeneralizedMdJoinPlan(base, TableRef("sales"),
                             {{{Count("n")}, Eq(RCol("cust"), BCol("cust"))}}),
@@ -134,8 +133,41 @@ TEST_F(PlanExtraTest, ExplainLabelsCarryPayload) {
             std::string::npos);
   EXPECT_NE(CuboidBasePlan(TableRef("t"), {"a", "b"}, 0b01)->Label().find("ALL"),
             std::string::npos);
-  EXPECT_NE(GroupByPlan(TableRef("t"), {"k"}, {Count("n")})->Label().find("count"),
-            std::string::npos);
+  // One generator node: the full cube renders as its dims, any other
+  // cuboid list as its cuboids; one MD-join node: two components render as
+  // the generalized MD-join.
+  EXPECT_EQ(CubeBasePlan(TableRef("t"), {"a", "b"})->Label(), "CubeBase(a, b)");
+  EXPECT_EQ(CuboidBasePlan(TableRef("t"), {"a", "b"}, {0b11, 0b01, 0b00})->Label(),
+            "CuboidBase(a, b; a, ALL; ALL, ALL)");
+  EXPECT_EQ(CuboidBasePlan(TableRef("t"), {"a", "b"}, {0b11, 0b10, 0b01, 0b00})->Label(),
+            "CuboidBase(a, b; ALL, b; a, ALL; ALL, ALL)");
+  const std::vector<MdJoinComponent> two = {{{Count("n")}, Eq(RCol("k"), BCol("k"))},
+                                            {{Count("m")}, Eq(RCol("k"), BCol("k"))}};
+  const std::string theta = Eq(RCol("k"), BCol("k"))->ToString();
+  EXPECT_EQ(GeneralizedMdJoinPlan(TableRef("b"), TableRef("r"), two)->Label(),
+            "GeneralizedMdJoin(2 components; [count(*) as n | " + theta +
+                "]; [count(*) as m | " + theta + "])");
+  EXPECT_EQ(GeneralizedMdJoinPlan(TableRef("b"), TableRef("r"), {two[0]})->Label(),
+            "MdJoin(aggs: count(*) as n; theta: " + theta + ")");
+}
+
+/// A generator lists k cuboids but reads its input once, so its estimated
+/// work is one scan of the input whatever k is; its rows add up per cuboid.
+TEST_F(PlanExtraTest, GeneratorCostCountsOneScanOfItsInput) {
+  const PlanPtr input = FilterPlan(TableRef("sales"), Eq(Col("state"), Lit("NY")));
+  Result<PlanCost> child = EstimateCost(input, catalog_);
+  Result<PlanCost> one =
+      EstimateCost(CuboidBasePlan(input, {"prod", "month"}, 0b01), catalog_);
+  Result<PlanCost> rollup =
+      EstimateCost(CuboidBasePlan(input, {"prod", "month"}, {0b11, 0b01, 0b00}), catalog_);
+  Result<PlanCost> cube = EstimateCost(CubeBasePlan(input, {"prod", "month"}), catalog_);
+  ASSERT_TRUE(child.ok() && one.ok() && rollup.ok() && cube.ok());
+  const double scan = child->work + child->output_rows;
+  EXPECT_DOUBLE_EQ(one->work, scan);
+  EXPECT_DOUBLE_EQ(rollup->work, scan);
+  EXPECT_DOUBLE_EQ(cube->work, scan);
+  EXPECT_DOUBLE_EQ(rollup->output_rows, 3 * one->output_rows);
+  EXPECT_DOUBLE_EQ(cube->output_rows, 4 * one->output_rows);
 }
 
 TEST_F(PlanExtraTest, InferSchemaUnionMismatch) {
@@ -171,7 +203,7 @@ TEST_F(PlanExtraTest, InferredSchemasMatchExecutionEverywhere) {
             And(Eq(RCol("cust"), BCol("cust")), Eq(RCol("state"), Lit("NY")))}}),
       CubeBasePlan(TableRef("sales"), {"prod", "month"}),
       CuboidBasePlan(TableRef("sales"), {"prod", "month"}, 0b10),
-      GroupByPlan(TableRef("sales"), {"state"}, {Min(Col("sale"), "lo")}),
+      CuboidBasePlan(TableRef("sales"), {"prod", "month"}, {0b10, 0b01, 0b10}),
       SortPlan(TableRef("sales"), {"sale"}, {false}),
       PartitionPlan(TableRef("sales"), 1, 3),
   };

@@ -96,10 +96,21 @@ TEST_P(RuleFuzz, EveryFiringRulePreservesResults) {
                                                    std::to_string(i)),
                         RandomTheta(rng_.get()));
     }
-    // Rules that take only the plan.
-    if (Result<PlanPtr> r = ApplySelectionPushdown(plan); r.ok()) {
-      ExpectEquivalent(plan, *r, "Theorem 4.2");
+    // Theorem 4.2, MD(B, R, l, θ1 ∧ θ2) = MD(B, σ_θ2(R), l, θ1) with θ2 the
+    // R-only conjuncts of the root's θ, executed on both sides.
+    {
+      const MdJoinComponent& root = plan->components[0];
+      ThetaParts parts = AnalyzeTheta(root.theta);
+      if (!parts.detail_only.empty()) {
+        PlanPtr selected = FilterPlan(plan->child(1), CombineConjuncts(parts.detail_only));
+        parts.detail_only.clear();
+        ExpectEquivalent(plan,
+                         MdJoinPlan(plan->child(0), std::move(selected), root.aggs,
+                                    CombineTheta(parts)),
+                         "Theorem 4.2");
+      }
     }
+    // Rules that take only the plan.
     if (Result<PlanPtr> r = FuseMdJoinSeries(plan); r.ok()) {
       ExpectEquivalent(plan, *r, "Theorem 4.3 fusion");
     }

@@ -519,10 +519,9 @@ TEST(OptimizerStatsTest, RewriteRecordsCarryCosts) {
   Catalog catalog;
   ASSERT_TRUE(catalog.Register("Sales", &sales).ok());
   PlanPtr base = DistinctPlan(ProjectPlan(TableRef("Sales"), {{Col("cust"), "cust"}}));
-  // A detail-only conjunct makes Theorem 4.2 pushdown fire.
-  PlanPtr plan = MdJoinPlan(base, TableRef("Sales"), {Count("n")},
-                            And(Eq(RCol("cust"), BCol("cust")),
-                                Gt(RCol("sale"), Lit(Value::Float64(100)))));
+  // A selection on the base makes Observation 4.1's transfer fire.
+  PlanPtr plan = MdJoinPlan(FilterPlan(base, Le(Col("cust"), Lit(3))), TableRef("Sales"),
+                            {Count("n")}, Eq(RCol("cust"), BCol("cust")));
   std::vector<RewriteRecord> log;
   Result<PlanPtr> optimized = OptimizePlan(plan, catalog, {}, nullptr, &log);
   ASSERT_TRUE(optimized.ok());

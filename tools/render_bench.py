@@ -9,8 +9,9 @@ record and not from a separate run.
 Columns: the benchmark name (google-benchmark's /min_time and /real_time
 suffixes dropped), mean / min / sample stddev in ms over the repetitions,
 the repetition count, then each requested counter (blank where a record
-lacks it). A line under the table names the records' git SHA, build type,
-nproc and timestamp.
+lacks it): its mean over the repetitions, followed by "± stddev (min ...)"
+where the record carries a nonzero spread. A line under the table names the
+records' git SHA, build type, nproc and timestamp.
 """
 
 import argparse
@@ -28,6 +29,15 @@ def fmt(value):
     if float(value).is_integer() or abs(value) >= 1000:
         return f"{round(value):,}".replace(",", " ")
     return f"{value:.3f}"
+
+
+def counter_cell(record, name):
+    """The counter's mean, with its spread over the repetitions if any."""
+    cell = fmt(record.get(name))
+    stddev = record.get(name + "_stddev")
+    if cell and stddev:
+        cell += f" ± {fmt(stddev)} (min {fmt(record.get(name + '_min'))})"
+    return cell
 
 
 def main():
@@ -48,7 +58,7 @@ def main():
                f"{r.get('ns_per_op_min', r['ns_per_op']) / 1e6:.3f}",
                f"{r.get('ns_per_op_stddev', 0) / 1e6:.3f}",
                str(r.get("repetitions", 1))]
-        row += [fmt(r.get(c)) for c in counters]
+        row += [counter_cell(r, c) for c in counters]
         print("| " + " | ".join(row) + " |")
     stamps = sorted({(r.get("git_sha", "?"), r.get("build_type", "?"),
                       r.get("nproc", "?"), r.get("timestamp", "?")) for r in records})
